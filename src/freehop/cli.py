@@ -22,6 +22,14 @@ EXIT_INPUT = 2
 EXIT_TRUNCATION = 3
 
 HURWITZ_D_BOUND = 6
+# largest --deg per (route, direction) of transform: the convolution routes
+# enumerate S_d for their factorization counts, and the weakly monotone
+# enumeration behind m2c on hurwitz grows quickly with the hbar order
+TRANSFORM_D_BOUND = {
+    ("convolution", "c2m"): 6,
+    ("convolution", "m2c"): 6,
+    ("hurwitz", "m2c"): 5,
+}
 
 
 class CliError(Exception):
@@ -41,11 +49,32 @@ def _write_output(obj, path: str | None, csv: str | None = None):
         print(text)
 
 
+def _check_hbar(hbar: int | None):
+    if hbar is not None and hbar < 0:
+        raise CliError("--hbar must be nonnegative")
+
+
+def _working_K(hbar: int | None, deg: int, g2: int) -> int:
+    """--hbar, or the default truncation; exit 3 when --hbar is too low to
+    hold every entry with |lam| <= deg and g2 <= genus."""
+    if hbar is None:
+        return transforms.default_K(deg, g2)
+    need = transforms.required_K(deg, g2)
+    if hbar < need:
+        raise CliError(
+            "--hbar %d drops entries: degree %d and genus2 %d need hbar^%d"
+            % (hbar, deg, g2, need),
+            EXIT_TRUNCATION,
+        )
+    return hbar
+
+
 def cmd_hurwitz(args) -> int:
     if args.d > HURWITZ_D_BOUND:
         raise CliError("d=%d exceeds the enumeration bound %d" % (args.d, HURWITZ_D_BOUND))
     if args.d < 0:
         raise CliError("d must be nonnegative")
+    _check_hbar(args.hbar)
     K = args.hbar if args.hbar is not None else max(args.d - 1, 0)
     table = hurwitz.cached_hurwitz_table(args.d, args.kind, K)
     obj = hurwitz.table_to_json(args.d, args.kind, table, K)
@@ -56,6 +85,7 @@ def cmd_hurwitz(args) -> int:
 def cmd_moebius(args) -> int:
     if args.d > HURWITZ_D_BOUND:
         raise CliError("d=%d exceeds the enumeration bound %d" % (args.d, HURWITZ_D_BOUND))
+    _check_hbar(args.hbar)
     if args.hbar is None:
         mu = pscore.moebius(args.d)
         entries = [
@@ -100,12 +130,18 @@ def _load_table(path: str, deg: int | None) -> tables.CoefficientTable:
 
 
 def cmd_transform(args) -> int:
+    _check_hbar(args.hbar)
     deg = args.deg
     table = _load_table(args.infile, deg)
     if deg is None:
         deg = max((sum(ks) for (_, ks) in table), default=0)
+    bound = TRANSFORM_D_BOUND.get((args.route, args.direction))
+    if bound is not None and deg > bound:
+        raise CliError(
+            "%s --route %s runs to degree %d, not %d" % (args.direction, args.route, bound, deg)
+        )
     g2 = args.genus
-    K = args.hbar
+    K = _working_K(args.hbar, deg, g2) if args.route != "formula" else None
     forward = args.direction == "c2m"
     try:
         if args.route == "hurwitz":
@@ -173,15 +209,18 @@ def suite_orthogonality(d: int, K: int, threads: int) -> dict:
     return hurwitz.verify_orthogonality(d, K, threads)
 
 
-def suite_equivalence(d: int, K: int, count: int = 5, g2: int = 3) -> dict:
+EQUIVALENCE_G2 = 3
+
+
+def suite_equivalence(d: int, K: int, count: int = 5, g2: int = EQUIVALENCE_G2) -> dict:
     cases = []
     for seed in range(count):
         t = tables.random_table(seed=100 + seed, nmax=d, degmax=d, g2max=g2)
-        m_h = transforms.master_forward(t, d, g2)
-        m_c = transforms.convolution_forward(t, d, g2)
-        m_s = transforms.schur_d_oracle(t, d, g2)
-        back_w = transforms.master_inverse(m_h, d, g2)
-        back_m = transforms.moebius_inverse_route(m_h, d, g2)
+        m_h = transforms.master_forward(t, d, g2, K)
+        m_c = transforms.convolution_forward(t, d, g2, K)
+        m_s = transforms.schur_d_oracle(t, d, g2, K)
+        back_w = transforms.master_inverse(m_h, d, g2, K)
+        back_m = transforms.moebius_inverse_route(m_h, d, g2, K)
         want = tables.restrict_table(t, deg=d, g2=g2)
         cases.append(_case("seed %d: (i)==(ii)" % seed, True, tables.table_equal(m_h, m_c, deg=d, g2=g2)))
         cases.append(_case("seed %d: (i)==schur" % seed, True, tables.table_equal(m_h, m_s, deg=d, g2=g2)))
@@ -303,10 +342,12 @@ SUITES = [
 
 
 def cmd_verify(args) -> int:
+    _check_hbar(args.hbar)
     if args.suite == "orthogonality":
         report = suite_orthogonality(args.d or 4, args.hbar or 8, args.threads)
     elif args.suite == "equivalence":
-        report = suite_equivalence(args.d or 4, args.hbar or 6)
+        d = args.d or 4
+        report = suite_equivalence(d, _working_K(args.hbar, d, EQUIVALENCE_G2))
     elif args.suite == "genus0-trees":
         report = suite_genus0_trees(args.n or 3, args.deg or 6)
     elif args.suite == "all-genus":

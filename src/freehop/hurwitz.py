@@ -321,7 +321,8 @@ _memory_cache: dict = {}
 
 def cached_hurwitz_table(d: int, kind: str, K: int):
     """Memory- and disk-cached variant of hurwitz_table (FREEHOP_CACHE
-    names the cache directory), keyed by (d, kind, K)."""
+    names the cache directory), keyed by (d, kind, K).  A cache file whose
+    header names another key is a miss, rebuilt and overwritten."""
     key = (d, kind, K)
     if key in _memory_cache:
         return _memory_cache[key]
@@ -330,9 +331,10 @@ def cached_hurwitz_table(d: int, kind: str, K: int):
     if cdir:
         path = os.path.join(cdir, "hurwitz-%s-d%d-K%d.json" % (kind, d, K))
         if os.path.exists(path):
-            table = table_from_json_file(path)
-            _memory_cache[key] = table
-            return table
+            table = table_from_json_file(path, key)
+            if table is not None:
+                _memory_cache[key] = table
+                return table
     table = hurwitz_table(d, kind, K)
     _memory_cache[key] = table
     if path:
@@ -344,6 +346,14 @@ def cached_hurwitz_table(d: int, kind: str, K: int):
     return table
 
 
-def table_from_json_file(path: str):
+def table_from_json_file(path: str, key: tuple[int, str, int]):
+    """The table stored at path, or None unless the file is JSON whose
+    header names key = (d, kind, K)."""
     with open(path) as fh:
-        return table_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError:
+            return None
+    if not isinstance(obj, dict) or (obj.get("d"), obj.get("kind"), obj.get("hbar")) != key:
+        return None
+    return table_from_json(obj)

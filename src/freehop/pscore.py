@@ -442,6 +442,50 @@ def moebius_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
     return out
 
 
+_target_counts_cache: dict = {}
+
+
+def target_factorizations(lam: symcore.Partition) -> tuple:
+    """Factorizations (0_alpha, alpha) (.) (B, beta) = (1_d, pi_lam) of a
+    one-block target, counted by their contribution to zeta_hbar (*) phi
+    for a multiplicative phi.
+
+    For each beta with alpha = pi_lam beta^-1 and each partition B of the
+    cycles of beta with 0_alpha v B = 1_d, the key is (|alpha|, sorted
+    cycle types of beta on the blocks of B).  Returns the sorted
+    ((|alpha|, types), count) pairs; the only key with |alpha| = 0 is
+    (0, (lam,)) with count 1.
+
+    >>> target_factorizations((2,))
+    (((0, ((2,),)), 1), ((1, ((1,), (1,))), 1), ((1, ((1, 1),)), 1))
+    """
+    if lam in _target_counts_cache:
+        return _target_counts_cache[lam]
+    d = sum(lam)
+    pi = symcore.canonical_permutation(lam)
+    counts: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
+    for beta in _all_perms(range(d)):
+        alpha = symcore.compose(pi, symcore.inverse(beta))
+        col_a = symcore.colength(alpha)
+        cycs = symcore.cycles(beta)
+        m = len(cycs)
+        # the cycles of beta joined by the cycles of alpha, as a partition
+        # of range(m); B must join it to one block
+        linked = join(orbit_partition(alpha), orbit_partition(beta))
+        linked = canonical_ids(linked[c[0]] for c in cycs)
+        for grouping in set_partitions_of(m):
+            if join(linked, from_blocks(m, grouping)) != coarsest(m):
+                continue
+            types = tuple(sorted(
+                symcore.sort_to_partition(len(cycs[i]) for i in grp) for grp in grouping
+            ))
+            key = (col_a, types)
+            counts[key] = counts.get(key, 0) + 1
+    out = tuple(sorted(counts.items()))
+    _target_counts_cache[lam] = out
+    return out
+
+
 def leading_order(phi_h: dict[PartPerm, HbarSeries]) -> dict[PartPerm, Fraction]:
     """Extract the coefficient of hbar^|(A, a)| from an hbar-graded function.
 

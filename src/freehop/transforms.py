@@ -6,7 +6,11 @@ Routes between a cumulant table and a moment table:
 - hurwitz:     Z(lam) = z(lam) sum_nu H^<(lam, nu) Z_dual(nu), inverted
                with the weakly monotone series;
 - convolution: Phi = zeta_hbar (*) Phi_dual on PS(d) (and the Moebius
-               inverse Phi_dual = mu_hbar (*) Phi);
+               inverse Phi_dual = mu_hbar (*) Phi), evaluated only at the
+               one-block targets (1_d, pi_lam) from the factorization
+               counts of pscore.target_factorizations; the inverse is a
+               triangular solve, degree by degree, so neither direction
+               builds tables over PS(d);
 - schur:       the content-polynomial multiplier in the Schur basis;
 - formula:     the tree (genus 0), graph (all genus) and special-tree
                (genus 1/2) functional relations, plus coefficient-wise
@@ -85,16 +89,30 @@ def table_from_z(ztabs: dict[Partition, HbarSeries], dmax: int, K: int, g2max: i
                     term = term * block[mu]
                 acc = acc - term
             block[nu] = acc
-            base = d + len(nu) - 2
-            for g2 in range(0, min(g2max, K - base) + 1):
-                v = acc.coeff(base + g2)
-                if v:
-                    out[(g2, nu)] = v
+            _store(out, nu, acc, g2max, K)
     return out
 
 
+def _store(out: CoefficientTable, lam: Partition, val: HbarSeries, g2max: int, K: int):
+    """Read the entries F_{g2; lam}, g2 <= g2max, off the hbar gradings of
+    a block value known to hbar^K."""
+    base = sum(lam) + len(lam) - 2
+    for g2 in range(0, min(g2max, K - base) + 1):
+        v = val.coeff(base + g2)
+        if v:
+            out[(g2, lam)] = v
+
+
+def required_K(dmax: int, g2max: int) -> int:
+    """The highest hbar order the master routes read off: F_{g2; lam} sits
+    at hbar^(|lam| + len(lam) - 2 + g2), which over |lam| <= dmax and
+    g2 <= g2max is largest at lam = (1^dmax), g2 = g2max.  A working
+    truncation below it drops entries."""
+    return 2 * dmax - 2 + g2max
+
+
 def default_K(dmax: int, g2max: int) -> int:
-    return 2 * dmax - 2 + g2max + 1
+    return required_K(dmax, g2max) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,58 +150,90 @@ def master_inverse(mom_table: CoefficientTable, dmax: int, g2max: int, K: int | 
 
 
 # ---------------------------------------------------------------------------
-# route: convolution on PS(d)
+# route: convolution on PS(d), evaluated at the one-block targets
 
 
-def _blockvalue_fn(table: CoefficientTable, K: int):
-    cache: dict[Partition, HbarSeries] = {}
+def _block_values(table: CoefficientTable, dmax: int, K: int) -> dict[Partition, HbarSeries]:
+    return {
+        mu: blockvalue_series(table, mu, K)
+        for d in range(1, dmax + 1)
+        for mu in symcore.partitions(d)
+    }
 
-    def fn(mu: Partition) -> HbarSeries:
-        if mu not in cache:
-            cache[mu] = blockvalue_series(table, mu, K)
-        return cache[mu]
 
-    return fn
+def _term(n: int, col_a: int, types, block: dict[Partition, HbarSeries], K: int) -> HbarSeries:
+    """n hbar^|alpha| times the block values of the given cycle types."""
+    term = HbarSeries.monomial(n, col_a, K)
+    for mu in types:
+        term = term * block[mu]
+    return term
 
 
 def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
     """Moments from cumulants by the extended convolution with zeta_hbar,
-    evaluated on total tables over PS(d)."""
+
+        phi(1_d, pi_lam) = sum over alpha beta = pi_lam, B >= 0_beta,
+                           0_alpha v B = 1_d of hbar^|alpha| prod_B phi_dual,
+
+    evaluated only at the one-block targets through the factorization
+    counts of ``pscore.target_factorizations``."""
     K = default_K(dmax, g2max) if K is None else K
+    block = _block_values(cum_table, dmax, K)
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
-        phi_dual = pscore.multiplicative_function(d, _blockvalue_fn(cum_table, K))
-        zet = pscore.zeta_hbar(d, K)
-        phi = pscore.convolve(zet, phi_dual, kind="extended")
         for lam in symcore.partitions(d):
-            target = (pscore.coarsest(d), symcore.canonical_permutation(lam))
-            val = phi.get(target, HbarSeries.zero(K))
-            base = d + len(lam) - 2
-            for g2 in range(0, g2max + 1):
-                if base + g2 <= K:
-                    v = val.coeff(base + g2)
-                    if v:
-                        out[(g2, lam)] = v
+            val = HbarSeries.zero(K)
+            for (col_a, types), n in pscore.target_factorizations(lam):
+                if col_a <= K:
+                    val = val + _term(n, col_a, types, block, K)
+            _store(out, lam, val, g2max, K)
     return out
 
 
 def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
-    """Cumulants from moments by extended convolution with mu_hbar."""
+    """Cumulants from moments: the (*)-inverse of convolution_forward,
+
+        phi_dual = mu_hbar (*) phi,
+
+    solved degree by degree at the one-block targets.  In the expansion of
+    phi(1_d, pi_lam) the only term with |alpha| = 0 is phi_dual(1_d, pi_lam)
+    itself; the other terms are products of blocks of size < d, known from
+    lower degrees, or one block of size d times hbar^(>= 1).  So a
+    fixed-point iteration over the p(d) unknowns gains one hbar order per
+    pass."""
     K = default_K(dmax, g2max) if K is None else K
+    moments = _block_values(mom_table, dmax, K)
+    cum: dict[Partition, HbarSeries] = {}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
-        phi = pscore.multiplicative_function(d, _blockvalue_fn(mom_table, K))
-        mu_h = pscore.moebius_hbar(d, K)
-        phi_dual = pscore.convolve(mu_h, phi, kind="extended")
-        for lam in symcore.partitions(d):
-            target = (pscore.coarsest(d), symcore.canonical_permutation(lam))
-            val = phi_dual.get(target, HbarSeries.zero(K))
-            base = d + len(lam) - 2
-            for g2 in range(0, g2max + 1):
-                if base + g2 <= K:
-                    v = val.coeff(base + g2)
-                    if v:
-                        out[(g2, lam)] = v
+        parts = symcore.partitions(d)
+        rest: dict[Partition, HbarSeries] = {}
+        same_degree: dict[Partition, list] = {}
+        for lam in parts:
+            val = moments[lam]
+            same_degree[lam] = []
+            for (col_a, types), n in pscore.target_factorizations(lam):
+                if col_a == 0 or col_a > K:
+                    continue
+                if len(types) == 1:
+                    same_degree[lam].append((n, col_a, types))
+                else:
+                    val = val - _term(n, col_a, types, cum, K)
+            rest[lam] = val
+        cur = rest
+        for _ in range(K + 1):
+            nxt = {}
+            for lam in parts:
+                val = rest[lam]
+                for n, col_a, types in same_degree[lam]:
+                    val = val - _term(n, col_a, types, cur, K)
+                nxt[lam] = val
+            if nxt == cur:
+                break
+            cur = nxt
+        cum.update(cur)
+        for lam in parts:
+            _store(out, lam, cur[lam], g2max, K)
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 
 from freehop import cli, tables
 
@@ -114,6 +115,54 @@ def test_transform_degree_mismatch_exit_2(tmp_path):
     assert run([
         "transform", "c2m", "--route", "hurwitz", "--in", str(cum), "--deg", "3",
     ]) == 2
+
+
+@pytest.mark.parametrize("direction, route, deg", [
+    ("c2m", "convolution", 7),
+    ("m2c", "convolution", 7),
+    ("m2c", "hurwitz", 6),
+])
+def test_transform_degree_bound_exit_2(tmp_path, direction, route, deg):
+    inp = tmp_path / "in.json"
+    tables.save(str(inp), tables.gue_table())
+    assert run([
+        "transform", direction, "--route", route, "--in", str(inp), "--deg", str(deg),
+    ]) == 2
+
+
+def test_transform_low_hbar_exit_3(tmp_path):
+    cum = tmp_path / "cum.json"
+    tables.save(str(cum), tables.random_table(seed=8, nmax=4, degmax=4, g2max=2))
+    outs = {}
+    for hbar in (None, 8):
+        out = tmp_path / ("out-%s.json" % hbar)
+        args = ["transform", "c2m", "--route", "convolution", "--in", str(cum),
+                "--out", str(out), "--deg", "4", "--genus", "2"]
+        assert run(args + (["--hbar", str(hbar)] if hbar else [])) == 0
+        outs[hbar], _ = tables.load(str(out))
+    # hbar^8 holds the highest entry, F_{g2=2; 1,1,1,1}
+    assert outs[8] == outs[None] and (2, (1, 1, 1, 1)) in outs[8]
+    for route in ("hurwitz", "convolution", "schur"):
+        assert run([
+            "transform", "c2m", "--route", route, "--in", str(cum),
+            "--deg", "4", "--genus", "2", "--hbar", "7",
+        ]) == 3
+
+
+def test_negative_hbar_exit_2(tmp_path):
+    inp = tmp_path / "in.json"
+    tables.save(str(inp), tables.gue_table())
+    assert run(["hurwitz", "--d", "2", "--kind", "strict", "--hbar", "-1"]) == 2
+    assert run(["moebius", "--d", "2", "--hbar", "-1"]) == 2
+    for route in ("hurwitz", "formula"):
+        assert run(["transform", "c2m", "--route", route, "--in", str(inp), "--hbar", "-1"]) == 2
+
+
+def test_verify_equivalence_hbar(tmp_path):
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--suite", "equivalence", "--hbar", "2", "--out", str(out)]) == 3
+    assert run(["verify", "--suite", "equivalence", "--d", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"]
 
 
 def test_transform_csv(tmp_path):

@@ -150,3 +150,19 @@ def test_disk_cache(tmp_path, monkeypatch):
     hurwitz._memory_cache.clear()
     t2 = hurwitz.cached_hurwitz_table(3, "weak", 4)
     assert all(t1[k] == t2[k] for k in t1)
+
+
+def test_disk_cache_checks_key(tmp_path, monkeypatch):
+    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
+    hurwitz._memory_cache.clear()
+    path = tmp_path / "hurwitz-strict-d3-K2.json"
+    # a d=2 weak table planted under the name of the d=3 strict one, then
+    # files that are not a table
+    planted = table_to_json(2, "weak", hurwitz_table(2, "weak", 2), 2)
+    for text in (json.dumps(planted), "{not json", "[]"):
+        path.write_text(text)
+        hurwitz._memory_cache.clear()
+        assert hurwitz.cached_hurwitz_table(3, "strict", 2) == hurwitz_table(3, "strict", 2)
+        obj = json.loads(path.read_text())
+        assert (obj["d"], obj["kind"], obj["hbar"]) == (3, "strict", 2)
+    hurwitz._memory_cache.clear()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from freehop import pscore, symcore
+from freehop import oracles, pscore, symcore
 from freehop.hbar import HbarSeries
 from freehop.pscore import (
     blocks_of,
@@ -368,3 +368,18 @@ def test_setpartition_json():
     js = pscore.setpartition_to_json(part)
     assert js == [[1, 3], [2], [4]]
     assert pscore.setpartition_from_json(js, 4) == part
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_target_factorizations_genus0_slice(d):
+    # the colength-additive factorizations are the strict-product ones
+    # the genus-0 oracle counts; |alpha| = 0 only for the target itself
+    for lam in symcore.partitions(d):
+        target_col = d + len(lam) - 2
+        strict = {}
+        for (col_a, types), n in pscore.target_factorizations(lam):
+            assert col_a > 0 or (types, n) == ((lam,), 1)
+            ncyc = sum(len(mu) for mu in types)
+            if col_a + 2 * (d - len(types)) - (d - ncyc) == target_col:
+                strict[types] = n
+        assert strict == oracles.star_factorization_counts(lam)

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from freehop import oracles, tables
+from freehop import oracles, pscore, symcore, tables
 from freehop.hbar import HbarSeries
 from freehop.tables import gue_table, random_table, restrict_table, table_equal
 from freehop.transforms import (
     allgenus_moments,
     blockvalue_series,
     convolution_forward,
+    default_K,
     genus0_moment_coefficient,
     genus0_moments,
     half_genus_moment_coefficient,
@@ -106,6 +107,42 @@ def test_four_route_equivalence(seed):
     want = restrict_table(t, deg=4, g2=g2)
     assert table_equal(master_inverse(m_h, 4, g2), want, deg=4, g2=g2)
     assert table_equal(moebius_inverse_route(m_h, 4, g2), want, deg=4, g2=g2)
+
+
+def _full_table_convolution(table, dmax, g2max, K, inverse):
+    """The convolution routes on total tables over PS(d), read at the
+    one-block targets: the reference for the one-block routes."""
+    K = default_K(dmax, g2max) if K is None else K
+    out = {}
+    for d in range(1, dmax + 1):
+        phi = pscore.multiplicative_function(d, lambda mu: blockvalue_series(table, mu, K))
+        kernel = pscore.moebius_hbar(d, K) if inverse else pscore.zeta_hbar(d, K)
+        conv = pscore.convolve(kernel, phi, kind="extended")
+        for lam in symcore.partitions(d):
+            target = (pscore.coarsest(d), symcore.canonical_permutation(lam))
+            val = conv.get(target, HbarSeries.zero(K))
+            base = d + len(lam) - 2
+            for g2 in range(g2max + 1):
+                if base + g2 <= K:
+                    v = val.coeff(base + g2)
+                    if v:
+                        out[(g2, lam)] = v
+    return out
+
+
+@pytest.mark.parametrize("seed, g2, K", [(0, 3, None), (1, 1, 6), (2, 0, 4), (3, 2, 11)])
+def test_one_block_routes_equal_full_tables(seed, g2, K):
+    t = random_table(seed=60 + seed, nmax=4, degmax=4, g2max=g2)
+    assert convolution_forward(t, 4, g2, K) == _full_table_convolution(t, 4, g2, K, False)
+    # any table is the moment table of some multiplicative function
+    assert moebius_inverse_route(t, 4, g2, K) == _full_table_convolution(t, 4, g2, K, True)
+
+
+def test_convolution_routes_at_degree_6():
+    t = random_table(seed=66, nmax=6, degmax=6)
+    m = convolution_forward(t, 6, 0)
+    assert m == master_forward(t, 6, 0)
+    assert moebius_inverse_route(m, 6, 0) == restrict_table(t, deg=6, g2=0)
 
 
 def test_schur_inverse_roundtrip():
