@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,14 +20,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_TRUNCATION = 3
 
-HURWITZ_D_BOUND = 6
+# largest d of the hurwitz subcommand: the table has p(d)^2 entries, and
+# printing a weak one at d = 10, hbar^20 (2.4 MB of JSON) takes about a second
+HURWITZ_D_BOUND = 10
+# largest d of the moebius subcommand, which enumerates PS(d)
+MOEBIUS_D_BOUND = 6
 # largest --deg per (route, direction) of transform: the convolution routes
-# enumerate S_d for their factorization counts, and the weakly monotone
-# enumeration behind m2c on hurwitz grows quickly with the hbar order
+# enumerate S_d for their factorization counts
 TRANSFORM_D_BOUND = {
     ("convolution", "c2m"): 6,
     ("convolution", "m2c"): 6,
-    ("hurwitz", "m2c"): 5,
 }
 
 
@@ -71,7 +72,7 @@ def _working_K(hbar: int | None, deg: int, g2: int) -> int:
 
 def cmd_hurwitz(args) -> int:
     if args.d > HURWITZ_D_BOUND:
-        raise CliError("d=%d exceeds the enumeration bound %d" % (args.d, HURWITZ_D_BOUND))
+        raise CliError("d=%d exceeds the table bound %d" % (args.d, HURWITZ_D_BOUND))
     if args.d < 0:
         raise CliError("d must be nonnegative")
     _check_hbar(args.hbar)
@@ -83,8 +84,8 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_moebius(args) -> int:
-    if args.d > HURWITZ_D_BOUND:
-        raise CliError("d=%d exceeds the enumeration bound %d" % (args.d, HURWITZ_D_BOUND))
+    if args.d > MOEBIUS_D_BOUND:
+        raise CliError("d=%d exceeds the enumeration bound %d" % (args.d, MOEBIUS_D_BOUND))
     _check_hbar(args.hbar)
     if args.hbar is None:
         mu = pscore.moebius(args.d)
@@ -141,7 +142,12 @@ def cmd_transform(args) -> int:
             "%s --route %s runs to degree %d, not %d" % (args.direction, args.route, bound, deg)
         )
     g2 = args.genus
-    K = _working_K(args.hbar, deg, g2) if args.route != "formula" else None
+    if args.route == "formula":
+        if args.hbar is not None:
+            raise CliError("--route formula takes no --hbar: it truncates by degree, not by hbar order")
+        K = None
+    else:
+        K = _working_K(args.hbar, deg, g2)
     forward = args.direction == "c2m"
     try:
         if args.route == "hurwitz":
@@ -203,10 +209,6 @@ def _case(name, expected, got) -> dict:
         "got": str(got),
         "pass": expected == got,
     }
-
-
-def suite_orthogonality(d: int, K: int, threads: int) -> dict:
-    return hurwitz.verify_orthogonality(d, K, threads)
 
 
 EQUIVALENCE_G2 = 3
@@ -341,25 +343,39 @@ SUITES = [
 ]
 
 
+def _given(flag: str, value: int | None, default: int, least: int = 0) -> int:
+    """An explicit value, 0 included, or the default; exit 2 below least."""
+    if value is None:
+        return default
+    if value < least:
+        raise CliError("verify --%s must be at least %d, not %d" % (flag, least, value))
+    return value
+
+
 def cmd_verify(args) -> int:
     _check_hbar(args.hbar)
     if args.suite == "orthogonality":
-        report = suite_orthogonality(args.d or 4, args.hbar or 8, args.threads)
+        report = hurwitz.verify_orthogonality(_given("d", args.d, 4), _given("hbar", args.hbar, 8))
     elif args.suite == "equivalence":
-        d = args.d or 4
+        d = _given("d", args.d, 4)
+        bound = TRANSFORM_D_BOUND[("convolution", "c2m")]
+        if d > bound:
+            raise CliError("--suite equivalence runs the convolution routes, to d = %d, not %d" % (bound, d))
         report = suite_equivalence(d, _working_K(args.hbar, d, EQUIVALENCE_G2))
     elif args.suite == "genus0-trees":
-        report = suite_genus0_trees(args.n or 3, args.deg or 6)
+        report = suite_genus0_trees(_given("n", args.n, 3, least=1), _given("deg", args.deg, 6))
     elif args.suite == "all-genus":
-        report = suite_all_genus(args.deg or 4)
+        report = suite_all_genus(_given("deg", args.deg, 4))
     elif args.suite == "infinitesimal":
-        report = suite_infinitesimal(args.deg or 4)
+        report = suite_infinitesimal(_given("deg", args.deg, 4))
     elif args.suite == "gue":
         report = suite_gue()
     elif args.suite == "dual-roundtrip":
-        report = suite_dual_roundtrip(args.deg or 6)
+        report = suite_dual_roundtrip(_given("deg", args.deg, 6))
     else:  # pragma: no cover
         raise CliError("unknown suite %r" % args.suite)
+    if not report["cases"]:
+        raise CliError("--suite %s has no case to check at these arguments" % args.suite)
     _write_output(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -373,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact partitioned-permutation convolutions, monotone "
         "Hurwitz numbers, and higher-order moment/cumulant transforms",
     )
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker pool cap (computations are deterministic)")
     sub = p.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hurwitz", help="emit a monotone Hurwitz table")

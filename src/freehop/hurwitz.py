@@ -5,8 +5,26 @@ A sequence of transpositions tau_i = (a_i b_i) with a_i < b_i is strictly
 (weakly) monotone when the b_i are strictly (weakly) increasing.  The count
 H_r(lambda, nu) is 1/d! times the number of tuples (alpha, tau_1..tau_r,
 beta) with alpha in C_lambda, beta in C_nu and
-alpha o tau_1 o ... o tau_r o beta = id.  We fix alpha = pi_lambda and
-divide by z(lambda) instead of enumerating C_lambda.
+alpha o tau_1 o ... o tau_r o beta = id.
+
+The route, ``hurwitz_table``, is a content-multiplier kernel.  A central
+element acts on the irreducible rho |- d by a scalar, and the Jucys-Murphy
+elements act by the contents of rho, so
+
+    H_r(lambda, nu) = sum_rho chi^rho(lambda) chi^rho(nu) m_rho(r) / (z_lambda z_nu)
+
+with m_rho(r) = e_r(contents) (strict), (-1)^r h_r(contents) (weak, with
+the sign of its generating series) or the central character of the
+colength-r class sum (free single).  The characters come from
+``symcore.character_table``.
+
+The oracles check it by other means: ``_monotone_counts`` enumerates the
+monotone sequences by depth-first search (with alpha fixed to pi_lambda and
+a division by z(lambda) in place of enumerating C_lambda), behind
+``strict_monotone_count``, ``weakly_monotone_count`` and
+``hurwitz_series``; ``free_single_count`` enumerates S(d); and
+``jucys_murphy_oracle`` multiplies in the group algebra.  No route calls
+them.
 """
 
 from __future__ import annotations
@@ -15,6 +33,7 @@ import json
 import os
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from . import symcore
 from .hbar import HbarSeries
@@ -122,38 +141,67 @@ def hurwitz_series(lam: Partition, nu: Partition, kind: str, K: int) -> HbarSeri
     return HbarSeries({r: v for r, v in enumerate(row) if v}, K)
 
 
-def hurwitz_table(d: int, kind: str, K: int, threads: int = 1) -> dict[tuple[Partition, Partition], HbarSeries]:
-    """All (lambda, nu) series for given d; one monotone enumeration per
-    lambda covers every nu.  Rows are independent, so they can be built by
-    a worker pool (results are keyed, hence deterministic)."""
+def _content_multipliers(d: int, kind: str, rmax: int) -> list[list]:
+    """m_rho(r) for r = 0..rmax, one row per rho in partitions(d)."""
+    parts = symcore.partitions(d)
+    if kind == "free-single":
+        chars = symcore.character_table(d)
+        sizes = [symcore.class_size(mu) for mu in parts]
+        colen = [d - len(mu) for mu in parts]
+        rows = []
+        for chi in chars:
+            dim = chi[-1]  # chi^rho(1^d); partitions(d) ends with 1^d
+            row = [0] * (rmax + 1)
+            for size, c, r in zip(sizes, chi, colen):
+                if r <= rmax:
+                    row[r] += size * c
+            # a central character is a rational algebraic integer, so dim
+            # divides these sums exactly
+            rows.append([v // dim for v in row])
+        return rows
+    rows = []
+    for rho in parts:
+        # e_r (h_r) of the contents, one content at a time:
+        # e'_r = e_r + c e_(r-1), h'_r = h_r + c h'_(r-1)
+        row = [1] + [0] * rmax
+        for c in symcore.contents(rho):
+            if kind == "strict":
+                for r in range(rmax, 0, -1):
+                    row[r] += c * row[r - 1]
+            else:
+                for r in range(1, rmax + 1):
+                    row[r] += c * row[r - 1]
+        if kind == "weak":
+            row = [(-1) ** r * v for r, v in enumerate(row)]
+        rows.append(row)
+    return rows
+
+
+def hurwitz_table(d: int, kind: str, K: int) -> dict[tuple[Partition, Partition], HbarSeries]:
+    """All (lambda, nu) series for given d, to hbar^K: strict and
+    free-single sum hbar^r H_r (polynomials of degree <= d-1), weak sums
+    (-hbar)^r H^<=_r.  Built from the character table and the content
+    multipliers (see the module docstring); the table is symmetric in
+    (lambda, nu)."""
     if kind not in KINDS:
         raise ValueError("unknown kind %r" % kind)
     parts = symcore.partitions(d)
+    rmax = K if kind == "weak" else min(K, max(d - 1, 0))
+    chars = symcore.character_table(d)
+    # by r, then rho
+    mult = list(zip(*_content_multipliers(d, kind, rmax)))
+    z = [int(symcore.z_factor(lam)) for lam in parts]
     out = {}
-    if kind == "free-single":
-        for lam in parts:
-            for nu in parts:
-                out[(lam, nu)] = hurwitz_series(lam, nu, kind, K)
-        return out
-    strict = kind == "strict"
-    rmax = K if not strict else min(K, max(d - 1, 0))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = dict(
-                zip(parts, pool.map(lambda l: _monotone_counts(l, rmax, strict), parts))
-            )
-    else:
-        rows = {lam: _monotone_counts(lam, rmax, strict) for lam in parts}
-    for lam in parts:
-        table = rows[lam]
-        for nu in parts:
-            row = table.get(nu, [])
-            sign = (lambda r: (-1) ** r) if kind == "weak" else (lambda r: 1)
-            out[(lam, nu)] = HbarSeries(
-                {r: sign(r) * v for r, v in enumerate(row) if v}, K
-            )
+    for i, lam in enumerate(parts):
+        for j in range(i, len(parts)):
+            w = [chi[i] * chi[j] for chi in chars]
+            zz = z[i] * z[j]
+            coeffs = {}
+            for r, m in enumerate(mult):
+                v = sum(map(mul, w, m))
+                if v:
+                    coeffs[r] = Fraction(v, zz)
+            out[(lam, parts[j])] = out[(parts[j], lam)] = HbarSeries(coeffs, K)
     return out
 
 
@@ -253,12 +301,12 @@ def jucys_murphy_oracle(lam: Partition, nu: Partition, kind: str, r: int) -> Fra
     return total / factorial(d)
 
 
-def verify_orthogonality(d: int, K: int, threads: int = 1) -> dict:
+def verify_orthogonality(d: int, K: int) -> dict:
     """Check both identities of the strict/weak inverse pair exactly as
     hbar-series up to hbar^K; returns a report with per-pair residuals."""
     parts = symcore.partitions(d)
-    strict = hurwitz_table(d, "strict", K, threads)
-    weak = hurwitz_table(d, "weak", K, threads)
+    strict = hurwitz_table(d, "strict", K)
+    weak = hurwitz_table(d, "weak", K)
     z = {lam: symcore.z_factor(lam) for lam in parts}
     cases = []
     ok = True

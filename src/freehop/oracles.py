@@ -114,6 +114,10 @@ _star_cache: dict[Partition, dict] = {}
 
 
 def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
+    """Memory- and disk-cached star_factorization_counts (FREEHOP_CACHE
+    names the cache directory).  A cache file whose ``lambda`` field names
+    another partition, or that is not a JSON object, is a miss, rebuilt and
+    overwritten."""
     if lam in _star_cache:
         return _star_cache[lam]
     cdir = os.environ.get("FREEHOP_CACHE")
@@ -121,13 +125,10 @@ def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
     if cdir:
         path = os.path.join(cdir, "starcounts-%s.json" % "-".join(map(str, lam)))
         if os.path.exists(path):
-            with open(path) as fh:
-                obj = json.load(fh)
-            table = {
-                tuple(tuple(t) for t in e["types"]): e["count"] for e in obj["entries"]
-            }
-            _star_cache[lam] = table
-            return table
+            table = _star_counts_from_file(path, lam)
+            if table is not None:
+                _star_cache[lam] = table
+                return table
     table = star_factorization_counts(lam)
     _star_cache[lam] = table
     if path:
@@ -146,6 +147,19 @@ def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
             )
         os.replace(tmp, path)
     return table
+
+
+def _star_counts_from_file(path: str, lam: Partition):
+    """The counts stored at path, or None unless the file is a JSON object
+    whose ``lambda`` field is lam."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError:
+            return None
+    if not isinstance(obj, dict) or obj.get("lambda") != list(lam):
+        return None
+    return {tuple(tuple(t) for t in e["types"]): e["count"] for e in obj["entries"]}
 
 
 def genus0_moment_by_convolution(cum_table: CoefficientTable, ks) -> Fraction:

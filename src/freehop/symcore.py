@@ -244,6 +244,18 @@ def character(lam: Partition, mu: Partition) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def character_table(d: int) -> tuple[tuple[int, ...], ...]:
+    """The p(d) x p(d) character table: row i, column j holds
+    chi^rho(mu) for rho = partitions(d)[i] and mu = partitions(d)[j].
+
+    >>> character_table(3)
+    ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
+    """
+    parts = partitions(d)
+    return tuple(tuple(character(rho, mu) for mu in parts) for rho in parts)
+
+
 def contents(lam: Partition) -> list[int]:
     """Contents j - i over the cells (i, j) of lam (both 1-indexed)."""
     return [j - i for i, p in enumerate(lam, start=1) for j in range(1, p + 1)]

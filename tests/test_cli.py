@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ def test_hurwitz_d1_weak(tmp_path):
 
 
 def test_hurwitz_bound_exit_2(capsys):
-    assert run(["hurwitz", "--d", "7", "--kind", "strict"]) == 2
+    assert run(["hurwitz", "--d", "11", "--kind", "strict"]) == 2
 
 
 def test_moebius_output(tmp_path):
@@ -123,11 +124,20 @@ def test_transform_degree_mismatch_exit_2(tmp_path):
     ("m2c", "hurwitz", 6),
 ])
 def test_transform_degree_bound_exit_2(tmp_path, direction, route, deg):
+    """Past its bound a route exits 2; m2c on hurwitz has none, and at
+    degree 6 it agrees with schur."""
     inp = tmp_path / "in.json"
-    tables.save(str(inp), tables.gue_table())
-    assert run([
-        "transform", direction, "--route", route, "--in", str(inp), "--deg", str(deg),
-    ]) == 2
+    tables.save(str(inp), tables.random_table(seed=9, nmax=6, degmax=6, g2max=1))
+    args = ["transform", direction, "--in", str(inp), "--deg", str(deg), "--genus", "1"]
+    if (route, direction) in cli.TRANSFORM_D_BOUND:
+        assert run(args + ["--route", route]) == 2
+        return
+    outs = {}
+    for r in (route, "schur"):
+        out = tmp_path / ("out-%s.json" % r)
+        assert run(args + ["--route", r, "--out", str(out)]) == 0
+        outs[r], _ = tables.load(str(out))
+    assert outs[route] == outs["schur"]
 
 
 def test_transform_low_hbar_exit_3(tmp_path):
@@ -163,6 +173,32 @@ def test_verify_equivalence_hbar(tmp_path):
     assert run(["verify", "--suite", "equivalence", "--hbar", "2", "--out", str(out)]) == 3
     assert run(["verify", "--suite", "equivalence", "--d", "3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["pass"]
+
+
+def test_verify_equivalence_degree_bound_exit_2():
+    t0 = time.perf_counter()
+    assert run(["verify", "--suite", "equivalence", "--d", "7"]) == 2
+    assert time.perf_counter() - t0 < 1
+
+
+def test_verify_explicit_zero(tmp_path):
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--suite", "orthogonality", "--d", "2", "--hbar", "0", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["hbar"] == 0 and rep["d"] == 2 and rep["pass"]
+    assert run(["verify", "--suite", "orthogonality", "--d", "-1"]) == 2
+    # n = 0 has no moments to check, and degree 0 no monomials
+    assert run(["verify", "--suite", "genus0-trees", "--n", "0"]) == 2
+    assert run(["verify", "--suite", "genus0-trees", "--deg", "0"]) == 2
+
+
+def test_transform_formula_rejects_hbar(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    tables.save(str(inp), tables.gue_table())
+    args = ["transform", "c2m", "--route", "formula", "--in", str(inp), "--deg", "4"]
+    assert run(args + ["--hbar", "6"]) == 2
+    assert "--hbar" in capsys.readouterr().err
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_transform_csv(tmp_path):

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from freehop import hurwitz
+from freehop.hbar import HbarSeries
 from freehop.hurwitz import (
     free_single_count,
     hurwitz_series,
@@ -72,6 +74,36 @@ def test_harnad_orlov():
             for nu in partitions(d):
                 for r in range(4):
                     assert free_single_count(lam, nu, r) == strict_monotone_count(lam, nu, r)
+    # the tables: central characters of the class sums against e_r(contents)
+    for d in range(9):
+        strict, free = hurwitz_table(d, "strict", d), hurwitz_table(d, "free-single", d)
+        assert {k: s.c for k, s in strict.items()} == {k: s.c for k, s in free.items()}
+
+
+_COUNTS = {
+    "strict": strict_monotone_count,
+    "weak": weakly_monotone_count,
+    "free-single": free_single_count,
+}
+
+
+@pytest.mark.parametrize("d, kind, K", (
+    [(d, "strict", d) for d in range(6)]
+    + [(d, "weak", 7) for d in range(5)]
+    + [(5, "weak", 4)]
+    + [(d, "free-single", d) for d in range(5)]
+))
+def test_table_matches_enumeration(d, kind, K, monkeypatch):
+    """The character-table kernel against the enumeration oracles, entry by
+    entry, truncation order included."""
+    # one search per (lambda, r) serves every nu
+    monkeypatch.setattr(hurwitz, "_monotone_counts", lru_cache(maxsize=None)(hurwitz._monotone_counts))
+    sign = -1 if kind == "weak" else 1
+    got = hurwitz_table(d, kind, K)
+    assert set(got) == {(lam, nu) for lam in partitions(d) for nu in partitions(d)}
+    for (lam, nu), series in got.items():
+        want = HbarSeries({r: sign ** r * _COUNTS[kind](lam, nu, r) for r in range(K + 1)}, K)
+        assert (series.c, series.K) == (want.c, want.K)
 
 
 def test_jucys_murphy_matches_enumeration():

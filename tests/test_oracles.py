@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 from freehop import oracles, tables
@@ -90,4 +91,22 @@ def test_star_cache_disk(tmp_path, monkeypatch):
     oracles._star_cache.clear()
     c2 = oracles.star_counts_cached((2, 1))
     assert c1 == c2
+    oracles._star_cache.clear()
+
+
+def test_star_cache_checks_lambda(tmp_path, monkeypatch):
+    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
+    path = tmp_path / "starcounts-2-1.json"
+    want = star_factorization_counts((2, 1))
+    # the counts of (3,) planted under the name of (2, 1), then files that
+    # are not a table
+    planted = {"lambda": [3], "entries": [
+        {"types": [list(t) for t in key], "count": c}
+        for key, c in sorted(star_factorization_counts((3,)).items())
+    ]}
+    for text in (json.dumps(planted), "{not json", "[]"):
+        path.write_text(text)
+        oracles._star_cache.clear()
+        assert oracles.star_counts_cached((2, 1)) == want
+        assert json.loads(path.read_text())["lambda"] == [2, 1]
     oracles._star_cache.clear()
