@@ -86,6 +86,8 @@ def cmd_hurwitz(args) -> int:
 def cmd_moebius(args) -> int:
     if args.d > MOEBIUS_D_BOUND:
         raise CliError("d=%d exceeds the enumeration bound %d" % (args.d, MOEBIUS_D_BOUND))
+    if args.d < 0:
+        raise CliError("d must be nonnegative")
     _check_hbar(args.hbar)
     if args.hbar is None:
         mu = pscore.moebius(args.d)
@@ -119,7 +121,7 @@ def _load_table(path: str, deg: int | None) -> tables.CoefficientTable:
         with open(path) as fh:
             obj = json.load(fh)
         table = tables.from_json(obj)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError("cannot read table %s: %s" % (path, exc))
     if deg is not None:
         for (g2, ks) in table:
@@ -132,6 +134,8 @@ def _load_table(path: str, deg: int | None) -> tables.CoefficientTable:
 
 def cmd_transform(args) -> int:
     _check_hbar(args.hbar)
+    if args.genus < 0:
+        raise CliError("--genus must be nonnegative")
     deg = args.deg
     table = _load_table(args.infile, deg)
     if deg is None:
@@ -184,6 +188,8 @@ def cmd_transform(args) -> int:
 def cmd_gue(args) -> int:
     from .oracles import gue_moments_by_gluing
 
+    if args.genus < 0 or args.deg < 0:
+        raise CliError("--genus and --deg must be nonnegative")
     kmax = args.deg // 2
     moments = {
         k: v for k, v in gue_moments_by_gluing(kmax).items() if k[0] <= args.genus

@@ -121,10 +121,35 @@ def to_json(T: CoefficientTable, meta: dict | None = None) -> dict:
 
 
 def from_json(obj) -> CoefficientTable:
+    """Read a table, rejecting every entry that names no coefficient or
+    names one twice.
+
+    >>> from_json({"entries": [{"g2": 0, "k": [1, 2], "value": "1/2"}]})
+    {(0, (2, 1)): Fraction(1, 2)}
+    >>> from_json({"entries": [{"g2": 0, "k": [2], "value": "1"},
+    ...                        {"g2": 0, "k": [2], "value": "3"}]})
+    Traceback (most recent call last):
+    ...
+    ValueError: two entries for g2 = 0, k = [2]
+    """
     out: CoefficientTable = {}
+    seen = set()  # keys of zero entries too, which out does not store
     for e in obj["entries"]:
-        table_set(out, int(e["g2"]), tuple(int(x) for x in e["k"]), Fraction(e["value"]))
+        g2, ks = e["g2"], e["k"]
+        if not _is_int(g2) or g2 < 0:
+            raise ValueError("g2 = %r is not a nonnegative integer" % (g2,))
+        if not isinstance(ks, list) or not ks or not all(_is_int(k) and k > 0 for k in ks):
+            raise ValueError("k = %r is not a nonempty list of positive integers" % (ks,))
+        key = (g2, sort_to_partition(ks))
+        if key in seen:
+            raise ValueError("two entries for g2 = %d, k = %r" % (g2, list(key[1])))
+        seen.add(key)
+        table_set(out, g2, ks, Fraction(e["value"]))
     return out
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def save(path: str, T: CoefficientTable, meta: dict | None = None) -> None:

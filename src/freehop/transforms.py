@@ -20,15 +20,25 @@ Z-tables attach hbar^(d + ell(lam)) * z(lam) times the monomial coefficient
 of p_lam; equivalently Z(lam) = sum over partitions A of the cycle set of
 pi_lam of products of block values
 
-    hbar^(|mu| + ell(mu) - 2 + g2) F_{g2; mu},
+    B(mu) = hbar^(|mu| + ell(mu) - 2 + g2) F_{g2; mu},
 
 which pins all gradings against the classical moment-cumulant relations.
+The Z-assembly never lists those set partitions.  It recurses on the block
+that holds the first cycle: with nu = (a, rho),
+
+    Z(nu) = sum over sub-multisets T of rho of c_T B(a u T) Z(rho - T),
+    Z(()) = 1,
+
+where c_T = prod_k C(m_k(rho), t_k) counts the sets of cycles of rho whose
+lengths form T.  Its inverse peels the T = rho term off the same sum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 from . import graphs, pscore, symcore
 from .hbar import HbarSeries
@@ -55,39 +65,84 @@ def blockvalue_series(table: CoefficientTable, mu: Partition, K: int) -> HbarSer
     return HbarSeries(coeffs, K)
 
 
+def _splits(rho: Partition):
+    """The sub-multisets T of the partition rho, each with the rest rho - T
+    and the count c_T = prod_k C(m_k(rho), t_k) of sets of rho's parts, as
+    distinct cycles, whose lengths form T.
+
+    >>> for T, rest, c in _splits((2, 1, 1)):
+    ...     print(T, rest, c)
+    () (2, 1, 1) 1
+    (1,) (2, 1) 2
+    (1, 1) (2,) 1
+    (2,) (1, 1) 1
+    (2, 1) (1,) 2
+    (2, 1, 1) () 1
+    """
+    mult = Counter(rho)  # distinct parts in descending order
+    for ts in product(*(range(m + 1) for m in mult.values())):
+        T, rest, c = (), (), 1
+        for (k, m), t in zip(mult.items(), ts):
+            T += (k,) * t
+            rest += (k,) * (m - t)
+            c *= comb(m, t)
+        yield T, rest, c
+
+
+def _z_assembly(table: CoefficientTable, K: int):
+    """Z as a function of a partition, memoised on the sub-multisets it
+    recurses through and on the block values it reads."""
+    block: dict[Partition, HbarSeries] = {}
+    z: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
+
+    def Z(nu: Partition) -> HbarSeries:
+        if nu not in z:
+            acc = HbarSeries.zero(K)
+            for T, rest, c in _splits(nu[1:]):
+                mu = nu[:1] + T
+                if mu not in block:
+                    block[mu] = blockvalue_series(table, mu, K)
+                if block[mu].c:
+                    term = block[mu] * Z(rest)
+                    acc = acc + (term * c if c > 1 else term)
+            z[nu] = acc
+        return z[nu]
+
+    return Z
+
+
 def z_value(table: CoefficientTable, nu: Partition, K: int) -> HbarSeries:
-    """Z(nu): sum over set partitions of the cycle set of pi_nu of block
-    value products."""
-    out = HbarSeries.zero(K)
-    for grouping in pscore.set_partitions_of(len(nu)):
-        term = HbarSeries.one(K)
-        for block in grouping:
-            mu = sort_to_partition(nu[i] for i in block)
-            term = term * blockvalue_series(table, mu, K)
-        out = out + term
-    return out
+    """Z(nu): the sum over set partitions of the cycle set of pi_nu of block
+    value products, computed by the first-block recursion
+
+        Z(nu) = sum_{T sub-multiset of rho} c_T B(nu_1 u T) Z(rho - T),
+
+    rho = nu minus its largest part nu_1, c_T = prod_k C(m_k(rho), t_k)."""
+    return _z_assembly(table, K)(sort_to_partition(nu))
 
 
 def z_table(table: CoefficientTable, d: int, K: int) -> dict[Partition, HbarSeries]:
-    return {nu: z_value(table, nu, K) for nu in symcore.partitions(d)}
+    """Z(nu) for every nu |- d, sharing one memo of the recursion."""
+    Z = _z_assembly(table, K)
+    return {nu: Z(nu) for nu in symcore.partitions(d)}
 
 
 def table_from_z(ztabs: dict[Partition, HbarSeries], dmax: int, K: int, g2max: int) -> CoefficientTable:
-    """Invert the Z-assembly: peel off multi-block contributions to recover
-    block values, then read the F-table off their hbar gradings."""
+    """Invert the Z-assembly, degree by degree: with nu = (a, rho),
+
+        B(nu) = Z(nu) - sum_{T != rho} c_T B(a u T) Z(rho - T),
+
+    where each B(a u T) is of lower degree and each Z(rho - T) is an input
+    value; then read the F-table off the hbar gradings of the B(nu)."""
     block: dict[Partition, HbarSeries] = {}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         for nu in symcore.partitions(d):
             acc = ztabs[nu]
-            for grouping in pscore.set_partitions_of(len(nu)):
-                if len(grouping) == 1:
-                    continue
-                term = HbarSeries.one(K)
-                for blk in grouping:
-                    mu = sort_to_partition(nu[i] for i in blk)
-                    term = term * block[mu]
-                acc = acc - term
+            for T, rest, c in _splits(nu[1:]):
+                if rest and block[nu[:1] + T].c:
+                    term = block[nu[:1] + T] * ztabs[rest]
+                    acc = acc - (term * c if c > 1 else term)
             block[nu] = acc
             _store(out, nu, acc, g2max, K)
     return out

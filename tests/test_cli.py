@@ -201,6 +201,51 @@ def test_transform_formula_rejects_hbar(tmp_path, capsys):
     assert run(args + ["--out", str(tmp_path / "out.json")]) == 0
 
 
+_GOOD_ENTRIES = [{"g2": 0, "k": [2], "value": "1"}, {"g2": 1, "k": [2, 1], "value": "0"}]
+
+
+@pytest.mark.parametrize("entry", [
+    {"g2": 0, "k": [0], "value": "1"},
+    {"g2": 0, "k": [2, -1], "value": "1"},
+    {"g2": 0, "k": [], "value": "1"},
+    {"g2": -2, "k": [0, -1], "value": "1"},
+    {"g2": -2, "k": [2], "value": "1"},
+    {"g2": 0, "k": [1.5], "value": "1"},
+    {"g2": 0, "k": ["2"], "value": "1"},
+    {"g2": 0, "k": [True], "value": "1"},
+    {"g2": 0.5, "k": [1], "value": "1"},
+    {"g2": 0, "k": 2, "value": "1"},
+    {"g2": 0, "k": [2], "value": "3"},
+    {"g2": 1, "k": [1, 2], "value": "1"},
+], ids=[
+    "zero-part", "negative-part", "empty-k", "negative-g2-bad-k", "negative-g2",
+    "float-part", "string-part", "bool-part", "float-g2", "k-not-a-list",
+    "duplicate", "duplicate-of-zero-entry-unsorted",
+])
+def test_transform_bad_table_exit_2(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": _GOOD_ENTRIES + [entry]}))
+    with pytest.raises(ValueError):
+        tables.load(str(path))
+    assert run(["transform", "c2m", "--route", "schur", "--in", str(path), "--deg", "3"]) == 2
+    path.write_text(json.dumps({"entries": _GOOD_ENTRIES}))
+    assert run(["transform", "c2m", "--route", "schur", "--in", str(path), "--deg", "3",
+                "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("route", ["hurwitz", "convolution", "schur", "formula"])
+def test_transform_negative_genus_exit_2(tmp_path, route):
+    inp = tmp_path / "in.json"
+    tables.save(str(inp), tables.gue_table())
+    assert run(["transform", "c2m", "--route", route, "--in", str(inp), "--deg", "4", "--genus", "-1"]) == 2
+
+
+def test_negative_sizes_exit_2():
+    assert run(["moebius", "--d", "-1"]) == 2
+    assert run(["gue", "--genus", "-1", "--deg", "4"]) == 2
+    assert run(["gue", "--genus", "0", "--deg", "-2"]) == 2
+
+
 def test_transform_csv(tmp_path):
     cum = tmp_path / "cum.json"
     out = tmp_path / "mom.csv"

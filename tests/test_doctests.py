@@ -9,6 +9,8 @@ import freehop.oracles
 import freehop.pscore
 import freehop.series
 import freehop.symcore
+import freehop.tables
+import freehop.transforms
 
 MODULES = [
     freehop.symcore,
@@ -18,6 +20,8 @@ MODULES = [
     freehop.series,
     freehop.graphs,
     freehop.oracles,
+    freehop.tables,
+    freehop.transforms,
 ]
 
 

@@ -17,6 +17,7 @@ from freehop.transforms import (
     master_forward,
     master_inverse,
     moebius_inverse_route,
+    required_K,
     schur_d_oracle,
     specialized_03,
     specialized_11,
@@ -58,6 +59,44 @@ def test_z_table_roundtrip_random():
             ztabs.update(z_table(t, d, K))
         back = table_from_z(ztabs, 4, K, 2)
         assert back == restrict_table(t, deg=4, g2=2)
+
+
+def _z_by_set_partitions(table, nu, K):
+    """Z(nu) by its definition: the sum over all set partitions of the
+    cycles of pi_nu of products of block values."""
+    out = HbarSeries.zero(K)
+    for grouping in pscore.set_partitions_of(len(nu)):
+        term = HbarSeries.one(K)
+        for blk in grouping:
+            term = term * blockvalue_series(table, symcore.sort_to_partition(nu[i] for i in blk), K)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_z_assembly_matches_set_partition_sum(seed):
+    t = random_table(seed=70 + seed, nmax=6, degmax=6, g2max=2)
+    for K in (3, required_K(6, 2), default_K(6, 2)):
+        ztabs = {(): HbarSeries.one(K)}
+        for d in range(1, 7):
+            zt = z_table(t, d, K)
+            for nu in symcore.partitions(d):
+                want = _z_by_set_partitions(t, nu, K)
+                for got in (zt[nu], z_value(t, nu, K)):
+                    assert (got.c, got.K) == (want.c, want.K)
+                ztabs[nu] = want
+        # the inverse reads back every entry whose hbar order is within K
+        want = {
+            (g2, ks): v for (g2, ks), v in restrict_table(t, deg=6, g2=2).items()
+            if sum(ks) + len(ks) - 2 + g2 <= K
+        }
+        assert table_from_z(ztabs, 6, K, 2) == want
+
+
+def test_master_schur_roundtrip_degree_8():
+    t = random_table(seed=73, nmax=8, degmax=8, g2max=2)
+    m = master_forward(t, 8, 2)
+    assert schur_d_oracle(m, 8, 2, inverse=True) == restrict_table(t, deg=8, g2=2)
 
 
 # ---------------------------------------------------------------------------
