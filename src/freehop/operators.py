@@ -26,7 +26,17 @@ from fractions import Fraction
 from math import factorial
 
 from .graphs import Graph
-from .series import INF, Series, poly1, sigma_coefficients, lagrange_invert, univariate_coeffs
+from .series import (
+    INF,
+    Series,
+    kernel_series,
+    lagrange_invert,
+    layout,
+    poly1,
+    series_sum,
+    sigma_coefficients,
+    univariate_coeffs,
+)
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
 
@@ -36,15 +46,15 @@ def npoint_series(table: CoefficientTable, g2: int, wvars, D: int, constants: bo
     F_{g;k} prod w_i^{k_i} built from a coefficient table.  No kernel."""
     wvars = tuple(wvars)
     n = len(wvars)
-    acc = Series.zero(wvars)
+    data: dict[tuple, Fraction] = {}
     if constants and g2 == 0 and n == 1:
-        acc = acc + Series.const(wvars, 1)
+        data[(0,)] = Fraction(1)
     for (tg2, ks), val in table.items():
         if tg2 != g2 or len(ks) != n or sum(ks) > D:
             continue
         for comp in _distinct_permutations(ks):
-            acc = acc + Series(wvars, (0,) * n, (INF,) * n, {comp: val})
-    return acc
+            data[comp] = data.get(comp, 0) + val
+    return Series(wvars, (0,) * n, (INF,) * n, data)
 
 
 def series_to_table(S: Series, g2: int, wvars, D: int) -> CoefficientTable:
@@ -99,6 +109,13 @@ class Evaluator:
         self.uvars = tuple("u%d" % i for i in range(n))
         self.cap = (frozenset(self.wvars), D)
         self.kernel_depth = n * D
+        # one packed-key layout for every series built here; the widths
+        # hold the offsets of the hbar/u/v/t exponents (a few times K) and
+        # of the w exponents (kernels reach down n * kernel_depth)
+        small = (4 * (K + n + 2)).bit_length()
+        wide = (4 * (D + n * self.kernel_depth)).bit_length()
+        names = ("h",) + self.uvars + ("v", "t") + self.wvars
+        self.layout = layout(names, (small,) * (len(names) - n) + (wide,) * n)
         self.sig = sigma_coefficients(K + 2)
         self.sig_inv = self._invert_even(self.sig, K + 2)
         self._cache: dict = {}
@@ -124,7 +141,8 @@ class Evaluator:
     def _w_atom(self, i: int, coeffs: dict[int, Fraction]) -> Series:
         v = self.wvars[i]
         lo = min((e for e, c in coeffs.items() if c), default=0)
-        return Series((v,), (lo,), (INF,), {(e,): c for e, c in coeffs.items()}, self.cap)
+        return Series((v,), (lo,), (INF,), {(e,): c for e, c in coeffs.items()}, self.cap,
+                      self.layout)
 
     # -- one-point data -------------------------------------------------------
     def C_coeffs(self) -> dict[int, Fraction]:
@@ -165,7 +183,8 @@ class Evaluator:
 
         def build():
             c = self._w_atom(0, self.C_coeffs())
-            v = Series.variable((self.wvars[0],), self.wvars[0], cap=self.cap)
+            v = Series.variable((self.wvars[0],), self.wvars[0], cap=self.cap,
+                                layout=self.layout)
             x = v * (c.inverse() if self.sign > 0 else c)
             return univariate_coeffs(x, self.wvars[0])
 
@@ -197,50 +216,32 @@ class Evaluator:
         for e2, c in self.sig.items():
             if e2 + 1 <= self.K:
                 data[(e2 + 1, e2 + 1)] = c * (k ** e2)
-        s = Series(vars, (0, 0), (self.K, INF), data)
+        s = Series(vars, (0, 0), (self.K, INF), data, layout=self.layout)
         self._cache[key] = s
         return s
 
     def _hu_sigma_each(self, s: Series, i: int) -> Series:
         """Multiply each monomial by hbar u_i sigma(hbar u_i k) with k its
-        w_i-exponent (the diagonal action of the hyperbolic-sine kernel)."""
-        h_u_vars = ("h", self.uvars[i])
-        out_vars = list(s.vars)
-        for v in h_u_vars:
-            if v not in out_vars:
-                out_vars.append(v)
-        out_vars = tuple(out_vars)
-        base = s.with_vars(out_vars)
-        iw = base.idx(self.wvars[i])
-        ih = base.idx("h")
-        iu = base.idx(self.uvars[i])
-        data: dict[tuple, Fraction] = {}
-        hi_h = min(base.hi[ih], self.K)
-        for e, val in base.data.items():
-            k = e[iw]
-            for e2, c in self.sig.items():
-                he = e[ih] + e2 + 1
-                if he > hi_h:
-                    continue
-                ee = list(e)
-                ee[ih] = he
-                ee[iu] = e[iu] + e2 + 1
-                ee = tuple(ee)
-                w = val * c * (k ** e2)
-                if w:
-                    data[ee] = data.get(ee, Fraction(0)) + w
-        lo = list(base.lo)
-        hi = list(base.hi)
-        lo[ih] = base.lo[ih] + 1
-        lo[iu] = base.lo[iu] + 1
-        hi[ih] = hi_h
-        return Series(out_vars, tuple(lo), tuple(hi), data, base.cap)
+        w_i-exponent (the diagonal action of the hyperbolic-sine kernel):
+        the sum over e2 of sig_e2 (hbar u_i)^(e2+1) (w_i d/dw_i)^e2 s,
+        with the hbar window of s capped at K."""
+        wv, uv = self.wvars[i], self.uvars[i]
+        h_lo = s.lo[s.idx("h")] if "h" in s.vars else 0
+        h_hi = min(s.hi[s.idx("h")] if "h" in s.vars else INF, self.K)
+        parts = []
+        wdw = s
+        for e2, c in sorted(self.sig.items()):
+            if e2:
+                wdw = wdw.wdw(wv).wdw(wv)
+            hu = Series(("h", uv), (e2 + 1, e2 + 1), (INF, INF), {(e2 + 1, e2 + 1): c},
+                        layout=self.layout)
+            parts.append(wdw * hu)
+        return series_sum(parts).restrict("h", h_lo + 1, h_hi)
 
     def _series_exp(self, S: Series) -> Series:
         """exp of a series with positive hbar valuation."""
-        ih = S.idx("h")
-        assert S.lo[ih] >= 1 or all(e[ih] >= 1 for e in S.data)
-        out = Series.const(S.vars, 1, S.cap) + S
+        assert S.lo[S.idx("h")] >= 1 or S.is_zero() or S.min_exp("h") >= 1
+        parts = [Series.const(S.vars, 1, S.cap, self.layout), S]
         term = S
         j = 1
         while True:
@@ -248,10 +249,10 @@ class Evaluator:
             term = term * S * Fraction(1, j)
             if term.is_zero():
                 break
-            out = out + term
+            parts.append(term)
             if j > self.K + 4:  # pragma: no cover - safety stop
                 break
-        return out
+        return series_sum(parts)
 
     # -- vertex weight layers ---------------------------------------------------
     def one_point_tail(self, i: int) -> Series:
@@ -270,7 +271,7 @@ class Evaluator:
                     vv = table_get(self.table, g2, (k,))
                     if vv and g2 - 1 <= self.K:
                         data[(g2 - 1, k)] = vv
-            return Series(vars, (-1, 1), (self.K, INF), data, self.cap)
+            return Series(vars, (-1, 1), (self.K, INF), data, self.cap, self.layout)
 
         return self._memo(("g1tail", i), build)
 
@@ -284,8 +285,8 @@ class Evaluator:
         def build():
             wv, uv = self.wvars[i], self.uvars[i]
             d1 = self._hu_sigma_each(self.one_point_tail(i), i)
-            cminus1 = self.C(i) - Series.const((wv,), 1, self.cap)
-            u = Series.variable((uv,), uv)
+            cminus1 = self.C(i) - Series.const((wv,), 1, self.cap, self.layout)
+            u = Series.variable((uv,), uv, layout=self.layout)
             E = d1 - u * cminus1
             expE = self._series_exp(E)
             # 1/(hbar u sigma(hbar u))
@@ -293,7 +294,7 @@ class Evaluator:
             for e2, c in self.sig_inv.items():
                 if e2 - 1 <= self.K:
                     inv_data[(e2 - 1, e2 - 1)] = c
-            inv = Series(("h", uv), (-1, -1), (self.K, INF), inv_data)
+            inv = Series(("h", uv), (-1, -1), (self.K, INF), inv_data, layout=self.layout)
             return expE * inv
 
         return self._memo(("A", i), build)
@@ -316,31 +317,18 @@ class Evaluator:
                         coeff = -self.sign * self.sig[a2] * self.sig_inv[b2] * factorial(j - 1)
                         e = (j, 1 + a2, j)  # (h, v, t)
                         data[e] = data.get(e, Fraction(0)) + coeff
-            return Series(("h", "v", "t"), (2, 1, 2), (self.K, INF, INF), data)
+            return Series(("h", "v", "t"), (2, 1, 2), (self.K, INF, INF), data,
+                          layout=self.layout)
 
         return self._memo(("EB",), build)
 
     def _apply_dy_plus_v_over_y(self, s: Series) -> Series:
         """One application of (d_y + sign * v / y) in the t = 1/y picture:
-        t^a -> (sign*v - a) t^(a+1)."""
+        t^a -> (sign*v - a) t^(a+1); s carries no cap."""
         it = s.idx("t")
-        iv = s.idx("v")
-        data: dict[tuple, Fraction] = {}
-        for e, val in s.data.items():
-            a = e[it]
-            e1 = list(e)
-            e1[it] = a + 1
-            e1[iv] = e[iv] + 1
-            e1 = tuple(e1)
-            data[e1] = data.get(e1, Fraction(0)) + self.sign * val
-            if a:
-                e2 = list(e)
-                e2[it] = a + 1
-                e2 = tuple(e2)
-                data[e2] = data.get(e2, Fraction(0)) - a * val
-        lo = list(s.lo)
-        lo[it] = s.lo[it] + 1
-        return Series(s.vars, tuple(lo), s.hi, {e: v for e, v in data.items() if v})
+        vt = Series(("v", "t"), (1, 1), (INF, INF), {(1, 1): self.sign}, layout=self.layout)
+        t = Series(("t",), (1,), (INF,), {(1,): -1}, layout=self.layout)
+        return (s * vt + s.wdw("t") * t).restrict("t", s.lo[it] + 1, s.hi[it])
 
     def b_raw(self, r: int) -> Series:
         """(d_y + sign v/y)^r exp(E_B), in the (h, v, t) picture."""
@@ -361,12 +349,29 @@ class Evaluator:
 
         return self._memo(("B", i, r), build)
 
+    def pb_series(self, i: int, r: int) -> Series:
+        """P(w_i) B_r at the i-th vertex."""
+        return self._memo(("PB", i, r), lambda: self.P(i) * self.b_series(i, r))
+
     def pwd(self, s: Series, i: int, m: int = 1) -> Series:
         """(P(w_i) w_i d/dw_i)^m applied to s."""
         P = self.P(i)
         for _ in range(m):
             s = P * s.wdw(self.wvars[i])
         return s
+
+    def pwd_sum(self, parts: dict[int, Series], i: int) -> Series:
+        """sum_m (P(w_i) w_i d/dw_i)^m parts[m] over m >= 0, by Horner's
+        rule parts[0] + P w d/dw (parts[1] + P w d/dw (...))."""
+        if min(parts) < 0:
+            raise ValueError("negative power of P w d/dw")
+        P = self.P(i)
+        acc = parts[max(parts)]
+        for m in range(max(parts) - 1, -1, -1):
+            acc = P * acc.wdw(self.wvars[i])
+            if m in parts:
+                acc = acc + parts[m]
+        return acc
 
     # -- hyperedge weights --------------------------------------------------------
     def edge_weight(self, I: tuple[int, ...]) -> Series:
@@ -376,7 +381,7 @@ class Evaluator:
 
         def build():
             m = len(I)
-            acc = None
+            terms = []
             entries = []
             for (g2, ks), val in self.table.items():
                 if len(ks) == m and sum(ks) <= self.D:
@@ -389,7 +394,7 @@ class Evaluator:
                 hexp = g2 - 2 + m
                 if hexp > self.K:
                     continue
-                term = Series(("h",), (hexp,), (self.K, ), {(hexp,): val})
+                term = Series(("h",), (hexp,), (self.K,), {(hexp,): val}, layout=self.layout)
                 # w-monomial
                 wexp: dict[str, int] = {}
                 for slot, k in zip(I, comp):
@@ -400,16 +405,17 @@ class Evaluator:
                     wvars,
                     tuple(min(wexp[v], 0) for v in wvars),
                     (INF,) * len(wvars),
-                    {tuple(wexp[v] for v in wvars): Fraction(1)},
+                    {tuple(wexp[v] for v in wvars): 1},
                     self.cap,
+                    self.layout,
                 )
                 term = term * wmono
                 for slot, k in zip(I, comp):
                     term = term * self._slot_factor(slot, k)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = Series.zero(("h",), hi=(self.K,))
-            return acc
+                terms.append(term)
+            if not terms:
+                return Series.zero(("h",), hi=(self.K,), layout=self.layout)
+            return series_sum(terms)
 
         return self._memo(("edge", tuple(I)), build)
 
@@ -424,28 +430,21 @@ class Evaluator:
             parts = S.coeff_dict(uv)
         else:
             parts = {0: S}
-        T = None
-        for r, part in parts.items():
-            if r < 0:
-                continue  # only r >= 0 enters; the hbar^(-1) u^(-1) unit
-                # is accounted for by the n = 1 delta correction
-            term = self.b_series(i, r) * part
-            T = term if T is None else T + term
-        if T is None:
-            return Series.zero(("h",), hi=(self.K,))
-        # v-extraction and the (P w d/dw)^m sum
-        out = None
+        # only r >= 0 enters; the hbar^(-1) u^(-1) unit is accounted for
+        # by the n = 1 delta correction
+        terms = [self.pb_series(i, r) * part for r, part in parts.items() if r >= 0]
+        if not terms:
+            return Series.zero(("h",), hi=(self.K,), layout=self.layout)
+        T = series_sum(terms)
+        # v-extraction and the (P w d/dw)^m sum, P already multiplied in
         if "v" in T.vars:
             vparts = T.coeff_dict("v")
         else:
             vparts = {0: T}
-        for mdeg, part in vparts.items():
-            term = self.pwd(self.P(i) * part, i, mdeg)
-            out = term if out is None else out + term
-        return out
+        return self.pwd_sum(vparts, i)
 
     def graph_term(self, g: Graph) -> Series:
-        S = Series(("h",), (0,), (self.K,), {(0,): Fraction(1)})
+        S = Series(("h",), (0,), (self.K,), {(0,): 1}, layout=self.layout)
         for I in g.edges:
             S = S * self.edge_weight(I)
         S = self.prune_w(S)
@@ -459,16 +458,11 @@ class Evaluator:
         ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C )."""
         bexp = self.b_raw(0).substitute("t", self.invC(0))
         core = bexp * (self.P(0) * self.C(0).wdw(self.wvars[0]))
-        out = None
         vparts = core.coeff_dict("v") if "v" in core.vars else {0: core}
-        for mp1, part in vparts.items():
-            if mp1 < 1:
-                continue
-            term = self.pwd(part, 0, mp1 - 1)
-            out = term if out is None else out + term
-        if out is None:
-            return Series.zero((self.wvars[0],), cap=self.cap)
-        return out.coeff("h", g2)
+        parts = {mp1 - 1: part for mp1, part in vparts.items() if mp1 >= 1}
+        if not parts:
+            return Series.zero((self.wvars[0],), cap=self.cap, layout=self.layout)
+        return self.pwd_sum(parts, 0).coeff("h", g2)
 
     def prune_w(self, S: Series) -> Series:
         """Drop monomials with any w-exponent above D (once every factor
@@ -476,10 +470,8 @@ class Evaluator:
         in, later factors only raise w-exponents, so such monomials can
         never re-enter the extractable range), and below the kernel
         budget."""
-        for wv in self.wvars:
-            if wv in S.vars:
-                S = S.restrict(wv, -self.kernel_depth, self.D)
-        return S
+        window = (-self.kernel_depth, self.D)
+        return S.restrict_vars({wv: window for wv in self.wvars if wv in S.vars})
 
     # -- re-expansion ------------------------------------------------------------------
     def reexpand(self, S: Series) -> Series:
@@ -498,18 +490,17 @@ class Evaluator:
             wv = self.wvars[i]
             if wv not in S.vars:
                 continue
-            g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()})
+            g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()},
+                       layout=self.layout)
             cache = self._cache.setdefault(("gpow", wv), {})
             S = S.substitute(wv, g, powers=cache).with_cap(self.cap)
             S = self.prune_w(S)
         return S
 
     def x_kernel(self, i: int, j: int, depth: int | None = None) -> Series:
-        from .series import kernel_series
-
         return kernel_series(
             self.wvars[i], self.wvars[j], (self.wvars[i], self.wvars[j]),
-            self.kernel_depth if depth is None else depth, self.cap,
+            self.kernel_depth if depth is None else depth, self.cap, self.layout,
         )
 
     # -- table extraction -----------------------------------------------------------------

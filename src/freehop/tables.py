@@ -144,8 +144,25 @@ def from_json(obj) -> CoefficientTable:
         if key in seen:
             raise ValueError("two entries for g2 = %d, k = %r" % (g2, list(key[1])))
         seen.add(key)
-        table_set(out, g2, ks, Fraction(e["value"]))
+        table_set(out, g2, ks, _exact_value(e["value"]))
     return out
+
+
+def _exact_value(v) -> Fraction:
+    """An entry's value: an integer or a string such as "p/q"; a JSON
+    float or boolean is not an exact rational and is rejected.
+
+    >>> _exact_value(0.1)
+    Traceback (most recent call last):
+    ...
+    ValueError: value = 0.1 is not an integer or a "p/q" string
+    """
+    if not (_is_int(v) or isinstance(v, str)):
+        raise ValueError('value = %r is not an integer or a "p/q" string' % (v,))
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError("value = %r has a zero denominator" % (v,)) from None
 
 
 def _is_int(x) -> bool:

@@ -38,13 +38,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import graphs, pscore, symcore
 from .hbar import HbarSeries
 from .hurwitz import cached_hurwitz_table
 from .operators import Evaluator, _distinct_permutations
-from .series import INF, Series
+from .series import INF, Series, series_sum
 from .symcore import Partition, sort_to_partition
 from .tables import CoefficientTable, table_get
 
@@ -342,30 +342,25 @@ def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool =
     kernel (to the given depth) added for shifted off-diagonal pairs at
     genus 0."""
     m = len(I)
-    acc = None
+    wvars = tuple(sorted({ev.wvars[slot] for slot in I}))
+    data: dict[tuple, Fraction] = {}
     for (tg2, ks), val in ev.table.items():
         if tg2 != g2 or len(ks) != m or sum(ks) > ev.D:
             continue
         for comp in _distinct_permutations(ks):
-            wexp: dict[str, int] = {}
+            wexp = dict.fromkeys(wvars, 0)
             for slot, k in zip(I, comp):
-                wv = ev.wvars[slot]
-                wexp[wv] = wexp.get(wv, 0) + k
-            wvars = tuple(sorted(wexp))
-            mono = Series(
-                wvars,
-                tuple(0 for _ in wvars),
-                (INF,) * len(wvars),
-                {tuple(wexp[v] for v in wvars): val},
-                ev.cap,
-            )
-            acc = mono if acc is None else acc + mono
+                wexp[ev.wvars[slot]] += k
+            e = tuple(wexp.values())
+            data[e] = data.get(e, 0) + val
+    parts = []
+    if data:
+        parts.append(Series(wvars, (0,) * len(wvars), (INF,) * len(wvars), data, ev.cap, ev.layout))
     if shifted and g2 == 0 and m == 2 and I[0] != I[1]:
-        ker = ev.x_kernel(I[0], I[1], depth)
-        acc = ker if acc is None else acc + ker
-    if acc is None:
-        acc = Series.zero((ev.wvars[I[0]],), cap=ev.cap)
-    return acc
+        parts.append(ev.x_kernel(I[0], I[1], depth))
+    if not parts:
+        return Series.zero((ev.wvars[I[0]],), cap=ev.cap, layout=ev.layout)
+    return series_sum(parts)
 
 
 def _tree_kernel_depths(edges, D: int) -> dict[tuple[int, ...], int]:
@@ -388,7 +383,7 @@ def _tree_kernel_depths(edges, D: int) -> dict[tuple[int, ...], int]:
 
 def _genus0_b_polys(ev: Evaluator, r: int) -> Series:
     """(d_y + sign v/y)^r . 1 in the (v, t) picture."""
-    s = Series.const(("v", "t"), 1)
+    s = Series.const(("v", "t"), 1, layout=ev.layout)
     for _ in range(r):
         s = ev._apply_dy_plus_v_over_y(s)
     return s
@@ -398,16 +393,11 @@ def _apply_genus0_vertex(ev: Evaluator, S: Series, i: int, r: int) -> Series:
     """The genus-0 operator piece: sum_m (P w d/dw)^m P [v^m] b_r with
     y = C(w_i), applied to S."""
     braw = _genus0_b_polys(ev, r)
-    b = braw.substitute("t", ev.invC(i))
-    T = b * S
-    out = None
+    T = (ev.P(i) * braw.substitute("t", ev.invC(i))) * S
     vparts = T.coeff_dict("v") if "v" in T.vars else {0: T}
-    for m, part in vparts.items():
-        term = ev.pwd(ev.P(i) * part, i, m)
-        out = term if out is None else out + term
-    if out is None:
-        out = Series.zero((ev.wvars[i],), cap=ev.cap)
-    return out
+    if not vparts:
+        return Series.zero((ev.wvars[i],), cap=ev.cap, layout=ev.layout)
+    return ev.pwd_sum(vparts, i)
 
 
 def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
@@ -416,29 +406,28 @@ def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> Co
     dual direction (cumulants from moments)."""
     ev = Evaluator(table, n, D, K=2, sign=sign)
     if n == 1:
-        one = Series.const((ev.wvars[0],), 1, ev.cap)
+        one = Series.const((ev.wvars[0],), 1, ev.cap, ev.layout)
         S = ev.reexpand(ev.C(0) - one)
         return ev.extract_table(S, 0)
     if n == 2:
         core = ev.P(0) * ev.P(1) * _edge_genus0(ev, (0, 1))
         S = ev.reexpand(core) - ev.x_kernel(0, 1)
         return ev.extract_table(S, 0)
-    by_val: dict[tuple, Series] = {}
+    by_val: dict[tuple, list[Series]] = {}
     for tree in (g for g in graphs.enumerate_graphs(n, 0) if g.excess() == 0):
         depths = _tree_kernel_depths(tree.edges, D)
         term = None
         for I in tree.edges:
             e = _edge_genus0(ev, I, depth=depths.get(I))
             term = e if term is None else term * e
-        term = ev.prune_w(term)
-        val = tree.valencies()
-        by_val[val] = term if val not in by_val else by_val[val] + term
-    total = None
-    for val, term in by_val.items():
+        by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
+    terms = []
+    for val, parts in by_val.items():
+        term = series_sum(parts)
         for i in range(n):
             term = ev.prune_w(_apply_genus0_vertex(ev, term, i, val[i] - 1))
-        total = term if total is None else total + term
-    S = ev.reexpand(total)
+        terms.append(term)
+    S = ev.reexpand(series_sum(terms))
     return ev.extract_table(S, 0)
 
 
@@ -475,7 +464,7 @@ def genus0_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...], sign
     n = len(ks)
     D = sum(ks)
     ev = Evaluator(table, n, D, K=2, sign=sign)
-    one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap) for i in range(n)}
+    one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap, ev.layout) for i in range(n)}
     base_trees = (
         [(graphs.Graph(1, ()), (0,))]
         if n == 1
@@ -531,7 +520,7 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
     # leaf-weight matrices: W[v][k][a] = sum_l factor(k, v+l-1)/l! *
     # [w^(k-a)] (C-1)^l, contracting the whole leaf sum at white valency v
     one_pows: list[dict[int, Fraction]] = [{0: Fraction(1)}]
-    one = ev.C(0) - Series.const((ev.wvars[0],), 1, ev.cap)
+    one = ev.C(0) - Series.const((ev.wvars[0],), 1, ev.cap, ev.layout)
     onec = {e[0]: v for e, v in one.data.items()}
     maxdeg = (n + 1) * D
     for l in range(1, D + 1):
@@ -563,6 +552,13 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
             wcache[key] = weight(v, k, a)
         return wcache[key]
 
+    def integer_weights(v: int, avals) -> tuple[dict[int, list[int]], int]:
+        """W(v, k, a) for k in 1..D and a in avals as integers over one
+        denominator: {a: [numerator by k]}, denominator."""
+        rows = {a: [W(v, k, a) if k >= 1 else Fraction(0) for k in range(D + 1)] for a in avals}
+        den = lcm(*(w.denominator for row in rows.values() for w in row))
+        return {a: [int(w * den) for w in row] for a, row in rows.items()}, den
+
     base_trees = (
         [(graphs.Graph(1, ()), (0,))]
         if n == 1
@@ -576,29 +572,28 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
             e = _edge_genus0(ev, I, depth=depths.get(I))
             term = e if term is None else term * e
         if term is None:
-            term = Series.const(ev.wvars, 1, ev.cap)
-        term = ev.prune_w(term.with_vars(ev.wvars))
-        idxs = [term.idx(v) for v in ev.wvars]
-        # sequential tensor contraction: replace one a_i axis by the k_i
-        # axis at a time, weighting with W(v_i, k_i, a_i)
-        state: dict[tuple, Fraction] = {
-            tuple(e[j] for j in idxs): v for e, v in term.data.items()
-        }
+            term = Series.const(ev.wvars, 1, ev.cap, ev.layout)
+        # sequential tensor contraction over integer numerators: replace
+        # one a_i axis by the k_i axis at a time, weighting with
+        # W(v_i, k_i, a_i) over one denominator per axis
+        state, den = ev.prune_w(term).numerators(ev.wvars)
         for i in range(n):
-            nxt: dict[tuple, Fraction] = {}
+            wrows, wden = integer_weights(baseval[i], {key[i] for key in state})
+            den *= wden
+            nxt: dict[tuple, int] = {}
+            get = nxt.get
             for key, val in state.items():
-                a = key[i]
-                kmin = max(1, a)
-                kmax = D - sum(x for x in key[:i]) - (n - 1 - i)
-                for k in range(kmin, kmax + 1):
-                    wgt = W(baseval[i], k, a)
+                head, tail = key[:i], key[i + 1:]
+                row = wrows[key[i]]
+                kmax = D - sum(head) - (n - 1 - i)
+                for k in range(max(1, key[i]), kmax + 1):
+                    wgt = row[k]
                     if wgt:
-                        nk = key[:i] + (k,) + key[i + 1 :]
-                        nv = nxt.get(nk)
-                        nxt[nk] = wgt * val if nv is None else nv + wgt * val
+                        nk = head + (k,) + tail
+                        nxt[nk] = get(nk, 0) + wgt * val
             state = nxt
         for ks, v in state.items():
-            acc_by_k[ks] = acc_by_k.get(ks, Fraction(0)) + v
+            acc_by_k[ks] = acc_by_k.get(ks, 0) + Fraction(v, den)
     for ks in _compositions(n, D):
         acc_by_k.setdefault(ks, Fraction(0))
     out: CoefficientTable = {}
@@ -638,10 +633,7 @@ def allgenus_moments(table: CoefficientTable, n: int, g2: int, D: int, sign: int
         raise ValueError("no hbar^%d sector" % T_target)
     K = T_target + n + 2
     ev = Evaluator(table, n, D, K=K, sign=sign)
-    total = None
-    for g in graphs.enumerate_graphs(n, g2 // 2):
-        term = ev.graph_term(g)
-        total = term if total is None else total + term
+    total = series_sum([ev.graph_term(g) for g in graphs.enumerate_graphs(n, g2 // 2)])
     S = total.coeff("h", T_target)
     if n == 1:
         S = S + ev.delta_series(g2)
@@ -656,7 +648,7 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
     vertex (which may be univalent): the special hyperedge carries the
     genus-1/2 cumulant series, all others the genus-0 ones."""
     ev = Evaluator(table, n, D, K=2)
-    total = None
+    terms = []
     maxval = n + 1
     for val in _valency_vectors(n, maxval):
         for tree in graphs.enumerate_special_trees(n, val):
@@ -667,10 +659,10 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
             term = ev.prune_w(term)
             for i in range(n):
                 term = ev.prune_w(_apply_genus0_vertex(ev, term, i, val[i] - 1))
-            total = term if total is None else total + term
-    if total is None:
+            terms.append(term)
+    if not terms:
         return {}
-    S = ev.reexpand(total)
+    S = ev.reexpand(series_sum(terms))
     return ev.extract_table(S, 1)
 
 
@@ -679,7 +671,7 @@ def half_genus_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...]) 
     n = len(ks)
     D = sum(ks)
     ev = Evaluator(table, n, D, K=2)
-    one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap) for i in range(n)}
+    one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap, ev.layout) for i in range(n)}
     specials = []
     for val in _valency_vectors(n, n + 1):
         specials.extend((g, g.valencies()) for g in graphs.enumerate_special_trees(n, val))

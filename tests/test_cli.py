@@ -217,10 +217,15 @@ _GOOD_ENTRIES = [{"g2": 0, "k": [2], "value": "1"}, {"g2": 1, "k": [2, 1], "valu
     {"g2": 0, "k": 2, "value": "1"},
     {"g2": 0, "k": [2], "value": "3"},
     {"g2": 1, "k": [1, 2], "value": "1"},
+    {"g2": 0, "k": [3], "value": 0.1},
+    {"g2": 0, "k": [3], "value": True},
+    {"g2": 0, "k": [3], "value": float("inf")},
+    {"g2": 0, "k": [3], "value": "1/0"},
 ], ids=[
     "zero-part", "negative-part", "empty-k", "negative-g2-bad-k", "negative-g2",
     "float-part", "string-part", "bool-part", "float-g2", "k-not-a-list",
     "duplicate", "duplicate-of-zero-entry-unsorted",
+    "float-value", "bool-value", "inf-value", "zero-denominator-value",
 ])
 def test_transform_bad_table_exit_2(tmp_path, entry):
     path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from freehop.series import (
     TruncationError,
     kernel_series,
     lagrange_invert,
+    layout,
     poly1,
     sigma_coefficients,
     univariate_coeffs,
@@ -214,3 +215,119 @@ def test_mul_budget_pruning_consistency():
                     want[e] = want.get(e, F(0)) + va * vb
         want = {e: v for e, v in want.items() if v}
         assert prod.data == want
+
+
+@pytest.mark.parametrize("same_vars", [False, True])
+def test_merged_cap_applies_to_both_operands(same_vars):
+    # x^3 carries no cap; (1 + 2y) carries the cap x + y <= 2, which the
+    # product (either order) applies to x^3 as well, so nothing survives
+    cap = (frozenset({"x", "y"}), 2)
+    if same_vars:
+        x3 = Series(("x", "y"), (0, 0), (INF, INF), {(3, 0): F(1)})
+        p = Series(("x", "y"), (0, 0), (INF, INF), {(0, 0): F(1), (0, 1): F(2)}, cap)
+    else:
+        x3 = poly1("x", {3: F(1)})
+        p = poly1("y", {0: F(1), 1: F(2)}, cap=cap)
+    for prod in (x3 * p, p * x3):
+        assert prod.data == {} and prod.cap == cap
+    assert (x3 + p).data == {(0, 0): F(1), (0, 1): F(2)}
+
+
+def _random_series(rng, vars, cap, finite):
+    lo = tuple(rng.randint(-3, 1) for _ in vars)
+    hi = tuple(l + rng.randint(1, 4) if v in finite else INF for v, l in zip(vars, lo))
+    data = {}
+    for _ in range(rng.randint(0, 7)):
+        e = tuple(rng.randint(l, min(h, l + 5)) for l, h in zip(lo, hi))
+        data[e] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    # half of the series start on 2-bit fields, so that the constructor,
+    # products and sums have to widen them
+    narrow = layout(("z", "y", "x"), (2, 2, 2)) if rng.random() < 0.5 else None
+    return Series(vars, lo, hi, data, cap, narrow)
+
+
+def _lifted(s, vars):
+    """lo, hi and data of s over a superset of its variables (the others
+    exact at exponent 0)."""
+    pos = [vars.index(v) for v in s.vars]
+    lo, hi = [0] * len(vars), [INF] * len(vars)
+    for j, p in enumerate(pos):
+        lo[p], hi[p] = s.lo[j], s.hi[j]
+    data = {}
+    for e, v in s.data.items():
+        ee = [0] * len(vars)
+        for j, p in enumerate(pos):
+            ee[p] = e[j]
+        data[tuple(ee)] = v
+    return lo, hi, data
+
+
+def _inside(e, lo, hi, vars, cap):
+    if any(x < l or x > h for x, l, h in zip(e, lo, hi)):
+        return False
+    return cap is None or sum(x for x, v in zip(e, vars) if v in cap[0]) <= cap[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_windows_against_tuple_reference(seed):
+    # Laurent terms (lo < 0), finite hi on two or more variables, operands
+    # over different variable tuples, with and without a cap: products,
+    # sums, restrict and coeff against plain tuple-dict arithmetic
+    rng = random.Random(100 + seed)
+    cap = (frozenset({"x", "y"}), 3)
+    for _ in range(60):
+        tuples = [("x", "y", "z"), ("x", "y"), ("z", "x"), ("y",)]
+        va, vb = rng.choice(tuples), rng.choice(tuples)
+        finite = set(rng.sample(["x", "y", "z"], rng.randint(0, 3)))
+        capped = rng.random() < 0.5
+        a = _random_series(rng, va, cap if capped and rng.random() < 0.7 else None, finite)
+        b = _random_series(rng, vb, cap if capped and rng.random() < 0.7 else None, finite)
+        vars = list(va) + [v for v in vb if v not in va]
+        c = a.cap or b.cap
+        alo, ahi, ad = _lifted(a, vars)
+        blo, bhi, bd = _lifted(b, vars)
+        ad = {e: v for e, v in ad.items() if _inside(e, alo, ahi, vars, c)}
+        bd = {e: v for e, v in bd.items() if _inside(e, blo, bhi, vars, c)}
+
+        lo = [x + y for x, y in zip(alo, blo)]
+        hi = [min(ha + lb, hb + la, INF) for la, ha, lb, hb in zip(alo, ahi, blo, bhi)]
+        want = {}
+        for ea, x in ad.items():
+            for eb, y in bd.items():
+                e = tuple(p + q for p, q in zip(ea, eb))
+                if _inside(e, lo, hi, vars, c):
+                    want[e] = want.get(e, 0) + x * y
+        prod = a * b
+        assert prod.vars == tuple(vars) and prod.cap == c
+        assert prod.lo == tuple(lo) and prod.hi == tuple(hi)
+        assert prod.data == {e: v for e, v in want.items() if v}
+
+        lo = [min(x, y) for x, y in zip(alo, blo)]
+        hi = [min(x, y) for x, y in zip(ahi, bhi)]
+        want = {}
+        for d in (ad, bd):
+            for e, v in d.items():
+                if _inside(e, lo, hi, vars, c):
+                    want[e] = want.get(e, 0) + v
+        total = a + b
+        assert total.lo == tuple(lo) and total.hi == tuple(hi)
+        assert total.data == {e: v for e, v in want.items() if v}
+
+        i = rng.randrange(len(vars))
+        var, l = vars[i], rng.randint(-3, 2)
+        h = l + rng.randint(-1, 3)
+        r = prod.restrict(var, l, h)
+        assert r.lo[i] == max(prod.lo[i], l) and r.hi[i] == min(prod.hi[i], h)
+        assert r.data == {e: v for e, v in prod.data.items() if l <= e[i] <= h}
+
+        k = rng.randint(-2, 4)
+        if k > prod.hi[i]:
+            with pytest.raises(TruncationError):
+                prod.coeff(var, k)
+            continue
+        co = prod.coeff(var, k)
+        assert co.vars == tuple(v for v in vars if v != var)
+        assert co.lo == tuple(x for j, x in enumerate(prod.lo) if j != i)
+        assert co.data == {
+            e[:i] + e[i + 1:]: v for e, v in prod.data.items() if e[i] == k
+        }
