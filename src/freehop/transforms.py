@@ -102,7 +102,7 @@ def _z_assembly(table: CoefficientTable, K: int):
                 mu = nu[:1] + T
                 if mu not in block:
                     block[mu] = blockvalue_series(table, mu, K)
-                if block[mu].c:
+                if not block[mu].is_zero():
                     term = block[mu] * Z(rest)
                     acc = acc + (term * c if c > 1 else term)
             z[nu] = acc
@@ -140,7 +140,7 @@ def table_from_z(ztabs: dict[Partition, HbarSeries], dmax: int, K: int, g2max: i
         for nu in symcore.partitions(d):
             acc = ztabs[nu]
             for T, rest, c in _splits(nu[1:]):
-                if rest and block[nu[:1] + T].c:
+                if rest and not block[nu[:1] + T].is_zero():
                     term = block[nu[:1] + T] * ztabs[rest]
                     acc = acc - (term * c if c > 1 else term)
             block[nu] = acc
@@ -177,14 +177,14 @@ def default_K(dmax: int, g2max: int) -> int:
 def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
     """Moments from cumulants via strictly monotone Hurwitz numbers."""
     K = default_K(dmax, g2max) if K is None else K
+    Z = _z_assembly(cum_table, K)
     ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
     for d in range(1, dmax + 1):
-        zdual = z_table(cum_table, d, K)
         strict = cached_hurwitz_table(d, "strict", K)
         for lam in symcore.partitions(d):
             acc = HbarSeries.zero(K)
             for nu in symcore.partitions(d):
-                acc = acc + strict[(lam, nu)] * zdual[nu]
+                acc = acc + strict[(lam, nu)] * Z(nu)
             ztabs[lam] = acc * symcore.z_factor(lam)
     return table_from_z(ztabs, dmax, K, g2max)
 
@@ -192,14 +192,14 @@ def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | 
 def master_inverse(mom_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
     """Cumulants from moments via weakly monotone Hurwitz numbers."""
     K = default_K(dmax, g2max) if K is None else K
+    Z = _z_assembly(mom_table, K)
     ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
     for d in range(1, dmax + 1):
-        zmom = z_table(mom_table, d, K)
         weak = cached_hurwitz_table(d, "weak", K)
         for nu in symcore.partitions(d):
             acc = HbarSeries.zero(K)
             for lam in symcore.partitions(d):
-                acc = acc + weak[(nu, lam)] * zmom[lam]
+                acc = acc + weak[(nu, lam)] * Z(lam)
             ztabs[nu] = acc * symcore.z_factor(nu)
     return table_from_z(ztabs, dmax, K, g2max)
 
@@ -301,33 +301,30 @@ def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | 
     """Transform by expanding the degree-d part in the Schur basis and
     multiplying s_lam by prod_{(i,j) in lam} (1 + hbar (j - i))."""
     K = default_K(dmax, g2max) if K is None else K
+    Z = _z_assembly(cum_table, K)
     ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
     for d in range(1, dmax + 1):
-        zdual = z_table(cum_table, d, K)
         parts = symcore.partitions(d)
+        chars = symcore.character_table(d)  # row lam, column nu
         # the content multiplier acts on the hbar-twisted coefficients
         # b_nu = Z(nu) hbar^(-d) / z(nu) (one power of hbar per p-factor),
         # which is what makes the class-algebra and p-basis gradings agree
-        b = {nu: zdual[nu].shift(-d) / symcore.z_factor(nu) for nu in parts}
-        c = {}
-        for lam in parts:
+        b = [Z(nu).shift(-d) / symcore.z_factor(nu) for nu in parts]
+        c = []
+        for lam, row in zip(parts, chars):
             acc = HbarSeries.zero(K)
-            for nu in parts:
-                chi = symcore.character(lam, nu)
+            for bnu, chi in zip(b, row):
                 if chi:
-                    acc = acc + b[nu] * chi
-            c[lam] = acc
-        for lam in parts:
+                    acc = acc + bnu * chi
             mult = symcore.content_polynomial(lam, K + 2 * d + 2)
-            c[lam] = c[lam] * (mult.inverse() if inverse else mult)
-        for nu in parts:
+            c.append(acc * (mult.inverse() if inverse else mult))
+        for j, nu in enumerate(parts):
             # back to the p-basis: the 1/z of s_lam = sum chi p_nu / z(nu)
             # cancels against the z(nu) in the Z-normalization
             acc = HbarSeries.zero(K)
-            for lam in parts:
-                chi = symcore.character(lam, nu)
-                if chi:
-                    acc = acc + c[lam] * chi
+            for clam, row in zip(c, chars):
+                if row[j]:
+                    acc = acc + clam * row[j]
             ztabs[nu] = acc.shift(d)
     return table_from_z(ztabs, dmax, K, g2max)
 
