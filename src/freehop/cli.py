@@ -171,10 +171,9 @@ def cmd_transform(args) -> int:
             out = {}
             nmax = max((len(ks) for (_, ks) in table), default=1)
             for n in range(1, nmax + 1):
-                if g2 == 0:
-                    out.update(transforms.genus0_moments(table, n, deg, sign))
-                else:
-                    out.update(transforms.allgenus_moments(table, n, g2, deg, sign))
+                out.update(transforms.genus0_moments(table, n, deg, sign))
+                for target_g2 in range(1, g2 + 1):
+                    out.update(transforms.allgenus_moments(table, n, target_g2, deg, sign))
         else:  # pragma: no cover - argparse restricts choices
             raise CliError("unknown route %r" % args.route)
     except TruncationError as exc:

@@ -17,7 +17,27 @@ monomials above the cap can never re-enter the extractable range); the
 one-point data is built to degree D, kernels to depth n*D (a kernel's
 negative exponent in a later variable can be compensated by earlier
 kernels, at most (n-1) deep, plus degree D of table data).  The hbar and
-u/v variables carry honest per-variable truncation windows.
+u/v variables carry honest per-variable truncation windows; the series
+built once per evaluator (vertex weights, edge weights) are known to the
+working order hbar^K.
+
+The graph sum (graph_sum) reads one order, hbar^T, and only at
+w-exponents <= D, so it carries budgets instead of the full windows.  Each
+vertex operator adds at least v_i = vertex_h_floor(i) to the hbar
+exponent (-1, from the hbar^(-1) u^(-1) of a_series), each edge weight at
+least its lowest hbar exponent, and no factor but a kernel lowers a
+w-exponent.  So along a graph's edge product the hbar orders above
+T - sum_j v_j - (the remaining edges' lowest hbar exponents), and the w_i
+exponents above D - (the remaining edges' negative w_i reach), are dropped
+after each factor, and before vertex i the hbar orders above
+T - sum_{j >= i} v_j.  Only upper ends are cut: the lower w windows, and
+with them extract_table's checks for surviving negative or vanishing
+exponents, are those of the unbudgeted graph_term.  A product's window is
+min(hi_a + lo_b, hi_b + lo_a) over the declared lo, so the edge cuts are
+taken from the declared lo as well: a cut from a true minimum above the
+declared lo would lie above the product's window, and the terms between
+would be lost.  Each edge factor's lo is raised to its lowest exponent
+first, which makes both the cuts and the windows as tight as the data.
 """
 
 from __future__ import annotations
@@ -444,6 +464,8 @@ class Evaluator:
         return self.pwd_sum(vparts, i)
 
     def graph_term(self, g: Graph) -> Series:
+        """One graph's term through the whole vertex chain, to hbar^K: no
+        budget, so every hbar order of the working window is kept."""
         S = Series(("h",), (0,), (self.K,), {(0,): 1}, layout=self.layout)
         for I in g.edges:
             S = S * self.edge_weight(I)
@@ -451,6 +473,59 @@ class Evaluator:
         for i in range(self.n):
             S = self.prune_w(self.reduce_vertex(S, i))
         return S * Fraction(1, g.aut_order())
+
+    def vertex_h_floor(self, i: int) -> int:
+        """A floor on the hbar exponent the operator at vertex i adds: the
+        declared lo of a_series plus that of P B_r, which reduce_vertex's
+        product windows are built from.  (d_y + sign v/y) keeps the hbar
+        degree, so every r has the hbar window of r = 0."""
+        a, pb = self.a_series(i), self.pb_series(i, 0)
+        return a.lo[a.idx("h")] + pb.lo[pb.idx("h")]
+
+    def _tight_edge(self, I: tuple[int, ...]) -> Series:
+        """edge_weight(I) with every declared lo raised to its lowest
+        exponent, the tightest lo for graph_sum's cuts."""
+
+        def build():
+            e = self.edge_weight(I)
+            return e.restrict_vars({v: (e.min_exp(v), INF) for v in e.vars})
+
+        return self._memo(("tight", tuple(I)), build)
+
+    def graph_sum(self, graph_list, T: int) -> Series:
+        """sum over graphs of graph_term(g), exact at hbar^T and at every
+        w-exponent up to D, under the budgets of the module docstring.  The
+        vertex operators, prune_w and the cuts are linear, so the vertex
+        chain runs once, on the 1/|Aut|-weighted sum of the budgeted edge
+        products."""
+        floors = [self.vertex_h_floor(i) for i in range(self.n)]
+        after = [sum(floors[i:]) for i in range(self.n + 1)]
+        one = Series(("h",), (0,), (self.K,), {(0,): 1}, layout=self.layout)
+        products = []
+        for g in graph_list:
+            edges = [self._tight_edge(I) for I in g.edges]
+            # the highest exponents worth keeping after each factor, from
+            # the last edge back: every edge still to come adds at least its
+            # lo (now its lowest exponent)
+            cuts = []
+            cut = dict.fromkeys(self.wvars, self.D)
+            cut["h"] = T - after[0]
+            for e in reversed(edges):
+                cuts.append(dict(cut))
+                lows = dict(zip(e.vars, e.lo))
+                cut["h"] -= lows["h"]
+                for wv in self.wvars:
+                    cut[wv] -= min(0, lows.get(wv, 0))
+            S = one
+            for e, cut in zip(edges, reversed(cuts)):
+                S = S * e
+                S = S.restrict_vars({v: (-INF, cut[v]) for v in S.vars if v in cut})
+            products.append(self.prune_w(S) * Fraction(1, g.aut_order()))
+        S = series_sum(products)
+        for i in range(self.n):
+            S = S.restrict("h", -INF, T - after[i])
+            S = self.prune_w(self.reduce_vertex(S, i))
+        return S
 
     # -- n = 1 correction -------------------------------------------------------------
     def delta_series(self, g2: int) -> Series:

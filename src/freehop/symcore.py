@@ -276,14 +276,22 @@ def hook_dimension(lam: Partition) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def content_polynomial(lam: Partition, K: int):
-    """prod over cells of (1 + hbar*(j - i)), truncated at hbar^K."""
+    """prod over cells of (1 + hbar*(j - i)), truncated at hbar^K; memoised
+    per (lam, K), since the series it returns is never mutated."""
     from .hbar import HbarSeries
 
     out = HbarSeries.one(K)
     for c in contents(lam):
         out = out * HbarSeries({0: Fraction(1), 1: Fraction(c)}, K)
     return out
+
+
+@lru_cache(maxsize=None)
+def content_polynomial_inverse(lam: Partition, K: int):
+    """1 / content_polynomial(lam, K), memoised per (lam, K)."""
+    return content_polynomial(lam, K).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -316,8 +316,8 @@ def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | 
             for bnu, chi in zip(b, row):
                 if chi:
                     acc = acc + bnu * chi
-            mult = symcore.content_polynomial(lam, K + 2 * d + 2)
-            c.append(acc * (mult.inverse() if inverse else mult))
+            mult = symcore.content_polynomial_inverse if inverse else symcore.content_polynomial
+            c.append(acc * mult(lam, K + 2 * d + 2))
         for j, nu in enumerate(parts):
             # back to the p-basis: the 1/z of s_lam = sum chi p_nu / z(nu)
             # cancels against the z(nu) in the Z-normalization
@@ -450,68 +450,25 @@ def _leaf_vectors(n: int, total: int):
 
 
 def genus0_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...], sign: int = 1) -> Fraction:
-    """Coefficient-wise genus-0 relation over trees with univalent leaves:
+    """One coefficient F_{0; ks} of the coefficient-wise genus-0 relation:
+    the entry of genus0_coefficient_table at n = len(ks), D = sum(ks)."""
+    out = genus0_coefficient_table(table, len(ks), sum(ks), sign)
+    return out.get((0, sort_to_partition(ks)), Fraction(0))
+
+
+def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
+    """All F_{0; k_1..k_n} with total degree <= D by the coefficient-wise
+    tree relation over trees with univalent leaves:
 
         F_{0;k} = [prod w^k] sum_r prod_i binom-factor(k_i, r_i)
                   sum_{T in T_n(r+1)} prod'' G_{0,#I} / prod_i leaves_i!,
 
     with factor k!/(k-r)! forward and (-1)^r (r+k-1)!/(k-1)! dual; each
     leaf carries one factor (G_{0,1} - 1) of valuation >= 1, so leaves
-    beyond total degree sum(k) never contribute."""
-    n = len(ks)
-    D = sum(ks)
-    ev = Evaluator(table, n, D, K=2, sign=sign)
-    one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap, ev.layout) for i in range(n)}
-    base_trees = (
-        [(graphs.Graph(1, ()), (0,))]
-        if n == 1
-        else [(g, g.valencies()) for g in graphs.enumerate_graphs(n, 0) if g.excess() == 0]
-    )
-    total = Fraction(0)
-    for base, baseval in base_trees:
-        base_term = None
-        for I in base.edges:
-            e = _edge_genus0(ev, I)
-            base_term = e if base_term is None else base_term * e
-        for leaves in _leaf_vectors(n, D):
-            if n == 1 and leaves[0] == 0:
-                continue
-            rvec = tuple(v + l - 1 for v, l in zip(baseval, leaves))
-            factor = Fraction(1)
-            for k, r in zip(ks, rvec):
-                factor *= _binom_factor(k, r, sign)
-                if factor == 0:
-                    break
-            if factor == 0:
-                continue
-            term = base_term
-            aut = 1
-            for i, li in enumerate(leaves):
-                if li:
-                    term = (one[i] ** li) if term is None else term * one[i] ** li
-                    aut *= factorial(li)
-            if term is None:
-                continue
-            coeff = term
-            ok = True
-            for i in range(n):
-                wv = ev.wvars[i]
-                if wv in coeff.vars:
-                    coeff = coeff.coeff(wv, ks[i])
-                elif ks[i] != 0:
-                    ok = False
-                    break
-            if ok:
-                total += factor * coeff.scalar() / aut
-    return total
-
-
-def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
-    """All F_{0; k_1..k_n} with total degree <= D by the coefficient-wise
-    tree relation.  The sum over univalent leaves is folded into one series
-    product per base tree using marker variables, so each tree costs one
-    product chain; the binomial factors (which depend on the target
-    exponents) are applied during extraction.
+    beyond total degree D never contribute.  The sum over the leaves is
+    contracted into one weight per (valency, k_i, exponent) applied to one
+    series product per base tree; the binomial factors (which depend on
+    the target exponents) enter that contraction.
     """
     ev = Evaluator(table, n, D, K=2, sign=sign)
     # leaf-weight matrices: W[v][k][a] = sum_l factor(k, v+l-1)/l! *
@@ -630,7 +587,7 @@ def allgenus_moments(table: CoefficientTable, n: int, g2: int, D: int, sign: int
         raise ValueError("no hbar^%d sector" % T_target)
     K = T_target + n + 2
     ev = Evaluator(table, n, D, K=K, sign=sign)
-    total = series_sum([ev.graph_term(g) for g in graphs.enumerate_graphs(n, g2 // 2)])
+    total = ev.graph_sum(graphs.enumerate_graphs(n, g2 // 2), T_target)
     S = total.coeff("h", T_target)
     if n == 1:
         S = S + ev.delta_series(g2)

@@ -102,6 +102,36 @@ def test_transform_formula_route(tmp_path):
     assert t[(0, (6,))] == 5
 
 
+def test_transform_formula_genus_is_a_cutoff(tmp_path):
+    """--genus G on the formula route gives every g2 <= G, odd g2 included,
+    as on the other routes, and m2c gives the input back.
+
+    The round trip runs at degree 3, where the n <= 3 rows are the whole
+    moment table: at degree 4 the (g2 = 2, n = 3) dual also reads
+    F_{0; 1,1,1,1} on its four-point hyperedge, a row the formula route
+    does not produce from an input with n <= 3."""
+    t = tables.random_table(seed=12, nmax=3, degmax=4, g2max=2)
+    for deg in (4, 3):
+        cum = tmp_path / ("cum-%d.json" % deg)
+        tables.save(str(cum), tables.restrict_table(t, deg=deg))
+        outs = {}
+        for route in ("formula", "hurwitz"):
+            outs[route] = tmp_path / ("mom-%s-%d.json" % (route, deg))
+            assert run([
+                "transform", "c2m", "--route", route, "--in", str(cum),
+                "--out", str(outs[route]), "--deg", str(deg), "--genus", "2",
+            ]) == 0
+        formula = tables.load(str(outs["formula"]))[0]
+        assert {g2 for g2, _ in formula} == {0, 1, 2}
+        assert formula == tables.restrict_table(tables.load(str(outs["hurwitz"]))[0], n=3)
+    back = tmp_path / "back.json"
+    assert run([
+        "transform", "m2c", "--route", "formula", "--in", str(outs["formula"]),
+        "--out", str(back), "--deg", "3", "--genus", "2",
+    ]) == 0
+    assert tables.load(str(back))[0] == tables.restrict_table(t, deg=3)
+
+
 def test_transform_bad_input_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

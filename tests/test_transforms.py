@@ -280,7 +280,7 @@ def test_allgenus_01_special_case():
 
 @pytest.mark.parametrize(
     "g2,n,seed",
-    [(2, 1, 70), (1, 1, 71), (1, 2, 72), (2, 2, 73), (0, 3, 74)],
+    [(2, 1, 70), (1, 1, 71), (1, 2, 72), (2, 2, 73), (0, 3, 74), (1, 3, 76), (2, 3, 77)],
 )
 def test_allgenus_vs_hbar_oracle(g2, n, seed):
     deg = 4
@@ -291,6 +291,30 @@ def test_allgenus_vs_hbar_oracle(g2, n, seed):
     orc = oracles.hbar_moment_table(t, deg, g2, nmax=n)
     want = {k: v for k, v in orc.items() if k[0] == g2 and len(k[1]) == n}
     assert table_equal(got, want, n=n, deg=deg, g2=g2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("g2,n,D", [(1, 2, 4), (2, 2, 4), (1, 3, 3), (2, 3, 3)])
+def test_graph_sum_equals_unbudgeted_graph_terms(g2, n, D, sign):
+    """The hbar and w budgets and the single vertex chain of graph_sum
+    change nothing at the hbar^T coefficient it is read at."""
+    from freehop import graphs as G
+    from freehop.operators import Evaluator
+    from freehop.series import series_sum
+
+    t = random_table(seed=78 + g2 + n, nmax=n, degmax=D, g2max=g2)
+    T = g2 - 2 + n
+    ev = Evaluator(t, n, D, K=T + n + 2, sign=sign)
+    gs = G.enumerate_graphs(n, g2 // 2)
+    want = series_sum([ev.graph_term(g) for g in gs]).coeff("h", T)
+    got = ev.graph_sum(gs, T).coeff("h", T)
+    assert not want.is_zero() and got == want
+
+
+def test_allgenus_n4_matches_master_forward():
+    t = random_table(seed=79, nmax=4, degmax=4, g2max=1)
+    want = {k: v for k, v in master_forward(t, 4, 1).items() if k[0] == 1 and len(k[1]) == 4}
+    assert want and allgenus_moments(t, 4, 1, 4) == want
 
 
 def test_graph_grading_bound_extra_layer():
