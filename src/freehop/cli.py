@@ -77,7 +77,7 @@ def cmd_hurwitz(args) -> int:
         raise CliError("d must be nonnegative")
     _check_hbar(args.hbar)
     K = args.hbar if args.hbar is not None else max(args.d - 1, 0)
-    table = hurwitz.cached_hurwitz_table(args.d, args.kind, K)
+    table = hurwitz.hurwitz_table(args.d, args.kind, K)
     obj = hurwitz.table_to_json(args.d, args.kind, table, K)
     _write_output(obj, args.out)
     return EXIT_OK
@@ -154,18 +154,12 @@ def cmd_transform(args) -> int:
         K = _working_K(args.hbar, deg, g2)
     forward = args.direction == "c2m"
     try:
-        if args.route == "hurwitz":
+        if args.route in ("hurwitz", "schur"):
             fn = transforms.master_forward if forward else transforms.master_inverse
             out = fn(table, deg, g2, K)
         elif args.route == "convolution":
-            fn = (
-                transforms.convolution_forward
-                if forward
-                else transforms.moebius_inverse_route
-            )
+            fn = transforms.convolution_forward if forward else transforms.moebius_inverse_route
             out = fn(table, deg, g2, K)
-        elif args.route == "schur":
-            out = transforms.schur_d_oracle(table, deg, g2, K, inverse=not forward)
         elif args.route == "formula":
             sign = 1 if forward else -1
             out = {}

@@ -7,16 +7,18 @@ H_r(lambda, nu) is 1/d! times the number of tuples (alpha, tau_1..tau_r,
 beta) with alpha in C_lambda, beta in C_nu and
 alpha o tau_1 o ... o tau_r o beta = id.
 
-The route, ``hurwitz_table``, is a content-multiplier kernel.  A central
+``hurwitz_table``, behind the ``hurwitz`` subcommand and ``verify --suite
+orthogonality``, is a content-multiplier kernel (the master routes in
+``transforms`` apply the same multipliers without tables).  A central
 element acts on the irreducible rho |- d by a scalar, and the Jucys-Murphy
 elements act by the contents of rho, so
 
     H_r(lambda, nu) = sum_rho chi^rho(lambda) chi^rho(nu) m_rho(r) / (z_lambda z_nu)
 
-with m_rho(r) = e_r(contents) (strict), (-1)^r h_r(contents) (weak, with
-the sign of its generating series) or the central character of the
-colength-r class sum (free single).  The characters come from
-``symcore.character_table``.
+with m_rho(r) the hbar^r coefficient of ``symcore.content_polynomial``,
+e_r(contents) (strict), or of its inverse, (-1)^r h_r(contents) (weak), or
+the central character of the colength-r class sum (free single).  The
+characters come from ``symcore.character_table``.
 
 The oracles check it by other means: ``_monotone_counts`` enumerates the
 monotone sequences by depth-first search (with alpha fixed to pi_lambda and
@@ -29,8 +31,6 @@ them.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -159,22 +159,9 @@ def _content_multipliers(d: int, kind: str, rmax: int) -> list[list]:
             # divides these sums exactly
             rows.append([v // dim for v in row])
         return rows
-    rows = []
-    for rho in parts:
-        # e_r (h_r) of the contents, one content at a time:
-        # e'_r = e_r + c e_(r-1), h'_r = h_r + c h'_(r-1)
-        row = [1] + [0] * rmax
-        for c in symcore.contents(rho):
-            if kind == "strict":
-                for r in range(rmax, 0, -1):
-                    row[r] += c * row[r - 1]
-            else:
-                for r in range(1, rmax + 1):
-                    row[r] += c * row[r - 1]
-        if kind == "weak":
-            row = [(-1) ** r * v for r, v in enumerate(row)]
-        rows.append(row)
-    return rows
+    # integer coefficients: e_r of the contents (strict), (-1)^r h_r (weak)
+    series = symcore.content_polynomial if kind == "strict" else symcore.content_polynomial_inverse
+    return [[int(series(rho, rmax).coeff(r)) for r in range(rmax + 1)] for rho in parts]
 
 
 def hurwitz_table(d: int, kind: str, K: int) -> dict[tuple[Partition, Partition], HbarSeries]:
@@ -333,7 +320,7 @@ def verify_orthogonality(d: int, K: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON table format and the on-disk cache
+# JSON table format
 
 
 def table_to_json(d: int, kind: str, table, K: int) -> dict:
@@ -349,59 +336,3 @@ def table_to_json(d: int, kind: str, table, K: int) -> dict:
                 }
             )
     return {"d": d, "kind": kind, "hbar": K, "entries": entries}
-
-
-def table_from_json(obj) -> dict[tuple[Partition, Partition], HbarSeries]:
-    K = obj.get("hbar", sum(obj["entries"][0]["lambda"]) if obj["entries"] else 0)
-    out: dict[tuple[Partition, Partition], dict[int, Fraction]] = {}
-    for e in obj["entries"]:
-        key = (tuple(e["lambda"]), tuple(e["nu"]))
-        out.setdefault(key, {})[e["r"]] = Fraction(e["value"])
-    return {k: HbarSeries(v, K) for k, v in out.items()}
-
-
-def cache_dir() -> str | None:
-    return os.environ.get("FREEHOP_CACHE")
-
-
-_memory_cache: dict = {}
-
-
-def cached_hurwitz_table(d: int, kind: str, K: int):
-    """Memory- and disk-cached variant of hurwitz_table (FREEHOP_CACHE
-    names the cache directory), keyed by (d, kind, K).  A cache file whose
-    header names another key is a miss, rebuilt and overwritten."""
-    key = (d, kind, K)
-    if key in _memory_cache:
-        return _memory_cache[key]
-    cdir = cache_dir()
-    path = None
-    if cdir:
-        path = os.path.join(cdir, "hurwitz-%s-d%d-K%d.json" % (kind, d, K))
-        if os.path.exists(path):
-            table = table_from_json_file(path, key)
-            if table is not None:
-                _memory_cache[key] = table
-                return table
-    table = hurwitz_table(d, kind, K)
-    _memory_cache[key] = table
-    if path:
-        os.makedirs(cdir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(table_to_json(d, kind, table, K), fh)
-        os.replace(tmp, path)
-    return table
-
-
-def table_from_json_file(path: str, key: tuple[int, str, int]):
-    """The table stored at path, or None unless the file is JSON whose
-    header names key = (d, kind, K)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError:
-            return None
-    if not isinstance(obj, dict) or (obj.get("d"), obj.get("kind"), obj.get("hbar")) != key:
-        return None
-    return table_from_json(obj)

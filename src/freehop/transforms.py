@@ -4,14 +4,15 @@ tree/graph functional-relation routes.
 Routes between a cumulant table and a moment table:
 
 - hurwitz:     Z(lam) = z(lam) sum_nu H^<(lam, nu) Z_dual(nu), inverted
-               with the weakly monotone series;
+               with the weakly monotone series; computed without tables
+               as a chi-transform, the content multiplier and back;
 - convolution: Phi = zeta_hbar (*) Phi_dual on PS(d) (and the Moebius
                inverse Phi_dual = mu_hbar (*) Phi), evaluated only at the
                one-block targets (1_d, pi_lam) from the factorization
                counts of pscore.target_factorizations; the inverse is a
                triangular solve, degree by degree, so neither direction
                builds tables over PS(d);
-- schur:       the content-polynomial multiplier in the Schur basis;
+- schur:       the same kernel, under its Schur-basis name;
 - formula:     the tree (genus 0), graph (all genus) and special-tree
                (genus 1/2) functional relations, plus coefficient-wise
                versions and their duals.
@@ -42,7 +43,6 @@ from math import comb, factorial, lcm
 
 from . import graphs, pscore, symcore
 from .hbar import HbarSeries
-from .hurwitz import cached_hurwitz_table
 from .operators import Evaluator, _distinct_permutations
 from .series import INF, Series, series_sum
 from .symcore import Partition, sort_to_partition
@@ -171,37 +171,49 @@ def default_K(dmax: int, g2max: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# route: hurwitz (master relation)
+# routes: hurwitz and schur, one content-multiplier kernel
+
+
+def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | None,
+                       inverse: bool) -> CoefficientTable:
+    """z(lam) sum_nu H(lam, nu) Z(nu), H the strictly (weakly) monotone
+    Hurwitz series, as a chi-transform.  A central element acts on the
+    irreducible rho |- d by a scalar, so with b_nu = Z(nu) / z(nu)
+
+        Z'(lam) = sum_rho chi^rho(lam) m_rho sum_nu chi^rho(nu) b_nu,
+
+    m_rho = prod over the cells of rho of (1 + hbar c), c the content, or
+    its inverse when ``inverse`` is set."""
+    K = default_K(dmax, g2max) if K is None else K
+    mult = symcore.content_polynomial_inverse if inverse else symcore.content_polynomial
+    Z = _z_assembly(table, K)
+    zero = HbarSeries.zero(K)
+    ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
+    for d in range(1, dmax + 1):
+        parts = symcore.partitions(d)
+        chars = symcore.character_table(d)  # row rho, column nu
+        b = [Z(nu) / symcore.z_factor(nu) for nu in parts]
+        c = [sum((v * x for x, v in zip(row, b) if x), zero) * mult(rho, K) for rho, row in zip(parts, chars)]
+        for lam, col in zip(parts, zip(*chars)):
+            ztabs[lam] = sum((v * x for x, v in zip(col, c) if x), zero)
+    return table_from_z(ztabs, dmax, K, g2max)
 
 
 def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
     """Moments from cumulants via strictly monotone Hurwitz numbers."""
-    K = default_K(dmax, g2max) if K is None else K
-    Z = _z_assembly(cum_table, K)
-    ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
-    for d in range(1, dmax + 1):
-        strict = cached_hurwitz_table(d, "strict", K)
-        for lam in symcore.partitions(d):
-            acc = HbarSeries.zero(K)
-            for nu in symcore.partitions(d):
-                acc = acc + strict[(lam, nu)] * Z(nu)
-            ztabs[lam] = acc * symcore.z_factor(lam)
-    return table_from_z(ztabs, dmax, K, g2max)
+    return _content_transform(cum_table, dmax, g2max, K, inverse=False)
 
 
 def master_inverse(mom_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
     """Cumulants from moments via weakly monotone Hurwitz numbers."""
-    K = default_K(dmax, g2max) if K is None else K
-    Z = _z_assembly(mom_table, K)
-    ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
-    for d in range(1, dmax + 1):
-        weak = cached_hurwitz_table(d, "weak", K)
-        for nu in symcore.partitions(d):
-            acc = HbarSeries.zero(K)
-            for lam in symcore.partitions(d):
-                acc = acc + weak[(nu, lam)] * Z(lam)
-            ztabs[nu] = acc * symcore.z_factor(nu)
-    return table_from_z(ztabs, dmax, K, g2max)
+    return _content_transform(mom_table, dmax, g2max, K, inverse=True)
+
+
+def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None,
+                   inverse: bool = False) -> CoefficientTable:
+    """The master relation in the Schur basis: s_lam is multiplied by
+    prod_{(i,j) in lam} (1 + hbar (j - i)), or by its inverse."""
+    return _content_transform(cum_table, dmax, g2max, K, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +302,6 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
         for lam in parts:
             _store(out, lam, cur[lam], g2max, K)
     return out
-
-
-# ---------------------------------------------------------------------------
-# route: Schur-basis content-polynomial oracle
-
-
-def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None,
-                   inverse: bool = False) -> CoefficientTable:
-    """Transform by expanding the degree-d part in the Schur basis and
-    multiplying s_lam by prod_{(i,j) in lam} (1 + hbar (j - i))."""
-    K = default_K(dmax, g2max) if K is None else K
-    Z = _z_assembly(cum_table, K)
-    ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
-    for d in range(1, dmax + 1):
-        parts = symcore.partitions(d)
-        chars = symcore.character_table(d)  # row lam, column nu
-        # the content multiplier acts on the hbar-twisted coefficients
-        # b_nu = Z(nu) hbar^(-d) / z(nu) (one power of hbar per p-factor),
-        # which is what makes the class-algebra and p-basis gradings agree
-        b = [Z(nu).shift(-d) / symcore.z_factor(nu) for nu in parts]
-        c = []
-        for lam, row in zip(parts, chars):
-            acc = HbarSeries.zero(K)
-            for bnu, chi in zip(b, row):
-                if chi:
-                    acc = acc + bnu * chi
-            mult = symcore.content_polynomial_inverse if inverse else symcore.content_polynomial
-            c.append(acc * mult(lam, K + 2 * d + 2))
-        for j, nu in enumerate(parts):
-            # back to the p-basis: the 1/z of s_lam = sum chi p_nu / z(nu)
-            # cancels against the z(nu) in the Z-normalization
-            acc = HbarSeries.zero(K)
-            for clam, row in zip(c, chars):
-                if row[j]:
-                    acc = acc + clam * row[j]
-            ztabs[nu] = acc.shift(d)
-    return table_from_z(ztabs, dmax, K, g2max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freehop import cli, tables
 
@@ -76,18 +80,34 @@ def test_transform_roundtrip(tmp_path):
     assert t2 == tables.gue_table()
 
 
-def test_transform_routes_agree(tmp_path):
-    cum = tmp_path / "cum.json"
-    tables.save(str(cum), tables.random_table(seed=7, nmax=3, degmax=3, g2max=2))
-    outs = {}
-    for route in ("hurwitz", "convolution", "schur"):
-        out = tmp_path / ("out-%s.json" % route)
-        assert run([
-            "transform", "c2m", "--route", route, "--in", str(cum),
-            "--out", str(out), "--deg", "3", "--genus", "2",
-        ]) == 0
-        outs[route], _ = tables.load(str(out))
-    assert outs["hurwitz"] == outs["convolution"] == outs["schur"]
+MASTER_ROUTES = ("hurwitz", "convolution", "schur")
+
+
+def _transform(tmp, direction, route, table, deg, g2):
+    """One ``transform`` run through cli.main, table in and table out."""
+    src = os.path.join(tmp, "in.json")
+    dst = os.path.join(tmp, "out-%s-%s.json" % (direction, route))
+    tables.save(src, table)
+    assert run([
+        "transform", direction, "--route", route, "--in", src,
+        "--out", dst, "--deg", str(deg), "--genus", str(g2),
+    ]) == 0
+    return tables.load(dst)[0]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), deg=st.integers(1, 4), g2=st.integers(0, 2))
+def test_transform_routes_agree(seed, deg, g2):
+    """On a random table, c2m gives one moment table on every master route,
+    and each route's m2c output goes back to the input through c2m."""
+    t = tables.random_table(seed=seed, nmax=deg, degmax=deg, g2max=2)
+    want = tables.restrict_table(t, deg=deg, g2=g2)
+    with tempfile.TemporaryDirectory() as tmp:
+        moments = [_transform(tmp, "c2m", route, t, deg, g2) for route in MASTER_ROUTES]
+        assert moments[0] == moments[1] == moments[2]
+        for route in MASTER_ROUTES:
+            cum = _transform(tmp, "m2c", route, t, deg, g2)
+            assert _transform(tmp, "c2m", route, cum, deg, g2) == want
 
 
 def test_transform_formula_route(tmp_path):

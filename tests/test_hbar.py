@@ -1,13 +1,11 @@
 """HbarSeries against a test-local reference: {exponent: Fraction} dicts
 with the truncation rules written out term by term."""
 
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from freehop import hurwitz
 from freehop.hbar import HbarSeries, delta_kron
 
 
@@ -161,20 +159,3 @@ def test_constructors():
     assert delta_kron(True, 2) == HbarSeries.one(2)
     assert delta_kron(False, 2).is_zero()
     assert HbarSeries({0: 0, 1: Fraction(0), 2: 1.5}, 4).c == {2: Fraction(3, 2)}
-
-
-@pytest.mark.parametrize("kind", ["strict", "weak", "free-single"])
-def test_cached_table_file_loads_equal(tmp_path, monkeypatch, kind):
-    # a FREEHOP_CACHE file written by table_to_json reads back to == series
-    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
-    for d, K in ((3, 4), (4, 7)):
-        table = hurwitz.hurwitz_table(d, kind, K)
-        path = tmp_path / ("hurwitz-%s-d%d-K%d.json" % (kind, d, K))
-        path.write_text(json.dumps(hurwitz.table_to_json(d, kind, table, K)))
-        hurwitz._memory_cache.clear()
-        loaded = hurwitz.cached_hurwitz_table(d, kind, K)
-        assert loaded.keys() == table.keys()
-        for key, series in table.items():
-            assert loaded[key] == series
-            assert (dict(loaded[key].c), loaded[key].K) == (dict(series.c), series.K)
-    hurwitz._memory_cache.clear()

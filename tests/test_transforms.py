@@ -4,6 +4,7 @@ import pytest
 
 from freehop import oracles, pscore, symcore, tables
 from freehop.hbar import HbarSeries
+from freehop.hurwitz import hurwitz_table
 from freehop.tables import gue_table, random_table, restrict_table, table_equal
 from freehop.transforms import (
     allgenus_moments,
@@ -146,6 +147,32 @@ def test_four_route_equivalence(seed):
     want = restrict_table(t, deg=4, g2=g2)
     assert table_equal(master_inverse(m_h, 4, g2), want, deg=4, g2=g2)
     assert table_equal(moebius_inverse_route(m_h, 4, g2), want, deg=4, g2=g2)
+
+
+def _hurwitz_number_sum(table, dmax, g2max, kind):
+    """The master relation in its Hurwitz-number form,
+    Z'(lam) = z(lam) sum_nu H(lam, nu) Z(nu), with H the strictly (weakly)
+    monotone series of hurwitz_table, read back to an F-table."""
+    K = default_K(dmax, g2max)
+    ztabs = {(): HbarSeries.one(K)}
+    for d in range(1, dmax + 1):
+        H = hurwitz_table(d, kind, K)
+        Z = z_table(table, d, K)
+        for lam in symcore.partitions(d):
+            acc = HbarSeries.zero(K)
+            for nu in symcore.partitions(d):
+                acc = acc + H[(lam, nu)] * Z[nu]
+            ztabs[lam] = acc * symcore.z_factor(lam)
+    return table_from_z(ztabs, dmax, K, g2max)
+
+
+@pytest.mark.parametrize("seed", [0, 1, "gue"])
+@pytest.mark.parametrize("dmax, g2max", [(6, 3), (4, 0)])
+def test_master_routes_equal_hurwitz_number_sum(seed, dmax, g2max):
+    t = gue_table() if seed == "gue" else random_table(seed=90 + seed, nmax=6, degmax=6, g2max=3)
+    m = master_forward(t, dmax, g2max)
+    assert _hurwitz_number_sum(t, dmax, g2max, "strict") == m
+    assert _hurwitz_number_sum(m, dmax, g2max, "weak") == master_inverse(m, dmax, g2max)
 
 
 def _full_table_convolution(table, dmax, g2max, K, inverse):
