@@ -75,9 +75,9 @@ class Graph:
         return len({find(x) for x in range(self.n)}) == 1
 
 
-def _hyperedge_pool(n: int, max_size: int, min_size: int = 2) -> list[Hyperedge]:
+def _hyperedge_pool(n: int, max_size: int) -> list[Hyperedge]:
     pool = []
-    for size in range(min_size, max_size + 1):
+    for size in range(2, max_size + 1):
         pool.extend(combinations_with_replacement(range(n), size))
     return pool
 
@@ -87,6 +87,9 @@ def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
     hyperedges of size >= 2, each isomorphism class once.
 
     For n = 1 the edgeless one-vertex graph is included (it is connected).
+    At excess_bound 0 the output is exactly the trees G_{0,n}: n white
+    vertices need sum_I (#I - 1) >= n - 1 to be connected, with equality
+    only when every hyperedge is a plain subset joining distinct components.
 
     >>> [g.edges for g in enumerate_graphs(1, 1)]
     [(), ((0, 0),)]
@@ -113,115 +116,20 @@ def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
     return out
 
 
-def enumerate_trees(n: int, valencies: tuple[int, ...]) -> list[Graph]:
-    """Trees in G_{0,n} with prescribed white valencies (r_i + 1 each);
-    hyperedges are plain subsets of size >= 2, excess 0, connected.
+def enumerate_special_trees(n: int) -> list[Graph]:
+    """The special trees G'_{0,n}: each tree T of G_{0,n} with one black
+    vertex marked special.  That is either one of T's hyperedges, moved to
+    the front, or a univalent black vertex (i,) added at a white vertex i.
+    The special vertex is ``edges[0]`` (``special=0``).
 
-    >>> sum(len(enumerate_trees(3, (a + 1, b + 1, c + 1)))
-    ...     for a in range(3) for b in range(3) for c in range(3)
-    ...     if True) >= 4
-    True
-    """
-    pool = [e for e in _hyperedge_pool(n, max_size=n) if len(set(e)) == len(e)]
-    out = []
-
-    def rec(start: int, chosen: list[Hyperedge], deg: list[int]):
-        if all(d == v for d, v in zip(deg, valencies)):
-            g = Graph(n, tuple(chosen))
-            if g.excess() == 0 and g.is_connected():
-                out.append(g)
-        for k in range(start, len(pool)):
-            e = pool[k]
-            if all(deg[i] + e.count(i) <= valencies[i] for i in set(e)):
-                chosen.append(e)
-                for i in e:
-                    deg[i] += 1
-                rec(k, chosen, deg)
-                for i in e:
-                    deg[i] -= 1
-                chosen.pop()
-
-    if n == 1:
-        if valencies == (0,):
-            out.append(Graph(1, ()))
-        return out
-    rec(0, [], [0] * n)
-    return out
-
-
-def enumerate_leaf_trees(n: int, valencies: tuple[int, ...]) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Trees of T_n(r+1): a base tree from G_{0,n} plus univalent black
-    vertices; returns (base graph, leaf counts per white vertex).  The
-    automorphism order is prod_i leaves_i!.
+    >>> [g.edges for g in enumerate_special_trees(2)]
+    [((0, 1),), ((0,), (0, 1)), ((1,), (0, 1))]
     """
     out = []
-    if n == 1:
-        # the unique base is the bare vertex; all valency goes to leaves
-        out.append((Graph(1, ()), (valencies[0],)))
-        return out
-    for base_val in _sub_valencies(valencies, minimum=1):
-        for g in enumerate_trees(n, base_val):
-            leaves = tuple(v - b for v, b in zip(valencies, base_val))
-            out.append((g, leaves))
-    return out
-
-
-def _sub_valencies(valencies: tuple[int, ...], minimum: int):
-    """All componentwise valency vectors between minimum and the target."""
-    if not valencies:
-        yield ()
-        return
-    first, rest = valencies[0], valencies[1:]
-    for v in range(minimum, first + 1):
-        for tail in _sub_valencies(rest, minimum):
-            yield (v,) + tail
-
-
-def enumerate_special_trees(n: int, valencies: tuple[int, ...]) -> list[Graph]:
-    """Trees of G'_{0,n}(r+1): one designated special black vertex, which
-    may be univalent; all other hyperedges have size >= 2.
-    """
-    out = []
-    # special vertex of size >= 1; remaining edges form a forest such that
-    # the whole graph is a tree with the prescribed valencies
-    pool = [e for e in _hyperedge_pool(n, max_size=n, min_size=1) if len(set(e)) == len(e)]
-    for sp in pool:
-        if any(valencies[i] < 1 for i in sp):
-            continue
-        rest_val = list(valencies)
-        for i in sp:
-            rest_val[i] -= 1
-        restpool = [e for e in _hyperedge_pool(n, max_size=n) if len(set(e)) == len(e)]
-
-        def rec(start: int, chosen: list[Hyperedge], deg: list[int]):
-            if all(d == v for d, v in zip(deg, rest_val)):
-                g = Graph(n, tuple([sp] + chosen), special=0)
-                # tree condition: #black + n - #edges = 1, i.e.
-                # sum_I (#I - 1) = n - 1 including the special vertex
-                if sum(len(e) - 1 for e in g.edges) == n - 1 and g.is_connected():
-                    out.append(g)
-            for k in range(start, len(restpool)):
-                e = restpool[k]
-                if all(deg[i] + e.count(i) <= rest_val[i] for i in set(e)):
-                    chosen.append(e)
-                    for i in e:
-                        deg[i] += 1
-                    rec(k, chosen, deg)
-                    for i in e:
-                        deg[i] -= 1
-                    chosen.pop()
-
-        rec(0, [], [0] * n)
-    return out
-
-
-def enumerate_special_leaf_trees(n: int, valencies: tuple[int, ...]):
-    """T'_n(r+1): special trees plus non-special univalent black vertices;
-    returns (graph with special index 0, leaf counts); Aut = prod leaves_i!.
-    """
-    out = []
-    for base_val in _sub_valencies(valencies, minimum=0):
-        for g in enumerate_special_trees(n, base_val):
-            leaves = tuple(v - b for v, b in zip(valencies, base_val))
-            out.append((g, leaves))
+    for tree in enumerate_graphs(n, 0):
+        edges = tree.edges
+        for k, sp in enumerate(edges):
+            out.append(Graph(n, (sp,) + edges[:k] + edges[k + 1:], special=0))
+        for i in range(n):
+            out.append(Graph(n, ((i,),) + edges, special=0))
     return out

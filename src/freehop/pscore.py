@@ -545,24 +545,6 @@ def surfaced_delta(d: int) -> dict[SurfPerm, Fraction]:
     return {(finest(d), symcore.identity(d), (0,) * d): Fraction(1)}
 
 
-def surfaced_multiplicative(d: int, gmax2: int, blockvalue):
-    """Total table of a multiplicative function on surfaced permutations.
-
-    ``blockvalue(mu, g2)`` gives the value on a one-block surfaced
-    permutation of cycle type mu with doubled genus g2.
-    """
-    out = {}
-    for part, s, g2 in enumerate_surfaced(d, gmax2):
-        v = None
-        cycs = symcore.cycles(s)
-        for bi, blk in enumerate(blocks_of(part)):
-            mu = symcore.sort_to_partition(len(c) for c in cycs if c[0] in blk)
-            bv = blockvalue(mu, g2[bi])
-            v = bv if v is None else v * bv
-        out[(part, s, g2)] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 

@@ -636,9 +636,6 @@ class Series:
             out[k] = self._slice_series(var, terms, ck)
         return out
 
-    def max_exp(self, var: str) -> int:
-        return max(self._exponents(var), default=0)
-
     def min_exp(self, var: str) -> int:
         return min(self._exponents(var), default=0)
 
@@ -856,13 +853,6 @@ def sigma_coefficients(K: int) -> dict[int, Fraction]:
         out[2 * j] = Fraction(1, 4**j * factorial(2 * j + 1))
         j += 1
     return out
-
-
-def sigma_series(K: int):
-    """sinh(t/2)/(t/2) as a truncated series in a placeholder variable."""
-    from .hbar import HbarSeries
-
-    return HbarSeries(sigma_coefficients(K), K)
 
 
 def apply_diagonal(s: Series, var: str, eigen) -> Series:

@@ -58,15 +58,6 @@ def table_equal(A: CoefficientTable, B: CoefficientTable, n=None, deg=None, g2=N
     return a == b
 
 
-def table_diff(A: CoefficientTable, B: CoefficientTable) -> dict:
-    keys = set(A) | set(B)
-    return {
-        k: (A.get(k, Fraction(0)), B.get(k, Fraction(0)))
-        for k in keys
-        if A.get(k, Fraction(0)) != B.get(k, Fraction(0))
-    }
-
-
 def random_table(seed: int, nmax: int, degmax: int, g2max: int = 0,
                  denominators=(1, 2, 3)) -> CoefficientTable:
     """Deterministic pseudo-random table with all admissible entries filled;

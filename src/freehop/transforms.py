@@ -372,6 +372,18 @@ def _apply_genus0_vertex(ev: Evaluator, S: Series, i: int, r: int) -> Series:
     return ev.pwd_sum(vparts, i)
 
 
+def _vertex_chain_sum(ev: Evaluator, by_val: dict[tuple, list[Series]]) -> Series:
+    """Sum over white valency vectors val of the genus-0 vertex operators
+    at valencies val applied to the summed edge products with that val."""
+    terms = []
+    for val, parts in by_val.items():
+        term = series_sum(parts)
+        for i in range(ev.n):
+            term = ev.prune_w(_apply_genus0_vertex(ev, term, i, val[i] - 1))
+        terms.append(term)
+    return series_sum(terms)
+
+
 def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
     """Genus-0 n-point relation: Lagrange inversion for n = 1, the closed
     two-point formula for n = 2, the tree sum for n >= 3.  sign=-1 runs the
@@ -386,20 +398,14 @@ def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> Co
         S = ev.reexpand(core) - ev.x_kernel(0, 1)
         return ev.extract_table(S, 0)
     by_val: dict[tuple, list[Series]] = {}
-    for tree in (g for g in graphs.enumerate_graphs(n, 0) if g.excess() == 0):
+    for tree in graphs.enumerate_graphs(n, 0):
         depths = _tree_kernel_depths(tree.edges, D)
         term = None
         for I in tree.edges:
             e = _edge_genus0(ev, I, depth=depths.get(I))
             term = e if term is None else term * e
         by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
-    terms = []
-    for val, parts in by_val.items():
-        term = series_sum(parts)
-        for i in range(n):
-            term = ev.prune_w(_apply_genus0_vertex(ev, term, i, val[i] - 1))
-        terms.append(term)
-    S = ev.reexpand(series_sum(terms))
+    S = ev.reexpand(_vertex_chain_sum(ev, by_val))
     return ev.extract_table(S, 0)
 
 
@@ -488,13 +494,9 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
         den = lcm(*(w.denominator for row in rows.values() for w in row))
         return {a: [int(w * den) for w in row] for a, row in rows.items()}, den
 
-    base_trees = (
-        [(graphs.Graph(1, ()), (0,))]
-        if n == 1
-        else [(g, g.valencies()) for g in graphs.enumerate_graphs(n, 0) if g.excess() == 0]
-    )
     acc_by_k: dict[tuple[int, ...], Fraction] = {}
-    for base, baseval in base_trees:
+    for base in graphs.enumerate_graphs(n, 0):
+        baseval = base.valencies()
         depths = _tree_kernel_depths(base.edges, D)
         term = None
         for I in base.edges:
@@ -577,21 +579,13 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
     vertex (which may be univalent): the special hyperedge carries the
     genus-1/2 cumulant series, all others the genus-0 ones."""
     ev = Evaluator(table, n, D, K=2)
-    terms = []
-    maxval = n + 1
-    for val in _valency_vectors(n, maxval):
-        for tree in graphs.enumerate_special_trees(n, val):
-            sp = tree.edges[0]
-            term = _edge_genus0(ev, sp, g2=1, shifted=False)
-            for I in tree.edges[1:]:
-                term = term * _edge_genus0(ev, I)
-            term = ev.prune_w(term)
-            for i in range(n):
-                term = ev.prune_w(_apply_genus0_vertex(ev, term, i, val[i] - 1))
-            terms.append(term)
-    if not terms:
-        return {}
-    S = ev.reexpand(series_sum(terms))
+    by_val: dict[tuple, list[Series]] = {}
+    for tree in graphs.enumerate_special_trees(n):
+        term = _edge_genus0(ev, tree.edges[0], g2=1, shifted=False)
+        for I in tree.edges[1:]:
+            term = term * _edge_genus0(ev, I)
+        by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
+    S = ev.reexpand(_vertex_chain_sum(ev, by_val))
     return ev.extract_table(S, 1)
 
 
@@ -601,13 +595,10 @@ def half_genus_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...]) 
     D = sum(ks)
     ev = Evaluator(table, n, D, K=2)
     one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap, ev.layout) for i in range(n)}
-    specials = []
-    for val in _valency_vectors(n, n + 1):
-        specials.extend((g, g.valencies()) for g in graphs.enumerate_special_trees(n, val))
     total = Fraction(0)
-    for base, baseval in specials:
-        sp = base.edges[0]
-        base_term = _edge_genus0(ev, sp, g2=1, shifted=False)
+    for base in graphs.enumerate_special_trees(n):
+        baseval = base.valencies()
+        base_term = _edge_genus0(ev, base.edges[0], g2=1, shifted=False)
         for I in base.edges[1:]:
             base_term = base_term * _edge_genus0(ev, I)
         for leaves in _leaf_vectors(n, D):
@@ -637,18 +628,6 @@ def half_genus_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...]) 
             if ok:
                 total += factor * coeff.scalar() / aut
     return total
-
-
-def _valency_vectors(n: int, maxval: int):
-    def rec(i):
-        if i == n:
-            yield ()
-            return
-        for v in range(1, maxval + 1):
-            for rest in rec(i + 1):
-                yield (v,) + rest
-
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,4 @@
-from freehop.graphs import (
-    Graph,
-    enumerate_graphs,
-    enumerate_leaf_trees,
-    enumerate_special_leaf_trees,
-    enumerate_special_trees,
-    enumerate_trees,
-)
+from freehop.graphs import Graph, enumerate_graphs, enumerate_special_trees
 
 
 def all_trees(n):
@@ -64,41 +57,32 @@ def test_connectedness_filter():
     assert not any(g.edges == ((0, 1),) for g in gs)
 
 
-def test_enumerate_trees_by_valency():
-    assert [t.edges for t in enumerate_trees(3, (2, 1, 1))] == [((0, 1), (0, 2))]
-    assert enumerate_trees(3, (3, 1, 1)) == []
-    assert [t.edges for t in enumerate_trees(1, (0,))] == [()]
+def test_special_tree_counts():
+    assert [len(enumerate_special_trees(n)) for n in (1, 2, 3, 4)] == [1, 3, 19, 189]
 
 
-def test_leaf_trees():
-    lt = enumerate_leaf_trees(1, (3,))
-    assert len(lt) == 1
-    base, leaves = lt[0]
-    assert base.edges == () and leaves == (3,)
-    lt2 = enumerate_leaf_trees(2, (2, 1))
-    assert len(lt2) == 1
-    base, leaves = lt2[0]
-    assert base.edges == ((0, 1),) and leaves == (1, 0)
+def test_special_trees_meet_the_definition():
+    for n in (1, 2, 3, 4):
+        seen = set()
+        for g in enumerate_special_trees(n):
+            sp, rest = g.edges[0], g.edges[1:]
+            assert g.special == 0
+            assert len(sp) >= 1 and len(set(sp)) == len(sp)
+            assert all(len(I) >= 2 and len(set(I)) == len(I) for I in rest)
+            assert sum(len(I) - 1 for I in g.edges) == n - 1
+            assert g.is_connected()
+            assert g.aut_order() == 1
+            key = (sp, tuple(sorted(rest)))
+            assert key not in seen
+            seen.add(key)
 
 
 def test_special_trees():
     # n = 1: only the univalent special vertex
-    assert [g.edges for g in enumerate_special_trees(1, (1,))] == [((0,),)]
-    # n = 2: three special trees in total
-    seen = []
-    for v0 in (1, 2):
-        for v1 in (1, 2):
-            seen += enumerate_special_trees(2, (v0, v1))
+    assert [g.edges for g in enumerate_special_trees(1)] == [((0,),)]
+    # n = 2: the marked edge {0, 1}, or a univalent special vertex at 0 or 1
+    seen = enumerate_special_trees(2)
     shapes = sorted(tuple(g.edges) for g in seen)
     assert shapes == [((0,), (0, 1)), ((0, 1),), ((1,), (0, 1))]
     for g in seen:
-        assert g.special == 0
-
-
-def test_special_leaf_trees_aut():
-    out = enumerate_special_leaf_trees(1, (3,))
-    # special univalent vertex plus 2 leaves, or the special may absorb all
-    shapes = {(g.edges, leaves) for g, leaves in out}
-    assert (((0,),), (2,)) in shapes
-    for g, leaves in out:
         assert g.special == 0

@@ -413,6 +413,17 @@ def test_half_genus_coefficient_route():
         assert half_genus_moment_coefficient(t, ks) == st.get((1, ks), F(0))
 
 
+def test_half_genus_three_points_match_oracle():
+    t = random_table(seed=401, nmax=3, degmax=5, g2max=1)
+    got = half_genus_moments_special_trees(t, 3, 5)
+    orc = oracles.hbar_moment_table(t, 5, 1, nmax=3)
+    want = {k: v for k, v in orc.items() if k[0] == 1 and len(k[1]) == 3}
+    assert want
+    assert table_equal(got, want, n=3, deg=5, g2=1)
+    for (_, ks), v in want.items():
+        assert half_genus_moment_coefficient(t, ks) == v
+
+
 # ---------------------------------------------------------------------------
 # duals
 
