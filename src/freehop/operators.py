@@ -21,6 +21,14 @@ u/v variables carry honest per-variable truncation windows; the series
 built once per evaluator (vertex weights, edge weights) are known to the
 working order hbar^K.
 
+The fixed inputs of an evaluation are built directly and memoised on its
+Evaluator, never at module level: each edge weight in one pass over the
+table entries and kernel terms (edge_weight), 1/C(w_i) and the
+coefficients of the change of variables w(X) by coefficient recursions
+(series.inverse_coeffs, and the integer Lagrange recursion
+series.lagrange_coeffs), and the powers of 1/C(w_i) once per vertex,
+shared by every B_r and by the genus-0 vertex pieces (at_y).
+
 The graph sum (graph_sum) reads one order, hbar^T, and only at
 w-exponents <= D, so it carries budgets instead of the full windows.  Each
 vertex operator adds at least v_i = vertex_h_floor(i) to the hbar
@@ -30,7 +38,12 @@ w-exponent.  So along a graph's edge product the hbar orders above
 T - sum_j v_j - (the remaining edges' lowest hbar exponents), and the w_i
 exponents above D - (the remaining edges' negative w_i reach), are dropped
 after each factor, and before vertex i the hbar orders above
-T - sum_{j >= i} v_j.  Only upper ends are cut: the lower w windows, and
+T - sum_{j >= i} v_j.  At vertex i, P B_r meets the u-slices of
+S * a_series(i), whose hbar window is no wider than hi - lo of S's, so
+P B_r is built only to that width plus its own declared lo, the order
+vertex i can still reach (never above T - sum_{j >= i} v_j while S's
+declared hbar lo is nonnegative); the orders above it would fall outside
+the product's window.  Only upper ends are cut: the lower w windows, and
 with them extract_table's checks for surviving negative or vanishing
 exponents, are those of the unbudgeted graph_term.  A product's window is
 min(hi_a + lo_b, hi_b + lo_a) over the declared lo, so the edge cuts are
@@ -49,13 +62,12 @@ from .graphs import Graph
 from .series import (
     INF,
     Series,
+    inverse_coeffs,
     kernel_series,
-    lagrange_invert,
+    lagrange_coeffs,
     layout,
-    poly1,
     series_sum,
     sigma_coefficients,
-    univariate_coeffs,
 )
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
@@ -137,22 +149,10 @@ class Evaluator:
         names = ("h",) + self.uvars + ("v", "t") + self.wvars
         self.layout = layout(names, (small,) * (len(names) - n) + (wide,) * n)
         self.sig = sigma_coefficients(K + 2)
-        self.sig_inv = self._invert_even(self.sig, K + 2)
+        self.sig_inv = inverse_coeffs(self.sig, K + 2)
         self._cache: dict = {}
 
     # -- small helpers -------------------------------------------------------
-    @staticmethod
-    def _invert_even(coeffs: dict[int, Fraction], K: int) -> dict[int, Fraction]:
-        inv = {0: Fraction(1)}
-        for m in range(2, K + 1, 2):
-            s = Fraction(0)
-            for e, v in coeffs.items():
-                if 0 < e <= m and (m - e) in inv:
-                    s += v * inv[m - e]
-            if s:
-                inv[m] = -s
-        return inv
-
     def _memo(self, key, build):
         if key not in self._cache:
             self._cache[key] = build()
@@ -180,7 +180,8 @@ class Evaluator:
         return self._memo(("C", i), lambda: self._w_atom(i, self.C_coeffs()))
 
     def invC(self, i: int) -> Series:
-        return self._memo(("invC", i), lambda: self.C(i).inverse())
+        return self._memo(("invC", i),
+                          lambda: self._w_atom(i, inverse_coeffs(self.C_coeffs(), self.D)))
 
     def P(self, i: int) -> Series:
         """The logarithmic-derivative factor d ln(input var) / d ln(output
@@ -188,58 +189,50 @@ class Evaluator:
 
             forward (sign +1): X = w / C(w),  P = C / (C - w C'),
             dual    (sign -1): w = X * M(X),  P = M / (M + X M').
+
+        Its coefficients to degree D are formed once, for every vertex.
         """
 
-        def build():
-            C = self.C(i)
-            D_ = C - C.wdw(self.wvars[i]) * self.sign
-            return C * D_.inverse()
+        def coeffs():
+            cs = self.C_coeffs()
+            inv = inverse_coeffs({k: c * (1 - self.sign * k) for k, c in cs.items()}, self.D)
+            out: dict[int, Fraction] = {}
+            for a, ca in cs.items():
+                for b, cb in inv.items():
+                    if a + b <= self.D:
+                        out[a + b] = out.get(a + b, 0) + ca * cb
+            return out
 
-        return self._memo(("P", i), build)
+        return self._memo(("P", i), lambda: self._w_atom(i, self._memo(("Pcoef",), coeffs)))
 
     def x_of_w_coeffs(self) -> dict[int, Fraction]:
         """Coefficients of the output variable as a series in the input
-        one: w/C(w) forward, X*M(X) dual."""
-
-        def build():
-            c = self._w_atom(0, self.C_coeffs())
-            v = Series.variable((self.wvars[0],), self.wvars[0], cap=self.cap,
-                                layout=self.layout)
-            x = v * (c.inverse() if self.sign > 0 else c)
-            return univariate_coeffs(x, self.wvars[0])
-
-        return self._memo(("Xcoef",), build)
+        one, to degree D: w/C(w) forward, X*M(X) dual."""
+        cs = self.C_coeffs()
+        factor = inverse_coeffs(cs, self.D - 1) if self.sign > 0 else cs
+        return {e + 1: c for e, c in factor.items() if e < self.D}
 
     def w_of_x_coeffs(self, depth: int) -> dict[int, Fraction]:
-        """Inverse series of the change of variables, for re-expansion."""
+        """Coefficients to X^depth of the inverse of the change of
+        variables, for re-expansion: w = X phi(w) with phi = C forward
+        (X = w/C(w)) and phi = 1/C dual (X = w C(w)), by the integer
+        Lagrange recursion of series.lagrange_coeffs.  On GUE, C = 1 + w^2,
+        the forward coefficients are the Catalan numbers:
+
+        >>> from freehop.tables import gue_table
+        >>> wc = Evaluator(gue_table(), 1, 8, K=2).w_of_x_coeffs(7)
+        >>> [wc[k] for k in (1, 3, 5, 7)]
+        [Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(5, 1)]
+        """
 
         def build():
-            c_coeffs = self.C_coeffs()
-            cs = poly1("t", {e: v for e, v in c_coeffs.items()}, hi=depth + 1)
-            factor = cs.inverse() if self.sign > 0 else cs
-            x = (poly1("t", {1: Fraction(1)}, hi=depth + 1) * factor).restrict(
-                "t", 0, depth
-            )
-            w = lagrange_invert(x, "t", depth)
-            return univariate_coeffs(w, "t")
+            cs = self.C_coeffs()
+            phi = cs if self.sign > 0 else inverse_coeffs(cs, depth - 1)
+            return lagrange_coeffs(phi, depth)
 
         return self._memo(("wofx", depth), build)
 
-    # -- sigma slot factors ----------------------------------------------------
-    def _slot_factor(self, i: int, k: int) -> Series:
-        """hbar * u_i * sigma(hbar u_i k) as a series in (h, u_i)."""
-        key = ("slot", i, abs(k))
-        if key in self._cache:
-            return self._cache[key]
-        vars = ("h", self.uvars[i])
-        data = {}
-        for e2, c in self.sig.items():
-            if e2 + 1 <= self.K:
-                data[(e2 + 1, e2 + 1)] = c * (k ** e2)
-        s = Series(vars, (0, 0), (self.K, INF), data, layout=self.layout)
-        self._cache[key] = s
-        return s
-
+    # -- sigma operators -------------------------------------------------------
     def _hu_sigma_each(self, s: Series, i: int) -> Series:
         """Multiply each monomial by hbar u_i sigma(hbar u_i k) with k its
         w_i-exponent (the diagonal action of the hyperbolic-sine kernel):
@@ -361,17 +354,30 @@ class Evaluator:
         self._cache[("Braw", r)] = out
         return out
 
-    def b_series(self, i: int, r: int) -> Series:
-        """B_r at the i-th vertex: the t-picture specialised at y = C(w_i)."""
+    def at_y(self, s: Series, i: int) -> Series:
+        """s, a series in t = 1/y, at y = C(w_i).  The powers of 1/C(w_i)
+        are formed once per vertex and shared by every call."""
+        return s.substitute("t", self.invC(i), powers=self._cache.setdefault(("invCpow", i), {}))
+
+    def b_series(self, i: int, r: int, hmax: int | None = None) -> Series:
+        """B_r at the i-th vertex: b_raw(r), known to hbar^hmax (hmax = K
+        when None, and never above K), specialised at y = C(w_i).  The cut
+        comes before the substitution, so the hbar orders above hmax and
+        the powers of 1/C(w_i) only they reach are never formed."""
+        hmax = self.K if hmax is None else min(hmax, self.K)
 
         def build():
-            return self.b_raw(r).substitute("t", self.invC(i))
+            b = self.b_raw(r)
+            if hmax < self.K:
+                b = b.restrict("h", -INF, hmax)
+            return self.at_y(b, i)
 
-        return self._memo(("B", i, r), build)
+        return self._memo(("B", i, r, hmax), build)
 
-    def pb_series(self, i: int, r: int) -> Series:
-        """P(w_i) B_r at the i-th vertex."""
-        return self._memo(("PB", i, r), lambda: self.P(i) * self.b_series(i, r))
+    def pb_series(self, i: int, r: int, hmax: int | None = None) -> Series:
+        """P(w_i) B_r at the i-th vertex, known to hbar^hmax as in b_series."""
+        hmax = self.K if hmax is None else min(hmax, self.K)
+        return self._memo(("PB", i, r, hmax), lambda: self.P(i) * self.b_series(i, r, hmax))
 
     def pwd(self, s: Series, i: int, m: int = 1) -> Series:
         """(P(w_i) w_i d/dw_i)^m applied to s."""
@@ -395,54 +401,79 @@ class Evaluator:
 
     # -- hyperedge weights --------------------------------------------------------
     def edge_weight(self, I: tuple[int, ...]) -> Series:
-        """c(u_I, w_I) for the hyperedge (multiset) I, with the genus-0
-        kernel included for off-diagonal pairs and per-slot diagonal sigma
-        operators applied before identifying repeated variables."""
+        """c(u_I, w_I) for the hyperedge (multiset) I: the sum over the table
+        entries F_{g2; k} with #k = #I (each ordering k of the slots) and,
+        for an off-diagonal pair, the genus-0 kernel terms k w_a^k w_b^-k, of
+
+            F_{g2; k} hbar^(g2 - 2 + #I) prod_s w_s^k_s hbar u_s sigma(hbar u_s k_s),
+
+        that is, the per-slot diagonal sigma operators applied before
+        repeated variables are identified.  Built in one pass: each term's
+        slot factors are expanded into one coefficient dict, from which one
+        Series is made.  Its windows are those of the term-by-term product:
+        hbar from the lowest g2 - 2 + #I to K plus that lowest order when it
+        is negative, each w from its most negative exponent, u from 0."""
 
         def build():
             m = len(I)
-            terms = []
             entries = []
             for (g2, ks), val in self.table.items():
-                if len(ks) == m and sum(ks) <= self.D:
+                if len(ks) == m and sum(ks) <= self.D and g2 - 2 + m <= self.K:
                     for comp in _distinct_permutations(ks):
-                        entries.append((g2, comp, val))
+                        entries.append((g2 - 2 + m, comp, val))
             if m == 2 and I[0] != I[1]:
                 for k in range(1, self.kernel_depth + 1):
-                    entries.append((0, (k, -k), Fraction(k)))
-            for g2, comp, val in entries:
-                hexp = g2 - 2 + m
-                if hexp > self.K:
-                    continue
-                term = Series(("h",), (hexp,), (self.K,), {(hexp,): val}, layout=self.layout)
-                # w-monomial
-                wexp: dict[str, int] = {}
-                for slot, k in zip(I, comp):
-                    wv = self.wvars[slot]
-                    wexp[wv] = wexp.get(wv, 0) + k
-                wvars = tuple(sorted(wexp))
-                wmono = Series(
-                    wvars,
-                    tuple(min(wexp[v], 0) for v in wvars),
-                    (INF,) * len(wvars),
-                    {tuple(wexp[v] for v in wvars): 1},
-                    self.cap,
-                    self.layout,
-                )
-                term = term * wmono
-                for slot, k in zip(I, comp):
-                    term = term * self._slot_factor(slot, k)
-                terms.append(term)
-            if not terms:
+                    entries.append((m - 2, (k, -k), Fraction(k)))
+            if not entries:
                 return Series.zero(("h",), hi=(self.K,), layout=self.layout)
-            return series_sum(terms)
+            wvars = tuple(sorted({self.wvars[s] for s in I}))
+            uvars = tuple(dict.fromkeys(self.uvars[s] for s in I))
+            vars = ("h",) + wvars + uvars
+            wpos = [vars.index(self.wvars[s]) for s in I]
+            upos = [vars.index(self.uvars[s]) for s in I]
+            hlo = min(e[0] for e in entries)
+            hhi = self.K + min(0, hlo)
+            wlo = [0] * len(vars)
+            sig = sorted(self.sig.items())
+            factors: dict[int, list] = {}  # by k: [(d, sig_(d-1) k^(d-1))]
+            data: dict[tuple, Fraction] = {}
+            for hexp, comp, val in entries:
+                base = [0] * len(vars)
+                base[0] = hexp
+                for p, k in zip(wpos, comp):
+                    base[p] += k
+                for p in wpos:
+                    wlo[p] = min(wlo[p], base[p])
+                # the slot factors hbar u sigma(hbar u k), one at a time
+                terms = {tuple(base): val}
+                for p, k in zip(upos, comp):
+                    factor = factors.get(k)
+                    if factor is None:
+                        factor = factors[k] = [(e2 + 1, c * k ** e2) for e2, c in sig]
+                    nxt: dict[tuple, Fraction] = {}
+                    for e, c in terms.items():
+                        for d, f in factor:
+                            if e[0] + d > hhi:
+                                break
+                            e1 = list(e)
+                            e1[0] += d
+                            e1[p] += d
+                            e1 = tuple(e1)
+                            nxt[e1] = nxt.get(e1, 0) + c * f
+                    terms = nxt
+                for e, c in terms.items():
+                    data[e] = data.get(e, 0) + c
+            lo = (hlo,) + tuple(wlo[1:])
+            hi = (hhi,) + tuple(INF + x for x in wlo[1:])
+            return Series(vars, lo, hi, data, self.cap, self.layout)
 
         return self._memo(("edge", tuple(I)), build)
 
     # -- full vertex reduction -------------------------------------------------------
-    def reduce_vertex(self, S: Series, i: int) -> Series:
+    def reduce_vertex(self, S: Series, i: int, hmax: int | None = None) -> Series:
         """Apply the full operator weight at vertex i to the series S
-        (which may depend on h, u_i, w_* and other u's)."""
+        (which may depend on h, u_i, w_* and other u's), with P B_r known
+        to hbar^hmax (to hbar^K when None)."""
         uv = self.uvars[i]
         S = S * self.a_series(i)
         # u-extraction and B-sum
@@ -452,7 +483,7 @@ class Evaluator:
             parts = {0: S}
         # only r >= 0 enters; the hbar^(-1) u^(-1) unit is accounted for
         # by the n = 1 delta correction
-        terms = [self.pb_series(i, r) * part for r, part in parts.items() if r >= 0]
+        terms = [self.pb_series(i, r, hmax) * part for r, part in parts.items() if r >= 0]
         if not terms:
             return Series.zero(("h",), hi=(self.K,), layout=self.layout)
         T = series_sum(terms)
@@ -474,13 +505,19 @@ class Evaluator:
             S = self.prune_w(self.reduce_vertex(S, i))
         return S * Fraction(1, g.aut_order())
 
+    def pb_h_floor(self) -> int:
+        """The declared hbar lo of every P B_r: that of b_raw(0), since
+        (d_y + sign v/y), the substitution t = 1/C(w_i) and P keep the
+        hbar window."""
+        b = self.b_raw(0)
+        return b.lo[b.idx("h")]
+
     def vertex_h_floor(self, i: int) -> int:
         """A floor on the hbar exponent the operator at vertex i adds: the
         declared lo of a_series plus that of P B_r, which reduce_vertex's
-        product windows are built from.  (d_y + sign v/y) keeps the hbar
-        degree, so every r has the hbar window of r = 0."""
-        a, pb = self.a_series(i), self.pb_series(i, 0)
-        return a.lo[a.idx("h")] + pb.lo[pb.idx("h")]
+        product windows are built from."""
+        a = self.a_series(i)
+        return a.lo[a.idx("h")] + self.pb_h_floor()
 
     def _tight_edge(self, I: tuple[int, ...]) -> Series:
         """edge_weight(I) with every declared lo raised to its lowest
@@ -524,14 +561,19 @@ class Evaluator:
         S = series_sum(products)
         for i in range(self.n):
             S = S.restrict("h", -INF, T - after[i])
-            S = self.prune_w(self.reduce_vertex(S, i))
+            # P B_r meets the u-slices of S * a_series(i), whose hbar window
+            # is no wider than S's: its orders above that width plus its
+            # own lo fall outside the products' windows
+            h = S.idx("h")
+            hmax = S.hi[h] - S.lo[h] + self.pb_h_floor()
+            S = self.prune_w(self.reduce_vertex(S, i, hmax))
         return S
 
     # -- n = 1 correction -------------------------------------------------------------
     def delta_series(self, g2: int) -> Series:
         """Delta_g(X) in the w-picture: [hbar^(2g)] sum_m (P w d/dw)^m
         ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C )."""
-        bexp = self.b_raw(0).substitute("t", self.invC(0))
+        bexp = self.at_y(self.b_raw(0), 0)
         core = bexp * (self.P(0) * self.C(0).wdw(self.wvars[0]))
         vparts = core.coeff_dict("v") if "v" in core.vars else {0: core}
         parts = {mp1 - 1: part for mp1, part in vparts.items() if mp1 >= 1}

@@ -682,9 +682,11 @@ class Series:
     def substitute(self, var: str, g: "Series", powers: dict | None = None) -> "Series":
         """Replace ``var`` by the series g (in any variables not including
         ``var``).  Powers g^k for the occurring exponents k are formed
-        exactly; negative k require g to have valuation 1 in exactly one
-        variable (Laurent re-expansion) or be a unit.  A caller-owned
-        ``powers`` cache avoids re-forming g^k across invocations.
+        exactly, each by one product from the power next to it toward 0
+        (g^k = g^(k-1) g, g^-k = g^(1-k) g^-1); negative k require g to
+        have valuation 1 in exactly one variable (Laurent re-expansion) or
+        be a unit.  A caller-owned ``powers`` cache avoids re-forming g^k
+        across invocations.
 
         g must not carry a total-degree cap when negative powers occur:
         capping a series that is later inverted discards needed data.
@@ -700,13 +702,17 @@ class Series:
             powers = {}
 
         def g_power(k: int) -> Series:
-            if k in powers:
-                return powers[k]
-            if k >= 0:
-                p = g ** k
-            else:
-                p = g.laurent_power(k)
-            powers[k] = p
+            p = powers.get(k)
+            if p is None:
+                if k > 1:
+                    p = g_power(k - 1) * g
+                elif k < -1:
+                    p = g_power(k + 1) * g_power(-1)
+                elif k >= 0:
+                    p = g ** k
+                else:
+                    p = g.laurent_power(k)
+                powers[k] = p
             return p
 
         cap = self._cap_without(var)
@@ -894,6 +900,65 @@ def kernel_series(wi: str, wj: str, vars, depth: int, cap=None, layout=None) -> 
     return Series(vars, lo, (INF,) * n, data, cap, layout)
 
 
+def inverse_coeffs(coeffs: dict[int, Fraction], top: int) -> dict[int, Fraction]:
+    """Coefficients through degree top of 1/f, for f = 1 + O(w) given as
+    {exponent: coefficient} with nonnegative exponents; zeros are not
+    stored.
+
+    >>> inverse_coeffs({0: 1, 2: 1}, 6)
+    {0: Fraction(1, 1), 2: Fraction(-1, 1), 4: Fraction(1, 1), 6: Fraction(-1, 1)}
+    """
+    if coeffs.get(0) != 1 or any(e < 0 for e in coeffs):
+        raise ValueError("expected a series 1 + O(w)")
+    tail = sorted((e, Fraction(c)) for e, c in coeffs.items() if e > 0 and c)
+    inv = {0: Fraction(1)}
+    for m in range(1, top + 1):
+        s = 0
+        for e, c in tail:
+            if e > m:
+                break
+            q = inv.get(m - e)
+            if q is not None:
+                s += c * q
+        if s:
+            inv[m] = -s
+    return inv
+
+
+def lagrange_coeffs(phi: dict[int, Fraction], D: int) -> dict[int, Fraction]:
+    """[X^k] w(X) for k = 1..D, where w = X phi(w) and phi is given as
+    {exponent: coefficient}: by Lagrange inversion [X^k] w = [w^(k-1)]
+    phi^k / k.  The powers phi^k are integer lists over one denominator,
+    cut at w^(D-1), the highest coefficient read.
+
+    >>> sorted(lagrange_coeffs({0: 1, 2: 1}, 7).items())
+    [(1, Fraction(1, 1)), (3, Fraction(1, 1)), (5, Fraction(2, 1)), (7, Fraction(5, 1))]
+    """
+    if any(e < 0 for e in phi):
+        raise ValueError("phi must be a power series")
+    top = D - 1
+    kept = {e: Fraction(c) for e, c in phi.items() if e <= top and c}
+    den = lcm(*(c.denominator for c in kept.values())) if kept else 1
+    base = [(e, c.numerator * (den // c.denominator)) for e, c in sorted(kept.items())]
+    out = {}
+    power, pden = [1] + [0] * top, 1  # phi^0
+    for k in range(1, D + 1):
+        nxt = [0] * (top + 1)
+        for e, c in base:
+            for j in range(top + 1 - e):
+                if power[j]:
+                    nxt[j + e] += c * power[j]
+        pden *= den
+        g = gcd(pden, *nxt)
+        if g != 1:
+            nxt = [v // g for v in nxt]
+            pden //= g
+        power = nxt
+        if power[k - 1]:
+            out[k] = Fraction(power[k - 1], pden * k)
+    return out
+
+
 def lagrange_invert(x_of_w: Series, var: str, D: int) -> Series:
     """Inverse series w(X) of X(w) = w*(1 + O(w)), to degree D, in the same
     variable name; X(w(X)) = X + O(X^(D+1)).
@@ -909,15 +974,6 @@ def lagrange_invert(x_of_w: Series, var: str, D: int) -> Series:
         raise ValueError("expected a series w*(1 + O(w)) with unit linear term")
     if x_of_w.hi[x_of_w.idx(var)] < D:
         raise TruncationError("input known only to degree %d < %d" % (x_of_w.hi[0], D))
-    # Lagrange inversion: w = X phi(w) with phi = w / X(w), so that
-    # [X^k] w(X) = [w^(k-1)] phi^k / k; phi is needed to degree D - 1
-    a = {1: Fraction(1)}
-    if D >= 2:
-        phi = poly1(var, {e - 1: c for e, c in cs.items() if e <= D}, hi=D - 1).inverse()
-        power = phi
-        for k in range(2, D + 1):
-            power = power * phi
-            c = univariate_coeffs(power, var).get(k - 1)
-            if c:
-                a[k] = c / k
-    return poly1(var, a, hi=D)
+    # w = X phi(w) with phi = w / X(w), needed to degree D - 1
+    phi = inverse_coeffs({e - 1: c for e, c in cs.items() if e <= D}, D - 1)
+    return poly1(var, lagrange_coeffs(phi, D), hi=D)

@@ -312,27 +312,45 @@ def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool =
                  depth: int | None = None) -> Series:
     """Genus-fixed hyperedge series: G_{g, #I}(w_I) with the double-pole
     kernel (to the given depth) added for shifted off-diagonal pairs at
-    genus 0."""
+    genus 0.  Memoised on the evaluator."""
     m = len(I)
-    wvars = tuple(sorted({ev.wvars[slot] for slot in I}))
-    data: dict[tuple, Fraction] = {}
-    for (tg2, ks), val in ev.table.items():
-        if tg2 != g2 or len(ks) != m or sum(ks) > ev.D:
-            continue
-        for comp in _distinct_permutations(ks):
-            wexp = dict.fromkeys(wvars, 0)
-            for slot, k in zip(I, comp):
-                wexp[ev.wvars[slot]] += k
-            e = tuple(wexp.values())
-            data[e] = data.get(e, 0) + val
-    parts = []
-    if data:
-        parts.append(Series(wvars, (0,) * len(wvars), (INF,) * len(wvars), data, ev.cap, ev.layout))
-    if shifted and g2 == 0 and m == 2 and I[0] != I[1]:
-        parts.append(ev.x_kernel(I[0], I[1], depth))
-    if not parts:
-        return Series.zero((ev.wvars[I[0]],), cap=ev.cap, layout=ev.layout)
-    return series_sum(parts)
+    kernel = shifted and g2 == 0 and m == 2 and I[0] != I[1]
+
+    def build():
+        wvars = tuple(sorted({ev.wvars[slot] for slot in I}))
+        data: dict[tuple, Fraction] = {}
+        for (tg2, ks), val in ev.table.items():
+            if tg2 != g2 or len(ks) != m or sum(ks) > ev.D:
+                continue
+            for comp in _distinct_permutations(ks):
+                wexp = dict.fromkeys(wvars, 0)
+                for slot, k in zip(I, comp):
+                    wexp[ev.wvars[slot]] += k
+                e = tuple(wexp.values())
+                data[e] = data.get(e, 0) + val
+        parts = []
+        if data:
+            parts.append(Series(wvars, (0,) * len(wvars), (INF,) * len(wvars), data, ev.cap,
+                                ev.layout))
+        if kernel:
+            parts.append(ev.x_kernel(I[0], I[1], depth))
+        if not parts:
+            return Series.zero((ev.wvars[I[0]],), cap=ev.cap, layout=ev.layout)
+        return series_sum(parts)
+
+    return ev._memo(("edge0", tuple(I), g2, kernel, depth if kernel else None), build)
+
+
+def _tree_product(ev: Evaluator, edges) -> Series | None:
+    """The product of the genus-0 hyperedge series of a tree's edges (or of
+    the kernel-carrying edges of a special tree), with the kernel depths of
+    _tree_kernel_depths; None for no edges."""
+    depths = _tree_kernel_depths(edges, ev.D)
+    term = None
+    for I in edges:
+        e = _edge_genus0(ev, I, depth=depths.get(I))
+        term = e if term is None else term * e
+    return term
 
 
 def _tree_kernel_depths(edges, D: int) -> dict[tuple[int, ...], int]:
@@ -365,7 +383,7 @@ def _apply_genus0_vertex(ev: Evaluator, S: Series, i: int, r: int) -> Series:
     """The genus-0 operator piece: sum_m (P w d/dw)^m P [v^m] b_r with
     y = C(w_i), applied to S."""
     braw = _genus0_b_polys(ev, r)
-    T = (ev.P(i) * braw.substitute("t", ev.invC(i))) * S
+    T = (ev.P(i) * ev.at_y(braw, i)) * S
     vparts = T.coeff_dict("v") if "v" in T.vars else {0: T}
     if not vparts:
         return Series.zero((ev.wvars[i],), cap=ev.cap, layout=ev.layout)
@@ -399,11 +417,7 @@ def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> Co
         return ev.extract_table(S, 0)
     by_val: dict[tuple, list[Series]] = {}
     for tree in graphs.enumerate_graphs(n, 0):
-        depths = _tree_kernel_depths(tree.edges, D)
-        term = None
-        for I in tree.edges:
-            e = _edge_genus0(ev, I, depth=depths.get(I))
-            term = e if term is None else term * e
+        term = _tree_product(ev, tree.edges)
         by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
     S = ev.reexpand(_vertex_chain_sum(ev, by_val))
     return ev.extract_table(S, 0)
@@ -497,11 +511,7 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
     acc_by_k: dict[tuple[int, ...], Fraction] = {}
     for base in graphs.enumerate_graphs(n, 0):
         baseval = base.valencies()
-        depths = _tree_kernel_depths(base.edges, D)
-        term = None
-        for I in base.edges:
-            e = _edge_genus0(ev, I, depth=depths.get(I))
-            term = e if term is None else term * e
+        term = _tree_product(ev, base.edges)
         if term is None:
             term = Series.const(ev.wvars, 1, ev.cap, ev.layout)
         # sequential tensor contraction over integer numerators: replace
@@ -574,6 +584,17 @@ def allgenus_moments(table: CoefficientTable, n: int, g2: int, D: int, sign: int
     return ev.extract_table(S, g2)
 
 
+def _special_tree_product(ev: Evaluator, tree: graphs.Graph) -> Series:
+    """The edge product of a special tree: the genus-1/2 series of the
+    special hyperedge edges[0] (no kernel) times the genus-0 product of the
+    other edges.  That product is memoised on the evaluator by the other
+    edges, so the n univalent marks of one tree share their tree's."""
+    rest = tree.edges[1:]
+    others = ev._memo(("tree", rest), lambda: _tree_product(ev, rest))
+    special = _edge_genus0(ev, tree.edges[0], g2=1, shifted=False)
+    return special if others is None else special * others
+
+
 def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) -> CoefficientTable:
     """Genus-1/2 functional relation via trees with one special black
     vertex (which may be univalent): the special hyperedge carries the
@@ -581,9 +602,7 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
     ev = Evaluator(table, n, D, K=2)
     by_val: dict[tuple, list[Series]] = {}
     for tree in graphs.enumerate_special_trees(n):
-        term = _edge_genus0(ev, tree.edges[0], g2=1, shifted=False)
-        for I in tree.edges[1:]:
-            term = term * _edge_genus0(ev, I)
+        term = _special_tree_product(ev, tree)
         by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
     S = ev.reexpand(_vertex_chain_sum(ev, by_val))
     return ev.extract_table(S, 1)
@@ -598,9 +617,7 @@ def half_genus_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...]) 
     total = Fraction(0)
     for base in graphs.enumerate_special_trees(n):
         baseval = base.valencies()
-        base_term = _edge_genus0(ev, base.edges[0], g2=1, shifted=False)
-        for I in base.edges[1:]:
-            base_term = base_term * _edge_genus0(ev, I)
+        base_term = _special_tree_product(ev, base)
         for leaves in _leaf_vectors(n, D):
             rvec = tuple(v + l - 1 for v, l in zip(baseval, leaves))
             factor = Fraction(1)

@@ -5,6 +5,7 @@ import pytest
 import freehop.graphs
 import freehop.hbar
 import freehop.hurwitz
+import freehop.operators
 import freehop.oracles
 import freehop.pscore
 import freehop.series
@@ -19,6 +20,7 @@ MODULES = [
     freehop.hurwitz,
     freehop.series,
     freehop.graphs,
+    freehop.operators,
     freehop.oracles,
     freehop.tables,
     freehop.transforms,

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 
-from freehop.operators import Evaluator, npoint_series, series_to_table
-from freehop.series import Series, apply_diagonal, poly1, univariate_coeffs
+from freehop.operators import Evaluator, _distinct_permutations, npoint_series, series_to_table
+from freehop.series import INF, Series, apply_diagonal, poly1, series_sum, univariate_coeffs
 from freehop.tables import gue_table, random_table
 from freehop.transforms import _genus0_b_polys
 
@@ -140,3 +141,99 @@ def test_vertex_operator_full_genus0_reduction():
             want = term if want is None else want + term
         diff = got - want
         assert all(v == 0 for v in diff.data.values())
+
+
+def _edge_weight_term_by_term(ev, I):
+    """The hyperedge weight built term by term: for each table entry and
+    kernel term, one Series for hbar^hexp, one for the w-monomial and one
+    product per slot factor hbar u sigma(hbar u k)."""
+    m = len(I)
+    entries = []
+    for (g2, ks), val in ev.table.items():
+        if len(ks) == m and sum(ks) <= ev.D:
+            for comp in _distinct_permutations(ks):
+                entries.append((g2, comp, val))
+    if m == 2 and I[0] != I[1]:
+        for k in range(1, ev.kernel_depth + 1):
+            entries.append((0, (k, -k), Fraction(k)))
+    terms = []
+    for g2, comp, val in entries:
+        hexp = g2 - 2 + m
+        if hexp > ev.K:
+            continue
+        term = Series(("h",), (hexp,), (ev.K,), {(hexp,): val})
+        wexp = {}
+        for slot, k in zip(I, comp):
+            wexp[ev.wvars[slot]] = wexp.get(ev.wvars[slot], 0) + k
+        wvars = tuple(sorted(wexp))
+        term = term * Series(wvars, tuple(min(wexp[v], 0) for v in wvars), (INF,) * len(wvars),
+                             {tuple(wexp[v] for v in wvars): 1}, ev.cap)
+        for slot, k in zip(I, comp):
+            data = {(e2 + 1, e2 + 1): c * k ** e2 for e2, c in ev.sig.items() if e2 + 1 <= ev.K}
+            term = term * Series(("h", ev.uvars[slot]), (0, 0), (ev.K, INF), data)
+        terms.append(term)
+    if not terms:
+        return Series.zero(("h",), hi=(ev.K,))
+    return series_sum(terms)
+
+
+def _windows(s):
+    return dict(zip(s.vars, zip(s.lo, s.hi)))
+
+
+@pytest.mark.parametrize("K", [2, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("I", [(0, 1), (0, 0), (0, 1, 2), (0, 0, 1)])
+def test_edge_weight_one_pass_equals_term_by_term(I, sign, K):
+    t = random_table(seed=31, nmax=3, degmax=4, g2max=2)
+    ev = Evaluator(t, 3, 4, K=K, sign=sign)
+    got = ev.edge_weight(I)
+    want = _edge_weight_term_by_term(ev, I)
+    assert got == want
+    # at K = 2 a three-slot weight starts past hbar^K: empty, windows kept
+    assert got.is_zero() == (K == 2 and len(I) == 3)
+    assert _windows(got) == _windows(want)
+
+
+def _x_of_w(C, sign, depth):
+    """X(w) = w/C(w) (sign +1) or w C(w) (sign -1) to w^depth, in plain
+    Fraction loops."""
+    if sign > 0:
+        inv = {0: Fraction(1)}
+        for m in range(1, depth):
+            inv[m] = -sum(C.get(e, 0) * inv[m - e] for e in range(1, m + 1))
+        factor = inv
+    else:
+        factor = C
+    return {e + 1: c for e, c in factor.items() if e + 1 <= depth and c}
+
+
+def _compose(x, w, depth):
+    """x(w(X)) to X^depth, both given as {exponent: coefficient}."""
+    out = {}
+    power = {0: Fraction(1)}
+    for j in range(1, depth + 1):
+        nxt = {}
+        for a, ca in power.items():
+            for b, cb in w.items():
+                if a + b <= depth:
+                    nxt[a + b] = nxt.get(a + b, 0) + ca * cb
+        power = nxt
+        for e, c in power.items():
+            out[e] = out.get(e, 0) + x.get(j, 0) * c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("table", ["random", "gue"])
+def test_w_of_x_inverts_the_change_of_variables(table, sign):
+    t = random_table(seed=17, nmax=1, degmax=7) if table == "random" else gue_table()
+    D, depth = 7, 15
+    ev = Evaluator(t, 1, D, K=2, sign=sign)
+    C = {0: Fraction(1)}
+    for (g2, ks), v in t.items():
+        if g2 == 0 and len(ks) == 1 and ks[0] <= D:
+            C[ks[0]] = Fraction(v)
+    w = ev.w_of_x_coeffs(depth)
+    assert w[1] == 1 and all(1 <= e <= depth for e in w)
+    assert _compose(_x_of_w(C, sign, depth), w, depth) == {1: Fraction(1)}
