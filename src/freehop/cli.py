@@ -283,7 +283,7 @@ def suite_infinitesimal(deg: int = 4) -> dict:
         want = {k: v for k, v in orc.items() if k[0] == 1 and len(k[1]) == n}
         cases.append(
             _case(
-                "special trees n=%d == surfaced oracle" % n,
+                "special trees n=%d == hbar-graded oracle" % n,
                 True,
                 tables.table_equal(got, want, n=n, deg=deg, g2=1),
             )

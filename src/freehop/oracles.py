@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the transform routes.
 
-These stay deliberately elementary: direct sums over factorizations of
-partitioned permutations, and surface-gluing counts by Euler
-characteristic.  They share no series or operator machinery with the
-routes they check.
+These stay deliberately elementary: one direct walk over the
+factorizations (0_alpha, alpha) (.) (B, beta) = (1_d, pi_lam), counted by
+hbar order and block cycle types and evaluated in plain Fractions, and
+surface-gluing counts by Euler characteristic.  They share no series or
+operator machinery with the routes they check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 from itertools import permutations as _all_perms
 
 from . import symcore
-from .hbar import HbarSeries
 from .symcore import Partition
 from .tables import CoefficientTable, table_get
 
@@ -43,8 +43,10 @@ def _partitions_into_blocks(m: int, nb: int):
     yield from rec(0, 0)
 
 
-def _joins_to_full(d: int, groups_a, groups_b) -> bool:
-    parent = list(range(d))
+def _joins_to_full(m: int, groups_a, groups_b) -> bool:
+    """Whether the groups of range(m) in groups_a and groups_b together
+    connect all of range(m), by union-find."""
+    parent = list(range(m))
 
     def find(x):
         while parent[x] != x:
@@ -64,7 +66,54 @@ def _joins_to_full(d: int, groups_a, groups_b) -> bool:
         for x in grp[1:]:
             union(grp[0], x)
     r0 = find(0)
-    return all(find(x) == r0 for x in range(d))
+    return all(find(x) == r0 for x in range(m))
+
+
+def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Partition, ...]], int]:
+    """Counts of the factorizations
+
+        (0_alpha, alpha) (.) (B, beta) = (1_d, pi_lam),  0_alpha v B = 1_d,
+
+    keyed by (|alpha|, sorted cycle types of beta on the blocks of B), for
+    those whose lowest hbar order |alpha| + d + #cyc(beta) - 2 #blocks(B)
+    is at most K.  That order is |alpha| + |(B, beta)|, which is at least
+    |(1_d, pi_lam)| = d + ell(lam) - 2 with an even difference, so each
+    beta fixes a range of block counts; beta is skipped when the range is
+    empty, before any partition of its cycles is listed.
+    """
+    d = sum(lam)
+    pi = symcore.canonical_permutation(lam)
+    target_col = d + len(lam) - 2
+    out: dict[tuple[int, tuple[Partition, ...]], int] = {}
+    for beta in _all_perms(range(d)):
+        alpha = symcore.compose(pi, symcore.inverse(beta))
+        cycs_a = symcore.cycles(alpha)
+        cycs_b = symcore.cycles(beta)
+        m = len(cycs_b)
+        col_a = d - len(cycs_a)
+        span = col_a + d + m  # the order is span - 2 #blocks(B)
+        nb_lo = max(1, (span - K + 1) // 2)
+        nb_hi = min(m, (span - target_col) // 2)
+        if nb_lo > nb_hi:
+            continue
+        # the cycles of beta that one cycle of alpha meets, as groups of
+        # cycle indices; B must join them into one
+        owner = [0] * d
+        for i, cyc in enumerate(cycs_b):
+            for x in cyc:
+                owner[x] = i
+        links = [tuple({owner[x] for x in cyc}) for cyc in cycs_a]
+        linked = _joins_to_full(m, links, ())
+        lens = [len(cyc) for cyc in cycs_b]
+        for nb in range(nb_lo, nb_hi + 1):
+            for grouping in _partitions_into_blocks(m, nb):
+                if not (linked or _joins_to_full(m, links, grouping)):
+                    continue
+                key = (col_a, tuple(sorted(
+                    symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping
+                )))
+                out[key] = out.get(key, 0) + 1
+    return out
 
 
 def star_factorization_counts(lam: Partition) -> dict[tuple[Partition, ...], int]:
@@ -75,38 +124,16 @@ def star_factorization_counts(lam: Partition) -> dict[tuple[Partition, ...], int
     grouped by the multiset of cycle types of beta restricted to the blocks
     of B.  This is the entire combinatorial content of the genus-0
     zeta-convolution against a multiplicative function; evaluating a table
-    is then a weighted sum over this dictionary.
+    is then a weighted sum over this dictionary.  These are the
+    factorizations of the lowest hbar order d + ell(lam) - 2, where
+    colength is additive.
     """
     d = sum(lam)
     if d == 0:
         return {(): 1}
-    pi = symcore.canonical_permutation(lam)
-    target_col = d + len(lam) - 2  # |(1_d, pi_lam)|
     out: dict[tuple[Partition, ...], int] = {}
-    for beta in _all_perms(range(d)):
-        alpha = symcore.compose(pi, symcore.inverse(beta))
-        col_a = symcore.colength(alpha)
-        col_b = symcore.colength(beta)
-        twice_b = target_col - col_a + col_b  # = 2|B|
-        if twice_b < 0 or twice_b % 2:
-            continue
-        nb = d - twice_b // 2
-        cycs_b = symcore.cycles(beta)
-        m = len(cycs_b)
-        if not 1 <= nb <= m:
-            continue
-        cycs_a = symcore.cycles(alpha)
-        for grouping in _partitions_into_blocks(m, nb):
-            blocks_pts = [sum((cycs_b[i] for i in grp), ()) for grp in grouping]
-            if not _joins_to_full(d, cycs_a, blocks_pts):
-                continue
-            key = tuple(
-                sorted(
-                    symcore.sort_to_partition(len(cycs_b[i]) for i in grp)
-                    for grp in grouping
-                )
-            )
-            out[key] = out.get(key, 0) + 1
+    for (_, types), c in _factorization_counts(lam, d + len(lam) - 2).items():
+        out[types] = out.get(types, 0) + c
     return out
 
 
@@ -182,52 +209,43 @@ def genus0_moment_by_convolution(cum_table: CoefficientTable, ks) -> Fraction:
 # full hbar-graded oracle (all genus, including half-integer)
 
 
-def hbar_moment_series(table: CoefficientTable, lam: Partition, K: int) -> HbarSeries:
-    """phi_hbar(1_d, pi_lam) = (zeta_hbar (*) Phi_dual)(1_d, pi_lam) by
-    direct summation over factorizations with the join condition:
+def hbar_moment_series(table: CoefficientTable, lam: Partition, K: int) -> dict[int, Fraction]:
+    """phi_hbar(1_d, pi_lam) = (zeta_hbar (*) Phi_dual)(1_d, pi_lam) to
+    hbar^K, as {order: nonzero coefficient}, by direct summation over
+    factorizations with the join condition:
 
         sum over alpha beta = pi_lam, B >= 0_beta, 0_alpha v B = 1_d
-        of hbar^|alpha| prod over blocks of the graded block value.
+        of hbar^|alpha| prod over blocks of the graded block value,
+
+    where a block of cycle type mu has value sum_g2 hbar^(|mu| + ell(mu) -
+    2 + g2) F_{g2; mu}.
     """
-    d = sum(lam)
-    if d == 0:
-        return HbarSeries.one(K)
-    pi = symcore.canonical_permutation(lam)
-    bv_cache: dict[Partition, HbarSeries] = {}
+    if sum(lam) == 0:
+        return {0: Fraction(1)}
+    blocks: dict[Partition, dict[int, Fraction]] = {}
 
-    def blockvalue(mu: Partition) -> HbarSeries:
-        if mu not in bv_cache:
+    def blockvalue(mu: Partition) -> dict[int, Fraction]:
+        if mu not in blocks:
             base = sum(mu) + len(mu) - 2
-            coeffs = {}
-            for g2 in range(0, K - base + 1):
-                v = table_get(table, g2, mu)
-                if v:
-                    coeffs[base + g2] = v
-            bv_cache[mu] = HbarSeries(coeffs, K)
-        return bv_cache[mu]
+            vals = {base + g2: table_get(table, g2, mu) for g2 in range(0, K - base + 1)}
+            blocks[mu] = {e: v for e, v in vals.items() if v}
+        return blocks[mu]
 
-    acc = HbarSeries.zero(K)
-    for beta in _all_perms(range(d)):
-        alpha = symcore.compose(pi, symcore.inverse(beta))
-        col_a = symcore.colength(alpha)
-        if col_a > K:
-            continue
-        cycs_a = symcore.cycles(alpha)
-        cycs_b = symcore.cycles(beta)
-        m = len(cycs_b)
-        for nb in range(1, m + 1):
-            for grouping in _partitions_into_blocks(m, nb):
-                blocks_pts = [sum((cycs_b[i] for i in grp), ()) for grp in grouping]
-                if not _joins_to_full(d, cycs_a, blocks_pts):
-                    continue
-                term = HbarSeries.monomial(1, col_a, K)
-                for grp in grouping:
-                    mu = symcore.sort_to_partition(len(cycs_b[i]) for i in grp)
-                    term = term * blockvalue(mu)
-                    if term.is_zero():
-                        break
-                acc = acc + term
-    return acc
+    acc: dict[int, Fraction] = {}
+    for (col_a, types), count in _factorization_counts(lam, K).items():
+        term = {col_a: Fraction(count)}
+        for mu in types:
+            nxt: dict[int, Fraction] = {}
+            for e1, v1 in term.items():
+                for e2, v2 in blockvalue(mu).items():
+                    if e1 + e2 <= K:
+                        nxt[e1 + e2] = nxt.get(e1 + e2, 0) + v1 * v2
+            term = nxt
+            if not term:
+                break
+        for e, v in term.items():
+            acc[e] = acc.get(e, 0) + v
+    return {e: v for e, v in acc.items() if v}
 
 
 def hbar_moment_table(table: CoefficientTable, dmax: int, g2max: int, nmax: int | None = None) -> CoefficientTable:
@@ -241,7 +259,7 @@ def hbar_moment_table(table: CoefficientTable, dmax: int, g2max: int, nmax: int 
             K = base + g2max
             series = hbar_moment_series(table, lam, K)
             for g2 in range(0, g2max + 1):
-                v = series.coeff(base + g2)
+                v = series.get(base + g2)
                 if v:
                     out[(g2, lam)] = v
     return out

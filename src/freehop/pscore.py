@@ -1,9 +1,10 @@
-"""Set partitions, partitioned permutations, surfaced permutations, and the
-convolution algebra on them (zeta, Moebius, plain and hbar-extended).
+"""Set partitions, partitioned permutations and the convolution algebra on
+them (zeta, Moebius, plain and hbar-extended), and the factorization counts
+of a one-block target (1_d, pi_lam) that the convolution routes evaluate.
 
 A set partition of [d] is stored canonically as a tuple ``ids`` of length d
 mapping each point to its block id, blocks numbered 0, 1, ... in order of
-their least element.  Half-integer genera are stored doubled (as ints).
+their least element.
 """
 
 from __future__ import annotations
@@ -158,28 +159,13 @@ def set_partitions_of(n: int):
 
 
 # ---------------------------------------------------------------------------
-# partitioned and surfaced permutations
+# partitioned permutations
 
 PartPerm = tuple[SetPartition, Perm]
-# surfaced: (partition, perm, genus2) with genus2 a tuple of doubled genera,
-# one per block (indexed by block id)
-SurfPerm = tuple[SetPartition, Perm, tuple[int, ...]]
-
-
-def pp_valid(x: PartPerm) -> bool:
-    return leq(orbit_partition(x[1]), x[0])
 
 
 def pp_colength(x: PartPerm) -> int:
     return 2 * part_colength(x[0]) - symcore.colength(x[1])
-
-
-def sp_colength(x: SurfPerm) -> int:
-    return pp_colength((x[0], x[1])) + sum(x[2])
-
-
-def sp_is_even(x: SurfPerm) -> bool:
-    return all(g2 % 2 == 0 for g2 in x[2])
 
 
 def unit_pp(d: int) -> PartPerm:
@@ -202,55 +188,6 @@ def product_strict(x: PartPerm, y: PartPerm) -> PartPerm | None:
     return None
 
 
-def _restrict_colength_data(part: SetPartition, perm: Perm, block: set[int]):
-    """Colength of (A, a) restricted to a union-of-blocks subset."""
-    pts = [x for x in range(len(part)) if x in block]
-    nb = len({part[x] for x in pts})
-    ncyc = sum(1 for cyc in symcore.cycles(perm) if cyc[0] in block)
-    return 2 * (len(pts) - nb) - (len(pts) - ncyc)
-
-
-def surfaced_product_extended(x: SurfPerm, y: SurfPerm) -> SurfPerm:
-    """Extended product with genus creation: on each joined block C,
-
-        k(C) = [ |(A,a,g)|_C + |(B,b,h)|_C - |(A v B, a o b)|_C ] / 2.
-    """
-    (pa, a, g2a), (pb, b, g2b) = x, y
-    pc = join(pa, pb)
-    c = symcore.compose(a, b)
-    k2 = []
-    for blk in blocks_of(pc):
-        bs = set(blk)
-        ca = _restrict_colength_data(pa, a, bs) + sum(
-            g2a[pa[pt]] for pt in _block_least_points(pa, bs)
-        )
-        cb = _restrict_colength_data(pb, b, bs) + sum(
-            g2b[pb[pt]] for pt in _block_least_points(pb, bs)
-        )
-        cc = _restrict_colength_data(pc, c, bs)
-        k2.append(ca + cb - cc)
-    assert all(v >= 0 for v in k2)
-    return (pc, c, tuple(k2))
-
-
-def _block_least_points(part: SetPartition, inside: set[int]):
-    seen = set()
-    for x in sorted(inside):
-        if part[x] not in seen:
-            seen.add(part[x])
-            yield x
-
-
-def surfaced_product_strict(x: SurfPerm, y: SurfPerm) -> SurfPerm | None:
-    """Product keeping only colength-additive (no genus creation) cases;
-    block genera then just add."""
-    if pp_colength((x[0], x[1])) + pp_colength((y[0], y[1])) != pp_colength(
-        (join(x[0], y[0]), symcore.compose(x[1], y[1]))
-    ):
-        return None
-    return surfaced_product_extended(x, y)
-
-
 def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
     """All of PS(d): pairs (A, a) with 0_a <= A."""
     if d > bound:
@@ -259,28 +196,6 @@ def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
     for s in _all_perms(range(d)):
         for part in coarsenings(orbit_partition(s)):
             out.append((part, s))
-    return out
-
-
-def enumerate_genus_maps(nblocks: int, total2: int):
-    """All genus vectors (doubled) of length nblocks with given total."""
-    if nblocks == 0:
-        if total2 == 0:
-            yield ()
-        return
-    for h in range(total2 + 1):
-        for rest in enumerate_genus_maps(nblocks - 1, total2 - h):
-            yield (h,) + rest
-
-
-def enumerate_surfaced(d: int, gmax2: int, bound: int = 6) -> list[SurfPerm]:
-    """All surfaced permutations with total doubled genus <= gmax2."""
-    out = []
-    for part, s in enumerate_ps(d, bound):
-        nb = num_blocks(part)
-        for t2 in range(gmax2 + 1):
-            for g2 in enumerate_genus_maps(nb, t2):
-                out.append((part, s, g2))
     return out
 
 
@@ -508,44 +423,6 @@ def infinitesimal_order(phi_h: dict[PartPerm, HbarSeries]):
 
 
 # ---------------------------------------------------------------------------
-# surfaced convolution (total tables on PS(d) up to a genus cutoff)
-
-
-def surfaced_convolve(f, g, kind: str = "extended"):
-    """Convolution of total tables on surfaced permutations."""
-    out: dict[SurfPerm, object] = {}
-    for x, fx in f.items():
-        if _is_zero(fx):
-            continue
-        for y, gy in g.items():
-            if _is_zero(gy):
-                continue
-            if kind == "extended":
-                z = surfaced_product_extended(x, y)
-            else:
-                z = surfaced_product_strict(x, y)
-                if z is None:
-                    continue
-            term = fx * gy
-            if z in out:
-                out[z] = out[z] + term
-            else:
-                out[z] = term
-    return out
-
-
-def surfaced_zeta(d: int) -> dict[SurfPerm, Fraction]:
-    return {
-        (orbit_partition(s), s, (0,) * len(symcore.cycles(s))): Fraction(1)
-        for s in _all_perms(range(d))
-    }
-
-
-def surfaced_delta(d: int) -> dict[SurfPerm, Fraction]:
-    return {(finest(d), symcore.identity(d), (0,) * d): Fraction(1)}
-
-
-# ---------------------------------------------------------------------------
 # JSON serialization
 
 
@@ -555,22 +432,3 @@ def setpartition_to_json(part: SetPartition) -> list[list[int]]:
 
 def setpartition_from_json(arr, d: int) -> SetPartition:
     return from_blocks(d, [[x - 1 for x in blk] for blk in arr])
-
-
-def surfaced_to_json(x: SurfPerm) -> dict:
-    part, perm, g2 = x
-    return {
-        "partition": setpartition_to_json(part),
-        "perm": symcore.perm_to_json(perm),
-        "genus2": {str(i): v for i, v in enumerate(g2)},
-    }
-
-
-def surfaced_from_json(obj) -> SurfPerm:
-    perm = symcore.perm_from_json(obj["perm"])
-    part = setpartition_from_json(obj["partition"], len(perm))
-    g2 = tuple(obj["genus2"].get(str(i), 0) for i in range(num_blocks(part)))
-    sp = (part, perm, g2)
-    if not pp_valid((part, perm)):
-        raise ValueError("cycles not contained in blocks")
-    return sp

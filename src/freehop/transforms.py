@@ -432,25 +432,6 @@ def _binom_factor(k: int, r: int, sign: int) -> Fraction:
     return Fraction((-1) ** r * factorial(r + k - 1), factorial(k - 1))
 
 
-def _leaf_vectors(n: int, total: int):
-    def rec(i, rem):
-        if i == n:
-            yield ()
-            return
-        for l in range(rem + 1):
-            for rest in rec(i + 1, rem - l):
-                yield (l,) + rest
-
-    return rec(0, total)
-
-
-def genus0_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...], sign: int = 1) -> Fraction:
-    """One coefficient F_{0; ks} of the coefficient-wise genus-0 relation:
-    the entry of genus0_coefficient_table at n = len(ks), D = sum(ks)."""
-    out = genus0_coefficient_table(table, len(ks), sum(ks), sign)
-    return out.get((0, sort_to_partition(ks)), Fraction(0))
-
-
 def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
     """All F_{0; k_1..k_n} with total degree <= D by the coefficient-wise
     tree relation over trees with univalent leaves:
@@ -460,12 +441,25 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
 
     with factor k!/(k-r)! forward and (-1)^r (r+k-1)!/(k-1)! dual; each
     leaf carries one factor (G_{0,1} - 1) of valuation >= 1, so leaves
-    beyond total degree D never contribute.  The sum over the leaves is
-    contracted into one weight per (valency, k_i, exponent) applied to one
-    series product per base tree; the binomial factors (which depend on
-    the target exponents) enter that contraction.
+    beyond total degree D never contribute.  The leaves are summed by
+    _leaf_contraction over the trees of enumerate_graphs(n, 0).
     """
     ev = Evaluator(table, n, D, K=2, sign=sign)
+    bare = Series.const(ev.wvars, 1, ev.cap, ev.layout)  # the product of no edges
+    products = ((tree.valencies(), _tree_product(ev, tree.edges) or bare)
+                for tree in graphs.enumerate_graphs(n, 0))
+    return _leaf_contraction(ev, products, 0)
+
+
+def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
+    """The table at doubled genus g2 of the coefficient-wise relation over
+    base trees with univalent leaves, from the (white valencies, edge
+    product) pair of each base tree.  The sum over the leaves is contracted
+    into one weight per (valency, k_i, exponent) applied to the base tree's
+    product; the binomial factors (which depend on the target exponents)
+    enter that contraction.
+    """
+    n, D, sign = ev.n, ev.D, ev.sign
     # leaf-weight matrices: W[v][k][a] = sum_l factor(k, v+l-1)/l! *
     # [w^(k-a)] (C-1)^l, contracting the whole leaf sum at white valency v
     one_pows: list[dict[int, Fraction]] = [{0: Fraction(1)}]
@@ -509,15 +503,15 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
         return {a: [int(w * den) for w in row] for a, row in rows.items()}, den
 
     acc_by_k: dict[tuple[int, ...], Fraction] = {}
-    for base in graphs.enumerate_graphs(n, 0):
-        baseval = base.valencies()
-        term = _tree_product(ev, base.edges)
-        if term is None:
-            term = Series.const(ev.wvars, 1, ev.cap, ev.layout)
+    for baseval, term in products:
         # sequential tensor contraction over integer numerators: replace
         # one a_i axis by the k_i axis at a time, weighting with
-        # W(v_i, k_i, a_i) over one denominator per axis
+        # W(v_i, k_i, a_i) over one denominator per axis.  A term reaches
+        # only targets with k_i >= max(1, a_i), so one whose exponents
+        # need more than degree D is dropped first.
         state, den = ev.prune_w(term).numerators(ev.wvars)
+        state = {key: val for key, val in state.items()
+                 if sum(max(1, a) for a in key) <= D}
         for i in range(n):
             wrows, wden = integer_weights(baseval[i], {key[i] for key in state})
             den *= wden
@@ -546,7 +540,7 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
             raise AssertionError("asymmetric coefficient route at %r" % (key,))
         v = next(iter(vals))
         if v:
-            out[(0, key)] = v
+            out[(g2, key)] = v
     return out
 
 
@@ -608,43 +602,15 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
     return ev.extract_table(S, 1)
 
 
-def half_genus_moment_coefficient(table: CoefficientTable, ks: tuple[int, ...]) -> Fraction:
-    """Coefficient-wise genus-1/2 relation over special trees with leaves."""
-    n = len(ks)
-    D = sum(ks)
+def half_genus_coefficient_table(table: CoefficientTable, n: int, D: int) -> CoefficientTable:
+    """All F_{1/2; k_1..k_n} with total degree <= D by the coefficient-wise
+    genus-1/2 relation: the leaf contraction of genus0_coefficient_table
+    over the special trees, whose special hyperedge carries the genus-1/2
+    cumulant series."""
     ev = Evaluator(table, n, D, K=2)
-    one = {i: ev.C(i) - Series.const((ev.wvars[i],), 1, ev.cap, ev.layout) for i in range(n)}
-    total = Fraction(0)
-    for base in graphs.enumerate_special_trees(n):
-        baseval = base.valencies()
-        base_term = _special_tree_product(ev, base)
-        for leaves in _leaf_vectors(n, D):
-            rvec = tuple(v + l - 1 for v, l in zip(baseval, leaves))
-            factor = Fraction(1)
-            for k, r in zip(ks, rvec):
-                factor *= _binom_factor(k, r, 1)
-                if factor == 0:
-                    break
-            if factor == 0:
-                continue
-            term = base_term
-            aut = 1
-            for i, li in enumerate(leaves):
-                if li:
-                    term = term * one[i] ** li
-                    aut *= factorial(li)
-            coeff = term
-            ok = True
-            for i in range(n):
-                wv = ev.wvars[i]
-                if wv in coeff.vars:
-                    coeff = coeff.coeff(wv, ks[i])
-                elif ks[i] != 0:
-                    ok = False
-                    break
-            if ok:
-                total += factor * coeff.scalar() / aut
-    return total
+    products = ((tree.valencies(), _special_tree_product(ev, tree))
+                for tree in graphs.enumerate_special_trees(n))
+    return _leaf_contraction(ev, products, 1)
 
 
 # ---------------------------------------------------------------------------

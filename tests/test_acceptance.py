@@ -210,7 +210,7 @@ def test_criterion_08_gue_fixture():
 def test_criterion_09_infinitesimal():
     """The genus-1/2 one-point output satisfies the dln relation
     coefficient-wise to degree 10, and the special-tree route agrees with
-    the surfaced brute-force oracle for n <= 2, d <= 5."""
+    the hbar-graded brute-force oracle for n <= 2, d <= 5."""
     ok = True
     # n = 1, degree 10: closed form P(w) G_{1/2,1}(w) against the graph
     # route, i.e. the dln identity between the two one-point series
@@ -227,14 +227,14 @@ def test_criterion_09_infinitesimal():
     lhs = ev.reexpand(ev.P(0) * ghalf)
     got = ev.extract_table(lhs, 1)
     ok = ok and table_equal(got, closed, deg=10, g2=1)
-    # special-tree route vs surfaced oracle, n <= 2, d <= 5
+    # special-tree route vs hbar-graded oracle, n <= 2, d <= 5
     for n in (1, 2):
         t = random_table(seed=6001 + n, nmax=2, degmax=5, g2max=1)
         got = transforms.half_genus_moments_special_trees(t, n, 5)
         orc = oracles.hbar_moment_table(t, 5, 1, nmax=n)
         want = {k: v for k, v in orc.items() if k[0] == 1 and len(k[1]) == n}
         ok = ok and table_equal(got, want, n=n, deg=5, g2=1)
-    _report(9, "infinitesimal (genus 1/2) relations and surfaced oracle", ok)
+    _report(9, "infinitesimal (genus 1/2) relations and hbar-graded oracle", ok)
 
 
 def test_criterion_10_moebius_inversions():

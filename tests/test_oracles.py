@@ -1,7 +1,11 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
-from freehop import oracles, tables
+import pytest
+
+from freehop import oracles, pscore, symcore, tables
 from freehop.oracles import (
     genus0_moment_by_convolution,
     hbar_moment_series,
@@ -70,17 +74,17 @@ def test_hbar_oracle_matches_genus0():
 def test_hbar_oracle_gue_genus1():
     series = hbar_moment_series(tables.gue_table(), (4,), 5)
     # phi(1_4, pi_(4)) = hbar^3 F_{0;4} + hbar^5 F_{1;4} (base d+l-2 = 3)
-    assert series.coeff(3) == 2
-    assert series.coeff(5) == 1
-    assert series.coeff(4) == 0
+    assert series.get(3, 0) == 2
+    assert series.get(5, 0) == 1
+    assert series.get(4, 0) == 0
 
 
 def test_hbar_oracle_half_genus_grading():
     t = {(0, (1,)): F(1), (1, (1,)): F(1, 2)}
     series = hbar_moment_series(t, (1,), 3)
     # d = 1: base grading l + d - 2 = 0
-    assert series.coeff(0) == 1
-    assert series.coeff(1) == F(1, 2)
+    assert series.get(0, 0) == 1
+    assert series.get(1, 0) == F(1, 2)
 
 
 def test_star_cache_disk(tmp_path, monkeypatch):
@@ -110,3 +114,36 @@ def test_star_cache_checks_lambda(tmp_path, monkeypatch):
         assert oracles.star_counts_cached((2, 1)) == want
         assert json.loads(path.read_text())["lambda"] == [2, 1]
     oracles._star_cache.clear()
+
+
+def _freehop_imports(source: str):
+    """The freehop modules a module's source imports."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level == 0 and not mod.startswith("freehop"):
+                continue
+            mod = mod.removeprefix("freehop").lstrip(".")
+            if mod:
+                yield mod.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("freehop."):
+                    yield alias.name.split(".")[1]
+
+
+def test_oracles_import_no_route_code():
+    # an oracle that imports the code it checks is not an oracle: oracles
+    # may use only the partition helpers and the table schema
+    used = set(_freehop_imports(Path(oracles.__file__).read_text()))
+    assert used <= {"symcore", "tables"}, used
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_graded_counts_match_target_factorizations(d):
+    # two independently written walks over the same factorizations; every
+    # order is at most |alpha| + d + #cyc(beta) - 2 <= 3d - 3
+    for lam in symcore.partitions(d):
+        assert oracles._factorization_counts(lam, 3 * d) == dict(pscore.target_factorizations(lam))

@@ -11,7 +11,6 @@ from freehop.pscore import (
     coarsest,
     delta_function,
     enumerate_ps,
-    enumerate_surfaced,
     finest,
     from_blocks,
     join,
@@ -23,10 +22,6 @@ from freehop.pscore import (
     pp_colength,
     product_extended,
     product_strict,
-    sp_colength,
-    sp_is_even,
-    surfaced_product_extended,
-    surfaced_product_strict,
     unit_pp,
     zeta_function,
     zeta_hbar,
@@ -101,57 +96,6 @@ def test_enumerate_ps_sizes():
     }
     with pytest.raises(ValueError):
         enumerate_ps(7)
-
-
-def test_surfaced_product_genus_creation():
-    d = 2
-    swap = (1, 0)
-    # colength-additive case: the creation term vanishes
-    x = (orbit_partition(swap), swap, (0,))
-    z = surfaced_product_extended(x, x)
-    assert z == (coarsest(d), (0, 1), (0,))
-    assert sp_colength(z) == sp_colength(x) + sp_colength(x)
-    # genuine creation: ({12}, id) squared gains one unit of genus
-    y = (coarsest(d), (0, 1), (0,))
-    z2 = surfaced_product_extended(y, y)
-    assert z2 == (coarsest(d), (0, 1), (2,))
-    assert sp_colength(z2) == sp_colength(y) + sp_colength(y)
-
-
-def test_surfaced_strict_matches_plain_on_genus_zero():
-    for x in enumerate_ps(3):
-        for y in enumerate_ps(3):
-            sx = (x[0], x[1], (0,) * pscore.num_blocks(x[0]))
-            sy = (y[0], y[1], (0,) * pscore.num_blocks(y[0]))
-            plain = product_strict(x, y)
-            surf = surfaced_product_strict(sx, sy)
-            if plain is None:
-                assert surf is None
-            else:
-                assert surf[:2] == plain
-                assert all(g == 0 for g in surf[2])
-
-
-def test_surfaced_strict_adds_genera():
-    d = 3
-    # x = ({1,2},(12)) + singleton, genus 1/2 on the first block
-    part = from_blocks(d, [[0, 1], [2]])
-    swap = symcore.from_cycles(d, [(0, 1)])
-    x = (part, swap, (1, 0))
-    y = (part, swap, (0, 1))
-    z = surfaced_product_strict(x, y)
-    assert z is not None
-    assert z[1] == (0, 1, 2)
-    assert sum(z[2]) == 2
-    assert sp_colength(z) == sp_colength(x) + sp_colength(y)
-
-
-def test_evenness_preserved():
-    elems = enumerate_surfaced(3, 2)
-    for x in elems[:40]:
-        for y in elems[:40]:
-            if sp_is_even(x) and sp_is_even(y):
-                assert sp_is_even(surfaced_product_extended(x, y))
 
 
 def test_zeta_values():
@@ -348,19 +292,6 @@ def test_infinitesimal_agreement_of_extended_convolution():
 def test_convolve_truncation_mismatch():
     with pytest.raises(ValueError, match="truncation mismatch"):
         convolve(zeta_hbar(2, 4), zeta_hbar(2, 6), "extended")
-
-
-def test_surfaced_zeta_delta():
-    d = 3
-    sz = pscore.surfaced_zeta(d)
-    sd = pscore.surfaced_delta(d)
-    conv = pscore.surfaced_convolve(sd, sz, "extended")
-    assert {k: v for k, v in conv.items() if v} == sz
-
-
-def test_surfaced_json_roundtrip():
-    x = (from_blocks(3, [[0, 1], [2]]), symcore.from_cycles(3, [(0, 1)]), (1, 0))
-    assert pscore.surfaced_from_json(pscore.surfaced_to_json(x)) == x
 
 
 def test_setpartition_json():
