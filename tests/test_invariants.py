@@ -4,8 +4,8 @@
 
 from freehop import oracles, tables, transforms
 from freehop.operators import Evaluator
+from freehop.series import Series
 from freehop.tables import random_table
-from freehop.transforms import _genus0_b_polys
 
 
 def test_sigma_has_no_odd_terms_to_12():
@@ -17,8 +17,10 @@ def test_sigma_has_no_odd_terms_to_12():
 def test_genus0_vertex_operator_v_degree_bound():
     # (d_y + v/y)^r . 1 has v-degree at most r
     ev = Evaluator(tables.gue_table(), 1, 4, K=2)
+    b = Series.const(("v", "t"), 1, layout=ev.layout)  # t = 1/y
     for r in range(6):
-        b = _genus0_b_polys(ev, r)
+        if r:
+            b = ev._apply_dy_plus_v_over_y(b)
         iv = b.idx("v")
         assert max((e[iv] for e in b.data), default=0) <= r
 

@@ -1,12 +1,10 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from freehop.operators import Evaluator, _distinct_permutations, npoint_series, series_to_table
-from freehop.series import INF, Series, apply_diagonal, poly1, series_sum, univariate_coeffs
+from freehop.operators import Evaluator, _distinct_permutations
+from freehop.series import INF, Series, series_sum, univariate_coeffs
 from freehop.tables import gue_table, random_table
-from freehop.transforms import _genus0_b_polys
 
 
 def F(a, b=1):
@@ -38,30 +36,6 @@ def test_p_is_dlog_inverse():
     prod = dlogX * ev.P(0)
     assert prod.data[(0,)] == 1
     assert all(v == 0 for e, v in prod.data.items() if 0 < e[0] <= 12)
-
-
-def test_genus0_vertex_pieces():
-    ev = Evaluator(gue_table(), 1, 6, K=2)
-    # r = 0: only m = 0 with coefficient 1
-    b0 = _genus0_b_polys(ev, 0)
-    assert b0.data == {(0, 0): F(1)}
-    # r = 1: (d_y + v/y) . 1 = v/y -> v t
-    b1 = _genus0_b_polys(ev, 1)
-    assert b1.data == {(1, 1): F(1)}
-    # r = 2: (v^2 - v)/y^2
-    b2 = _genus0_b_polys(ev, 2)
-    assert b2.data == {(2, 2): F(1), (1, 2): F(-1)}
-
-
-def test_apply_diagonal_eigenvector():
-    # sigma-type diagonal action: w^3 picks eigenvalue at k = 3
-    s = poly1("w", {3: F(1)})
-
-    def eigen(k):
-        return poly1("u", {k: F(1)})
-
-    out = apply_diagonal(s, "w", eigen)
-    assert out.data == {(3, 3): F(1)} and set(out.vars) == {"w", "u"}
 
 
 def test_edge_weight_leading_order():
@@ -107,35 +81,19 @@ def test_edge_weight_diagonal():
     assert low == {tuple(2 if i in (ih, iu, iw) else 0 for i in range(len(c.vars))): F(1)}
 
 
-def test_npoint_series_builders():
-    # empty table, n = 1, genus 0: the conventional constant 1
-    s = npoint_series({}, 0, ("w0",), 6)
-    assert s.data == {(0,): F(1)}
-    # table {F_{0;2} = 1} gives 1 + w^2
-    s2 = npoint_series({(0, (2,)): F(1)}, 0, ("w0",), 6)
-    assert s2.data == {(0,): F(1), (2,): F(1)}
-    # round trip on random symmetric tables
-    rng = random.Random(3)
-    t = {}
-    for ks in [(1, 1), (2, 1), (3, 2), (2, 2)]:
-        t[(0, ks)] = F(rng.randint(1, 9))
-    s3 = npoint_series(t, 0, ("w0", "w1"), 5)
-    assert series_to_table(s3, 0, ("w0", "w1"), 5) == t
-
-
 def test_vertex_operator_full_genus0_reduction():
     # the hbar^0-order of the full vertex weight applied to a u-monomial
     # reproduces the genus-0 operator piece O_r at r = degree - 1
     t = random_table(seed=9, nmax=1, degmax=4)
     ev = Evaluator(t, 1, 4, K=4)
-    from freehop.series import INF
-
+    b = Series.const(("v", "t"), 1, layout=ev.layout)  # (d_y + v/y)^r . 1, t = 1/y
     for r in (0, 1, 2):
         probe = Series(("h", "u0"), (2, r + 1), (ev.K, INF), {(2, r + 1): F(1)})
         got = ev.reduce_vertex(probe, 0).coeff("h", 1)
-        b = _genus0_b_polys(ev, r).substitute("t", ev.invC(0))
+        if r:
+            b = ev._apply_dy_plus_v_over_y(b)
         want = None
-        vparts = b.coeff_dict("v")
+        vparts = b.substitute("t", ev.invC(0)).coeff_dict("v")
         for m, part in vparts.items():
             term = ev.pwd(ev.P(0) * part, 0, m)
             want = term if want is None else want + term

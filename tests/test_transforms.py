@@ -11,9 +11,7 @@ from freehop.transforms import (
     blockvalue_series,
     convolution_forward,
     default_K,
-    genus0_coefficient_table,
     genus0_moments,
-    half_genus_coefficient_table,
     half_genus_moments_special_trees,
     master_forward,
     master_inverse,
@@ -259,13 +257,11 @@ def test_cxm_functional_equation():
 def test_genus0_routes_vs_convolution_oracle(n):
     t = random_table(seed=50 + n, nmax=n, degmax=5)
     got = genus0_moments(t, n, 5)
-    coeff = genus0_coefficient_table(t, n, 5)
     for ks in tables._index_tuples(n, 5):
         if len(ks) != n:
             continue
         want = oracles.genus0_moment_by_convolution(t, ks)
         assert got.get((0, ks), F(0)) == want
-        assert coeff.get((0, ks), F(0)) == want
 
 
 def test_genus0_two_point_formula_anchor():
@@ -280,8 +276,8 @@ def test_genus0_two_point_formula_anchor():
 
 
 def test_tree_route_symmetric_output():
-    # symmetry is asserted inside extract_table; a run on an asymmetric
-    # random table exercises it
+    # symmetry is asserted inside the leaf contraction; a run on an
+    # asymmetric random table exercises it
     t = random_table(seed=55, nmax=3, degmax=6)
     genus0_moments(t, 3, 6)
 
@@ -303,7 +299,17 @@ def test_allgenus_02_equals_closed_form():
 def test_allgenus_01_special_case():
     t = random_table(seed=61, nmax=1, degmax=5)
     got = allgenus_moments(t, 1, 0, 5)
-    assert table_equal(got, genus0_moments(t, 1, 5))
+    for k in range(1, 6):
+        assert got.get((0, (k,)), F(0)) == oracles.genus0_moment_by_convolution(t, (k,))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_genus0_tree_route_equals_graph_sum(n, sign):
+    # the leaf contraction over the trees against the full vertex
+    # operators over the graphs of excess 0, in both directions
+    t = random_table(seed=62, nmax=4, degmax=5)
+    assert genus0_moments(t, n, 5, sign) == allgenus_moments(t, n, 0, 5, sign)
 
 
 @pytest.mark.parametrize(
@@ -409,10 +415,8 @@ def test_half_genus_zero_input():
 
 def test_half_genus_coefficient_route():
     t = random_table(seed=91, nmax=2, degmax=4, g2max=1)
-    st = half_genus_moments_special_trees(t, 2, 4)
-    coeff = half_genus_coefficient_table(t, 2, 4)
-    for ks in [(1, 1), (2, 1), (2, 2), (3, 1)]:
-        assert coeff.get((1, ks), F(0)) == st.get((1, ks), F(0))
+    # the special-tree leaf contraction against the graph sum at g2 = 1
+    assert half_genus_moments_special_trees(t, 2, 4) == allgenus_moments(t, 2, 1, 4)
 
 
 def test_half_genus_three_points_match_oracle():
@@ -422,9 +426,6 @@ def test_half_genus_three_points_match_oracle():
     want = {k: v for k, v in orc.items() if k[0] == 1 and len(k[1]) == 3}
     assert want
     assert table_equal(got, want, n=3, deg=5, g2=1)
-    coeff = half_genus_coefficient_table(t, 3, 5)
-    for (_, ks), v in want.items():
-        assert coeff.get((1, ks), F(0)) == v
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def test_dual_coefficient_route():
     mom = {}
     for n in (1, 2):
         mom.update(genus0_moments(t, n, 5))
-    coeff = {n: genus0_coefficient_table(mom, n, 5, sign=-1) for n in (1, 2)}
+    coeff = {n: genus0_moments(mom, n, 5, sign=-1) for n in (1, 2)}
     for ks in [(1,), (3,), (5,), (1, 1), (2, 2), (3, 2), (4, 1)]:
         assert coeff[len(ks)].get((0, ks), F(0)) == tables.table_get(t, 0, ks)
 
