@@ -52,6 +52,15 @@ taken from the declared lo as well: a cut from a true minimum above the
 declared lo would lie above the product's window, and the terms between
 would be lost.  Each edge factor's lo is raised to its lowest exponent
 first, which makes both the cuts and the windows as tight as the data.
+
+The tree routes of transforms (genus 0 and genus 1/2) cut harder, by
+reach: they run no vertex operator, and a term a of a tree's edge product
+reaches a target only if sum_i max(1, a_i) <= D, so after each edge factor
+they drop every term with sum_i max(1, a_i - r_i) > D, r_i the negative
+w_i reach of the edges still to come (transforms._cut_product).  graph_sum
+keeps the per-variable upper cuts only: the same cut there would change
+which unreliable terms reach extract_table's negative- and
+vanishing-exponent assertions.
 """
 
 from __future__ import annotations
@@ -173,13 +182,6 @@ class Evaluator:
             return out
 
         return self._memo(("P", i), lambda: self._w_atom(i, self._memo(("Pcoef",), coeffs)))
-
-    def x_of_w_coeffs(self) -> dict[int, Fraction]:
-        """Coefficients of the output variable as a series in the input
-        one, to degree D: w/C(w) forward, X*M(X) dual."""
-        cs = self.C_coeffs()
-        factor = inverse_coeffs(cs, self.D - 1) if self.sign > 0 else cs
-        return {e + 1: c for e, c in factor.items() if e < self.D}
 
     def w_of_x_coeffs(self, depth: int) -> dict[int, Fraction]:
         """Coefficients to X^depth of the inverse of the change of

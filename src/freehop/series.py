@@ -929,22 +929,3 @@ def lagrange_coeffs(phi: dict[int, Fraction], D: int) -> dict[int, Fraction]:
             out[k] = Fraction(power[k - 1], pden * k)
     return out
 
-
-def lagrange_invert(x_of_w: Series, var: str, D: int) -> Series:
-    """Inverse series w(X) of X(w) = w*(1 + O(w)), to degree D, in the same
-    variable name; X(w(X)) = X + O(X^(D+1)).
-
-    >>> from fractions import Fraction
-    >>> X = poly1("w", {1: Fraction(1), 3: Fraction(-1)}, hi=12)
-    >>> w = lagrange_invert(X, "w", 5)
-    >>> sorted(univariate_coeffs(w, "w").items())[:2]
-    [(1, Fraction(1, 1)), (3, Fraction(1, 1))]
-    """
-    cs = univariate_coeffs(x_of_w, var)
-    if cs.get(1) != 1 or any(e < 1 for e in cs):
-        raise ValueError("expected a series w*(1 + O(w)) with unit linear term")
-    if x_of_w.hi[x_of_w.idx(var)] < D:
-        raise TruncationError("input known only to degree %d < %d" % (x_of_w.hi[0], D))
-    # w = X phi(w) with phi = w / X(w), needed to degree D - 1
-    phi = inverse_coeffs({e - 1: c for e, c in cs.items() if e <= D}, D - 1)
-    return poly1(var, lagrange_coeffs(phi, D), hi=D)

@@ -16,7 +16,10 @@ Routes between a cumulant table and a moment table:
 - formula:     the tree (genus 0), graph (all genus) and special-tree
                (genus 1/2) functional relations and their duals; the
                genus-0 and genus-1/2 tree sums are one leaf contraction
-               (_leaf_contraction), over the trees or the special trees.
+               (_leaf_contraction), over the trees or the special trees,
+               of edge products in integer numerators that drop, after
+               each factor, every term that cannot reach a target
+               (_cut_product).
 
 Z-tables attach hbar^(d + ell(lam)) * z(lam) times the monomial coefficient
 of p_lam; equivalently Z(lam) = sum over partitions A of the cycle set of
@@ -37,10 +40,12 @@ lengths form T.  Its inverse peels the T = rho term off the same sum.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm
+from operator import add
 
 from . import graphs, pscore, symcore
 from .hbar import HbarSeries
@@ -342,16 +347,66 @@ def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool =
     return ev._memo(("edge0", tuple(I), g2, kernel, depth if kernel else None), build)
 
 
-def _tree_product(ev: Evaluator, edges) -> Series | None:
-    """The product of the genus-0 hyperedge series of a tree's edges (or of
-    the kernel-carrying edges of a special tree), with the kernel depths of
-    _tree_kernel_depths; None for no edges."""
+def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
+                depth: int | None = None):
+    """_edge_genus0's terms over ev.wvars, decoded once and memoised on the
+    evaluator, as (sums, terms, den, pos, reach): pos the positions of the
+    edge's variables, terms the (exponents, integer numerator, exponents
+    at pos) triples in ascending order of their exponent sums, which are
+    sums, den the denominator, and reach the negative reach
+    -min(0, lowest exponent) per variable."""
+
+    def build():
+        nums, den = _edge_genus0(ev, I, g2, shifted, depth).numerators(ev.wvars)
+        pos = sorted(set(I))
+        terms = sorted(((e, v, [e[i] for i in pos]) for e, v in nums.items()),
+                       key=lambda t: sum(t[0]))
+        reach = [-min([0, *(e[i] for e in nums)]) for i in range(ev.n)]
+        return [sum(e) for e, _, _ in terms], terms, den, pos, reach
+
+    return ev._memo(("terms", tuple(I), g2, shifted, depth), build)
+
+
+def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], int]:
+    """The product of start (the constant 1 when None) and the _edge_terms
+    factors, as ({exponent tuple over ev.wvars: integer numerator},
+    denominator), keeping only the terms that can reach a target.
+
+    Every term that reaches the leaf contraction has sum_i max(1, a_i) <= D.
+    With r_i the negative w_i reach of the factors still to come, no
+    descendant of a term a has a w_i-exponent below a_i - r_i, and
+    max(1, .) is monotone; so after each factor a term is dropped unless
+    sum_i max(1, a_i - r_i) <= D.  Since max(1, x) >= x, the exponent sum
+    of a factor's term over its own variables is bounded by that budget,
+    which a bisect over the sorted sums applies before the exact test."""
+    D = ev.D
+    state, den = start if start is not None else ({(0,) * ev.n: 1}, 1)
+    reach = [0] * ev.n
+    after = []
+    for *_, f_reach in reversed(factors):
+        after.append(reach)
+        reach = [r + x for r, x in zip(reach, f_reach)]
+    for (sums, terms, fden, pos, _), r in zip(factors, reversed(after)):
+        others = [i for i in range(ev.n) if i not in pos]
+        nxt: dict[tuple, int] = {}
+        get = nxt.get
+        for a, va in state.items():
+            c = [a[i] - r[i] for i in pos]
+            room = D - sum(max(1, a[i] - r[i]) for i in others)
+            for b, vb, bp in terms[:bisect_right(sums, room - sum(c))]:
+                if sum([max(1, x + y) for x, y in zip(c, bp)]) <= room:
+                    t = tuple(map(add, a, b))
+                    nxt[t] = get(t, 0) + va * vb
+        state, den = nxt, den * fden
+    return state, den
+
+
+def _tree_product(ev: Evaluator, edges) -> tuple[dict[tuple, int], int]:
+    """The cut product (_cut_product) of the genus-0 hyperedge series of a
+    tree's edges (or of the kernel-carrying edges of a special tree), with
+    the kernel depths of _tree_kernel_depths."""
     depths = _tree_kernel_depths(edges, ev.D)
-    term = None
-    for I in edges:
-        e = _edge_genus0(ev, I, depth=depths.get(I))
-        term = e if term is None else term * e
-    return term
+    return _cut_product(ev, [_edge_terms(ev, I, depth=depths.get(I)) for I in edges])
 
 
 def _tree_kernel_depths(edges, D: int) -> dict[tuple[int, ...], int]:
@@ -372,13 +427,11 @@ def _tree_kernel_depths(edges, D: int) -> dict[tuple[int, ...], int]:
     return depths
 
 
-def _binom_factor(k: int, r: int, sign: int) -> Fraction:
+def _binom_factor(k: int, r: int, sign: int) -> int:
     """k!/(k-r)! forward (zero past r = k), (-1)^r (r+k-1)!/(k-1)! dual."""
     if sign > 0:
-        if r > k:
-            return Fraction(0)
-        return Fraction(factorial(k), factorial(k - r))
-    return Fraction((-1) ** r * factorial(r + k - 1), factorial(k - 1))
+        return factorial(k) // factorial(k - r) if r <= k else 0
+    return (-1) ** r * factorial(r + k - 1) // factorial(k - 1)
 
 
 def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> CoefficientTable:
@@ -403,8 +456,7 @@ def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> Co
     {(0, (1, 1)): Fraction(1, 1)}
     """
     ev = Evaluator(table, n, D, K=2, sign=sign)
-    bare = Series.const(ev.wvars, 1, ev.cap, ev.layout)  # the product of no edges
-    products = ((tree.valencies(), _tree_product(ev, tree.edges) or bare)
+    products = ((tree.valencies(), _tree_product(ev, tree.edges))
                 for tree in graphs.enumerate_graphs(n, 0))
     return _leaf_contraction(ev, products, 0)
 
@@ -416,76 +468,66 @@ genus0_coefficient_table = genus0_moments
 
 def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
     """The table at doubled genus g2 of the coefficient-wise relation over
-    base trees with univalent leaves, from the (white valencies, edge
-    product) pair of each base tree.  The sum over the leaves is contracted
-    into one weight per (valency, k_i, exponent) applied to the base tree's
-    product; the binomial factors (which depend on the target exponents)
-    enter that contraction.
+    base trees with univalent leaves, from the (white valencies, cut edge
+    product of _cut_product) pair of each base tree.  The sum over the
+    leaves is contracted into one weight per (valency, k_i, exponent)
+    applied to the base tree's product; the binomial factors (which depend
+    on the target exponents) enter that contraction.  A term reaches only
+    targets with k_i >= max(1, a_i), so the terms that need more than
+    degree D, or lie below the kernel depth, are dropped first.
     """
     n, D, sign = ev.n, ev.D, ev.sign
-    # leaf-weight matrices: W[v][k][a] = sum_l factor(k, v+l-1)/l! *
-    # [w^(k-a)] (C-1)^l, contracting the whole leaf sum at white valency v
-    one_pows: list[dict[int, Fraction]] = [{0: Fraction(1)}]
-    one = ev.C(0) - Series.const((ev.wvars[0],), 1, ev.cap, ev.layout)
-    onec = {e[0]: v for e, v in one.data.items()}
-    maxdeg = (n + 1) * D
-    for l in range(1, D + 1):
-        prev = one_pows[-1]
-        cur: dict[int, Fraction] = {}
-        for e1, v1 in prev.items():
-            for e2, v2 in onec.items():
-                e = e1 + e2
-                if e <= maxdeg:
-                    cur[e] = cur.get(e, Fraction(0)) + v1 * v2
-        one_pows.append(cur)
+    # leaf weights W(v, k, a) = sum_l factor(k, v+l-1)/l! [w^(k-a)] (C-1)^l,
+    # contracting the whole leaf sum at white valency v, as integers over
+    # the one denominator D! den_C^D, from (C-1)^l as integer numerators
+    # over den_C^l
+    cs = {e: c for e, c in ev.C_coeffs().items() if e}
+    den_c = lcm(*(c.denominator for c in cs.values()))
+    base = [(e, c.numerator * (den_c // c.denominator)) for e, c in sorted(cs.items())]
+    top = (n + 1) * D
+    pows = [[1] + [0] * top]
+    for _ in range(D):
+        cur = [0] * (top + 1)
+        for e1, v1 in enumerate(pows[-1]):
+            if v1:
+                for e2, v2 in base:
+                    if e1 + e2 > top:
+                        break
+                    cur[e1 + e2] += v1 * v2
+        pows.append(cur)
+    wden = factorial(D) * den_c ** D
+    scale = [factorial(D) // factorial(l) * den_c ** (D - l) for l in range(D + 1)]
+    rows: dict[tuple[int, int], list[int]] = {}
 
-    def weight(v: int, k: int, a: int) -> Fraction:
-        total = Fraction(0)
-        for l in range(0, D + 1):
-            r = v + l - 1
-            f = _binom_factor(k, r, sign) if r >= 0 else Fraction(0)
-            if f:
-                c = one_pows[l].get(k - a)
-                if c:
-                    total += f * c / factorial(l)
-        return total
+    def row(v: int, a: int) -> list[int]:
+        """W(v, k, a) * wden for k in 0..D."""
+        if (v, a) not in rows:
+            rows[v, a] = [
+                sum(_binom_factor(k, v + l - 1, sign) * pows[l][k - a] * scale[l]
+                    for l in range(max(0, 1 - v), D + 1) if pows[l][k - a])
+                if k >= max(1, a) else 0
+                for k in range(D + 1)
+            ]
+        return rows[v, a]
 
-    wcache: dict[tuple[int, int, int], Fraction] = {}
-
-    def W(v: int, k: int, a: int) -> Fraction:
-        key = (v, k, a)
-        if key not in wcache:
-            wcache[key] = weight(v, k, a)
-        return wcache[key]
-
-    def integer_weights(v: int, avals) -> tuple[dict[int, list[int]], int]:
-        """W(v, k, a) for k in 1..D and a in avals as integers over one
-        denominator: {a: [numerator by k]}, denominator."""
-        rows = {a: [W(v, k, a) if k >= 1 else Fraction(0) for k in range(D + 1)] for a in avals}
-        den = lcm(*(w.denominator for row in rows.values() for w in row))
-        return {a: [int(w * den) for w in row] for a, row in rows.items()}, den
-
+    low = -ev.kernel_depth
     acc_by_k: dict[tuple[int, ...], Fraction] = {}
-    for baseval, term in products:
+    for baseval, (state, den) in products:
         # sequential tensor contraction over integer numerators: replace
         # one a_i axis by the k_i axis at a time, weighting with
-        # W(v_i, k_i, a_i) over one denominator per axis.  A term reaches
-        # only targets with k_i >= max(1, a_i), so one whose exponents
-        # need more than degree D is dropped first.
-        state, den = ev.prune_w(term).numerators(ev.wvars)
+        # W(v_i, k_i, a_i) over one denominator per axis
         state = {key: val for key, val in state.items()
-                 if sum(max(1, a) for a in key) <= D}
+                 if sum(max(1, a) for a in key) <= D and min(key) >= low}
         for i in range(n):
-            wrows, wden = integer_weights(baseval[i], {key[i] for key in state})
             den *= wden
             nxt: dict[tuple, int] = {}
             get = nxt.get
             for key, val in state.items():
                 head, tail = key[:i], key[i + 1:]
-                row = wrows[key[i]]
+                wrow = row(baseval[i], key[i])
                 kmax = D - sum(head) - (n - 1 - i)
                 for k in range(max(1, key[i]), kmax + 1):
-                    wgt = row[k]
+                    wgt = wrow[k]
                     if wgt:
                         nk = head + (k,) + tail
                         nxt[nk] = get(nk, 0) + wgt * val
@@ -541,15 +583,16 @@ def allgenus_moments(table: CoefficientTable, n: int, g2: int, D: int, sign: int
     return ev.extract_table(S, g2)
 
 
-def _special_tree_product(ev: Evaluator, tree: graphs.Graph) -> Series:
-    """The edge product of a special tree: the genus-1/2 series of the
-    special hyperedge edges[0] (no kernel) times the genus-0 product of the
-    other edges.  That product is memoised on the evaluator by the other
-    edges, so the n univalent marks of one tree share their tree's."""
+def _special_tree_product(ev: Evaluator, tree: graphs.Graph) -> tuple[dict[tuple, int], int]:
+    """The cut edge product of a special tree: the genus-0 product of the
+    other edges times the genus-1/2 series of the special hyperedge
+    edges[0], which goes last.  It has no kernel, so it adds no negative
+    reach, and the other edges' cut product is the same as inside the whole
+    product; it is memoised on the evaluator by the other edges, so the n
+    univalent marks of one tree share their tree's."""
     rest = tree.edges[1:]
     others = ev._memo(("tree", rest), lambda: _tree_product(ev, rest))
-    special = _edge_genus0(ev, tree.edges[0], g2=1, shifted=False)
-    return special if others is None else special * others
+    return _cut_product(ev, [_edge_terms(ev, tree.edges[0], g2=1, shifted=False)], others)
 
 
 def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) -> CoefficientTable:

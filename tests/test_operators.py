@@ -11,9 +11,22 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def _x_of_w(C, sign, depth):
+    """X(w) = w/C(w) (sign +1) or w C(w) (sign -1) to w^depth, in plain
+    Fraction loops."""
+    if sign > 0:
+        inv = {0: Fraction(1)}
+        for m in range(1, depth):
+            inv[m] = -sum(C.get(e, 0) * inv[m - e] for e in range(1, m + 1))
+        factor = inv
+    else:
+        factor = C
+    return {e + 1: c for e, c in factor.items() if e + 1 <= depth and c}
+
+
 def test_substitution_gue():
     ev = Evaluator(gue_table(), 1, 8, K=2)
-    x = ev.x_of_w_coeffs()
+    x = _x_of_w(ev.C_coeffs(), ev.sign, ev.D)
     # X = w/(1+w^2) = w - w^3 + w^5 - ...
     assert x[1] == 1 and x[3] == -1 and x[5] == 1
     P = univariate_coeffs(ev.P(0), "w0")
@@ -23,7 +36,7 @@ def test_substitution_gue():
 
 def test_substitution_trivial():
     ev = Evaluator({}, 1, 6, K=2)
-    assert ev.x_of_w_coeffs() == {1: F(1)}
+    assert _x_of_w(ev.C_coeffs(), ev.sign, ev.D) == {1: F(1)}
     assert univariate_coeffs(ev.P(0), "w0") == {0: F(1)}
 
 
@@ -31,7 +44,7 @@ def test_p_is_dlog_inverse():
     # d ln X / d ln w * P == 1 to degree 12
     t = random_table(seed=1, nmax=1, degmax=13)
     ev = Evaluator(t, 1, 13, K=2)
-    x = ev._w_atom(0, ev.x_of_w_coeffs())
+    x = ev._w_atom(0, _x_of_w(ev.C_coeffs(), ev.sign, ev.D))
     dlogX = x.wdw("w0").shift("w0", -1) * x.shift("w0", -1).inverse()
     prod = dlogX * ev.P(0)
     assert prod.data[(0,)] == 1
@@ -151,19 +164,6 @@ def test_edge_weight_one_pass_equals_term_by_term(I, sign, K):
     # at K = 2 a three-slot weight starts past hbar^K: empty, windows kept
     assert got.is_zero() == (K == 2 and len(I) == 3)
     assert _windows(got) == _windows(want)
-
-
-def _x_of_w(C, sign, depth):
-    """X(w) = w/C(w) (sign +1) or w C(w) (sign -1) to w^depth, in plain
-    Fraction loops."""
-    if sign > 0:
-        inv = {0: Fraction(1)}
-        for m in range(1, depth):
-            inv[m] = -sum(C.get(e, 0) * inv[m - e] for e in range(1, m + 1))
-        factor = inv
-    else:
-        factor = C
-    return {e + 1: c for e, c in factor.items() if e + 1 <= depth and c}
 
 
 def _compose(x, w, depth):

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from freehop import oracles, pscore, symcore, tables
+from freehop import graphs, oracles, pscore, symcore, tables
 from freehop.hbar import HbarSeries
 from freehop.hurwitz import hurwitz_table
+from freehop.operators import Evaluator
+from freehop.series import Series
 from freehop.tables import gue_table, random_table, restrict_table, table_equal
 from freehop.transforms import (
+    _edge_genus0,
+    _special_tree_product,
+    _tree_kernel_depths,
+    _tree_product,
     allgenus_moments,
     blockvalue_series,
     convolution_forward,
@@ -280,6 +286,54 @@ def test_tree_route_symmetric_output():
     # asymmetric random table exercises it
     t = random_table(seed=55, nmax=3, degmax=6)
     genus0_moments(t, 3, 6)
+
+
+def _reachable_reference(ev, factors):
+    """The plain Series product of the factors, pruned by prune_w, then
+    its terms with sum_i max(1, a_i) <= D, as {exponents: Fraction}."""
+    prod = Series.const(ev.wvars, 1, ev.cap, ev.layout)
+    for f in factors:
+        prod = prod * f
+    nums, den = ev.prune_w(prod).numerators(ev.wvars)
+    return {a: F(v, den) for a, v in nums.items() if v and sum(max(1, x) for x in a) <= ev.D}
+
+
+def _as_fractions(product):
+    state, den = product
+    return {a: F(v, den) for a, v in state.items() if v}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tree_product_cut_is_exact(sign):
+    # the reach cut drops, after each factor, only terms whose descendants
+    # all fail the leaf contraction's filter: against the full product
+    t = random_table(seed=57, nmax=4, degmax=6, g2max=1)
+    ev = Evaluator(t, 4, 6, K=2, sign=sign)
+    for tree in graphs.enumerate_graphs(4, 0):
+        depths = _tree_kernel_depths(tree.edges, ev.D)
+        ref = _reachable_reference(ev, [_edge_genus0(ev, I, depth=depths.get(I)) for I in tree.edges])
+        assert _as_fractions(_tree_product(ev, tree.edges)) == ref
+    ev = Evaluator(t, 3, 6, K=2, sign=sign)
+    for tree in graphs.enumerate_special_trees(3):
+        rest = tree.edges[1:]
+        depths = _tree_kernel_depths(rest, ev.D)
+        factors = [_edge_genus0(ev, tree.edges[0], g2=1, shifted=False)]
+        factors += [_edge_genus0(ev, I, depth=depths.get(I)) for I in rest]
+        assert _as_fractions(_special_tree_product(ev, tree)) == _reachable_reference(ev, factors)
+
+
+def test_genus0_tree_route_five_points():
+    # n = 5 against the convolution oracle, and back by the dual route
+    t = random_table(seed=205, nmax=5, degmax=6)
+    got = genus0_moments(t, 5, 6)
+    for ks in [(2, 1, 1, 1, 1), (1, 1, 1, 1, 1)]:
+        assert got.get((0, ks), F(0)) == oracles.genus0_moment_by_convolution(t, ks)
+    mom = {}
+    for n in range(1, 6):
+        mom.update(genus0_moments(t, n, 6))
+    back = genus0_moments(mom, 5, 6, sign=-1)
+    for ks in [(2, 1, 1, 1, 1), (1, 1, 1, 1, 1)]:
+        assert back.get((0, ks), F(0)) == tables.table_get(t, 0, ks)
 
 
 # ---------------------------------------------------------------------------
