@@ -27,13 +27,19 @@ Evaluator, never at module level: each edge weight in one pass over the
 table entries and kernel terms (edge_weight), 1/C(w_i) and the
 coefficients of the change of variables w(X) by coefficient recursions
 (series.inverse_coeffs, and the integer Lagrange recursion
-series.lagrange_coeffs), and the powers of 1/C(w_i) once per vertex,
-shared by every B_r and by the one-point correction (at_y).
+series.lagrange_coeffs), and the powers of 1/C(w_0) once, shared by
+every B_r and by the one-point correction (at_y).  Each is built once:
+the per-vertex inputs (C, 1/C, P, a_series, B_r and P B_r) at vertex 0,
+each edge weight at the order-preserving shape of its hyperedge
+(shape_of), and the others are renamed from these by Series.renamed,
+which moves bit fields of the packed keys and does no arithmetic.  An
+increasing relabelling keeps the sector order of every kernel.
 
 The graph sum (graph_sum) reads one order, hbar^T, and only at
 w-exponents <= D, so it carries budgets instead of the full windows.  Each
-vertex operator adds at least v_i = vertex_h_floor(i) to the hbar
-exponent (-1, from the hbar^(-1) u^(-1) of a_series), each edge weight at
+vertex operator adds at least v_i = vertex_h_floor(), the same at every
+vertex, to the hbar exponent (-1, from the hbar^(-1) u^(-1) of
+a_series), each edge weight at
 least its lowest hbar exponent, and no factor but a kernel lowers a
 w-exponent.  So along a graph's edge product the hbar orders above
 T - sum_j v_j - (the remaining edges' lowest hbar exponents), and the w_i
@@ -46,7 +52,8 @@ vertex i can still reach (never above T - sum_{j >= i} v_j while S's
 declared hbar lo is nonnegative); the orders above it would fall outside
 the product's window.  Only upper ends are cut: the lower w windows, and
 with them extract_table's checks for surviving negative or vanishing
-exponents, are those of the unbudgeted graph_term.  A product's window is
+exponents, are those of the unbudgeted vertex chain (every edge product
+through every vertex operator, to hbar^K).  A product's window is
 min(hi_a + lo_b, hi_b + lo_a) over the declared lo, so the edge cuts are
 taken from the declared lo as well: a cut from a true minimum above the
 declared lo would lie above the product's window, and the terms between
@@ -68,7 +75,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .graphs import Graph
 from .series import (
     INF,
     Series,
@@ -81,6 +87,17 @@ from .series import (
 )
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
+
+
+def shape_of(I: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The order-preserving shape of a hyperedge, its vertices renumbered
+    0, 1, ... in increasing order, and its distinct vertices in that order.
+
+    >>> shape_of((1, 1, 3))
+    ((0, 0, 1), [1, 3])
+    """
+    slots = sorted(set(I))
+    return tuple(map(slots.index, I)), slots
 
 
 def _distinct_permutations(ks):
@@ -136,6 +153,20 @@ class Evaluator:
             self._cache[key] = build()
         return self._cache[key]
 
+    def _relabelled(self, key, slots, build) -> Series:
+        """build(), a series over the vertices 0, 1, ..., memoised under
+        key, renamed to the increasing vertices slots (w_j -> w_slots[j],
+        u_j -> u_slots[j]) and memoised under key + (slots,).  An
+        increasing map keeps the sector order of every kernel."""
+        base = self._memo(key, build)
+        if all(j == s for j, s in enumerate(slots)):
+            return base
+        names = {}
+        for j, s in enumerate(slots):
+            names[self.wvars[j]] = self.wvars[s]
+            names[self.uvars[j]] = self.uvars[s]
+        return self._memo(key + (tuple(slots),), lambda: base.renamed(names))
+
     def _w_atom(self, i: int, coeffs: dict[int, Fraction]) -> Series:
         v = self.wvars[i]
         lo = min((e for e, c in coeffs.items() if c), default=0)
@@ -155,11 +186,11 @@ class Evaluator:
         return self._memo(("Ccoef",), build)
 
     def C(self, i: int) -> Series:
-        return self._memo(("C", i), lambda: self._w_atom(i, self.C_coeffs()))
+        return self._relabelled(("C",), (i,), lambda: self._w_atom(0, self.C_coeffs()))
 
     def invC(self, i: int) -> Series:
-        return self._memo(("invC", i),
-                          lambda: self._w_atom(i, inverse_coeffs(self.C_coeffs(), self.D)))
+        return self._relabelled(("invC",), (i,),
+                                lambda: self._w_atom(0, inverse_coeffs(self.C_coeffs(), self.D)))
 
     def P(self, i: int) -> Series:
         """The logarithmic-derivative factor d ln(input var) / d ln(output
@@ -168,7 +199,7 @@ class Evaluator:
             forward (sign +1): X = w / C(w),  P = C / (C - w C'),
             dual    (sign -1): w = X * M(X),  P = M / (M + X M').
 
-        Its coefficients to degree D are formed once, for every vertex.
+        It is built once, at vertex 0, and renamed to the others.
         """
 
         def coeffs():
@@ -181,7 +212,7 @@ class Evaluator:
                         out[a + b] = out.get(a + b, 0) + ca * cb
             return out
 
-        return self._memo(("P", i), lambda: self._w_atom(i, self._memo(("Pcoef",), coeffs)))
+        return self._relabelled(("P",), (i,), lambda: self._w_atom(0, coeffs()))
 
     def w_of_x_coeffs(self, depth: int) -> dict[int, Fraction]:
         """Coefficients to X^depth of the inverse of the change of
@@ -239,13 +270,12 @@ class Evaluator:
         return series_sum(parts)
 
     # -- vertex weight layers ---------------------------------------------------
-    def one_point_tail(self, i: int) -> Series:
-        """G_1 - hbar^(-1) as a series over (h, w_i): the genus-0 part
+    def one_point_tail(self) -> Series:
+        """G_1 - hbar^(-1) as a series over (h, w_0): the genus-0 part
         hbar^(-1)(C-1) plus hbar^(g2-1) one-point entries for g2 >= 1."""
 
         def build():
-            wv = self.wvars[i]
-            vars = ("h", wv)
+            vars = ("h", self.wvars[0])
             data = {}
             for k in range(1, self.D + 1):
                 v = self.C_coeffs().get(k)
@@ -257,19 +287,21 @@ class Evaluator:
                         data[(g2 - 1, k)] = vv
             return Series(vars, (-1, 1), (self.K, INF), data, self.cap, self.layout)
 
-        return self._memo(("g1tail", i), build)
+        return self._memo(("g1tail",), build)
 
     def a_series(self, i: int) -> Series:
         """The u-layer weight at the i-th white vertex:
 
         exp( hbar u sigma(hbar u w d/dw)(G_1 - hbar^(-1)) - u (C - 1) )
-        / ( hbar u sigma(hbar u) ).
+        / ( hbar u sigma(hbar u) ),
+
+        built at vertex 0 and renamed to the others.
         """
 
         def build():
-            wv, uv = self.wvars[i], self.uvars[i]
-            d1 = self._hu_sigma_each(self.one_point_tail(i), i)
-            cminus1 = self.C(i) - Series.const((wv,), 1, self.cap, self.layout)
+            wv, uv = self.wvars[0], self.uvars[0]
+            d1 = self._hu_sigma_each(self.one_point_tail(), 0)
+            cminus1 = self.C(0) - Series.const((wv,), 1, self.cap, self.layout)
             u = Series.variable((uv,), uv, layout=self.layout)
             E = d1 - u * cminus1
             expE = self._series_exp(E)
@@ -281,7 +313,7 @@ class Evaluator:
             inv = Series(("h", uv), (-1, -1), (self.K, INF), inv_data, layout=self.layout)
             return expE * inv
 
-        return self._memo(("A", i), build)
+        return self._relabelled(("A",), (i,), build)
 
     def _b_exponent_raw(self) -> Series:
         """E_B over (h, v, t) with t = 1/y:
@@ -325,30 +357,32 @@ class Evaluator:
         self._cache[("Braw", r)] = out
         return out
 
-    def at_y(self, s: Series, i: int) -> Series:
-        """s, a series in t = 1/y, at y = C(w_i).  The powers of 1/C(w_i)
-        are formed once per vertex and shared by every call."""
-        return s.substitute("t", self.invC(i), powers=self._cache.setdefault(("invCpow", i), {}))
+    def at_y(self, s: Series) -> Series:
+        """s, a series in t = 1/y, at y = C(w_0).  The powers of 1/C(w_0)
+        are formed once and shared by every call."""
+        return s.substitute("t", self.invC(0), powers=self._cache.setdefault(("invCpow",), {}))
 
     def b_series(self, i: int, r: int, hmax: int | None = None) -> Series:
         """B_r at the i-th vertex: b_raw(r), known to hbar^hmax (hmax = K
         when None, and never above K), specialised at y = C(w_i).  The cut
         comes before the substitution, so the hbar orders above hmax and
-        the powers of 1/C(w_i) only they reach are never formed."""
+        the powers of 1/C(w_i) only they reach are never formed.  Built at
+        vertex 0 and renamed to the others."""
         hmax = self.K if hmax is None else min(hmax, self.K)
 
         def build():
             b = self.b_raw(r)
             if hmax < self.K:
                 b = b.restrict("h", -INF, hmax)
-            return self.at_y(b, i)
+            return self.at_y(b)
 
-        return self._memo(("B", i, r, hmax), build)
+        return self._relabelled(("B", r, hmax), (i,), build)
 
     def pb_series(self, i: int, r: int, hmax: int | None = None) -> Series:
         """P(w_i) B_r at the i-th vertex, known to hbar^hmax as in b_series."""
         hmax = self.K if hmax is None else min(hmax, self.K)
-        return self._memo(("PB", i, r, hmax), lambda: self.P(i) * self.b_series(i, r, hmax))
+        return self._relabelled(("PB", r, hmax), (i,),
+                                lambda: self.P(0) * self.b_series(0, r, hmax))
 
     def pwd(self, s: Series, i: int, m: int = 1) -> Series:
         """(P(w_i) w_i d/dw_i)^m applied to s."""
@@ -383,25 +417,27 @@ class Evaluator:
         slot factors are expanded into one coefficient dict, from which one
         Series is made.  Its windows are those of the term-by-term product:
         hbar from the lowest g2 - 2 + #I to K plus that lowest order when it
-        is negative, each w from its most negative exponent, u from 0."""
+        is negative, each w from its most negative exponent, u from 0.
+        Built once per shape of I (shape_of) and renamed to I."""
+        shape, slots = shape_of(I)
 
         def build():
-            m = len(I)
+            m = len(shape)
             entries = []
             for (g2, ks), val in self.table.items():
                 if len(ks) == m and sum(ks) <= self.D and g2 - 2 + m <= self.K:
                     for comp in _distinct_permutations(ks):
                         entries.append((g2 - 2 + m, comp, val))
-            if m == 2 and I[0] != I[1]:
+            if m == 2 and shape[0] != shape[1]:
                 for k in range(1, self.kernel_depth + 1):
                     entries.append((m - 2, (k, -k), Fraction(k)))
             if not entries:
                 return Series.zero(("h",), hi=(self.K,), layout=self.layout)
-            wvars = tuple(sorted({self.wvars[s] for s in I}))
-            uvars = tuple(dict.fromkeys(self.uvars[s] for s in I))
+            wvars = tuple(sorted({self.wvars[s] for s in shape}))
+            uvars = tuple(dict.fromkeys(self.uvars[s] for s in shape))
             vars = ("h",) + wvars + uvars
-            wpos = [vars.index(self.wvars[s]) for s in I]
-            upos = [vars.index(self.uvars[s]) for s in I]
+            wpos = [vars.index(self.wvars[s]) for s in shape]
+            upos = [vars.index(self.uvars[s]) for s in shape]
             hlo = min(e[0] for e in entries)
             hhi = self.K + min(0, hlo)
             wlo = [0] * len(vars)
@@ -438,7 +474,7 @@ class Evaluator:
             hi = (hhi,) + tuple(INF + x for x in wlo[1:])
             return Series(vars, lo, hi, data, self.cap, self.layout)
 
-        return self._memo(("edge", tuple(I)), build)
+        return self._relabelled(("edge", shape), slots, build)
 
     # -- full vertex reduction -------------------------------------------------------
     def reduce_vertex(self, S: Series, i: int, hmax: int | None = None) -> Series:
@@ -465,17 +501,6 @@ class Evaluator:
             vparts = {0: T}
         return self.pwd_sum(vparts, i)
 
-    def graph_term(self, g: Graph) -> Series:
-        """One graph's term through the whole vertex chain, to hbar^K: no
-        budget, so every hbar order of the working window is kept."""
-        S = Series(("h",), (0,), (self.K,), {(0,): 1}, layout=self.layout)
-        for I in g.edges:
-            S = S * self.edge_weight(I)
-        S = self.prune_w(S)
-        for i in range(self.n):
-            S = self.prune_w(self.reduce_vertex(S, i))
-        return S * Fraction(1, g.aut_order())
-
     def pb_h_floor(self) -> int:
         """The declared hbar lo of every P B_r: that of b_raw(0), since
         (d_y + sign v/y), the substitution t = 1/C(w_i) and P keep the
@@ -483,31 +508,34 @@ class Evaluator:
         b = self.b_raw(0)
         return b.lo[b.idx("h")]
 
-    def vertex_h_floor(self, i: int) -> int:
-        """A floor on the hbar exponent the operator at vertex i adds: the
+    def vertex_h_floor(self) -> int:
+        """A floor on the hbar exponent the operator at any vertex adds: the
         declared lo of a_series plus that of P B_r, which reduce_vertex's
-        product windows are built from."""
-        a = self.a_series(i)
+        product windows are built from (the same at every vertex, whose
+        series are renamed from vertex 0's)."""
+        a = self.a_series(0)
         return a.lo[a.idx("h")] + self.pb_h_floor()
 
     def _tight_edge(self, I: tuple[int, ...]) -> Series:
         """edge_weight(I) with every declared lo raised to its lowest
         exponent, the tightest lo for graph_sum's cuts."""
+        shape, slots = shape_of(I)
 
         def build():
-            e = self.edge_weight(I)
+            e = self.edge_weight(shape)
             return e.restrict_vars({v: (e.min_exp(v), INF) for v in e.vars})
 
-        return self._memo(("tight", tuple(I)), build)
+        return self._relabelled(("tight", shape), slots, build)
 
     def graph_sum(self, graph_list, T: int) -> Series:
-        """sum over graphs of graph_term(g), exact at hbar^T and at every
-        w-exponent up to D, under the budgets of the module docstring.  The
-        vertex operators, prune_w and the cuts are linear, so the vertex
-        chain runs once, on the 1/|Aut|-weighted sum of the budgeted edge
-        products."""
-        floors = [self.vertex_h_floor(i) for i in range(self.n)]
-        after = [sum(floors[i:]) for i in range(self.n + 1)]
+        """sum over graphs g of the product of g's edge weights, divided by
+        |Aut g|, through the operators of every vertex: exact at hbar^T and
+        at every w-exponent up to D, under the budgets of the module
+        docstring.  The vertex operators, prune_w and the cuts are linear,
+        so the vertex chain runs once, on the 1/|Aut|-weighted sum of the
+        budgeted edge products."""
+        floor = self.vertex_h_floor()
+        after = [(self.n - i) * floor for i in range(self.n + 1)]
         one = Series(("h",), (0,), (self.K,), {(0,): 1}, layout=self.layout)
         products = []
         for g in graph_list:
@@ -544,7 +572,7 @@ class Evaluator:
     def delta_series(self, g2: int) -> Series:
         """Delta_g(X) in the w-picture: [hbar^(2g)] sum_m (P w d/dw)^m
         ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C )."""
-        bexp = self.at_y(self.b_raw(0), 0)
+        bexp = self.at_y(self.b_raw(0))
         core = bexp * (self.P(0) * self.C(0).wdw(self.wvars[0]))
         vparts = core.coeff_dict("v") if "v" in core.vars else {0: core}
         parts = {mp1 - 1: part for mp1, part in vparts.items() if mp1 >= 1}

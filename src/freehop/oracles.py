@@ -3,8 +3,11 @@
 These stay deliberately elementary: one direct walk over the
 factorizations (0_alpha, alpha) (.) (B, beta) = (1_d, pi_lam), counted by
 hbar order and block cycle types and evaluated in plain Fractions, and
-surface-gluing counts by Euler characteristic.  They share no series or
-operator machinery with the routes they check.
+surface-gluing counts by Euler characteristic.  The walk visits every
+beta in S_d and lists the partitions B of beta's cycles once per linkage
+pattern (the cycle lengths in each class of cycles that alpha links),
+since the B that count depend on beta only through it.  They share no
+series or operator machinery with the routes they check.
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ def _partitions_into_blocks(m: int, nb: int):
 
 def _joins_to_full(m: int, groups_a, groups_b) -> bool:
     """Whether the groups of range(m) in groups_a and groups_b together
-    connect all of range(m), by union-find."""
+    connect all of range(m)."""
+    return len(set(_roots(m, groups_a, groups_b))) == 1
+
+
+def _roots(m: int, *groupings) -> list[int]:
+    """The union-find root of each point of range(m) once the points of
+    every group in the groupings are joined."""
     parent = list(range(m))
 
     def find(x):
@@ -59,14 +68,11 @@ def _joins_to_full(m: int, groups_a, groups_b) -> bool:
         if rx != ry:
             parent[rx] = ry
 
-    for grp in groups_a:
-        for x in grp[1:]:
-            union(grp[0], x)
-    for grp in groups_b:
-        for x in grp[1:]:
-            union(grp[0], x)
-    r0 = find(0)
-    return all(find(x) == r0 for x in range(m))
+    for groups in groupings:
+        for grp in groups:
+            for x in grp[1:]:
+                union(grp[0], x)
+    return [find(x) for x in range(m)]
 
 
 def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Partition, ...]], int]:
@@ -80,11 +86,17 @@ def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Parti
     |(1_d, pi_lam)| = d + ell(lam) - 2 with an even difference, so each
     beta fixes a range of block counts; beta is skipped when the range is
     empty, before any partition of its cycles is listed.
+
+    The partitions B that count, and their block types, depend on beta
+    only through that range and its linkage pattern: the cycle lengths of
+    each class of beta's cycles that the cycles of alpha link together.
+    So they are listed once per pattern, in a dict local to the call.
     """
     d = sum(lam)
     pi = symcore.canonical_permutation(lam)
     target_col = d + len(lam) - 2
     out: dict[tuple[int, tuple[Partition, ...]], int] = {}
+    walks: dict[tuple, dict[tuple[Partition, ...], int]] = {}
     for beta in _all_perms(range(d)):
         alpha = symcore.compose(pi, symcore.inverse(beta))
         cycs_a = symcore.cycles(alpha)
@@ -103,16 +115,26 @@ def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Parti
             for x in cyc:
                 owner[x] = i
         links = [tuple({owner[x] for x in cyc}) for cyc in cycs_a]
-        linked = _joins_to_full(m, links, ())
         lens = [len(cyc) for cyc in cycs_b]
-        for nb in range(nb_lo, nb_hi + 1):
-            for grouping in _partitions_into_blocks(m, nb):
-                if not (linked or _joins_to_full(m, links, grouping)):
-                    continue
-                key = (col_a, tuple(sorted(
-                    symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping
-                )))
-                out[key] = out.get(key, 0) + 1
+        classes: dict[int, list[int]] = {}
+        for i, root in enumerate(_roots(m, links)):
+            classes.setdefault(root, []).append(lens[i])
+        pattern = (nb_lo, nb_hi, tuple(sorted(tuple(sorted(c)) for c in classes.values())))
+        walk = walks.get(pattern)
+        if walk is None:
+            walk = walks[pattern] = {}
+            linked = len(classes) == 1
+            for nb in range(nb_lo, nb_hi + 1):
+                for grouping in _partitions_into_blocks(m, nb):
+                    if not (linked or _joins_to_full(m, links, grouping)):
+                        continue
+                    types = tuple(sorted(
+                        symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping
+                    ))
+                    walk[types] = walk.get(types, 0) + 1
+        for types, c in walk.items():
+            key = (col_a, types)
+            out[key] = out.get(key, 0) + c
     return out
 
 
@@ -143,7 +165,8 @@ _star_cache: dict[Partition, dict] = {}
 def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
     """Memory- and disk-cached star_factorization_counts (FREEHOP_CACHE
     names the cache directory).  A cache file whose ``lambda`` field names
-    another partition, or that is not a JSON object, is a miss, rebuilt and
+    another partition, or that is not a JSON object with a well-formed
+    ``entries`` list (see _star_counts_from_file), is a miss, rebuilt and
     overwritten."""
     if lam in _star_cache:
         return _star_cache[lam]
@@ -178,7 +201,9 @@ def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
 
 def _star_counts_from_file(path: str, lam: Partition):
     """The counts stored at path, or None unless the file is a JSON object
-    whose ``lambda`` field is lam."""
+    whose ``lambda`` field is lam and whose ``entries`` are a list of
+    objects, each with ``types`` a list of lists of integers and an integer
+    ``count``."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -186,7 +211,20 @@ def _star_counts_from_file(path: str, lam: Partition):
             return None
     if not isinstance(obj, dict) or obj.get("lambda") != list(lam):
         return None
-    return {tuple(tuple(t) for t in e["types"]): e["count"] for e in obj["entries"]}
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        return None
+    table = {}
+    for e in entries:
+        if not isinstance(e, dict):
+            return None
+        types, count = e.get("types"), e.get("count")
+        if type(count) is not int or not isinstance(types, list) or not all(
+            isinstance(t, list) and all(type(x) is int for x in t) for t in types
+        ):
+            return None
+        table[tuple(tuple(t) for t in types)] = count
+    return table
 
 
 def genus0_moment_by_convolution(cum_table: CoefficientTable, ks) -> Fraction:

@@ -1,6 +1,8 @@
 """Set partitions, partitioned permutations and the convolution algebra on
 them (zeta, Moebius, plain and hbar-extended), and the factorization counts
-of a one-block target (1_d, pi_lam) that the convolution routes evaluate.
+of a one-block target (1_d, pi_lam) that the convolution routes evaluate:
+a walk over S_d that lists the partitions of a permutation's cycles once
+per linkage pattern, not once per permutation (target_factorizations).
 
 A set partition of [d] is stored canonically as a tuple ``ids`` of length d
 mapping each point to its block id, blocks numbered 0, 1, ... in order of
@@ -379,6 +381,9 @@ def target_factorizations(lam: symcore.Partition) -> tuple:
     d = sum(lam)
     pi = symcore.canonical_permutation(lam)
     counts: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
+    # the partitions B and their types depend on beta only through the
+    # cycle lengths in each class of linked cycles: listed once per pattern
+    by_pattern: dict[tuple, dict[tuple[symcore.Partition, ...], int]] = {}
     for beta in _all_perms(range(d)):
         alpha = symcore.compose(pi, symcore.inverse(beta))
         col_a = symcore.colength(alpha)
@@ -388,14 +393,23 @@ def target_factorizations(lam: symcore.Partition) -> tuple:
         # of range(m); B must join it to one block
         linked = join(orbit_partition(alpha), orbit_partition(beta))
         linked = canonical_ids(linked[c[0]] for c in cycs)
-        for grouping in set_partitions_of(m):
-            if join(linked, from_blocks(m, grouping)) != coarsest(m):
-                continue
-            types = tuple(sorted(
-                symcore.sort_to_partition(len(cycs[i]) for i in grp) for grp in grouping
-            ))
+        pattern = tuple(sorted(
+            symcore.sort_to_partition(len(c) for c, b in zip(cycs, linked) if b == cls)
+            for cls in range(num_blocks(linked))
+        ))
+        found = by_pattern.get(pattern)
+        if found is None:
+            found = by_pattern[pattern] = {}
+            for grouping in set_partitions_of(m):
+                if join(linked, from_blocks(m, grouping)) != coarsest(m):
+                    continue
+                types = tuple(sorted(
+                    symcore.sort_to_partition(len(cycs[i]) for i in grp) for grp in grouping
+                ))
+                found[types] = found.get(types, 0) + 1
+        for types, c in found.items():
             key = (col_a, types)
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + c
     out = tuple(sorted(counts.items()))
     _target_counts_cache[lam] = out
     return out

@@ -304,17 +304,21 @@ class Series:
                 return _new(self._lay, self.vars, self._lo, self._hi, cap, terms, den)
         return _new(self._lay, self.vars, self._lo, self._hi, cap, terms, self._den, self._top)
 
-    def _embed(self, lay: _Layout) -> "Series":
-        """The same series on a layout whose names include this one's and
-        whose fields are at least as wide."""
+    def _embed(self, lay: _Layout, names: dict | None = None) -> "Series":
+        """The same series on a layout whose names include this one's, each
+        renamed by ``names`` {old: new} when given, and whose fields are at
+        least as wide as the fields they receive."""
         src = self._lay
-        if src is lay:
+        if src is lay and not names:
             return self
+        names = names or {}
         lo = [0] * len(lay.names)
         hi = [INF] * len(lay.names)
         moves = []
         for i, v in enumerate(src.names):
-            j = lay.index[v]
+            if v in names.values() and v not in names:
+                continue  # a field that only receives a renamed variable
+            j = lay.index[names.get(v, v)]
             lo[j] = self._lo[i]
             hi[j] = self._hi[i]
             if (self._top >> src.offs[i]) & src.masks[i]:
@@ -328,7 +332,8 @@ class Series:
                     kk += ((k >> so) & m) << do
                 out[kk] = v
             terms = out
-        return _new(lay, self.vars, tuple(lo), tuple(hi), self.cap, terms, self._den)
+        vars = tuple(names.get(v, v) for v in self.vars) if names else self.vars
+        return _new(lay, vars, tuple(lo), tuple(hi), self.cap, terms, self._den)
 
     def _declared(self, vars: tuple) -> "Series":
         """The same terms declared over ``vars``, a superset of self.vars
@@ -656,6 +661,39 @@ class Series:
     def with_cap(self, cap) -> "Series":
         """Attach (and apply) a total-degree cap."""
         return self._capped(cap)
+
+    def renamed(self, names: dict) -> "Series":
+        """The same series with its variables renamed by ``names`` {old:
+        new}, all at once, so a renaming may swap or shift variables.  Each
+        renamed variable's bit field moves to the field of its new name,
+        which is widened first when it is narrower than the offsets it
+        receives.  The windows follow their variables and the cap is kept,
+        so a variable and its new name must both be capped or both not.
+
+        >>> s = Series(("h", "w0"), (0, 1), (2, 5), {(1, 2): 3})
+        >>> r = s.renamed({"w0": "w2"})
+        >>> r.vars, r.lo, r.hi, dict(r.data)
+        (('h', 'w2'), (0, 1), (2, 5), {(1, 2): Fraction(3, 1)})
+        """
+        names = {v: w for v, w in names.items() if v in self.vars and v != w}
+        if not names:
+            return self
+        vars = tuple(names.get(v, v) for v in self.vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError("renaming %r merges variables of %r" % (names, self.vars))
+        if self.cap is not None and any((v in self.cap[0]) != (w in self.cap[0])
+                                        for v, w in names.items()):
+            raise ValueError("renaming %r moves a variable across the cap" % (names,))
+        src = self._lay
+        lay = src
+        missing = tuple(w for w in names.values() if w not in src.index)
+        if missing:
+            lay = _common_layout(src, _layout(missing, (_MIN_WIDTH,) * len(missing)))
+        need = [0] * len(lay.names)
+        for v, t in zip(src.names, src.split(self._top)):
+            j = lay.index[names.get(v, v)]
+            need[j] = max(need[j], t)
+        return self._embed(_widened(lay, need), names)
 
     def scalar(self) -> Fraction:
         """Value of a series with no variable dependence."""

@@ -49,7 +49,7 @@ from operator import add
 
 from . import graphs, pscore, symcore
 from .hbar import HbarSeries
-from .operators import Evaluator, _distinct_permutations
+from .operators import Evaluator, _distinct_permutations, shape_of
 from .series import INF, Series, series_sum
 from .symcore import Partition, sort_to_partition
 from .tables import CoefficientTable, table_get
@@ -354,17 +354,30 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
     edge's variables, terms the (exponents, integer numerator, exponents
     at pos) triples in ascending order of their exponent sums, which are
     sums, den the denominator, and reach the negative reach
-    -min(0, lowest exponent) per variable."""
+    -min(0, lowest exponent) per variable.  They are decoded once per
+    shape of I (operators.shape_of) and moved to I's positions."""
+    shape, pos = shape_of(I)
 
     def build():
-        nums, den = _edge_genus0(ev, I, g2, shifted, depth).numerators(ev.wvars)
-        pos = sorted(set(I))
-        terms = sorted(((e, v, [e[i] for i in pos]) for e, v in nums.items()),
+        nums, den = _edge_genus0(ev, shape, g2, shifted, depth).numerators(ev.wvars)
+        terms = sorted(((e, v, list(e[:len(pos)])) for e, v in nums.items()),
                        key=lambda t: sum(t[0]))
         reach = [-min([0, *(e[i] for e in nums)]) for i in range(ev.n)]
-        return [sum(e) for e, _, _ in terms], terms, den, pos, reach
+        return [sum(e) for e, _, _ in terms], terms, den, list(range(len(pos))), reach
 
-    return ev._memo(("terms", tuple(I), g2, shifted, depth), build)
+    key = ("terms", g2, shifted, depth)
+    sums, terms, den, base_pos, reach = ev._memo(key + (shape,), build)
+    if pos == base_pos:
+        return sums, terms, den, pos, reach
+
+    def move(e):
+        out = [0] * ev.n
+        for i, x in zip(pos, e):
+            out[i] = x
+        return out
+
+    return ev._memo(key + (tuple(I),), lambda: (
+        sums, [(tuple(move(e)), v, bp) for e, v, bp in terms], den, pos, move(reach)))
 
 
 def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], int]:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -102,13 +103,18 @@ def test_star_cache_checks_lambda(tmp_path, monkeypatch):
     monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
     path = tmp_path / "starcounts-2-1.json"
     want = star_factorization_counts((2, 1))
-    # the counts of (3,) planted under the name of (2, 1), then files that
-    # are not a table
+    # the counts of (3,) planted under the name of (2, 1), files that are
+    # not a table, and tables of (2, 1) without entries, with an entry
+    # without a count and with a count that is not an integer
     planted = {"lambda": [3], "entries": [
         {"types": [list(t) for t in key], "count": c}
         for key, c in sorted(star_factorization_counts((3,)).items())
     ]}
-    for text in (json.dumps(planted), "{not json", "[]"):
+    entries = [{"types": [list(t) for t in key], "count": c} for key, c in sorted(want.items())]
+    no_count = {"lambda": [2, 1], "entries": [{"types": e["types"]} for e in entries]}
+    half = {"lambda": [2, 1], "entries": [dict(e, count=e["count"] + 0.5) for e in entries]}
+    bad = (planted, {"lambda": [2, 1]}, no_count, half)
+    for text in [json.dumps(obj) for obj in bad] + ["{not json", "[]"]:
         path.write_text(text)
         oracles._star_cache.clear()
         assert oracles.star_counts_cached((2, 1)) == want
@@ -141,7 +147,40 @@ def test_oracles_import_no_route_code():
     assert used <= {"symcore", "tables"}, used
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def _unmemoised_factorization_counts(lam, K):
+    """The walk of oracles._factorization_counts with no memo: every beta
+    lists the partitions of its own cycles."""
+    d = sum(lam)
+    pi = symcore.canonical_permutation(lam)
+    out = {}
+    for beta in itertools.permutations(range(d)):
+        alpha = symcore.compose(pi, symcore.inverse(beta))
+        cycs_a, cycs_b = symcore.cycles(alpha), symcore.cycles(beta)
+        m = len(cycs_b)
+        col_a = d - len(cycs_a)
+        span = col_a + d + m
+        owner = {x: i for i, cyc in enumerate(cycs_b) for x in cyc}
+        links = [tuple({owner[x] for x in cyc}) for cyc in cycs_a]
+        for nb in range(max(1, (span - K + 1) // 2), min(m, (span - d - len(lam) + 2) // 2) + 1):
+            for grouping in oracles._partitions_into_blocks(m, nb):
+                if oracles._joins_to_full(m, links, grouping):
+                    key = (col_a, tuple(sorted(
+                        symcore.sort_to_partition(len(cycs_b[i]) for i in grp) for grp in grouping
+                    )))
+                    out[key] = out.get(key, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("lam", symcore.partitions(6), ids=lambda lam: "".join(map(str, lam)))
+def test_factorization_walk_memo_is_exact(lam, extra):
+    # the walk lists B once per linkage pattern of beta; at the genus-0
+    # order and two orders above, it counts what the plain walk counts
+    K = sum(lam) + len(lam) - 2 + extra
+    assert oracles._factorization_counts(lam, K) == _unmemoised_factorization_counts(lam, K)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_graded_counts_match_target_factorizations(d):
     # two independently written walks over the same factorizations; every
     # order is at most |alpha| + d + #cyc(beta) - 2 <= 3d - 3

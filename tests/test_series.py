@@ -330,3 +330,56 @@ def test_packed_windows_against_tuple_reference(seed):
         assert co.data == {
             e[:i] + e[i + 1:]: v for e, v in prod.data.items() if e[i] == k
         }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_renamed_round_trip_and_commutes(seed):
+    # renaming moves the bit fields of the packed keys: renaming back gives
+    # the original, the windows and the cap stay, and it commutes with
+    # products and sums; onto a name the layout lacks, a swap, and an
+    # uncapped variable
+    from freehop.series import series_sum
+
+    rng = random.Random(300 + seed)
+    cap = (frozenset({"x", "y", "w"}), 4)
+    renamings = [{"x": "w"}, {"x": "y", "y": "x"}, {"z": "v"}]
+    for _ in range(40):
+        tuples = [("x", "y", "z"), ("x", "y"), ("z", "x"), ("y",)]
+        capped = cap if rng.random() < 0.5 else None
+        a = _random_series(rng, rng.choice(tuples), capped, {"x", "z"})
+        b = _random_series(rng, rng.choice(tuples), capped, {"y"})
+        names = rng.choice(renamings)
+        back = {w: v for v, w in names.items()}
+        r = a.renamed(names)
+        assert r.vars == tuple(names.get(v, v) for v in a.vars)
+        assert (r.lo, r.hi, r.cap, r.data) == (a.lo, a.hi, a.cap, a.data)
+        again = r.renamed(back)
+        assert (again.vars, again.lo, again.hi, again.cap, again.data) == (
+            a.vars, a.lo, a.hi, a.cap, a.data)
+        for whole, parts in ((a * b, a.renamed(names) * b.renamed(names)),
+                             (series_sum([a, b]), series_sum([a.renamed(names), b.renamed(names)]))):
+            moved = whole.renamed(names)
+            assert (moved.vars, moved.lo, moved.hi, moved.cap, moved.data) == (
+                parts.vars, parts.lo, parts.hi, parts.cap, parts.data)
+
+
+def test_renamed_widens_the_receiving_field():
+    # x's field is widened by its data past the 2 bits of w's field, which
+    # must widen in turn to receive it
+    narrow = layout(("x", "y", "w"), (2, 2, 2))
+    s = Series(("x", "y"), (-1, 0), (INF, 3), {(40, 1): F(2), (-1, 3): F(-1, 3)}, layout=narrow)
+    r = s.renamed({"x": "w"})
+    assert r.vars == ("w", "y") and (r.lo, r.hi, r.data) == (s.lo, s.hi, s.data)
+    t = Series(("w",), (0,), (INF,), {(1,): F(1), (3,): F(5)}, layout=narrow)
+    assert (r * t).renamed({"w": "x"}) == s * t.renamed({"w": "x"})
+    assert r.renamed({"w": "x"}).data == s.data
+
+
+def test_renamed_rejects_merges_and_cap_crossings():
+    cap = (frozenset({"x", "y"}), 3)
+    s = Series(("x", "y", "z"), (0, 0, 0), (INF,) * 3, {(1, 1, 1): F(1)}, cap)
+    with pytest.raises(ValueError):
+        s.renamed({"x": "y"})
+    with pytest.raises(ValueError):
+        s.renamed({"x": "v"})
+    assert s.renamed({"q": "x"}) is s
