@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import hurwitz, pscore, symcore, tables, transforms
+from . import hurwitz, oracles, pscore, symcore, tables, transforms
 from .series import TruncationError
 
 EXIT_OK = 0
@@ -179,13 +179,11 @@ def cmd_transform(args) -> int:
 
 
 def cmd_gue(args) -> int:
-    from .oracles import gue_moments_by_gluing
-
     if args.genus < 0 or args.deg < 0:
         raise CliError("--genus and --deg must be nonnegative")
     kmax = args.deg // 2
     moments = {
-        k: v for k, v in gue_moments_by_gluing(kmax).items() if k[0] <= args.genus
+        k: v for k, v in oracles.gue_moments_by_gluing(kmax).items() if k[0] <= args.genus
     }
     obj = tables.to_json(moments, {"fixture": "gue", "genus2": args.genus, "deg": args.deg})
     csv = tables.to_csv(moments) if args.csv else None
@@ -229,14 +227,12 @@ def suite_equivalence(d: int, K: int, count: int = 5, g2: int = EQUIVALENCE_G2) 
 
 
 def suite_genus0_trees(n: int, deg: int, count: int = 3) -> dict:
-    from .oracles import genus0_moment_by_convolution
-
     cases = []
     for seed in range(count):
         t = tables.random_table(seed=200 + seed, nmax=n, degmax=deg)
         got = transforms.genus0_moments(t, n, deg)
         for ks in _monomials(n, deg):
-            want = genus0_moment_by_convolution(t, ks)
+            want = oracles.genus0_moment_by_convolution(t, ks)
             cases.append(
                 _case("seed %d F_0;%s" % (seed, list(ks)), want, got.get((0, ks), Fraction(0)))
             )
@@ -250,8 +246,6 @@ def _monomials(n: int, deg: int):
 
 
 def suite_all_genus(deg: int = 4) -> dict:
-    from .oracles import hbar_moment_table
-
     cases = []
     targets = [(0, 2), (2, 1), (1, 1), (1, 2), (2, 2), (0, 3)]
     for g2, n in targets:
@@ -260,7 +254,7 @@ def suite_all_genus(deg: int = 4) -> dict:
         if g2 % 2 == 0:
             t = {k: v for k, v in t.items() if k[0] % 2 == 0}
         got = transforms.allgenus_moments(t, n, g2, deg)
-        orc = hbar_moment_table(t, deg, g2, nmax=n)
+        orc = oracles.hbar_moment_table(t, deg, g2, nmax=n)
         want = {k: v for k, v in orc.items() if k[0] == g2 and len(k[1]) == n}
         cases.append(
             _case(
@@ -273,13 +267,11 @@ def suite_all_genus(deg: int = 4) -> dict:
 
 
 def suite_infinitesimal(deg: int = 4) -> dict:
-    from .oracles import hbar_moment_table
-
     cases = []
     t = tables.random_table(seed=400, nmax=2, degmax=deg, g2max=1)
     for n in (1, 2):
         got = transforms.half_genus_moments_special_trees(t, n, deg)
-        orc = hbar_moment_table(t, deg, 1, nmax=n)
+        orc = oracles.hbar_moment_table(t, deg, 1, nmax=n)
         want = {k: v for k, v in orc.items() if k[0] == 1 and len(k[1]) == n}
         cases.append(
             _case(
@@ -297,11 +289,9 @@ def suite_infinitesimal(deg: int = 4) -> dict:
 
 
 def suite_gue() -> dict:
-    from .oracles import gue_moments_by_gluing
-
     cases = []
     mt = transforms.master_forward(tables.gue_table(), 8, 4)
-    want = gue_moments_by_gluing(4)
+    want = oracles.gue_moments_by_gluing(4)
     for (g2, ks), v in sorted(want.items()):
         cases.append(_case("F_{%d/2;%d}" % (g2, ks[0]), v, mt.get((g2, ks), Fraction(0))))
     catalan = [1, 2, 5, 14, 42]
@@ -440,6 +430,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except oracles.CacheError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
     except TruncationError as exc:
         print("truncation insufficiency: %s" % exc, file=sys.stderr)
         return EXIT_TRUNCATION

@@ -94,6 +94,12 @@ class HbarSeries:
         v = Fraction(v)
         return _new(e, [v.numerator], v.denominator, K)
 
+    @classmethod
+    def from_numerators(cls, num: list, den: int, K: int) -> "HbarSeries":
+        """(sum_e num[e] hbar^e) / den, from integer numerators for hbar^0,
+        hbar^1, ... and a positive denominator."""
+        return _new(0, list(num), den, K)
+
     # -- basics --------------------------------------------------------------
     @property
     def c(self):
@@ -104,6 +110,13 @@ class HbarSeries:
                 {lo + i: Fraction(v, den) for i, v in enumerate(self._num) if v}
             )
         return self._c
+
+    def numerators(self, K: int) -> tuple[list, int]:
+        """The integer numerators of hbar^0..hbar^K, as one list, and the
+        denominator they share; the inverse of from_numerators."""
+        if K > self.K or self._lo < 0:
+            raise ValueError("no hbar^0..hbar^%d numerators of %r" % (K, self))
+        return ([0] * self._lo + self._num + [0] * (K + 1))[:K + 1], self._den
 
     def floor(self) -> int:
         return self._lo

@@ -8,17 +8,19 @@ beta) with alpha in C_lambda, beta in C_nu and
 alpha o tau_1 o ... o tau_r o beta = id.
 
 ``hurwitz_table``, behind the ``hurwitz`` subcommand and ``verify --suite
-orthogonality``, is a content-multiplier kernel (the master routes in
-``transforms`` apply the same multipliers without tables).  A central
-element acts on the irreducible rho |- d by a scalar, and the Jucys-Murphy
-elements act by the contents of rho, so
+orthogonality``, is a content-multiplier kernel.  A central element acts
+on the irreducible rho |- d by a scalar, and the Jucys-Murphy elements act
+by the contents of rho, so
 
     H_r(lambda, nu) = sum_rho chi^rho(lambda) chi^rho(nu) m_rho(r) / (z_lambda z_nu)
 
-with m_rho(r) the hbar^r coefficient of ``symcore.content_polynomial``,
-e_r(contents) (strict), or of its inverse, (-1)^r h_r(contents) (weak), or
-the central character of the colength-r class sum (free single).  The
-characters come from ``symcore.character_table``.
+with m_rho(r) the hbar^r coefficient of prod over the cells of rho of
+(1 + hbar c), e_r(contents) (strict), or of its inverse, (-1)^r
+h_r(contents) (weak), both the integer rows of ``symcore.content_rows``,
+or the central character of the colength-r class sum (free single).  The
+characters come from ``symcore.character_table``.  The master routes in
+``transforms`` multiply by the same ``content_rows`` inside their
+chi-transform, without building a table.
 
 The oracles check it by other means: ``_monotone_counts`` enumerates the
 monotone sequences by depth-first search (with alpha fixed to pi_lambda and
@@ -141,10 +143,10 @@ def hurwitz_series(lam: Partition, nu: Partition, kind: str, K: int) -> HbarSeri
     return HbarSeries({r: v for r, v in enumerate(row) if v}, K)
 
 
-def _content_multipliers(d: int, kind: str, rmax: int) -> list[list]:
+def _content_multipliers(d: int, kind: str, rmax: int):
     """m_rho(r) for r = 0..rmax, one row per rho in partitions(d)."""
-    parts = symcore.partitions(d)
     if kind == "free-single":
+        parts = symcore.partitions(d)
         chars = symcore.character_table(d)
         sizes = [symcore.class_size(mu) for mu in parts]
         colen = [d - len(mu) for mu in parts]
@@ -159,9 +161,8 @@ def _content_multipliers(d: int, kind: str, rmax: int) -> list[list]:
             # divides these sums exactly
             rows.append([v // dim for v in row])
         return rows
-    # integer coefficients: e_r of the contents (strict), (-1)^r h_r (weak)
-    series = symcore.content_polynomial if kind == "strict" else symcore.content_polynomial_inverse
-    return [[int(series(rho, rmax).coeff(r)) for r in range(rmax + 1)] for rho in parts]
+    # e_r of the contents (strict), (-1)^r h_r (weak)
+    return symcore.content_rows(d, rmax, inverse=kind == "weak")
 
 
 def hurwitz_table(d: int, kind: str, K: int) -> dict[tuple[Partition, Partition], HbarSeries]:

@@ -162,40 +162,49 @@ def star_factorization_counts(lam: Partition) -> dict[tuple[Partition, ...], int
 _star_cache: dict[Partition, dict] = {}
 
 
+class CacheError(Exception):
+    """FREEHOP_CACHE names a path the star counts cannot be read from or
+    written to."""
+
+
 def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
     """Memory- and disk-cached star_factorization_counts (FREEHOP_CACHE
     names the cache directory).  A cache file whose ``lambda`` field names
     another partition, or that is not a JSON object with a well-formed
     ``entries`` list (see _star_counts_from_file), is a miss, rebuilt and
-    overwritten."""
+    overwritten.  A cache directory that cannot be created, read or written
+    raises CacheError."""
     if lam in _star_cache:
         return _star_cache[lam]
     cdir = os.environ.get("FREEHOP_CACHE")
     path = None
-    if cdir:
-        path = os.path.join(cdir, "starcounts-%s.json" % "-".join(map(str, lam)))
-        if os.path.exists(path):
-            table = _star_counts_from_file(path, lam)
-            if table is not None:
-                _star_cache[lam] = table
-                return table
-    table = star_factorization_counts(lam)
+    try:
+        if cdir:
+            path = os.path.join(cdir, "starcounts-%s.json" % "-".join(map(str, lam)))
+            if os.path.exists(path):
+                table = _star_counts_from_file(path, lam)
+                if table is not None:
+                    _star_cache[lam] = table
+                    return table
+        table = star_factorization_counts(lam)
+        if path:
+            os.makedirs(cdir, exist_ok=True)
+            tmp = path + ".tmp"
+            with open(tmp, "w") as fh:
+                json.dump(
+                    {
+                        "lambda": list(lam),
+                        "entries": [
+                            {"types": [list(t) for t in key], "count": c}
+                            for key, c in sorted(table.items())
+                        ],
+                    },
+                    fh,
+                )
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise CacheError("FREEHOP_CACHE=%s is not a usable cache directory: %s" % (cdir, exc)) from exc
     _star_cache[lam] = table
-    if path:
-        os.makedirs(cdir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(
-                {
-                    "lambda": list(lam),
-                    "entries": [
-                        {"types": [list(t) for t in key], "count": c}
-                        for key, c in sorted(table.items())
-                    ],
-                },
-                fh,
-            )
-        os.replace(tmp, path)
     return table
 
 

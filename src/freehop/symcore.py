@@ -39,6 +39,11 @@ def partitions(d: int) -> list[Partition]:
     >>> len(partitions(6))
     11
     """
+    return list(_partitions(d))
+
+
+@lru_cache(maxsize=None)
+def _partitions(d: int) -> tuple[Partition, ...]:
     if d < 0:
         raise ValueError("d must be nonnegative")
     out: list[Partition] = []
@@ -51,7 +56,7 @@ def partitions(d: int) -> list[Partition]:
             rec(rest - p, p, prefix + (p,))
 
     rec(d, d if d else 1, ())
-    return out
+    return tuple(out)
 
 
 def multiplicities(lam: Partition) -> dict[int, int]:
@@ -277,21 +282,32 @@ def hook_dimension(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def content_polynomial(lam: Partition, K: int):
-    """prod over cells of (1 + hbar*(j - i)), truncated at hbar^K; memoised
-    per (lam, K), since the series it returns is never mutated."""
-    from .hbar import HbarSeries
+def content_rows(d: int, K: int, inverse: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The hbar^0..hbar^K coefficients of prod over the cells of rho of
+    (1 + hbar c), c = j - i the content, which are e_r of the contents, or
+    of its inverse, (-1)^r h_r of the contents: one row per rho in
+    partitions(d).  Each factor has constant term 1, so both are integers.
+    Memoised per (d, K, inverse).
 
-    out = HbarSeries.one(K)
-    for c in contents(lam):
-        out = out * HbarSeries({0: Fraction(1), 1: Fraction(c)}, K)
-    return out
-
-
-@lru_cache(maxsize=None)
-def content_polynomial_inverse(lam: Partition, K: int):
-    """1 / content_polynomial(lam, K), memoised per (lam, K)."""
-    return content_polynomial(lam, K).inverse()
+    >>> content_rows(2, 3)
+    ((1, 1, 0, 0), (1, -1, 0, 0))
+    >>> content_rows(2, 3, inverse=True)
+    ((1, -1, 1, -1), (1, 1, 1, 1))
+    """
+    rows = []
+    for rho in partitions(d):
+        row = [1] + [0] * K
+        for c in contents(rho):
+            if not c:
+                continue
+            if inverse:  # divide by 1 + hbar c
+                for k in range(1, K + 1):
+                    row[k] -= c * row[k - 1]
+            else:
+                for k in range(K, 0, -1):
+                    row[k] += c * row[k - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

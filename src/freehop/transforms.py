@@ -5,7 +5,8 @@ Routes between a cumulant table and a moment table:
 
 - hurwitz:     Z(lam) = z(lam) sum_nu H^<(lam, nu) Z_dual(nu), inverted
                with the weakly monotone series; computed without tables
-               as a chi-transform, the content multiplier and back;
+               as a chi-transform, the content multiplier and back, on
+               integer rows (below);
 - convolution: Phi = zeta_hbar (*) Phi_dual on PS(d) (and the Moebius
                inverse Phi_dual = mu_hbar (*) Phi), evaluated only at the
                one-block targets (1_d, pi_lam) from the factorization
@@ -36,6 +37,16 @@ that holds the first cycle: with nu = (a, rho),
 
 where c_T = prod_k C(m_k(rho), t_k) counts the sets of cycles of rho whose
 lengths form T.  Its inverse peels the T = rho term off the same sum.
+
+Representation.  The hurwitz and schur routes keep every hbar-series as an
+integer row, the numerators of hbar^0..hbar^K, over a denominator fixed
+by its partition: Z(nu) and the block values B(mu) of the input table sit
+over Q^ell, Q the lcm of the table's denominators; the Z(nu) / z(nu) of
+one degree d, and the chi-transform of them, over Q^d d!; and the Z and
+block values of the peel over one D_d per degree, with D_a D_b dividing
+D_(a+b).  So a product term is a truncated convolution of integer lists,
+and a Fraction is built only where an entry is read off.  z_value, z_table
+and table_from_z are the HbarSeries-facing boundary of that code.
 """
 
 from __future__ import annotations
@@ -43,9 +54,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
-from operator import add
+from operator import add, mul, sub
 
 from . import graphs, pscore, symcore
 from .hbar import HbarSeries
@@ -71,97 +83,155 @@ def blockvalue_series(table: CoefficientTable, mu: Partition, K: int) -> HbarSer
     return HbarSeries(coeffs, K)
 
 
-def _splits(rho: Partition):
-    """The sub-multisets T of the partition rho, each with the rest rho - T
-    and the count c_T = prod_k C(m_k(rho), t_k) of sets of rho's parts, as
-    distinct cycles, whose lengths form T.
+@lru_cache(maxsize=None)
+def _splits(nu: Partition) -> tuple:
+    """The first-block splits of nu = (a, rho): for each sub-multiset T of
+    rho, the block a u T, the rest rho - T and the count
+    c_T = prod_k C(m_k(rho), t_k) of sets of rho's parts, as distinct
+    cycles, whose lengths form T.  Memoised per nu.
 
-    >>> for T, rest, c in _splits((2, 1, 1)):
-    ...     print(T, rest, c)
-    () (2, 1, 1) 1
-    (1,) (2, 1) 2
-    (1, 1) (2,) 1
-    (2,) (1, 1) 1
-    (2, 1) (1,) 2
-    (2, 1, 1) () 1
+    >>> for mu, rest, c in _splits((3, 2, 1, 1)):
+    ...     print(mu, rest, c)
+    (3,) (2, 1, 1) 1
+    (3, 1) (2, 1) 2
+    (3, 1, 1) (2,) 1
+    (3, 2) (1, 1) 1
+    (3, 2, 1) (1,) 2
+    (3, 2, 1, 1) () 1
     """
-    mult = Counter(rho)  # distinct parts in descending order
+    out = []
+    mult = Counter(nu[1:])  # distinct parts in descending order
     for ts in product(*(range(m + 1) for m in mult.values())):
-        T, rest, c = (), (), 1
+        mu, rest, c = nu[:1], (), 1
         for (k, m), t in zip(mult.items(), ts):
-            T += (k,) * t
+            mu += (k,) * t
             rest += (k,) * (m - t)
             c *= comb(m, t)
-        yield T, rest, c
+        out.append((mu, rest, c))
+    return tuple(out)
 
 
-def _z_assembly(table: CoefficientTable, K: int):
-    """Z as a function of a partition, memoised on the sub-multisets it
-    recurses through and on the block values it reads."""
-    block: dict[Partition, HbarSeries] = {}
-    z: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
-
-    def Z(nu: Partition) -> HbarSeries:
-        if nu not in z:
-            acc = HbarSeries.zero(K)
-            for T, rest, c in _splits(nu[1:]):
-                mu = nu[:1] + T
-                if mu not in block:
-                    block[mu] = blockvalue_series(table, mu, K)
-                if not block[mu].is_zero():
-                    term = block[mu] * Z(rest)
-                    acc = acc + (term * c if c > 1 else term)
-            z[nu] = acc
-        return z[nu]
-
-    return Z
+def _mul_add(acc: list, c: int, a, b, K: int) -> None:
+    """acc += c * a * b, for integer rows indexed by the hbar exponent
+    0..K, truncated at hbar^K; every row has length K + 1."""
+    lb = next((j for j, y in enumerate(b) if y), K + 1)
+    b = b[lb:]
+    for i, x in enumerate(a[:K + 1 - lb]):
+        if x:
+            x *= c
+            i += lb
+            acc[i:] = map(add, acc[i:], map(x.__mul__, b))
 
 
-def z_value(table: CoefficientTable, nu: Partition, K: int) -> HbarSeries:
-    """Z(nu): the sum over set partitions of the cycle set of pi_nu of block
-    value products, computed by the first-block recursion
+def _first_block_sum(nu: Partition, block: dict, z: dict, den, K: int) -> list:
+    """The first-block sum sum_T c_T B(nu_1 u T) Z(rest) over den(nu), on
+    integer rows: the row of a partition p in ``block`` or ``z`` is over
+    den(p), and den(mu) den(rest) divides den(nu).  A block missing from
+    ``block`` is a zero term."""
+    acc = [0] * (K + 1)
+    dn = den(nu)
+    for mu, rest, c in _splits(nu):
+        b = block.get(mu)
+        if b is not None:
+            _mul_add(acc, c * dn // (den(mu) * den(rest)), b, z[rest], K)
+    return acc
+
+
+def _z_rows(table: CoefficientTable, dmax: int, K: int):
+    """Z(nu) for every nu |- d <= dmax by the first-block recursion,
 
         Z(nu) = sum_{T sub-multiset of rho} c_T B(nu_1 u T) Z(rho - T),
 
-    rho = nu minus its largest part nu_1, c_T = prod_k C(m_k(rho), t_k)."""
-    return _z_assembly(table, K)(sort_to_partition(nu))
+    rho = nu minus its largest part nu_1, c_T = prod_k C(m_k(rho), t_k).
+    Returns (z, den): z[nu] is the integer row of Z(nu) den(nu), with
+    den(nu) = Q^len(nu) and Q the lcm of the denominators of the table
+    entries of degree <= dmax.  A block value B(mu) sits over Q^len(mu)
+    too, so each term of the recursion is an integer row product."""
+    Q = lcm(*(v.denominator for (_, mu), v in table.items() if sum(mu) <= dmax))
+    qpow = [Q ** ell for ell in range(dmax + 1)]
+
+    def den(p: Partition) -> int:
+        return qpow[len(p)]
+
+    block, z = {}, {(): [1] + [0] * K}
+    for d in range(1, dmax + 1):
+        for nu in symcore.partitions(d):
+            base = d + len(nu) - 2
+            row = [0] * (K + 1)
+            for g2 in range(K - base + 1):
+                v = table.get((g2, nu), 0)
+                row[base + g2] = v.numerator * (den(nu) // v.denominator)
+            if any(row):
+                block[nu] = row
+            z[nu] = _first_block_sum(nu, block, z, den, K)
+    return z, den
 
 
-def z_table(table: CoefficientTable, d: int, K: int) -> dict[Partition, HbarSeries]:
-    """Z(nu) for every nu |- d, sharing one memo of the recursion."""
-    Z = _z_assembly(table, K)
-    return {nu: Z(nu) for nu in symcore.partitions(d)}
-
-
-def table_from_z(ztabs: dict[Partition, HbarSeries], dmax: int, K: int, g2max: int) -> CoefficientTable:
+def _peel(z: dict, dens: list, dmax: int, K: int, g2max: int) -> CoefficientTable:
     """Invert the Z-assembly, degree by degree: with nu = (a, rho),
 
         B(nu) = Z(nu) - sum_{T != rho} c_T B(a u T) Z(rho - T),
 
     where each B(a u T) is of lower degree and each Z(rho - T) is an input
-    value; then read the F-table off the hbar gradings of the B(nu)."""
-    block: dict[Partition, HbarSeries] = {}
-    out: CoefficientTable = {}
+    value; then read the F-table off the hbar gradings of the B(nu).
+    z[nu] is an integer row over dens[|nu|].  Z and B of degree d are put
+    over one D_d, the lcm of dens[d] and every D_a D_(d-a), so each term is
+    an integer row product times D_d / (D_a D_(d-a))."""
+    D = [1]
     for d in range(1, dmax + 1):
+        D.append(lcm(dens[d], *(D[a] * D[d - a] for a in range(1, d))))
+
+    def den(p: Partition) -> int:
+        return D[sum(p)]
+
+    block, zD, out = {}, {}, {}
+    for d in range(1, dmax + 1):
+        s = D[d] // dens[d]
         for nu in symcore.partitions(d):
-            acc = ztabs[nu]
-            for T, rest, c in _splits(nu[1:]):
-                if rest and not block[nu[:1] + T].is_zero():
-                    term = block[nu[:1] + T] * ztabs[rest]
-                    acc = acc - (term * c if c > 1 else term)
-            block[nu] = acc
-            _store(out, nu, acc, g2max, K)
+            zD[nu] = row = z[nu] if s == 1 else [v * s for v in z[nu]]
+            # block lacks nu itself, so the sum leaves out T = rho
+            row = list(map(sub, row, _first_block_sum(nu, block, zD, den, K)))
+            if any(row):
+                block[nu] = row
+            _store(out, nu, row, D[d], g2max, K)
     return out
 
 
-def _store(out: CoefficientTable, lam: Partition, val: HbarSeries, g2max: int, K: int):
+def z_value(table: CoefficientTable, nu: Partition, K: int) -> HbarSeries:
+    """Z(nu): the sum over set partitions of the cycle set of pi_nu of block
+    value products, by the first-block recursion of _z_rows."""
+    nu = sort_to_partition(nu)
+    z, den = _z_rows(table, sum(nu), K)
+    return HbarSeries.from_numerators(z[nu], den(nu), K)
+
+
+def z_table(table: CoefficientTable, d: int, K: int) -> dict[Partition, HbarSeries]:
+    """Z(nu) for every nu |- d, from one run of the recursion."""
+    z, den = _z_rows(table, d, K)
+    return {nu: HbarSeries.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
+
+
+def table_from_z(ztabs: dict[Partition, HbarSeries], dmax: int, K: int, g2max: int) -> CoefficientTable:
+    """The F-table, g2 <= g2max, of Z-values known to hbar^K, read off by
+    _peel from their numerators over one denominator per degree."""
+    z, dens = {}, [1]
+    for d in range(1, dmax + 1):
+        rows = {nu: ztabs[nu].numerators(K) for nu in symcore.partitions(d)}
+        q = lcm(*(rden for _, rden in rows.values()))
+        dens.append(q)
+        for nu, (row, rden) in rows.items():
+            z[nu] = [v * (q // rden) for v in row]
+    return _peel(z, dens, dmax, K, g2max)
+
+
+def _store(out: CoefficientTable, lam: Partition, row: list, den: int, g2max: int, K: int):
     """Read the entries F_{g2; lam}, g2 <= g2max, off the hbar gradings of
-    a block value known to hbar^K."""
+    a block value known to hbar^K, given as an integer row over den."""
     base = sum(lam) + len(lam) - 2
     for g2 in range(0, min(g2max, K - base) + 1):
-        v = val.coeff(base + g2)
+        v = row[base + g2]
         if v:
-            out[(g2, lam)] = v
+            out[(g2, lam)] = Fraction(v, den)
 
 
 def required_K(dmax: int, g2max: int) -> int:
@@ -189,20 +259,33 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | 
         Z'(lam) = sum_rho chi^rho(lam) m_rho sum_nu chi^rho(nu) b_nu,
 
     m_rho = prod over the cells of rho of (1 + hbar c), c the content, or
-    its inverse when ``inverse`` is set."""
-    K = default_K(dmax, g2max) if K is None else K
-    mult = symcore.content_polynomial_inverse if inverse else symcore.content_polynomial
-    Z = _z_assembly(table, K)
-    zero = HbarSeries.zero(K)
-    ztabs: dict[Partition, HbarSeries] = {(): HbarSeries.one(K)}
+    its inverse when ``inverse`` is set.  Per degree the b_nu are one
+    integer matrix over the denominator Q^d d! (Z(nu) is over Q^len(nu)
+    and d! / z(nu) is the class size), so the transform is two integer
+    products with the character table and a truncated row product by the
+    integer rows of symcore.content_rows in between; _peel reads the
+    F-table off the Z'."""
+    # no entry read sits above required_K, and a term never feeds a lower
+    # hbar order, so the rows stop there
+    K = required_K(dmax, g2max) if K is None else min(K, required_K(dmax, g2max))
+    z, den = _z_rows(table, dmax, K)
+    Q = den((1,))
+    zout, dens = {}, [1]
     for d in range(1, dmax + 1):
         parts = symcore.partitions(d)
         chars = symcore.character_table(d)  # row rho, column nu
-        b = [Z(nu) / symcore.z_factor(nu) for nu in parts]
-        c = [sum((v * x for x, v in zip(row, b) if x), zero) * mult(rho, K) for rho, row in zip(parts, chars)]
-        for lam, col in zip(parts, zip(*chars)):
-            ztabs[lam] = sum((v * x for x, v in zip(col, c) if x), zero)
-    return table_from_z(ztabs, dmax, K, g2max)
+        scale = [Q ** (d - len(nu)) * symcore.class_size(nu) for nu in parts]
+        cols = list(zip(*([v * s for v in z[nu]] for nu, s in zip(parts, scale))))
+        c = []
+        for chi, m in zip(chars, symcore.content_rows(d, K, inverse)):
+            acc = [0] * (K + 1)
+            _mul_add(acc, 1, m, [sum(map(mul, chi, col)) for col in cols], K)
+            c.append(acc)
+        cols = list(zip(*c))
+        for lam, chi in zip(parts, zip(*chars)):
+            zout[lam] = [sum(map(mul, chi, col)) for col in cols]
+        dens.append(Q ** d * factorial(d))
+    return _peel(zout, dens, dmax, K, g2max)
 
 
 def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
@@ -259,7 +342,7 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: i
             for (col_a, types), n in pscore.target_factorizations(lam):
                 if col_a <= K:
                     val = val + _term(n, col_a, types, block, K)
-            _store(out, lam, val, g2max, K)
+            _store(out, lam, *val.numerators(K), g2max, K)
     return out
 
 
@@ -306,7 +389,7 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
             cur = nxt
         cum.update(cur)
         for lam in parts:
-            _store(out, lam, cur[lam], g2max, K)
+            _store(out, lam, *cur[lam].numerators(K), g2max, K)
     return out
 
 

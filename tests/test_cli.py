@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freehop import cli, tables
+from freehop import cli, oracles, tables
 
 
 def run(args):
@@ -335,6 +335,21 @@ def test_verify_small_suites(tmp_path):
         "verify", "--suite", "genus0-trees", "--n", "2", "--deg", "4",
         "--out", str(tmp_path / "t.json"),
     ]) == 0
+
+
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_unusable_cache_exit_2(tmp_path, monkeypatch, capsys, where):
+    # a FREEHOP_CACHE that names a regular file, or a directory below one,
+    # is bad input (exit 2) with a one-line message, not a failed
+    # verification (exit 1) with a traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = blocker if where == "file" else blocker / "cache"
+    monkeypatch.setenv("FREEHOP_CACHE", str(cache))
+    monkeypatch.setattr(oracles, "_star_cache", {})
+    assert run(["verify", "--suite", "genus0-trees", "--n", "1", "--deg", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FREEHOP_CACHE=%s " % cache) and err.count("\n") == 1
 
 
 def test_exit_codes_stable():

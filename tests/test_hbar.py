@@ -159,3 +159,17 @@ def test_constructors():
     assert delta_kron(True, 2) == HbarSeries.one(2)
     assert delta_kron(False, 2).is_zero()
     assert HbarSeries({0: 0, 1: Fraction(0), 2: 1.5}, 4).c == {2: Fraction(3, 2)}
+
+
+def test_integer_numerators_round_trip():
+    # common factors and terms past K are dropped on the way in
+    s = HbarSeries.from_numerators([0, 4, -6, 0, 2], 8, 3)
+    assert s.c == {1: Fraction(1, 2), 2: Fraction(-3, 4)} and s.K == 3
+    assert s.numerators(3) == ([0, 2, -3, 0], 4)
+    assert s.numerators(1) == ([0, 2], 4)
+    assert HbarSeries.from_numerators(*s.numerators(3), 3) == s
+    assert HbarSeries.zero(2).numerators(2) == ([0, 0, 0], 1)
+    with pytest.raises(ValueError):
+        s.numerators(4)  # hbar^4 is not known
+    with pytest.raises(ValueError):
+        HbarSeries({-1: 1}, 3).numerators(3)  # no row holds hbar^-1

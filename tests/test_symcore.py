@@ -10,7 +10,7 @@ from freehop.symcore import (
     colength,
     compose,
     conjugacy_class,
-    content_polynomial,
+    content_rows,
     cycle_type,
     inverse,
     partitions,
@@ -164,12 +164,17 @@ def test_character_dimension_hook():
 
 
 def test_content_polynomial():
-    one = content_polynomial((1,), 6)
-    assert one.coeff(0) == 1 and all(one.coeff(j) == 0 for j in range(1, 7))
-    two = content_polynomial((2,), 6)
-    assert two.coeff(0) == 1 and two.coeff(1) == 1
-    hook = content_polynomial((2, 1), 6)
-    assert hook.coeff(0) == 1 and hook.coeff(1) == 0 and hook.coeff(2) == -1
+    (one,) = content_rows(1, 6)
+    assert one == (1, 0, 0, 0, 0, 0, 0)
+    two = content_rows(2, 6)[0]  # rho = (2,)
+    assert two[:2] == (1, 1) and not any(two[2:])
+    hook = content_rows(3, 6)[1]  # rho = (2, 1)
+    assert hook[:3] == (1, 0, -1) and not any(hook[3:])
+    # the inverse rows invert the products, to hbar^K
+    for d in range(1, 6):
+        for fwd, inv in zip(content_rows(d, 6), content_rows(d, 6, inverse=True)):
+            prod = [sum(fwd[i] * inv[k - i] for i in range(k + 1)) for k in range(7)]
+            assert prod == [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_perm_json_roundtrip():

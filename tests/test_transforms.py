@@ -191,6 +191,80 @@ def test_master_routes_equal_hurwitz_number_sum(seed, dmax, g2max):
     assert _hurwitz_number_sum(m, dmax, g2max, "weak") == master_inverse(m, dmax, g2max)
 
 
+def _object_content_transform(table, dmax, g2max, K, inverse):
+    """The master routes' chi-transform on HbarSeries objects, as they ran
+    before the integer-row kernel: Z by its set-partition definition, the
+    content multipliers as products of series, the loop over characters
+    on series, and the peel over set partitions with two or more blocks."""
+    zero, one = HbarSeries.zero(K), HbarSeries.one(K)
+    values = {}
+
+    def value(mu):
+        if mu not in values:
+            values[mu] = blockvalue_series(table, mu, K)
+        return values[mu]
+
+    def Z(nu):
+        out = zero
+        for grouping in pscore.set_partitions_of(len(nu)):
+            term = one
+            for blk in grouping:
+                term = term * value(symcore.sort_to_partition(nu[i] for i in blk))
+            out = out + term
+        return out
+
+    def mult(rho):
+        m = one
+        for c in symcore.contents(rho):
+            m = m * HbarSeries({0: 1, 1: c}, K)
+        return m.inverse() if inverse else m
+
+    ztabs = {(): one}
+    for d in range(1, dmax + 1):
+        parts = symcore.partitions(d)
+        chars = symcore.character_table(d)  # row rho, column nu
+        b = [Z(nu) / symcore.z_factor(nu) for nu in parts]
+        c = [sum((v * x for x, v in zip(row, b) if x), zero) * mult(rho) for rho, row in zip(parts, chars)]
+        for lam, col in zip(parts, zip(*chars)):
+            ztabs[lam] = sum((v * x for x, v in zip(col, c) if x), zero)
+    block, out = {}, {}
+    for d in range(1, dmax + 1):
+        for nu in symcore.partitions(d):
+            acc = ztabs[nu]
+            for grouping in pscore.set_partitions_of(len(nu)):
+                if len(grouping) > 1:
+                    term = one
+                    for blk in grouping:
+                        term = term * block[symcore.sort_to_partition(nu[i] for i in blk)]
+                    acc = acc - term
+            block[nu] = acc
+            base = d + len(nu) - 2
+            for g2 in range(0, min(g2max, K - base) + 1):
+                if acc.coeff(base + g2):
+                    out[(g2, nu)] = acc.coeff(base + g2)
+    return out
+
+
+@pytest.mark.parametrize("case", ["random-4-3", "random-6-2", "random-7-3", "gue-7-3", "empty-5-2"])
+def test_master_kernel_matches_object_reference(case):
+    kind, dmax, g2max = case.split("-")
+    dmax, g2max = int(dmax), int(g2max)
+    t = {
+        "random": lambda: random_table(seed=170 + dmax, nmax=dmax, degmax=dmax, g2max=g2max),
+        "gue": gue_table,  # every Z row of odd degree is zero
+        "empty": dict,
+    }[kind]()
+    req, dflt = required_K(dmax, g2max), default_K(dmax, g2max)
+    # below required_K (K = 6 at deg 4, genus2 3, as in criterion 3), at
+    # it, at the default and past it
+    for K in (req - 3, req, dflt, dflt + 3):
+        want = _object_content_transform(t, dmax, g2max, K, inverse=False)
+        assert master_forward(t, dmax, g2max, K) == want
+        assert master_inverse(t, dmax, g2max, K) == _object_content_transform(t, dmax, g2max, K, inverse=True)
+        if kind == "random" and K == dflt:
+            assert master_inverse(want, dmax, g2max, K) == restrict_table(t, deg=dmax, g2=g2max)
+
+
 def _full_table_convolution(table, dmax, g2max, K, inverse):
     """The convolution routes on total tables over PS(d), read at the
     one-block targets: the reference for the one-block routes."""
