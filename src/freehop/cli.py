@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import hurwitz, oracles, pscore, symcore, tables, transforms
 from .series import TruncationError
@@ -370,7 +371,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the process:
+    building it takes over a millisecond, parsing a fraction of one."""
     p = argparse.ArgumentParser(
         prog="freehop",
         description="exact partitioned-permutation convolutions, monotone "
@@ -383,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--kind", choices=hurwitz.KINDS, required=True)
     ph.add_argument("--hbar", type=int, default=None)
     ph.add_argument("--out", default=None)
-    ph.set_defaults(fn=cmd_hurwitz)
 
     pm = sub.add_parser("moebius", help="emit the Moebius function on PS(d)")
     pm.add_argument("--d", type=int, required=True)
     pm.add_argument("--hbar", type=int, default=None)
     pm.add_argument("--out", default=None)
-    pm.set_defaults(fn=cmd_moebius)
 
     pt = sub.add_parser("transform", help="run a moment/cumulant transform")
     pt.add_argument("direction", choices=["m2c", "c2m"])
@@ -401,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--hbar", type=int, default=None)
     pt.add_argument("--genus", type=int, default=0, help="doubled genus cutoff")
     pt.add_argument("--csv", action="store_true")
-    pt.set_defaults(fn=cmd_transform)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=SUITES, required=True)
@@ -410,23 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--deg", type=int, default=None)
     pv.add_argument("--hbar", type=int, default=None)
     pv.add_argument("--out", default=None)
-    pv.set_defaults(fn=cmd_verify)
 
     pg = sub.add_parser("gue", help="emit the Gaussian gluing fixture")
     pg.add_argument("--genus", type=int, required=True, help="doubled genus cutoff")
     pg.add_argument("--deg", type=int, required=True)
     pg.add_argument("--out", default=None)
     pg.add_argument("--csv", action="store_true")
-    pg.set_defaults(fn=cmd_gue)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so the kept parser holds no command function
+    fn = {"hurwitz": cmd_hurwitz, "moebius": cmd_moebius, "transform": cmd_transform,
+          "verify": cmd_verify, "gue": cmd_gue}[args.command]
     try:
-        return args.fn(args)
+        return fn(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

@@ -10,9 +10,10 @@ Routes between a cumulant table and a moment table:
 - convolution: Phi = zeta_hbar (*) Phi_dual on PS(d) (and the Moebius
                inverse Phi_dual = mu_hbar (*) Phi), evaluated only at the
                one-block targets (1_d, pi_lam) from the factorization
-               counts of pscore.target_factorizations; the inverse is a
-               triangular solve, degree by degree, so neither direction
-               builds tables over PS(d);
+               counts of pscore.target_factorizations, grouped by block
+               types into one hbar row each; the inverse is solved degree
+               by degree, and within a degree in one pass up the hbar
+               orders, so neither direction builds tables over PS(d);
 - schur:       the same kernel, under its Schur-basis name;
 - formula:     the tree (genus 0), graph (all genus) and special-tree
                (genus 1/2) functional relations and their duals; the
@@ -38,15 +39,17 @@ that holds the first cycle: with nu = (a, rho),
 where c_T = prod_k C(m_k(rho), t_k) counts the sets of cycles of rho whose
 lengths form T.  Its inverse peels the T = rho term off the same sum.
 
-Representation.  The hurwitz and schur routes keep every hbar-series as an
-integer row, the numerators of hbar^0..hbar^K, over a denominator fixed
-by its partition: Z(nu) and the block values B(mu) of the input table sit
-over Q^ell, Q the lcm of the table's denominators; the Z(nu) / z(nu) of
-one degree d, and the chi-transform of them, over Q^d d!; and the Z and
-block values of the peel over one D_d per degree, with D_a D_b dividing
-D_(a+b).  So a product term is a truncated convolution of integer lists,
-and a Fraction is built only where an entry is read off.  z_value, z_table
-and table_from_z are the HbarSeries-facing boundary of that code.
+Representation.  Every master route keeps its hbar-series as integer
+rows, the numerators of hbar^0..hbar^K, over a denominator fixed by the
+partition, and the rows stop at K = min(K, required_K).  The block values
+B(mu) of the input table sit over Q^ell(mu), Q the lcm of the table's
+denominators (_block_rows), and so does Z(nu) over Q^ell(nu); the
+Z(nu) / z(nu) of one degree d, and the chi-transform of them, over
+Q^d d!; the Z and block values of the peel over one D_d per degree, with
+D_a D_b dividing D_(a+b); and the moments and cumulants of degree d on
+the convolution routes over Q^d.  So a product term is a truncated
+convolution of integer lists, and a Fraction is built only where an entry
+is read off (_store).
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from math import comb, factorial, lcm
 from operator import add, mul, sub
 
 from . import graphs, pscore, symcore
-from .hbar import HbarSeries
 from .operators import Evaluator, _distinct_permutations, shape_of
 from .series import INF, Series, series_sum
 from .symcore import Partition, sort_to_partition
@@ -69,18 +71,6 @@ from .tables import CoefficientTable, table_get
 
 # ---------------------------------------------------------------------------
 # partition-function tables
-
-
-def blockvalue_series(table: CoefficientTable, mu: Partition, K: int) -> HbarSeries:
-    """Value of the multiplicative function on a one-block partitioned
-    permutation of cycle type mu, as an hbar-series."""
-    base = sum(mu) + len(mu) - 2
-    coeffs = {}
-    for g2 in range(0, K - base + 1):
-        v = table_get(table, g2, mu)
-        if v:
-            coeffs[base + g2] = v
-    return HbarSeries(coeffs, K)
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +127,27 @@ def _first_block_sum(nu: Partition, block: dict, z: dict, den, K: int) -> list:
     return acc
 
 
+def _block_rows(table: CoefficientTable, dmax: int, K: int):
+    """The block values B(mu), |mu| <= dmax, of a table as integer rows
+    truncated at hbar^K: returns (block, qpow), where block[mu] is the
+    row of B(mu) Q^len(mu) for every mu with a nonzero row, qpow[e] = Q^e
+    for e <= dmax, and Q is the lcm of the denominators of the table
+    entries of degree <= dmax."""
+    Q = lcm(*(v.denominator for (_, mu), v in table.items() if sum(mu) <= dmax))
+    qpow = [Q ** e for e in range(dmax + 1)]
+    block = {}
+    for d in range(1, dmax + 1):
+        for mu in symcore.partitions(d):
+            base = d + len(mu) - 2
+            row = [0] * (K + 1)
+            for g2 in range(K - base + 1):
+                v = table.get((g2, mu), 0)
+                row[base + g2] = v.numerator * (qpow[len(mu)] // v.denominator)
+            if any(row):
+                block[mu] = row
+    return block, qpow
+
+
 def _z_rows(table: CoefficientTable, dmax: int, K: int):
     """Z(nu) for every nu |- d <= dmax by the first-block recursion,
 
@@ -144,25 +155,17 @@ def _z_rows(table: CoefficientTable, dmax: int, K: int):
 
     rho = nu minus its largest part nu_1, c_T = prod_k C(m_k(rho), t_k).
     Returns (z, den): z[nu] is the integer row of Z(nu) den(nu), with
-    den(nu) = Q^len(nu) and Q the lcm of the denominators of the table
-    entries of degree <= dmax.  A block value B(mu) sits over Q^len(mu)
-    too, so each term of the recursion is an integer row product."""
-    Q = lcm(*(v.denominator for (_, mu), v in table.items() if sum(mu) <= dmax))
-    qpow = [Q ** ell for ell in range(dmax + 1)]
+    den(nu) = Q^len(nu) over the Q of _block_rows.  A block value B(mu)
+    sits over Q^len(mu) too, so each term of the recursion is an integer
+    row product."""
+    block, qpow = _block_rows(table, dmax, K)
 
     def den(p: Partition) -> int:
         return qpow[len(p)]
 
-    block, z = {}, {(): [1] + [0] * K}
+    z = {(): [1] + [0] * K}
     for d in range(1, dmax + 1):
         for nu in symcore.partitions(d):
-            base = d + len(nu) - 2
-            row = [0] * (K + 1)
-            for g2 in range(K - base + 1):
-                v = table.get((g2, nu), 0)
-                row[base + g2] = v.numerator * (den(nu) // v.denominator)
-            if any(row):
-                block[nu] = row
             z[nu] = _first_block_sum(nu, block, z, den, K)
     return z, den
 
@@ -197,33 +200,6 @@ def _peel(z: dict, dens: list, dmax: int, K: int, g2max: int) -> CoefficientTabl
     return out
 
 
-def z_value(table: CoefficientTable, nu: Partition, K: int) -> HbarSeries:
-    """Z(nu): the sum over set partitions of the cycle set of pi_nu of block
-    value products, by the first-block recursion of _z_rows."""
-    nu = sort_to_partition(nu)
-    z, den = _z_rows(table, sum(nu), K)
-    return HbarSeries.from_numerators(z[nu], den(nu), K)
-
-
-def z_table(table: CoefficientTable, d: int, K: int) -> dict[Partition, HbarSeries]:
-    """Z(nu) for every nu |- d, from one run of the recursion."""
-    z, den = _z_rows(table, d, K)
-    return {nu: HbarSeries.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
-
-
-def table_from_z(ztabs: dict[Partition, HbarSeries], dmax: int, K: int, g2max: int) -> CoefficientTable:
-    """The F-table, g2 <= g2max, of Z-values known to hbar^K, read off by
-    _peel from their numerators over one denominator per degree."""
-    z, dens = {}, [1]
-    for d in range(1, dmax + 1):
-        rows = {nu: ztabs[nu].numerators(K) for nu in symcore.partitions(d)}
-        q = lcm(*(rden for _, rden in rows.values()))
-        dens.append(q)
-        for nu, (row, rden) in rows.items():
-            z[nu] = [v * (q // rden) for v in row]
-    return _peel(z, dens, dmax, K, g2max)
-
-
 def _store(out: CoefficientTable, lam: Partition, row: list, den: int, g2max: int, K: int):
     """Read the entries F_{g2; lam}, g2 <= g2max, off the hbar gradings of
     a block value known to hbar^K, given as an integer row over den."""
@@ -246,6 +222,14 @@ def default_K(dmax: int, g2max: int) -> int:
     return required_K(dmax, g2max) + 1
 
 
+def _row_K(dmax: int, g2max: int, K: int | None) -> int:
+    """The hbar order the integer rows of a master route stop at: no entry
+    read sits above required_K, and a term never feeds a lower hbar order,
+    so the rows stop there, or at K when it is lower."""
+    need = required_K(dmax, g2max)
+    return need if K is None else min(K, need)
+
+
 # ---------------------------------------------------------------------------
 # routes: hurwitz and schur, one content-multiplier kernel
 
@@ -265,9 +249,7 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | 
     products with the character table and a truncated row product by the
     integer rows of symcore.content_rows in between; _peel reads the
     F-table off the Z'."""
-    # no entry read sits above required_K, and a term never feeds a lower
-    # hbar order, so the rows stop there
-    K = required_K(dmax, g2max) if K is None else min(K, required_K(dmax, g2max))
+    K = _row_K(dmax, g2max, K)
     z, den = _z_rows(table, dmax, K)
     Q = den((1,))
     zout, dens = {}, [1]
@@ -309,20 +291,29 @@ def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | 
 # route: convolution on PS(d), evaluated at the one-block targets
 
 
-def _block_values(table: CoefficientTable, dmax: int, K: int) -> dict[Partition, HbarSeries]:
-    return {
-        mu: blockvalue_series(table, mu, K)
-        for d in range(1, dmax + 1)
-        for mu in symcore.partitions(d)
-    }
+def _grouped_factorizations(lam: Partition, K: int) -> dict:
+    """pscore.target_factorizations(lam) grouped by the block types: for
+    each types, the integer row of sum n hbar^|alpha| over its keys with
+    |alpha| <= K."""
+    rows: dict = {}
+    for (col_a, types), n in pscore.target_factorizations(lam):
+        if col_a <= K:
+            rows.setdefault(types, [0] * (K + 1))[col_a] += n
+    return rows
 
 
-def _term(n: int, col_a: int, types, block: dict[Partition, HbarSeries], K: int) -> HbarSeries:
-    """n hbar^|alpha| times the block values of the given cycle types."""
-    term = HbarSeries.monomial(n, col_a, K)
-    for mu in types:
-        term = term * block[mu]
-    return term
+def _product_row(types: tuple, rows: dict, memo: dict, K: int):
+    """The product of rows[mu] over the sorted cycle types mu of ``types``,
+    or None when a type has no row (a zero value); memo holds the product
+    of every prefix of types asked for so far, with memo[()] the row of 1."""
+    if types not in memo:
+        head, last = _product_row(types[:-1], rows, memo, K), rows.get(types[-1])
+        if head is None or last is None:
+            memo[types] = None
+        else:
+            memo[types] = acc = [0] * (K + 1)
+            _mul_add(acc, 1, head, last, K)
+    return memo[types]
 
 
 def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
@@ -332,17 +323,22 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: i
                            0_alpha v B = 1_d of hbar^|alpha| prod_B phi_dual,
 
     evaluated only at the one-block targets through the factorization
-    counts of ``pscore.target_factorizations``."""
-    K = default_K(dmax, g2max) if K is None else K
-    block = _block_values(cum_table, dmax, K)
+    counts of ``pscore.target_factorizations``, grouped by block types: each
+    group is its hbar row times the product of its types' block values.
+    The moments of degree d sit over Q^d, a product of block values over
+    Q^(sum of their lengths), which is at most d."""
+    K = _row_K(dmax, g2max, K)
+    block, qpow = _block_rows(cum_table, dmax, K)
+    memo = {(): [1] + [0] * K}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         for lam in symcore.partitions(d):
-            val = HbarSeries.zero(K)
-            for (col_a, types), n in pscore.target_factorizations(lam):
-                if col_a <= K:
-                    val = val + _term(n, col_a, types, block, K)
-            _store(out, lam, *val.numerators(K), g2max, K)
+            acc = [0] * (K + 1)
+            for types, h in _grouped_factorizations(lam, K).items():
+                p = _product_row(types, block, memo, K)
+                if p is not None:
+                    _mul_add(acc, qpow[d - sum(map(len, types))], h, p, K)
+            _store(out, lam, acc, qpow[d], g2max, K)
     return out
 
 
@@ -354,42 +350,40 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
     solved degree by degree at the one-block targets.  In the expansion of
     phi(1_d, pi_lam) the only term with |alpha| = 0 is phi_dual(1_d, pi_lam)
     itself; the other terms are products of blocks of size < d, known from
-    lower degrees, or one block of size d times hbar^(>= 1).  So a
-    fixed-point iteration over the p(d) unknowns gains one hbar order per
-    pass."""
-    K = default_K(dmax, g2max) if K is None else K
-    moments = _block_values(mom_table, dmax, K)
-    cum: dict[Partition, HbarSeries] = {}
+    lower degrees, or one block mu |- d times n hbar^|alpha|, |alpha| >= 1.
+    The cumulants of degree d sit over Q^d, so a product of lower-degree
+    ones is over Q^d too.  With r_lam the moment minus the products, the
+    p(d) unknowns are solved in one pass up the hbar orders,
+
+        x_lam[j] = r_lam[j] - sum n x_mu[j - |alpha|],
+
+    each x_mu[j - |alpha|] being of a lower order, already solved."""
+    K = _row_K(dmax, g2max, K)
+    moments, qpow = _block_rows(mom_table, dmax, K)
+    cum: dict[Partition, list] = {}
+    memo = {(): [1] + [0] * K}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         parts = symcore.partitions(d)
-        rest: dict[Partition, HbarSeries] = {}
-        same_degree: dict[Partition, list] = {}
+        x, links = {}, {}
         for lam in parts:
-            val = moments[lam]
-            same_degree[lam] = []
-            for (col_a, types), n in pscore.target_factorizations(lam):
-                if col_a == 0 or col_a > K:
-                    continue
+            m = moments.get(lam, [0] * (K + 1))
+            x[lam] = r = [v * qpow[d - len(lam)] for v in m]
+            links[lam] = []
+            for types, h in _grouped_factorizations(lam, K).items():
                 if len(types) == 1:
-                    same_degree[lam].append((n, col_a, types))
+                    links[lam] += [(types[0], a, n) for a, n in enumerate(h) if a and n]
                 else:
-                    val = val - _term(n, col_a, types, cum, K)
-            rest[lam] = val
-        cur = rest
-        for _ in range(K + 1):
-            nxt = {}
+                    p = _product_row(types, cum, memo, K)
+                    if p is not None:
+                        _mul_add(r, -1, h, p, K)
+        # x[lam] holds r_lam and is solved in place, order by order
+        for j in range(K + 1):
             for lam in parts:
-                val = rest[lam]
-                for n, col_a, types in same_degree[lam]:
-                    val = val - _term(n, col_a, types, cur, K)
-                nxt[lam] = val
-            if nxt == cur:
-                break
-            cur = nxt
-        cum.update(cur)
+                x[lam][j] -= sum(n * x[mu][j - a] for mu, a, n in links[lam] if a <= j)
         for lam in parts:
-            _store(out, lam, *cur[lam].numerators(K), g2max, K)
+            _store(out, lam, x[lam], qpow[d], g2max, K)
+        cum.update(x)
     return out
 
 

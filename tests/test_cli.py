@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -357,3 +359,38 @@ def test_exit_codes_stable():
     assert cli.EXIT_VERIFY_FAIL == 1
     assert cli.EXIT_INPUT == 2
     assert cli.EXIT_TRUNCATION == 3
+
+
+def test_main_in_sequence_equals_each_call_alone(tmp_path, capsys):
+    """main keeps one parser per process: a sequence of calls in one
+    process, with an argparse rejection and an input error among them,
+    gives each call the exit code and output it has in a fresh process."""
+    src = str(tmp_path / "in.json")
+    tables.save(src, tables.random_table(seed=8, nmax=3, degmax=3, g2max=1))
+    transform = ["transform", "c2m", "--route", "convolution", "--in", src]
+    calls = [
+        transform + ["--deg", "3", "--genus", "1", "--csv"],
+        ["moebius", "--d", "2"],
+        ["transform", "c2m", "--route", "nope", "--in", src],  # argparse exits 2
+        transform,  # no --csv, --deg or --genus: the defaults again
+        ["transform", "m2c", "--route", "hurwitz", "--in", src, "--hbar", "1"],  # exit 3
+        ["hurwitz", "--d", "11", "--kind", "strict"],  # exit 2
+        ["gue", "--genus", "2", "--deg", "4"],
+        ["verify", "--suite", "orthogonality", "--d", "2"],
+        transform + ["--deg", "3", "--genus", "1", "--csv"],
+    ]
+    together = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        together.append((code, out, err))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    script = "import sys; from freehop.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, got in zip(calls, together):
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 3, 2, 0, 0, 0]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,14 +8,15 @@ from freehop.hbar import HbarSeries
 from freehop.hurwitz import hurwitz_table
 from freehop.operators import Evaluator
 from freehop.series import Series
-from freehop.tables import gue_table, random_table, restrict_table, table_equal
+from freehop.tables import gue_table, random_table, restrict_table, table_equal, table_get
 from freehop.transforms import (
     _edge_genus0,
+    _peel,
     _special_tree_product,
     _tree_kernel_depths,
     _tree_product,
+    _z_rows,
     allgenus_moments,
-    blockvalue_series,
     convolution_forward,
     default_K,
     genus0_moments,
@@ -26,9 +28,6 @@ from freehop.transforms import (
     schur_d_oracle,
     specialized_03,
     specialized_11,
-    table_from_z,
-    z_table,
-    z_value,
 )
 
 
@@ -49,7 +48,40 @@ def _graph_term(ev, g):
 
 
 # ---------------------------------------------------------------------------
-# partition-function plumbing
+# partition-function plumbing, and its HbarSeries-facing references
+
+
+def blockvalue_series(table, mu, K):
+    """Value of the multiplicative function on a one-block partitioned
+    permutation of cycle type mu, as an hbar-series."""
+    base = sum(mu) + len(mu) - 2
+    return HbarSeries({base + g2: table_get(table, g2, mu) for g2 in range(0, K - base + 1)}, K)
+
+
+def z_value(table, nu, K):
+    """Z(nu) as an hbar-series, by the first-block recursion of _z_rows."""
+    nu = symcore.sort_to_partition(nu)
+    z, den = _z_rows(table, sum(nu), K)
+    return HbarSeries.from_numerators(z[nu], den(nu), K)
+
+
+def z_table(table, d, K):
+    """Z(nu) for every nu |- d, from one run of the recursion."""
+    z, den = _z_rows(table, d, K)
+    return {nu: HbarSeries.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
+
+
+def table_from_z(ztabs, dmax, K, g2max):
+    """The F-table, g2 <= g2max, of Z-values known to hbar^K, read off by
+    _peel from their numerators over one denominator per degree."""
+    z, dens = {}, [1]
+    for d in range(1, dmax + 1):
+        rows = {nu: ztabs[nu].numerators(K) for nu in symcore.partitions(d)}
+        q = lcm(*(rden for _, rden in rows.values()))
+        dens.append(q)
+        for nu, (row, rden) in rows.items():
+            z[nu] = [v * (q // rden) for v in row]
+    return _peel(z, dens, dmax, K, g2max)
 
 
 def test_z_empty_is_one():
@@ -299,6 +331,98 @@ def test_convolution_routes_at_degree_6():
     m = convolution_forward(t, 6, 0)
     assert m == master_forward(t, 6, 0)
     assert moebius_inverse_route(m, 6, 0) == restrict_table(t, deg=6, g2=0)
+
+
+def _term(n, col_a, types, block, K):
+    """n hbar^|alpha| times the block values of the given cycle types."""
+    term = HbarSeries.monomial(n, col_a, K)
+    for mu in types:
+        term = term * block[mu]
+    return term
+
+
+def _read_off(out, lam, val, g2max, K):
+    base = sum(lam) + len(lam) - 2
+    for g2 in range(0, min(g2max, K - base) + 1):
+        if val.coeff(base + g2):
+            out[(g2, lam)] = val.coeff(base + g2)
+
+
+def _object_convolution_forward(cum_table, dmax, g2max, K=None):
+    """convolution_forward on HbarSeries objects, one series product per
+    factorization key, as it ran before the integer rows."""
+    K = default_K(dmax, g2max) if K is None else K
+    block = {mu: blockvalue_series(cum_table, mu, K)
+             for d in range(1, dmax + 1) for mu in symcore.partitions(d)}
+    out = {}
+    for d in range(1, dmax + 1):
+        for lam in symcore.partitions(d):
+            val = HbarSeries.zero(K)
+            for (col_a, types), n in pscore.target_factorizations(lam):
+                if col_a <= K:
+                    val = val + _term(n, col_a, types, block, K)
+            _read_off(out, lam, val, g2max, K)
+    return out
+
+
+def _object_moebius_inverse_route(mom_table, dmax, g2max, K=None):
+    """moebius_inverse_route on HbarSeries objects, as it ran before the
+    integer rows: the same-degree unknowns by a fixed-point iteration that
+    gains one hbar order per pass."""
+    K = default_K(dmax, g2max) if K is None else K
+    moments = {mu: blockvalue_series(mom_table, mu, K)
+               for d in range(1, dmax + 1) for mu in symcore.partitions(d)}
+    cum, out = {}, {}
+    for d in range(1, dmax + 1):
+        parts = symcore.partitions(d)
+        rest, same_degree = {}, {}
+        for lam in parts:
+            val = moments[lam]
+            same_degree[lam] = []
+            for (col_a, types), n in pscore.target_factorizations(lam):
+                if col_a == 0 or col_a > K:
+                    continue
+                if len(types) == 1:
+                    same_degree[lam].append((n, col_a, types))
+                else:
+                    val = val - _term(n, col_a, types, cum, K)
+            rest[lam] = val
+        cur = rest
+        for _ in range(K + 1):
+            nxt = {}
+            for lam in parts:
+                val = rest[lam]
+                for n, col_a, types in same_degree[lam]:
+                    val = val - _term(n, col_a, types, cur, K)
+                nxt[lam] = val
+            if nxt == cur:
+                break
+            cur = nxt
+        cum.update(cur)
+        for lam in parts:
+            _read_off(out, lam, cur[lam], g2max, K)
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    *("random-%d-%d-%d" % (seed, dmax, g2max) for seed in (5, 6, 7) for dmax, g2max in ((3, 1), (4, 2), (5, 3))),
+    "random-5-6-2", "random-6-6-3", "gue-0-6-3", "empty-0-5-2",
+])
+def test_convolution_routes_match_object_reference(case):
+    kind, seed, dmax, g2max = case.split("-")
+    seed, dmax, g2max = int(seed), int(dmax), int(g2max)
+    t = {
+        "random": lambda: random_table(seed=seed, nmax=dmax, degmax=dmax, g2max=g2max),
+        "gue": gue_table,
+        "empty": dict,
+    }[kind]()
+    req, dflt = required_K(dmax, g2max), default_K(dmax, g2max)
+    for K in (req - 2, req, dflt, dflt + 3):
+        assert convolution_forward(t, dmax, g2max, K) == _object_convolution_forward(t, dmax, g2max, K)
+        # any table is the moment table of some multiplicative function
+        assert moebius_inverse_route(t, dmax, g2max, K) == _object_moebius_inverse_route(t, dmax, g2max, K)
+    assert convolution_forward(t, dmax, g2max) == _object_convolution_forward(t, dmax, g2max)
+    assert moebius_inverse_route(t, dmax, g2max) == _object_moebius_inverse_route(t, dmax, g2max)
 
 
 def test_schur_inverse_roundtrip():
