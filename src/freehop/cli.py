@@ -27,10 +27,12 @@ HURWITZ_D_BOUND = 10
 # largest d of the moebius subcommand, which enumerates PS(d)
 MOEBIUS_D_BOUND = 6
 # largest --deg per (route, direction) of transform: the convolution routes
-# enumerate S_d for their factorization counts
+# walk one permutation per centralizer orbit of S_d for their factorization
+# counts; a fresh process at degree 8 takes about 7 s, most of it in those
+# counts (2 vCPUs, Python 3.11)
 TRANSFORM_D_BOUND = {
-    ("convolution", "c2m"): 6,
-    ("convolution", "m2c"): 6,
+    ("convolution", "c2m"): 8,
+    ("convolution", "m2c"): 8,
 }
 
 

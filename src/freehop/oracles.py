@@ -3,11 +3,13 @@
 These stay deliberately elementary: one direct walk over the
 factorizations (0_alpha, alpha) (.) (B, beta) = (1_d, pi_lam), counted by
 hbar order and block cycle types and evaluated in plain Fractions, and
-surface-gluing counts by Euler characteristic.  The walk visits every
-beta in S_d and lists the partitions B of beta's cycles once per linkage
-pattern (the cycle lengths in each class of cycles that alpha links),
-since the B that count depend on beta only through it.  They share no
-series or operator machinery with the routes they check.
+surface-gluing counts by Euler characteristic.  The walk takes one beta
+per orbit of S_d under conjugation by the centralizer of pi_lam, weighted
+by the orbit's size, and lists the partitions B of beta's cycles once per
+linkage pattern (the cycle lengths in each class of cycles that alpha
+links) for the process, since the B that count depend on beta only
+through it.  They share no series or operator machinery with the routes
+they check.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from itertools import permutations as _all_perms
+from itertools import permutations as _all_perms, product
 
 from . import symcore
-from .symcore import Partition
+from .symcore import Partition, Perm
 from .tables import CoefficientTable, table_get
 
 
@@ -75,6 +77,73 @@ def _roots(m: int, *groupings) -> list[int]:
     return [find(x) for x in range(m)]
 
 
+def _centralizer(lam: Partition) -> list[Perm]:
+    """Every c in S_d with c pi_lam = pi_lam c, pi_lam =
+    canonical_permutation(lam): c sends the cycles of pi_lam of one length
+    onto each other in any order, point k of a cycle to point k + shift of
+    its image, with any shift per cycle; z_lam elements in all."""
+    d = sum(lam)
+    starts = [sum(lam[:i]) for i in range(len(lam))]
+    by_len: dict[int, list[int]] = {}
+    for i, p in enumerate(lam):
+        by_len.setdefault(p, []).append(i)
+    choices = [
+        [(p, idx, onto, shifts) for onto in _all_perms(idx) for shifts in product(range(p), repeat=len(idx))]
+        for p, idx in by_len.items()
+    ]
+    out = []
+    for combo in product(*choices):
+        img = [0] * d
+        for p, idx, onto, shifts in combo:
+            for i, j, s in zip(idx, onto, shifts):
+                for k in range(p):
+                    img[starts[i] + k] = starts[j] + (k + s) % p
+        out.append(tuple(img))
+    return out
+
+
+def _orbit_reps(lam: Partition):
+    """One beta per orbit of S_d under conjugation by the centralizer of
+    pi_lam, with the size of its orbit.  The walk over S_d takes a beta it
+    has not met as an image of an earlier one, and skips its other images
+    as it reaches them."""
+    conj = [(c, symcore.inverse(c)) for c in _centralizer(lam)]
+    pending: set[Perm] = set()
+    for beta in _all_perms(range(sum(lam))):
+        if beta in pending:
+            pending.discard(beta)
+            continue
+        # c beta c^-1 sends c(x) to c(beta(x))
+        orbit = {tuple([c[beta[x]] for x in c_inv]) for c, c_inv in conj}
+        yield beta, len(orbit)
+        pending |= orbit - {beta}
+
+
+_groupings: dict[tuple, dict[tuple[Partition, ...], int]] = {}
+
+
+def _connected_groupings(classes: tuple[Partition, ...], nb: int) -> dict[tuple[Partition, ...], int]:
+    """The partitions B of a permutation's cycles into nb blocks that join
+    its linked classes into one, counted by the cycle types on the blocks,
+    where classes holds the cycle lengths of each class.  They depend on
+    nothing else, so each is listed once per process."""
+    key = (classes, nb)
+    if key in _groupings:
+        return _groupings[key]
+    lens = [p for cls in classes for p in cls]
+    starts = [sum(map(len, classes[:i])) for i in range(len(classes))]
+    links = [tuple(range(s, s + len(cls))) for s, cls in zip(starts, classes)]
+    m = len(lens)
+    found: dict[tuple[Partition, ...], int] = {}
+    for grouping in _partitions_into_blocks(m, nb):
+        if len(classes) > 1 and not _joins_to_full(m, links, grouping):
+            continue
+        types = tuple(sorted(symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping))
+        found[types] = found.get(types, 0) + 1
+    _groupings[key] = found
+    return found
+
+
 def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Partition, ...]], int]:
     """Counts of the factorizations
 
@@ -85,56 +154,44 @@ def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Parti
     is at most K.  That order is |alpha| + |(B, beta)|, which is at least
     |(1_d, pi_lam)| = d + ell(lam) - 2 with an even difference, so each
     beta fixes a range of block counts; beta is skipped when the range is
-    empty, before any partition of its cycles is listed.
+    empty.
 
-    The partitions B that count, and their block types, depend on beta
-    only through that range and its linkage pattern: the cycle lengths of
-    each class of beta's cycles that the cycles of alpha link together.
-    So they are listed once per pattern, in a dict local to the call.
+    The B that count, and their block types, depend on beta only through
+    |alpha| and its linkage pattern: the cycle lengths in each class of
+    beta's cycles that alpha links, and, since <alpha, beta> = <pi_lam,
+    beta>, that the cycles of pi_lam link.  Conjugating beta by c in the
+    centralizer of pi_lam conjugates alpha by c too, which keeps both.  So
+    the walk takes one beta per orbit, weighted by the orbit's size, sums
+    the weights per (|alpha|, pattern), and lists the B once per pattern
+    and block count (_connected_groupings).
     """
     d = sum(lam)
     pi = symcore.canonical_permutation(lam)
+    block = [i for i, p in enumerate(lam) for _ in range(p)]  # pi's cycle through each point
     target_col = d + len(lam) - 2
-    out: dict[tuple[int, tuple[Partition, ...]], int] = {}
-    walks: dict[tuple, dict[tuple[Partition, ...], int]] = {}
-    for beta in _all_perms(range(d)):
-        alpha = symcore.compose(pi, symcore.inverse(beta))
-        cycs_a = symcore.cycles(alpha)
-        cycs_b = symcore.cycles(beta)
-        m = len(cycs_b)
-        col_a = d - len(cycs_a)
+
+    def block_counts(col_a: int, m: int) -> range:
         span = col_a + d + m  # the order is span - 2 #blocks(B)
-        nb_lo = max(1, (span - K + 1) // 2)
-        nb_hi = min(m, (span - target_col) // 2)
-        if nb_lo > nb_hi:
+        return range(max(1, (span - K + 1) // 2), min(m, (span - target_col) // 2) + 1)
+
+    weights: dict[tuple[int, tuple[Partition, ...]], int] = {}
+    for beta, size in _orbit_reps(lam):
+        cycs = symcore.cycles(beta)
+        col_a = symcore.colength(symcore.compose(pi, symcore.inverse(beta)))
+        if not block_counts(col_a, len(cycs)):
             continue
-        # the cycles of beta that one cycle of alpha meets, as groups of
-        # cycle indices; B must join them into one
-        owner = [0] * d
-        for i, cyc in enumerate(cycs_b):
-            for x in cyc:
-                owner[x] = i
-        links = [tuple({owner[x] for x in cyc}) for cyc in cycs_a]
-        lens = [len(cyc) for cyc in cycs_b]
+        roots = _roots(len(lam), [tuple({block[x] for x in cyc}) for cyc in cycs])
         classes: dict[int, list[int]] = {}
-        for i, root in enumerate(_roots(m, links)):
-            classes.setdefault(root, []).append(lens[i])
-        pattern = (nb_lo, nb_hi, tuple(sorted(tuple(sorted(c)) for c in classes.values())))
-        walk = walks.get(pattern)
-        if walk is None:
-            walk = walks[pattern] = {}
-            linked = len(classes) == 1
-            for nb in range(nb_lo, nb_hi + 1):
-                for grouping in _partitions_into_blocks(m, nb):
-                    if not (linked or _joins_to_full(m, links, grouping)):
-                        continue
-                    types = tuple(sorted(
-                        symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping
-                    ))
-                    walk[types] = walk.get(types, 0) + 1
-        for types, c in walk.items():
-            key = (col_a, types)
-            out[key] = out.get(key, 0) + c
+        for cyc in cycs:
+            classes.setdefault(roots[block[cyc[0]]], []).append(len(cyc))
+        key = (col_a, tuple(sorted(symcore.sort_to_partition(c) for c in classes.values())))
+        weights[key] = weights.get(key, 0) + size
+    out: dict[tuple[int, tuple[Partition, ...]], int] = {}
+    for (col_a, classes), size in weights.items():
+        for nb in block_counts(col_a, sum(map(len, classes))):
+            for types, c in _connected_groupings(classes, nb).items():
+                key = (col_a, types)
+                out[key] = out.get(key, 0) + size * c
     return out
 
 
@@ -211,8 +268,9 @@ def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
 def _star_counts_from_file(path: str, lam: Partition):
     """The counts stored at path, or None unless the file is a JSON object
     whose ``lambda`` field is lam and whose ``entries`` are a list of
-    objects, each with ``types`` a list of lists of integers and an integer
-    ``count``."""
+    objects, each with an integer ``count`` and with ``types`` a list of
+    nonempty partitions (lists of positive, weakly decreasing integers)
+    that together sum to |lam|."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -229,8 +287,9 @@ def _star_counts_from_file(path: str, lam: Partition):
             return None
         types, count = e.get("types"), e.get("count")
         if type(count) is not int or not isinstance(types, list) or not all(
-            isinstance(t, list) and all(type(x) is int for x in t) for t in types
-        ):
+            isinstance(t, list) and t and all(type(x) is int for x in t) and symcore.is_partition(t)
+            for t in types
+        ) or sum(map(sum, types)) != sum(lam):
             return None
         table[tuple(tuple(t) for t in types)] = count
     return table

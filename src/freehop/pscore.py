@@ -1,8 +1,10 @@
 """Set partitions, partitioned permutations and the convolution algebra on
 them (zeta, Moebius, plain and hbar-extended), and the factorization counts
 of a one-block target (1_d, pi_lam) that the convolution routes evaluate:
-a walk over S_d that lists the partitions of a permutation's cycles once
-per linkage pattern, not once per permutation (target_factorizations).
+a walk over one permutation per orbit of S_d under conjugation by the
+centralizer of pi_lam, weighted by the orbit's size, which lists the
+partitions of a permutation's cycles once per linkage pattern for the
+process (target_factorizations).
 
 A set partition of [d] is stored canonically as a tuple ``ids`` of length d
 mapping each point to its block id, blocks numbered 0, 1, ... in order of
@@ -359,6 +361,77 @@ def moebius_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
     return out
 
 
+def _centralizer_generators(lam: symcore.Partition) -> list[Perm]:
+    """Generators of the centralizer of pi_lam = canonical_permutation(lam)
+    in S_d: per part length p, the rotation of the first cycle of length p
+    and, for m >= 2 such cycles, the swap of the first two and the shift of
+    all m onto the next (point k onto point k)."""
+    starts = [sum(lam[:i]) for i in range(len(lam))]
+    by_len: dict[int, list[int]] = {}
+    for i, p in enumerate(lam):
+        by_len.setdefault(p, []).append(i)
+    gens = []
+    for p, idx in by_len.items():
+        moves = [({idx[0]: idx[0]}, 1)] if p > 1 else []
+        if len(idx) >= 2:
+            moves.append(({idx[0]: idx[1], idx[1]: idx[0]}, 0))
+        if len(idx) >= 3:
+            moves.append((dict(zip(idx, idx[1:] + idx[:1])), 0))
+        for move, shift in moves:
+            img = list(range(sum(lam)))
+            for src, dst in move.items():
+                for k in range(p):
+                    img[starts[src] + k] = starts[dst] + (k + shift) % p
+            gens.append(tuple(img))
+    return gens
+
+
+def _orbit_reps(lam: symcore.Partition):
+    """One beta per orbit of S_d under conjugation by the centralizer of
+    pi_lam, with the orbit's size.  A beta that is no image of an earlier
+    one starts an orbit, closed under conjugation by the generators; the
+    walk skips its other members as it meets them."""
+    gens = [(g, symcore.inverse(g)) for g in _centralizer_generators(lam)]
+    met: set[Perm] = set()
+    for beta in _all_perms(range(sum(lam))):
+        if beta in met:
+            met.discard(beta)
+            continue
+        orbit, todo = {beta}, [beta]
+        while todo:
+            x = todo.pop()
+            for g, g_inv in gens:
+                y = tuple([g[x[i]] for i in g_inv])  # g x g^-1
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        yield beta, len(orbit)
+        met |= orbit - {beta}
+
+
+_linked_groupings_cache: dict = {}
+
+
+def _linked_groupings(pattern: tuple[symcore.Partition, ...]) -> dict[tuple[symcore.Partition, ...], int]:
+    """The partitions B of the cycles of a permutation whose linked classes
+    have the cycle lengths in pattern, with B v (the classes) one block,
+    counted by the cycle types on the blocks of B; listed once per process."""
+    found = _linked_groupings_cache.get(pattern)
+    if found is None:
+        lens = [p for mu in pattern for p in mu]
+        linked = tuple(i for i, mu in enumerate(pattern) for _ in mu)
+        m = len(lens)
+        found = _linked_groupings_cache[pattern] = {}
+        for grouping in set_partitions_of(m):
+            if len(pattern) > 1 and join(linked, from_blocks(m, grouping)) != coarsest(m):
+                continue
+            types = tuple(sorted(
+                symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping
+            ))
+            found[types] = found.get(types, 0) + 1
+    return found
+
+
 _target_counts_cache: dict = {}
 
 
@@ -373,43 +446,37 @@ def target_factorizations(lam: symcore.Partition) -> tuple:
     ((|alpha|, types), count) pairs; the only key with |alpha| = 0 is
     (0, (lam,)) with count 1.
 
+    The B and their types depend on beta only through the cycle lengths in
+    each class of beta's cycles that alpha links, and <alpha, beta> =
+    <pi_lam, beta>.  Conjugating beta by an element of the centralizer of
+    pi_lam keeps that pattern and |alpha|, so one beta per orbit is
+    walked, weighted by the orbit's size.
+
     >>> target_factorizations((2,))
     (((0, ((2,),)), 1), ((1, ((1,), (1,))), 1), ((1, ((1, 1),)), 1))
     """
     if lam in _target_counts_cache:
         return _target_counts_cache[lam]
-    d = sum(lam)
     pi = symcore.canonical_permutation(lam)
-    counts: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
-    # the partitions B and their types depend on beta only through the
-    # cycle lengths in each class of linked cycles: listed once per pattern
-    by_pattern: dict[tuple, dict[tuple[symcore.Partition, ...], int]] = {}
-    for beta in _all_perms(range(d)):
-        alpha = symcore.compose(pi, symcore.inverse(beta))
-        col_a = symcore.colength(alpha)
+    zero_pi = orbit_partition(pi)
+    sizes: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
+    for beta, size in _orbit_reps(lam):
         cycs = symcore.cycles(beta)
-        m = len(cycs)
-        # the cycles of beta joined by the cycles of alpha, as a partition
-        # of range(m); B must join it to one block
-        linked = join(orbit_partition(alpha), orbit_partition(beta))
+        # the cycles of beta joined through the cycles of pi_lam they meet,
+        # as a partition of range(#cycles)
+        linked = join(zero_pi, orbit_partition(beta))
         linked = canonical_ids(linked[c[0]] for c in cycs)
         pattern = tuple(sorted(
             symcore.sort_to_partition(len(c) for c, b in zip(cycs, linked) if b == cls)
             for cls in range(num_blocks(linked))
         ))
-        found = by_pattern.get(pattern)
-        if found is None:
-            found = by_pattern[pattern] = {}
-            for grouping in set_partitions_of(m):
-                if join(linked, from_blocks(m, grouping)) != coarsest(m):
-                    continue
-                types = tuple(sorted(
-                    symcore.sort_to_partition(len(cycs[i]) for i in grp) for grp in grouping
-                ))
-                found[types] = found.get(types, 0) + 1
-        for types, c in found.items():
+        key = (symcore.colength(symcore.compose(pi, symcore.inverse(beta))), pattern)
+        sizes[key] = sizes.get(key, 0) + size
+    counts: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
+    for (col_a, pattern), size in sizes.items():
+        for types, c in _linked_groupings(pattern).items():
             key = (col_a, types)
-            counts[key] = counts.get(key, 0) + c
+            counts[key] = counts.get(key, 0) + size * c
     out = tuple(sorted(counts.items()))
     _target_counts_cache[lam] = out
     return out

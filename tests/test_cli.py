@@ -171,8 +171,8 @@ def test_transform_degree_mismatch_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("direction, route, deg", [
-    ("c2m", "convolution", 7),
-    ("m2c", "convolution", 7),
+    ("c2m", "convolution", 9),
+    ("m2c", "convolution", 9),
     ("m2c", "hurwitz", 6),
 ])
 def test_transform_degree_bound_exit_2(tmp_path, direction, route, deg):
@@ -229,7 +229,7 @@ def test_verify_equivalence_hbar(tmp_path):
 
 def test_verify_equivalence_degree_bound_exit_2():
     t0 = time.perf_counter()
-    assert run(["verify", "--suite", "equivalence", "--d", "7"]) == 2
+    assert run(["verify", "--suite", "equivalence", "--d", "9"]) == 2
     assert time.perf_counter() - t0 < 1
 
 

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,6 +123,20 @@ def test_star_cache_checks_lambda(tmp_path, monkeypatch):
     oracles._star_cache.clear()
 
 
+def test_star_cache_checks_types(tmp_path, monkeypatch):
+    # entries whose cycle types are not partitions, or do not sum to
+    # |lambda|, are a miss and the file is rebuilt
+    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
+    path = tmp_path / "starcounts-2-1.json"
+    want = star_factorization_counts((2, 1))
+    for types in ([[7, -1]], [[1, 2]], [[0, 3]], [[], [2, 1]], [[2]], [[2, 1], [1]]):
+        path.write_text(json.dumps({"lambda": [2, 1], "entries": [{"types": types, "count": 5}]}))
+        oracles._star_cache.clear()
+        assert oracles.star_counts_cached((2, 1)) == want
+        assert json.loads(path.read_text())["entries"][0]["types"] != types
+    oracles._star_cache.clear()
+
+
 def _freehop_imports(source: str):
     """The freehop modules a module's source imports."""
     for node in ast.walk(ast.parse(source)):
@@ -171,13 +186,34 @@ def _unmemoised_factorization_counts(lam, K):
     return out
 
 
-@pytest.mark.parametrize("extra", [0, 2])
-@pytest.mark.parametrize("lam", symcore.partitions(6), ids=lambda lam: "".join(map(str, lam)))
+def _walk_orders():
+    """(lam, extra) for every lam |- <= 6 at every order K = d + ell - 2 +
+    extra up to 3d - 3, past which no factorization is new, and for every
+    lam |- 7 at the genus-0 order."""
+    for d in range(1, 8):
+        for lam in symcore.partitions(d):
+            top = 0 if d == 7 else 3 * d - 3 - (d + len(lam) - 2)
+            for extra in range(top + 1):
+                yield lam, extra
+
+
+@pytest.mark.parametrize("lam, extra", list(_walk_orders()),
+                         ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else str(x))
 def test_factorization_walk_memo_is_exact(lam, extra):
-    # the walk lists B once per linkage pattern of beta; at the genus-0
-    # order and two orders above, it counts what the plain walk counts
+    # the walk takes one beta per centralizer orbit and lists B once per
+    # linkage pattern for the process; it counts what the plain walk counts
     K = sum(lam) + len(lam) - 2 + extra
     assert oracles._factorization_counts(lam, K) == _unmemoised_factorization_counts(lam, K)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_oracle_orbit_reduction(d):
+    for lam in symcore.partitions(d):
+        pi = symcore.canonical_permutation(lam)
+        cent = oracles._centralizer(lam)
+        assert len(set(cent)) == len(cent) == symcore.z_factor(lam)
+        assert all(symcore.compose(c, pi) == symcore.compose(pi, c) for c in cent)
+        assert sum(size for _, size in oracles._orbit_reps(lam)) == math.factorial(d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -314,3 +316,67 @@ def test_target_factorizations_genus0_slice(d):
             if col_a + 2 * (d - len(types)) - (d - ncyc) == target_col:
                 strict[types] = n
         assert strict == oracles.star_factorization_counts(lam)
+
+
+def _plain_target_factorizations(lam):
+    """target_factorizations by a walk over every beta in S_d, listing the
+    partitions of beta's cycles once per linkage pattern within the call."""
+    d = sum(lam)
+    pi = symcore.canonical_permutation(lam)
+    counts = {}
+    by_pattern = {}
+    for beta in itertools.permutations(range(d)):
+        alpha = symcore.compose(pi, symcore.inverse(beta))
+        col_a = symcore.colength(alpha)
+        cycs = symcore.cycles(beta)
+        m = len(cycs)
+        # the cycles of beta joined by the cycles of alpha, as a partition
+        # of range(m); B must join it to one block
+        linked = join(orbit_partition(alpha), orbit_partition(beta))
+        linked = pscore.canonical_ids(linked[c[0]] for c in cycs)
+        pattern = tuple(sorted(
+            symcore.sort_to_partition(len(c) for c, b in zip(cycs, linked) if b == cls)
+            for cls in range(pscore.num_blocks(linked))
+        ))
+        found = by_pattern.get(pattern)
+        if found is None:
+            found = by_pattern[pattern] = {}
+            for grouping in pscore.set_partitions_of(m):
+                if join(linked, from_blocks(m, grouping)) != coarsest(m):
+                    continue
+                types = tuple(sorted(
+                    symcore.sort_to_partition(len(cycs[i]) for i in grp) for grp in grouping
+                ))
+                found[types] = found.get(types, 0) + 1
+        for types, c in found.items():
+            key = (col_a, types)
+            counts[key] = counts.get(key, 0) + c
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_target_factorizations_match_plain_walk(d):
+    # one beta per centralizer orbit, weighted by its size, counts what
+    # the walk over all of S_d counts
+    for lam in symcore.partitions(d):
+        assert pscore.target_factorizations(lam) == _plain_target_factorizations(lam)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pscore_orbit_reduction(d):
+    # the generators generate the centralizer: z_lam elements, each
+    # commuting with pi_lam
+    for lam in symcore.partitions(d):
+        pi = symcore.canonical_permutation(lam)
+        gens = pscore._centralizer_generators(lam)
+        group, todo = {symcore.identity(d)}, [symcore.identity(d)]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = symcore.compose(g, x)
+                if y not in group:
+                    group.add(y)
+                    todo.append(y)
+        assert len(group) == symcore.z_factor(lam)
+        assert all(symcore.compose(c, pi) == symcore.compose(pi, c) for c in group)
+        assert sum(size for _, size in pscore._orbit_reps(lam)) == math.factorial(d)
