@@ -91,6 +91,15 @@ def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
     vertices need sum_I (#I - 1) >= n - 1 to be connected, with equality
     only when every hyperedge is a plain subset joining distinct components.
 
+    The search labels each vertex by its component under the hyperedges
+    chosen so far and skips a hyperedge after which the components left,
+    less one, exceed the budget left: a hyperedge of cost #I - 1 lowers the
+    number of components by at most its cost, so nothing below it is
+    connected within the budget.  That is the same test as the wasted cost,
+    the cost spent beyond the joins made, exceeding excess_bound.  Only
+    subtrees with no output are skipped, so the list and its order are
+    those of the plain search that tests connectivity at every node.
+
     >>> [g.edges for g in enumerate_graphs(1, 1)]
     [(), ((0, 0),)]
     >>> g = enumerate_graphs(1, 1)[1]
@@ -101,18 +110,25 @@ def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
     pool = _hyperedge_pool(n, max_size=budget + 1)
     out = []
 
-    def rec(start: int, chosen: list[Hyperedge], used: int):
-        g = Graph(n, tuple(chosen))
-        if (chosen or n == 1) and g.is_connected():
-            out.append(g)
+    def rec(start: int, chosen: list[Hyperedge], used: int, label: list[int], comps: int):
+        if (chosen or n == 1) and comps == 1:
+            out.append(Graph(n, tuple(chosen)))
+        room = budget - used
         for k in range(start, len(pool)):
-            cost = len(pool[k]) - 1
-            if used + cost <= budget:
-                chosen.append(pool[k])
-                rec(k, chosen, used + cost)
-                chosen.pop()
+            edge = pool[k]
+            cost = len(edge) - 1
+            if cost > room:
+                break  # the pool is sorted by size
+            roots = {label[i] for i in edge}
+            left = comps - len(roots) + 1
+            if left - 1 > room - cost:
+                continue
+            top = min(roots)
+            chosen.append(edge)
+            rec(k, chosen, used + cost, [top if x in roots else x for x in label], left)
+            chosen.pop()
 
-    rec(0, [], 0)
+    rec(0, [], 0, list(range(n)), n)
     return out
 
 

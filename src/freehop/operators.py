@@ -17,48 +17,50 @@ Truncation scheme: all variables w_i live under a shared total-degree cap D
 monomials above the cap can never re-enter the extractable range); the
 one-point data is built to degree D, kernels to depth n*D (a kernel's
 negative exponent in a later variable can be compensated by earlier
-kernels, at most (n-1) deep, plus degree D of table data).  The hbar and
-u/v variables carry honest per-variable truncation windows; the series
-built once per evaluator (vertex weights, edge weights) are known to the
-working order hbar^K.
+kernels, at most (n-1) deep, plus degree D of table data).  The Series
+built here carry honest per-variable truncation windows in hbar.
 
 The fixed inputs of an evaluation are built directly and memoised on its
 Evaluator, never at module level: each edge weight in one pass over the
-table entries and kernel terms (edge_weight), 1/C(w_i) and the
-coefficients of the change of variables w(X) by coefficient recursions
-(series.inverse_coeffs, and the integer Lagrange recursion
-series.lagrange_coeffs), and the powers of 1/C(w_0) once, shared by
-every B_r and by the one-point correction (at_y).  Each is built once:
-the per-vertex inputs (C, 1/C, P, a_series, B_r and P B_r) at vertex 0,
-each edge weight at the order-preserving shape of its hyperedge
-(shape_of), and the others are renamed from these by Series.renamed,
-which moves bit fields of the packed keys and does no arithmetic.  An
-increasing relabelling keeps the sector order of every kernel.
+table entries and kernel terms (_edge_data), once per order-preserving
+shape of its hyperedge (shape_of); 1/C(w) and the coefficients of the
+change of variables w(X) by coefficient recursions (series.inverse_coeffs,
+and the integer Lagrange recursion series.lagrange_coeffs); the u-layer
+weight and exp(E_B) by the exponential recursion on integer numerators
+(_exp_rows).  C, 1/C and P are also Series (built at vertex 0 and renamed
+by Series.renamed, which moves bit fields of the packed keys), for the
+closed forms of transforms.
 
-The graph sum (graph_sum) reads one order, hbar^T, and only at
-w-exponents <= D, so it carries budgets instead of the full windows.  Each
-vertex operator adds at least v_i = vertex_h_floor(), the same at every
-vertex, to the hbar exponent (-1, from the hbar^(-1) u^(-1) of
-a_series), each edge weight at
-least its lowest hbar exponent, and no factor but a kernel lowers a
-w-exponent.  So along a graph's edge product the hbar orders above
-T - sum_j v_j - (the remaining edges' lowest hbar exponents), and the w_i
-exponents above D - (the remaining edges' negative w_i reach), are dropped
-after each factor, and before vertex i the hbar orders above
-T - sum_{j >= i} v_j.  At vertex i, P B_r meets the u-slices of
-S * a_series(i), whose hbar window is no wider than hi - lo of S's, so
-P B_r is built only to that width plus its own declared lo, the order
-vertex i can still reach (never above T - sum_{j >= i} v_j while S's
-declared hbar lo is nonnegative); the orders above it would fall outside
-the product's window.  Only upper ends are cut: the lower w windows, and
-with them extract_table's checks for surviving negative or vanishing
-exponents, are those of the unbudgeted vertex chain (every edge product
-through every vertex operator, to hbar^K).  A product's window is
-min(hi_a + lo_b, hi_b + lo_a) over the declared lo, so the edge cuts are
-taken from the declared lo as well: a cut from a true minimum above the
-declared lo would lie above the product's window, and the terms between
-would be lost.  Each edge factor's lo is raised to its lowest exponent
-first, which makes both the cuts and the windows as tight as the data.
+The graph sum (graph_sum) runs on integer numerators over one denominator,
+and builds a Series only for its result.  A term of an edge product is one
+int key (_Keys): the exponents of hbar, of every u_i and w_i, and of the
+total w-degree, each in its own bit field, so a product term is one add
+and every bound is tested with one add and one mask.  The vertex operator
+at vertex i is linear and reads only hbar, u_i and w_i, so it is a map
+from the local monomials hbar^a u_i^r w_i^m to integer rows over (hbar,
+w_i) (_vertex_row), built once per evaluator from the rows of the u-layer
+weight, of P B_r and of (P w d/dw)^k w^j, and each pass applies it to
+every term at once.
+
+graph_sum reads one order, hbar^T, and only at w-exponents <= D, so it
+carries budgets instead of the full windows.  Each vertex operator adds at
+least v = (the lowest hbar order of the u-layer weight, -1, from its
+hbar^(-1) u^(-1)) + (that of P B_r, 0) to the hbar exponent, each edge
+weight at least its lowest hbar exponent, and no factor but a kernel
+lowers a w-exponent.  So along a graph's edge product the hbar orders
+above T - n v - (the remaining edges' lowest hbar exponents), the w_i
+exponents above D - (the remaining edges' negative w_i reach) and the
+total degrees above D are dropped after each factor; after the product
+the w_i exponents below -kernel_depth (prune_w); and vertex i keeps the
+orders up to T - (n - 1 - i) v, the last vertex hbar^T alone.  The vertex
+rows are read to one order H for every vertex, T - (n - 1) v less the
+lowest order of the summed edge products, which every vertex's input
+reaches at most that far below its cut.  Every cut but prune_w's drops
+only terms that cannot reach the hbar^T, w <= D part, and prune_w's is
+taken where the Series chain takes it, so extract_table sees that chain's
+series term for term, with the same unreliable terms for its negative-
+and vanishing-exponent assertions.  The re-expansion (reexpand) maps each
+w_i^e to the row of w(X_i)^e in the same way, one variable at a time.
 
 The tree routes of transforms (genus 0 and genus 1/2) cut harder, by
 reach: they run no vertex operator, and a term a of a tree's edge product
@@ -72,17 +74,20 @@ vanishing-exponent assertions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add
 
 from .series import (
     INF,
     Series,
+    TruncationError,
+    _reduced,
     inverse_coeffs,
     kernel_series,
     lagrange_coeffs,
     layout,
-    series_sum,
     sigma_coefficients,
 )
 from .symcore import sort_to_partition
@@ -117,6 +122,113 @@ def _distinct_permutations(ks):
 
     rec(tuple(ks), ())
     return sorted(out)
+
+
+def _int_rows(coeffs: dict) -> tuple[dict, int]:
+    """{key: Fraction} as ({key: integer numerator}, common denominator),
+    zeros dropped."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}, den
+
+
+def _w_product(a: dict, b: dict, top: int) -> dict:
+    """The product of two series in one variable, given as {exponent:
+    coefficient}, cut above the exponent top."""
+    out: dict = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            if x + y <= top:
+                out[x + y] = out.get(x + y, 0) + cx * cy
+    return out
+
+
+def _exp_rows(E: dict, width: int, top: int, keep=None) -> tuple[dict, int]:
+    """exp(E) to hbar^top, for E {exponent tuple, hbar first: Fraction} of
+    width entries with no term below hbar^1, as ({exponent tuple:
+    numerator}, den); a product term failing keep (when given) is dropped.
+    With E = E'/d over the integers, the hbar^j part is F'_j / (j! d^j),
+    where j F_j = sum_k k E_k F_(j-k) reads
+
+        F'_j = sum_k k (j-1)!/(j-k)! d^(k-1) E'_k F'_(j-k)."""
+    E, d = _int_rows(E)
+    by_h: dict[int, list] = {}
+    for e, c in E.items():
+        by_h.setdefault(e[0], []).append((e, c))
+    F = [{(0,) * width: 1}]
+    for j in range(1, top + 1):
+        acc: dict[tuple, int] = {}
+        for k, terms in by_h.items():
+            if k <= j:
+                s = k * factorial(j - 1) // factorial(j - k) * d ** (k - 1)
+                for ea, ca in terms:
+                    for eb, cb in F[j - k].items():
+                        e = tuple(map(add, ea, eb))
+                        if keep is None or keep(e):
+                            acc[e] = acc.get(e, 0) + s * ca * cb
+        F.append(acc)
+    out: dict[tuple, int] = {}
+    for j, Fj in enumerate(F):
+        s = factorial(top) // factorial(j) * d ** (top - j)
+        for e, c in Fj.items():
+            out[e] = out.get(e, 0) + c * s
+    return _reduced({e: c for e, c in out.items() if c}, factorial(top) * d ** top)
+
+
+_H = 0  # the hbar field of _Keys
+
+
+class _Keys:
+    """Exponent vectors over the fields h, u_0..u_(n-1), w_0..w_(n-1) and
+    tw, the total w-degree, packed into one int: field f holds its exponent
+    plus bias in the width bits from offs[f], below one guard bit that keys
+    keep clear.  A signed vector d packs to the delta sum_f d_f 2^offs[f],
+    and key + delta is the key of the sum while every field stays in
+    [0, 2^width).  The bounds of a set of fields are tested with one add
+    and one mask, as in series.Series."""
+
+    def __init__(self, n: int, bias: int, width: int):
+        self.n, self.bias, self.width = n, bias, width
+        self.mask = (1 << width) - 1
+        self.offs = [f * (width + 1) for f in range(2 * n + 2)]
+        self.tw = 2 * n + 1
+        self.zero = sum(bias << o for o in self.offs)
+
+    def u(self, i: int) -> int:
+        return 1 + i
+
+    def w(self, i: int) -> int:
+        return 1 + self.n + i
+
+    def delta(self, pairs) -> int:
+        return sum(d << self.offs[f] for f, d in pairs)
+
+    def field(self, key: int, f: int) -> int:
+        return ((key >> self.offs[f]) & self.mask) - self.bias
+
+    def split(self, key: int) -> list[int]:
+        return [((key >> o) & self.mask) - self.bias for o in self.offs]
+
+    def upper(self, bounds: dict) -> tuple[int, int]:
+        """(M, G): (key + M) & G is zero exactly when every field f of
+        bounds is at most bounds[f]."""
+        M = G = 0
+        for f, b in bounds.items():
+            x = max(b + self.bias, -1)
+            if x < self.mask:
+                M += (self.mask - x) << self.offs[f]
+                G |= 1 << (self.offs[f] + self.width)
+        return M, G
+
+    def lower(self, bounds: dict) -> tuple[int, int]:
+        """(L, G): (key + L) & G == G exactly when every field f of bounds
+        is at least bounds[f]."""
+        L = G = 0
+        for f, b in bounds.items():
+            x = min(b + self.bias, self.mask + 1)
+            if x > 0:
+                L += ((1 << self.width) - x) << self.offs[f]
+                G |= 1 << (self.offs[f] + self.width)
+        return L, G
 
 
 class Evaluator:
@@ -201,8 +313,12 @@ class Evaluator:
 
         It is built once, at vertex 0, and renamed to the others.
         """
+        return self._relabelled(("P",), (i,), lambda: self._w_atom(0, self.P_coeffs()))
 
-        def coeffs():
+    def P_coeffs(self) -> dict[int, Fraction]:
+        """The coefficients of P to w^D."""
+
+        def build():
             cs = self.C_coeffs()
             inv = inverse_coeffs({k: c * (1 - self.sign * k) for k, c in cs.items()}, self.D)
             out: dict[int, Fraction] = {}
@@ -212,7 +328,7 @@ class Evaluator:
                         out[a + b] = out.get(a + b, 0) + ca * cb
             return out
 
-        return self._relabelled(("P",), (i,), lambda: self._w_atom(0, coeffs()))
+        return self._memo(("Pcoef",), build)
 
     def w_of_x_coeffs(self, depth: int) -> dict[int, Fraction]:
         """Coefficients to X^depth of the inverse of the change of
@@ -234,175 +350,13 @@ class Evaluator:
 
         return self._memo(("wofx", depth), build)
 
-    # -- sigma operators -------------------------------------------------------
-    def _hu_sigma_each(self, s: Series, i: int) -> Series:
-        """Multiply each monomial by hbar u_i sigma(hbar u_i k) with k its
-        w_i-exponent (the diagonal action of the hyperbolic-sine kernel):
-        the sum over e2 of sig_e2 (hbar u_i)^(e2+1) (w_i d/dw_i)^e2 s,
-        with the hbar window of s capped at K."""
-        wv, uv = self.wvars[i], self.uvars[i]
-        h_lo = s.lo[s.idx("h")] if "h" in s.vars else 0
-        h_hi = min(s.hi[s.idx("h")] if "h" in s.vars else INF, self.K)
-        parts = []
-        wdw = s
-        for e2, c in sorted(self.sig.items()):
-            if e2:
-                wdw = wdw.wdw(wv).wdw(wv)
-            hu = Series(("h", uv), (e2 + 1, e2 + 1), (INF, INF), {(e2 + 1, e2 + 1): c},
-                        layout=self.layout)
-            parts.append(wdw * hu)
-        return series_sum(parts).restrict("h", h_lo + 1, h_hi)
-
-    def _series_exp(self, S: Series) -> Series:
-        """exp of a series with positive hbar valuation."""
-        assert S.lo[S.idx("h")] >= 1 or S.is_zero() or S.min_exp("h") >= 1
-        parts = [Series.const(S.vars, 1, S.cap, self.layout), S]
-        term = S
-        j = 1
-        while True:
-            j += 1
-            term = term * S * Fraction(1, j)
-            if term.is_zero():
-                break
-            parts.append(term)
-            if j > self.K + 4:  # pragma: no cover - safety stop
-                break
-        return series_sum(parts)
-
-    # -- vertex weight layers ---------------------------------------------------
-    def one_point_tail(self) -> Series:
-        """G_1 - hbar^(-1) as a series over (h, w_0): the genus-0 part
-        hbar^(-1)(C-1) plus hbar^(g2-1) one-point entries for g2 >= 1."""
-
-        def build():
-            vars = ("h", self.wvars[0])
-            data = {}
-            for k in range(1, self.D + 1):
-                v = self.C_coeffs().get(k)
-                if v:
-                    data[(-1, k)] = v
-                for g2 in range(1, self.K + 2):
-                    vv = table_get(self.table, g2, (k,))
-                    if vv and g2 - 1 <= self.K:
-                        data[(g2 - 1, k)] = vv
-            return Series(vars, (-1, 1), (self.K, INF), data, self.cap, self.layout)
-
-        return self._memo(("g1tail",), build)
-
-    def a_series(self, i: int) -> Series:
-        """The u-layer weight at the i-th white vertex:
-
-        exp( hbar u sigma(hbar u w d/dw)(G_1 - hbar^(-1)) - u (C - 1) )
-        / ( hbar u sigma(hbar u) ),
-
-        built at vertex 0 and renamed to the others.
-        """
-
-        def build():
-            wv, uv = self.wvars[0], self.uvars[0]
-            d1 = self._hu_sigma_each(self.one_point_tail(), 0)
-            cminus1 = self.C(0) - Series.const((wv,), 1, self.cap, self.layout)
-            u = Series.variable((uv,), uv, layout=self.layout)
-            E = d1 - u * cminus1
-            expE = self._series_exp(E)
-            # 1/(hbar u sigma(hbar u))
-            inv_data = {}
-            for e2, c in self.sig_inv.items():
-                if e2 - 1 <= self.K:
-                    inv_data[(e2 - 1, e2 - 1)] = c
-            inv = Series(("h", uv), (-1, -1), (self.K, INF), inv_data, layout=self.layout)
-            return expE * inv
-
-        return self._relabelled(("A",), (i,), build)
-
-    def _b_exponent_raw(self) -> Series:
-        """E_B over (h, v, t) with t = 1/y:
-
-        sign * v * [sigma(hbar v d_y)/sigma(hbar d_y) - 1] ln y
-            = -sign * v * sum_{j >= 2 even} q_j (j-1)! t^j,
-        where q_j collects hbar^j sigma/inverse-sigma data.
-        """
-
-        def build():
-            data: dict[tuple, Fraction] = {}
-            for j in range(2, self.K + 1, 2):
-                # q_j = hbar^j sum_{2a+2b=j} sig_{2a} v^{2a} siginv_{2b}
-                for a2 in range(0, j + 1, 2):
-                    b2 = j - a2
-                    if a2 in self.sig and b2 in self.sig_inv:
-                        coeff = -self.sign * self.sig[a2] * self.sig_inv[b2] * factorial(j - 1)
-                        e = (j, 1 + a2, j)  # (h, v, t)
-                        data[e] = data.get(e, Fraction(0)) + coeff
-            return Series(("h", "v", "t"), (2, 1, 2), (self.K, INF, INF), data,
-                          layout=self.layout)
-
-        return self._memo(("EB",), build)
-
-    def _apply_dy_plus_v_over_y(self, s: Series) -> Series:
-        """One application of (d_y + sign * v / y) in the t = 1/y picture:
-        t^a -> (sign*v - a) t^(a+1); s carries no cap."""
-        it = s.idx("t")
-        vt = Series(("v", "t"), (1, 1), (INF, INF), {(1, 1): self.sign}, layout=self.layout)
-        t = Series(("t",), (1,), (INF,), {(1,): -1}, layout=self.layout)
-        return (s * vt + s.wdw("t") * t).restrict("t", s.lo[it] + 1, s.hi[it])
-
-    def b_raw(self, r: int) -> Series:
-        """(d_y + sign v/y)^r exp(E_B), in the (h, v, t) picture."""
-        if ("Braw", r) in self._cache:
-            return self._cache[("Braw", r)]
-        if r == 0:
-            out = self._series_exp(self._b_exponent_raw())
-        else:
-            out = self._apply_dy_plus_v_over_y(self.b_raw(r - 1))
-        self._cache[("Braw", r)] = out
-        return out
-
-    def at_y(self, s: Series) -> Series:
-        """s, a series in t = 1/y, at y = C(w_0).  The powers of 1/C(w_0)
-        are formed once and shared by every call."""
-        return s.substitute("t", self.invC(0), powers=self._cache.setdefault(("invCpow",), {}))
-
-    def b_series(self, i: int, r: int, hmax: int | None = None) -> Series:
-        """B_r at the i-th vertex: b_raw(r), known to hbar^hmax (hmax = K
-        when None, and never above K), specialised at y = C(w_i).  The cut
-        comes before the substitution, so the hbar orders above hmax and
-        the powers of 1/C(w_i) only they reach are never formed.  Built at
-        vertex 0 and renamed to the others."""
-        hmax = self.K if hmax is None else min(hmax, self.K)
-
-        def build():
-            b = self.b_raw(r)
-            if hmax < self.K:
-                b = b.restrict("h", -INF, hmax)
-            return self.at_y(b)
-
-        return self._relabelled(("B", r, hmax), (i,), build)
-
-    def pb_series(self, i: int, r: int, hmax: int | None = None) -> Series:
-        """P(w_i) B_r at the i-th vertex, known to hbar^hmax as in b_series."""
-        hmax = self.K if hmax is None else min(hmax, self.K)
-        return self._relabelled(("PB", r, hmax), (i,),
-                                lambda: self.P(0) * self.b_series(0, r, hmax))
-
+    # -- P w d/dw ---------------------------------------------------------------
     def pwd(self, s: Series, i: int, m: int = 1) -> Series:
         """(P(w_i) w_i d/dw_i)^m applied to s."""
         P = self.P(i)
         for _ in range(m):
             s = P * s.wdw(self.wvars[i])
         return s
-
-    def pwd_sum(self, parts: dict[int, Series], i: int) -> Series:
-        """sum_m (P(w_i) w_i d/dw_i)^m parts[m] over m >= 0, by Horner's
-        rule parts[0] + P w d/dw (parts[1] + P w d/dw (...))."""
-        if min(parts) < 0:
-            raise ValueError("negative power of P w d/dw")
-        P = self.P(i)
-        acc = parts[max(parts)]
-        for m in range(max(parts) - 1, -1, -1):
-            acc = P * acc.wdw(self.wvars[i])
-            if m in parts:
-                acc = acc + parts[m]
-        return acc
 
     # -- hyperedge weights --------------------------------------------------------
     def edge_weight(self, I: tuple[int, ...]) -> Series:
@@ -422,6 +376,20 @@ class Evaluator:
         shape, slots = shape_of(I)
 
         def build():
+            vars, lo, hi, nums, den = self._edge_data(shape)
+            return Series(vars, lo, hi, {e: Fraction(v, den) for e, v in nums.items()}, self.cap,
+                          self.layout)
+
+        return self._relabelled(("edge", shape), slots, build)
+
+    def _edge_data(self, shape: tuple[int, ...]):
+        """The weight of a hyperedge of the given shape as (vars, lo, hi,
+        {exponent tuple over vars: integer numerator}, den), the windows and
+        terms edge_weight builds its Series from; memoised per shape.  A
+        term of m slots is over Q S^m, Q the lcm of the entries'
+        denominators and S that of the sigma coefficients."""
+
+        def build():
             m = len(shape)
             entries = []
             for (g2, ks), val in self.table.items():
@@ -432,7 +400,7 @@ class Evaluator:
                 for k in range(1, self.kernel_depth + 1):
                     entries.append((m - 2, (k, -k), Fraction(k)))
             if not entries:
-                return Series.zero(("h",), hi=(self.K,), layout=self.layout)
+                return ("h",), (0,), (self.K,), {}, 1
             wvars = tuple(sorted({self.wvars[s] for s in shape}))
             uvars = tuple(dict.fromkeys(self.uvars[s] for s in shape))
             vars = ("h",) + wvars + uvars
@@ -441,9 +409,11 @@ class Evaluator:
             hlo = min(e[0] for e in entries)
             hhi = self.K + min(0, hlo)
             wlo = [0] * len(vars)
-            sig = sorted(self.sig.items())
-            factors: dict[int, list] = {}  # by k: [(d, sig_(d-1) k^(d-1))]
-            data: dict[tuple, Fraction] = {}
+            sig, S = _int_rows(self.sig)
+            sig = sorted(sig.items())
+            Q = lcm(*(val.denominator for _, _, val in entries))
+            factors: dict[int, list] = {}  # by k: [(d, S sig_(d-1) k^(d-1))]
+            data: dict[tuple, int] = {}
             for hexp, comp, val in entries:
                 base = [0] * len(vars)
                 base[0] = hexp
@@ -452,12 +422,12 @@ class Evaluator:
                 for p in wpos:
                     wlo[p] = min(wlo[p], base[p])
                 # the slot factors hbar u sigma(hbar u k), one at a time
-                terms = {tuple(base): val}
+                terms = {tuple(base): val.numerator * (Q // val.denominator)}
                 for p, k in zip(upos, comp):
                     factor = factors.get(k)
                     if factor is None:
                         factor = factors[k] = [(e2 + 1, c * k ** e2) for e2, c in sig]
-                    nxt: dict[tuple, Fraction] = {}
+                    nxt: dict[tuple, int] = {}
                     for e, c in terms.items():
                         for d, f in factor:
                             if e[0] + d > hhi:
@@ -472,113 +442,400 @@ class Evaluator:
                     data[e] = data.get(e, 0) + c
             lo = (hlo,) + tuple(wlo[1:])
             hi = (hhi,) + tuple(INF + x for x in wlo[1:])
-            return Series(vars, lo, hi, data, self.cap, self.layout)
+            return (vars, lo, hi) + _reduced({e: c for e, c in data.items() if c}, Q * S ** m)
 
-        return self._relabelled(("edge", shape), slots, build)
+        return self._memo(("edgedata", shape), build)
 
-    # -- full vertex reduction -------------------------------------------------------
-    def reduce_vertex(self, S: Series, i: int, hmax: int | None = None) -> Series:
-        """Apply the full operator weight at vertex i to the series S
-        (which may depend on h, u_i, w_* and other u's), with P B_r known
-        to hbar^hmax (to hbar^K when None)."""
-        uv = self.uvars[i]
-        S = S * self.a_series(i)
-        # u-extraction and B-sum
-        if uv in S.vars:
-            parts = S.coeff_dict(uv)
-        else:
-            parts = {0: S}
-        # only r >= 0 enters; the hbar^(-1) u^(-1) unit is accounted for
-        # by the n = 1 delta correction
-        terms = [self.pb_series(i, r, hmax) * part for r, part in parts.items() if r >= 0]
-        if not terms:
-            return Series.zero(("h",), hi=(self.K,), layout=self.layout)
-        T = series_sum(terms)
-        # v-extraction and the (P w d/dw)^m sum, P already multiplied in
-        if "v" in T.vars:
-            vparts = T.coeff_dict("v")
-        else:
-            vparts = {0: T}
-        return self.pwd_sum(vparts, i)
+    # -- the graph sum on integer rows -------------------------------------------------
+    def _a_rows(self) -> tuple[list[tuple[int, int, int, int]], int]:
+        """The u-layer weight at a white vertex,
 
-    def pb_h_floor(self) -> int:
-        """The declared hbar lo of every P B_r: that of b_raw(0), since
-        (d_y + sign v/y), the substitution t = 1/C(w_i) and P keep the
-        hbar window."""
-        b = self.b_raw(0)
-        return b.lo[b.idx("h")]
+            exp( hbar u sigma(hbar u w d/dw)(G_1 - hbar^(-1)) - u (C - 1) )
+            / ( hbar u sigma(hbar u) ),
 
-    def vertex_h_floor(self) -> int:
-        """A floor on the hbar exponent the operator at any vertex adds: the
-        declared lo of a_series plus that of P B_r, which reduce_vertex's
-        product windows are built from (the same at every vertex, whose
-        series are renamed from vertex 0's)."""
-        a = self.a_series(0)
-        return a.lo[a.idx("h")] + self.pb_h_floor()
+        to hbar^(K-1) and w^D, over (hbar, u, w), as ([(exponents,
+        numerator)] sorted, den).  G_1 - hbar^(-1) is hbar^(-1)(C - 1) plus
+        the one-point entries hbar^(g2-1) F_{g2;k} w^k, g2 >= 1; the sigma
+        operator takes its term hbar^h w^k to sum_e2 sig_e2 k^e2
+        (hbar u)^(e2+1) hbar^h w^k, read to hbar^K, and the hbar^0 part of
+        that (e2 = 0 on hbar^(-1)(C - 1)) cancels u (C - 1)."""
 
-    def _tight_edge(self, I: tuple[int, ...]) -> Series:
-        """edge_weight(I) with every declared lo raised to its lowest
-        exponent, the tightest lo for graph_sum's cuts."""
+        def build():
+            K, D = self.K, self.D
+            tail = [(-1, k, c) for k, c in self.C_coeffs().items() if k]
+            tail += [(g2 - 1, ks[0], v) for (g2, ks), v in self.table.items()
+                     if g2 >= 1 and len(ks) == 1 and ks[0] <= D and g2 - 1 <= K and v]
+            E: dict[tuple, Fraction] = {}
+            for h0, k, c in tail:
+                for e2, s in self.sig.items():
+                    h = h0 + e2 + 1
+                    if h > K:
+                        break
+                    if h:
+                        E[h, e2 + 1, k] = E.get((h, e2 + 1, k), 0) + s * k ** e2 * c
+            F, fden = _exp_rows(E, 3, K, lambda e: e[2] <= D)
+            inv, iden = _int_rows({e2 - 1: c for e2, c in self.sig_inv.items() if e2 - 1 <= K})
+            out: dict[tuple, int] = {}
+            for (h, u, w), c in F.items():
+                for d, x in inv.items():
+                    if h + d <= K - 1:
+                        out[h + d, u + d, w] = out.get((h + d, u + d, w), 0) + c * x
+            out, den = _reduced({e: c for e, c in out.items() if c}, fden * iden)
+            return sorted(e + (c,) for e, c in out.items()), den
+
+        return self._memo(("Arows",), build)
+
+    def _b_rows(self, r: int) -> tuple[dict[tuple, int], int]:
+        """(d_y + sign v/y)^r exp(E_B) to hbar^K, in t = 1/y, over (hbar, v,
+        t), as ({exponents: numerator}, den), with
+
+            E_B = sign v [sigma(hbar v d_y)/sigma(hbar d_y) - 1] ln y
+                = -sign sum_{j >= 2 even} sum_{a + b = j} sig_a siginv_b
+                  (j-1)! hbar^j v^(1+a) t^j.
+
+        The operator takes t^a to (sign v - a) t^(a+1), integer
+        coefficients, so every r shares the denominator of r = 0."""
+
+        def build():
+            if r == 0:
+                EB: dict[tuple, Fraction] = {}
+                for j in range(2, self.K + 1, 2):
+                    for a2 in range(0, j + 1, 2):
+                        if a2 in self.sig and j - a2 in self.sig_inv:
+                            EB[j, 1 + a2, j] = (-self.sign * self.sig[a2] * self.sig_inv[j - a2]
+                                                * factorial(j - 1))
+                return _exp_rows(EB, 3, self.K)
+            prev, den = self._b_rows(r - 1)
+            out: dict[tuple, int] = {}
+            for (h, v, a), c in prev.items():
+                out[h, v + 1, a + 1] = out.get((h, v + 1, a + 1), 0) + self.sign * c
+                if a:
+                    out[h, v, a + 1] = out.get((h, v, a + 1), 0) - a * c
+            return {e: c for e, c in out.items() if c}, den
+
+        return self._memo(("Brows", r), build)
+
+    def _a_groups(self) -> tuple[dict[tuple, list], int]:
+        """_a_rows grouped by the (u, w) exponents: ({(u, w): [(hbar,
+        numerator)] by increasing hbar}, den)."""
+        A, den = self._a_rows()
+        groups: dict[tuple, list] = {}
+        for h, u, w, c in A:
+            groups.setdefault((u, w), []).append((h, c))
+        return groups, den
+
+    def _h_floors(self) -> tuple[int, int]:
+        """The lowest hbar exponents of the u-layer weight (_a_rows) and of
+        every P B_r: the one of _b_rows(0), since (d_y + sign v/y),
+        t = 1/C(w) and P keep it."""
+        return self._a_rows()[0][0][0], min(h for h, _, _ in self._b_rows(0)[0])
+
+    def _P_rows(self) -> tuple[dict[int, int], int]:
+        return self._memo(("Prows",), lambda: _int_rows(self.P_coeffs()))
+
+    def _invC_power(self, a: int) -> tuple[dict[int, int], int]:
+        """1/C(w)^a to w^D as ({exponent: numerator}, den), den the a-th
+        power of that of 1/C."""
+
+        def build():
+            if a <= 1:
+                return _int_rows(inverse_coeffs(self.C_coeffs(), self.D if a else 0))
+            (p, dp), (q, dq) = self._invC_power(a - 1), self._invC_power(1)
+            return _w_product(p, q, self.D), dp * dq
+
+        return self._memo(("invCrow", a), build)
+
+    def _by_rows(self, r: int, hmax: int) -> tuple[dict[tuple, int], int]:
+        """B_r = _b_rows(r) at t = 1/C(w), to hbar^hmax and w^D, as
+        ({(hbar, v, w exponents): numerator}, den)."""
+
+        def build():
+            b, den = self._b_rows(r)
+            b = {e: c for e, c in b.items() if e[0] <= hmax}
+            top = self._invC_power(max((a for _, _, a in b), default=0))[1]
+            out: dict[tuple, int] = {}
+            for (h, v, a), c in b.items():
+                p, dp = self._invC_power(a)
+                c *= top // dp
+                for w, x in p.items():
+                    out[h, v, w] = out.get((h, v, w), 0) + c * x
+            return _reduced({e: c for e, c in out.items() if c}, den * top)
+
+        return self._memo(("Byrows", r, hmax), build)
+
+    def _pb_rows(self, r: int, hmax: int) -> tuple[dict[tuple, list], int]:
+        """P B_r to hbar^hmax and w^D, as ({(v, w exponents): [(hbar
+        exponent, numerator)]}, den): the one-point factors are known to w^D
+        and have no negative w-exponent, so this is the product of their
+        truncations, cut at w^D."""
+
+        def build():
+            b, den = self._by_rows(r, hmax)
+            by_hv: dict[tuple, dict] = {}
+            for (h, v, w), c in b.items():
+                by_hv.setdefault((h, v), {})[w] = c
+            P, pden = self._P_rows()
+            pb, den = _reduced({(h, v, w): c for (h, v), row in by_hv.items()
+                                for w, c in _w_product(row, P, self.D).items() if c}, den * pden)
+            out: dict[tuple, list] = {}
+            for (h, v, w), c in pb.items():
+                out.setdefault((v, w), []).append((h, c))
+            return out, den
+
+        return self._memo(("PBrows", r, hmax), build)
+
+    def _pwd_power(self, k: int, j: int) -> tuple[dict[int, int], int]:
+        """(P w d/dw)^k w^j to w^D as ({exponent: numerator}, den), den the
+        k-th power of that of P."""
+
+        def build():
+            if k == 0:
+                return ({j: 1} if j <= self.D else {}), 1
+            prev, den = self._pwd_power(k - 1, j)
+            P, pden = self._P_rows()
+            return _w_product({e: c * e for e, c in prev.items() if e}, P, self.D), den * pden
+
+        return self._memo(("pwdpow", k, j), build)
+
+    def _r_row(self, r: int, e: int, hmax: int) -> tuple[list[tuple[int, int, int]], int]:
+        """sum_k (P w d/dw)^k (w^e [v^k] P B_r), to hbar^hmax and w^D, as
+        ([(hbar, w exponents, numerator)] sorted, den)."""
+
+        def build():
+            pb, den = self._pb_rows(r, hmax)
+            vmax = max((v for v, _ in pb), default=0)
+            pden = self._P_rows()[1]
+            out: dict[int, int] = {}  # by hbar * stride + w + kernel_depth
+            get = out.get
+            stride, kd = self.D + self.kernel_depth + 1, self.kernel_depth
+            for (v, wb), hs in pb.items():
+                s = pden ** (vmax - v)
+                for w, x in self._pwd_power(v, e + wb)[0].items():
+                    x *= s
+                    w += kd
+                    for h, c in hs:
+                        k = h * stride + w
+                        out[k] = get(k, 0) + c * x
+            out, den = _reduced({k: c for k, c in out.items() if c}, den * pden ** vmax)
+            return sorted((k // stride, k % stride - kd, c) for k, c in out.items()), den
+
+        return self._memo(("Rrow", r, e, hmax), build)
+
+    def _vertex_row(self, r0: int, m: int, H: int) -> tuple[list[tuple[int, int, int]], int]:
+        """The vertex operator on the local monomial u^r0 w^m (at hbar^0):
+
+            sum_{r >= 0} sum_k (P w d/dw)^k [v^k] P B_r [u^r] (u^r0 w^m a_series),
+
+        to hbar^H and w^D, as ([(hbar, w exponents, numerator)] sorted,
+        den).  Every factor has nonnegative w-exponents and is known to w^D,
+        as in the Series chain; the cap on the total degree is left to the
+        caller.  Each factor is read to the order that H minus the other's
+        lowest order (_h_floors) reaches."""
+
+        def build():
+            ha_min, hb_min = self._h_floors()
+            groups, aden = self._memo(("Agroups",), self._a_groups)
+            parts = []
+            for (ua, wa), hs in groups.items():
+                r, e = r0 + ua, m + wa
+                if r >= 0 and e <= self.D and hs[0][0] <= H - hb_min:
+                    parts.append((hs, self._r_row(r, e, H - ha_min)))
+            den = lcm(*(d for _, (_, d) in parts))
+            out: dict[int, int] = {}  # by hbar * stride + w + kernel_depth
+            get = out.get
+            stride, kd = self.D + self.kernel_depth + 1, self.kernel_depth
+            for hs, (row, d) in parts:
+                s = den // d
+                for ha, c in hs:
+                    if ha > H - hb_min:
+                        break
+                    c *= s
+                    for hb, w, x in row:
+                        if ha + hb > H:
+                            break
+                        k = (ha + hb) * stride + w + kd
+                        out[k] = get(k, 0) + c * x
+            out, den = _reduced({k: c for k, c in out.items() if c}, aden * den)
+            return sorted((k // stride, k % stride - kd, c) for k, c in out.items()), den
+
+        return self._memo(("vrow", r0, m, H), build)
+
+    def _edge_factor(self, I: tuple[int, ...], keys: _Keys):
+        """edge_weight(I) for the product of graph_sum: (groups, den, hlow,
+        wlow).  The terms are integer numerators over den, grouped by their
+        w-exponents; a group is (delta of the w- and total-degree fields,
+        hbar exponents, [(delta of the hbar and u fields, numerator)]),
+        sorted by the hbar exponent.  hlow is the lowest hbar exponent and
+        wlow {vertex: lowest w-exponent} over I's vertices."""
         shape, slots = shape_of(I)
 
         def build():
-            e = self.edge_weight(shape)
-            return e.restrict_vars({v: (e.min_exp(v), INF) for v in e.vars})
+            vars, _, _, nums, den = self._edge_data(shape)
+            offs = [keys.offs[_H]]
+            for v in vars[1:]:
+                j = slots[int(v[1:])]
+                offs.append(keys.offs[keys.w(j) if v[0] == "w" else keys.u(j)])
+            wpos = [p for p, v in enumerate(vars) if v[0] == "w"]
+            hupos = [p for p, v in enumerate(vars) if v[0] != "w"]
+            by_w: dict[tuple, list] = {}
+            for e, c in nums.items():
+                by_w.setdefault(tuple(e[p] for p in wpos), []).append(
+                    (e[0], sum(e[p] << offs[p] for p in hupos), c))
+            groups = []
+            for ew, terms in by_w.items():
+                terms.sort()
+                wd = sum(x << offs[p] for p, x in zip(wpos, ew)) + (sum(ew) << keys.offs[keys.tw])
+                groups.append((wd, [t[0] for t in terms], [t[1:] for t in terms]))
+            wlow = {slots[int(vars[p][1:])]: min(ew[j] for ew in by_w) for j, p in enumerate(wpos)}
+            return groups, den, min((e[0] for e in nums), default=0), wlow
 
-        return self._relabelled(("tight", shape), slots, build)
+        return self._memo(("edgerows", tuple(I), keys.width, keys.bias), build)
 
     def graph_sum(self, graph_list, T: int) -> Series:
         """sum over graphs g of the product of g's edge weights, divided by
-        |Aut g|, through the operators of every vertex: exact at hbar^T and
-        at every w-exponent up to D, under the budgets of the module
-        docstring.  The vertex operators, prune_w and the cuts are linear,
-        so the vertex chain runs once, on the 1/|Aut|-weighted sum of the
-        budgeted edge products."""
-        floor = self.vertex_h_floor()
-        after = [(self.n - i) * floor for i in range(self.n + 1)]
-        one = Series(("h",), (0,), (self.K,), {(0,): 1}, layout=self.layout)
-        products = []
-        for g in graph_list:
-            edges = [self._tight_edge(I) for I in g.edges]
-            # the highest exponents worth keeping after each factor, from
-            # the last edge back: every edge still to come adds at least its
-            # lo (now its lowest exponent)
-            cuts = []
-            cut = dict.fromkeys(self.wvars, self.D)
-            cut["h"] = T - after[0]
-            for e in reversed(edges):
-                cuts.append(dict(cut))
-                lows = dict(zip(e.vars, e.lo))
-                cut["h"] -= lows["h"]
-                for wv in self.wvars:
-                    cut[wv] -= min(0, lows.get(wv, 0))
-            S = one
-            for e, cut in zip(edges, reversed(cuts)):
-                S = S * e
-                S = S.restrict_vars({v: (-INF, cut[v]) for v in S.vars if v in cut})
-            products.append(self.prune_w(S) * Fraction(1, g.aut_order()))
-        S = series_sum(products)
-        for i in range(self.n):
-            S = S.restrict("h", -INF, T - after[i])
-            # P B_r meets the u-slices of S * a_series(i), whose hbar window
-            # is no wider than S's: its orders above that width plus its
-            # own lo fall outside the products' windows
-            h = S.idx("h")
-            hmax = S.hi[h] - S.lo[h] + self.pb_h_floor()
-            S = self.prune_w(self.reduce_vertex(S, i, hmax))
-        return S
+        |Aut g|, through the operators of every vertex, at hbar^T and at
+        every w-exponent up to D, under the budgets of the module
+        docstring.  The vertex operators and the cuts are linear, so the
+        vertex chain runs once, on the 1/|Aut|-weighted sum of the budgeted
+        edge products.  Returns the hbar^T order alone, as a series over
+        (h, w_0, ..., w_(n-1))."""
+        graph_list = list(graph_list)
+        n, D, kd = self.n, self.D, self.kernel_depth
+        ha, hb = self._h_floors()
+        floor = ha + hb
+        E = max((len(g.edges) for g in graph_list), default=0)
+        bias = kd * E + n + 1
+        keys = _Keys(n, bias, (2 * bias + 2 * (self.K + D + kd) * (E + 1)).bit_length() + 1)
+        # the edge products, cut after each factor, over one denominator
+        factors = [[self._edge_factor(I, keys) for I in g.edges] for g in graph_list]
+        dens = []
+        for g, fs in zip(graph_list, factors):
+            d = g.aut_order()
+            for f in fs:
+                d *= f[1]
+            dens.append(d)
+        den = lcm(*dens)
+        L, G = keys.lower({keys.w(i): -kd for i in range(n)})  # prune_w's lower cut
+        total: dict[int, int] = {}
+        for fs, d in zip(factors, dens):
+            state = self._edge_product(fs, keys, T - n * floor)
+            scale = den // d
+            for k, v in state.items():
+                if (k + L) & G == G:
+                    total[k] = total.get(k, 0) + v * scale
+        state = {k: v for k, v in total.items() if v}
+        # every vertex operator is read to the same order H: vertex i meets
+        # hbar^a with a >= hmin + i * floor and is read to
+        # hbar^(T - (n - 1 - i) * floor - a)
+        hmin = min((keys.field(k, _H) for k in state), default=0)
+        H = T - (n - 1) * floor - hmin
+        if H - hb > self.K - 1 or H - ha > self.K:
+            raise TruncationError("the vertex operators are needed past hbar^K")
+        for i in range(n):
+            state, den = self._vertex_pass(state, den, i, keys, T - (n - 1 - i) * floor,
+                                           i == n - 1, H)
+        vars = ("h",) + self.wvars
+        data = {}
+        for k, v in state.items():
+            f = keys.split(k)
+            data[(f[_H],) + tuple(f[keys.w(i)] for i in range(n))] = Fraction(v, den)
+        return Series(vars, (T,) + (-kd,) * n, (T,) + (D,) * n, data, self.cap, self.layout)
+
+    def _edge_product(self, factors, keys: _Keys, hcut: int) -> dict[int, int]:
+        """One graph's edge product from the constant 1, as {key: integer
+        numerator} over the product of the factors' denominators.  After
+        each factor the hbar orders above hcut - (the remaining factors'
+        lowest hbar exponents), the w_i exponents above D - (their negative
+        w_i reach) and the total degrees above D are dropped."""
+        n, D = self.n, self.D
+        cuts = []
+        cut_w = [D] * n
+        for f in reversed(factors):
+            cuts.append((hcut, list(cut_w)))
+            hcut -= f[2]
+            for i, x in f[3].items():
+                cut_w[i] -= min(0, x)
+        state = {keys.zero: 1}
+        hoff, mask, bias = keys.offs[_H], keys.mask, keys.bias
+        for (groups, _, _, wlow), (hc, cw) in zip(factors, reversed(cuts)):
+            M, G = keys.upper({keys.w(i): cw[i] for i in wlow} | {keys.tw: D})
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for ka, va in state.items():
+                room = hc + bias - ((ka >> hoff) & mask)
+                for wd, hs, terms in groups:
+                    t = ka + wd
+                    if (t + M) & G:
+                        continue
+                    for hud, vb in terms[:bisect_right(hs, room)]:
+                        k = t + hud
+                        nxt[k] = get(k, 0) + va * vb
+            state = nxt
+        return state
+
+    def _vertex_pass(self, state: dict, den: int, i: int, keys: _Keys, hcut: int, last: bool,
+                     H: int):
+        """The vertex operator at vertex i on {key: numerator} over den:
+        each term's local monomial hbar^a u_i^r w_i^m goes through
+        _vertex_row, up to hbar^hcut (at hbar^hcut alone when last), and the
+        terms with w_i or the total degree above D are dropped."""
+        oh, ou, ow = keys.offs[_H], keys.offs[keys.u(i)], keys.offs[keys.w(i)]
+        mask, bias = keys.mask, keys.bias
+        groups: dict[tuple, list] = {}
+        for k, v in state.items():
+            loc = ((k >> oh) & mask, (k >> ou) & mask, (k >> ow) & mask)
+            g = groups.get(loc)
+            if g is None:
+                g = groups[loc] = []
+            g.append((k, v))
+        rows = {}
+        for fh, fu, fw in groups:
+            a, r0, m = fh - bias, fu - bias, fw - bias
+            row, d = self._vertex_row(r0, m, H)
+            hs = [x[0] for x in row]
+            top = hcut - a
+            lo = bisect_left(hs, top) if last else 0
+            rows[fh, fu, fw] = [(keys.delta([(_H, dh), (keys.u(i), -r0), (keys.w(i), w - m),
+                                             (keys.tw, w - m)]), c)
+                                for dh, w, c in row[lo:bisect_right(hs, top)]], d
+        rden = lcm(*(d for _, d in rows.values()))
+        M, G = keys.upper({keys.w(i): self.D, keys.tw: self.D})
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for loc, items in groups.items():
+            row, d = rows[loc]
+            s = rden // d
+            row = [(delta, c * s) for delta, c in row]
+            for k, v in items:
+                for delta, c in row:
+                    t = k + delta
+                    if (t + M) & G:
+                        continue
+                    nxt[t] = get(t, 0) + v * c
+        nxt = {k: v for k, v in nxt.items() if v}
+        g = gcd(den * rden, *nxt.values())
+        return {k: v // g for k, v in nxt.items()}, den * rden // g
 
     # -- n = 1 correction -------------------------------------------------------------
     def delta_series(self, g2: int) -> Series:
         """Delta_g(X) in the w-picture: [hbar^(2g)] sum_m (P w d/dw)^m
-        ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C )."""
-        bexp = self.at_y(self.b_raw(0))
-        core = bexp * (self.P(0) * self.C(0).wdw(self.wvars[0]))
-        vparts = core.coeff_dict("v") if "v" in core.vars else {0: core}
-        parts = {mp1 - 1: part for mp1, part in vparts.items() if mp1 >= 1}
-        if not parts:
-            return Series.zero((self.wvars[0],), cap=self.cap, layout=self.layout)
-        return self.pwd_sum(parts, 0).coeff("h", g2)
+        ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C ), on integer rows."""
+        D = self.D
+        B, bden = self._by_rows(0, g2)
+        B = {e: c for e, c in B.items() if e[0] == g2 and e[1] >= 1}
+        P, pden = self._P_rows()
+        C, cden = _int_rows(self.C_coeffs())
+        pc = _w_product(P, {k: k * c for k, c in C.items()}, D)
+        vmax = max((v for _, v, _ in B), default=1)
+        out: dict[int, int] = {}
+        for (_, v, wb), c in B.items():
+            c *= pden ** (vmax - v)
+            for p, y in pc.items():
+                for w, x in self._pwd_power(v - 1, wb + p)[0].items():
+                    out[w] = out.get(w, 0) + c * y * x
+        den = bden * pden * cden * pden ** (vmax - 1)
+        return Series((self.wvars[0],), (0,), (D,), {(w,): Fraction(c, den) for w, c in out.items()},
+                      self.cap, self.layout)
 
     def prune_w(self, S: Series) -> Series:
         """Drop monomials with any w-exponent above D (once every factor
@@ -590,28 +847,64 @@ class Evaluator:
         return S.restrict_vars({wv: window for wv in self.wvars if wv in S.vars})
 
     # -- re-expansion ------------------------------------------------------------------
-    def reexpand(self, S: Series) -> Series:
-        """Substitute w_i = w(X_i) for every variable, expressing a
-        w-series as an X-series with the same variable names.
+    def _w_of_x_row(self, e: int) -> list[tuple[int, Fraction]]:
+        """w(X)^e to X^D, as (exponent, coefficient) pairs in ascending
+        order, for -kernel_depth <= e <= D.  With w = X phi(X), phi(0) = 1,
+        w^e = X^e phi^e, and phi^e comes from the power next to it toward 0
+        (memoised), cut at X^(D + kernel_depth) for e < 0."""
 
-        The inverse series is built uncapped (negative powers of a capped
-        series would be wrong); the total-degree cap is re-applied after
-        each variable, which is valid because a valuation-1 substitution
-        never lowers a monomial's total degree.
-        """
-        depth = (self.n + 1) * self.D + 2
-        wc = self.w_of_x_coeffs(depth)
-        S = self.prune_w(S)
-        for i in range(self.n):
-            wv = self.wvars[i]
+        def power(e):
+            def build():
+                if e == 0:
+                    return {0: Fraction(1)}
+                if e > 0:
+                    return _w_product(power(e - 1), power(1) if e > 1 else phi(), self.D)
+                top = self.D + self.kernel_depth
+                inv = power(-1) if e < -1 else inverse_coeffs(phi(), top)
+                return _w_product(power(e + 1), inv, top) if e < -1 else inv
+
+            return self._memo(("phipow", e), build)
+
+        def phi():
+            wc = self.w_of_x_coeffs(self.D + self.kernel_depth + 1)
+            return {k - 1: c for k, c in wc.items()}
+
+        return sorted((e + j, c) for j, c in power(e).items() if c and e + j <= self.D)
+
+    def reexpand(self, S: Series) -> Series:
+        """Substitute w_i = w(X_i) for every variable of S, a series in the
+        w variables, expressing it as an X-series with the same variable
+        names.  Terms outside prune_w's window are dropped first; then,
+        one variable at a time, each term's w_i^e becomes the row of
+        w(X_i)^e, on integer numerators over one denominator, and the terms
+        above D in that variable or in total degree are dropped: a
+        valuation-1 substitution never lowers an exponent."""
+        n, D, kd = self.n, self.D, self.kernel_depth
+        nums, den = S.numerators(self.wvars)
+        state = {e: v for e, v in nums.items() if all(-kd <= x <= D for x in e)}
+        for i, wv in enumerate(self.wvars):
             if wv not in S.vars:
                 continue
-            g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()},
-                       layout=self.layout)
-            cache = self._cache.setdefault(("gpow", wv), {})
-            S = S.substitute(wv, g, powers=cache).with_cap(self.cap)
-            S = self.prune_w(S)
-        return S
+            rows = {x: self._w_of_x_row(x) for x in {e[i] for e in state}}
+            rden = lcm(*(c.denominator for row in rows.values() for _, c in row))
+            rows = {x: [(j, c.numerator * (rden // c.denominator)) for j, c in row]
+                    for x, row in rows.items()}
+            nxt: dict[tuple, int] = {}
+            get = nxt.get
+            for e, v in state.items():
+                room = D - sum(e) + e[i]
+                head, tail = e[:i], e[i + 1:]
+                for j, c in rows[e[i]]:
+                    if j > room:
+                        break
+                    k = head + (j,) + tail
+                    nxt[k] = get(k, 0) + v * c
+            state = {k: v for k, v in nxt.items() if v}
+            den *= rden
+        pos = [self.wvars.index(v) for v in S.vars]
+        data = {tuple(e[p] for p in pos): Fraction(v, den) for e, v in state.items()}
+        m = len(S.vars)
+        return Series(S.vars, (-kd,) * m, (D,) * m, data, self.cap, self.layout)
 
     def x_kernel(self, i: int, j: int, depth: int | None = None) -> Series:
         return kernel_series(

@@ -64,7 +64,7 @@ from operator import add, mul, sub
 
 from . import graphs, pscore, symcore
 from .operators import Evaluator, _distinct_permutations, shape_of
-from .series import INF, Series, series_sum
+from .series import INF, Series
 from .symcore import Partition, sort_to_partition
 from .tables import CoefficientTable, table_get
 
@@ -391,55 +391,42 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
 # functional-relation routes (trees, graphs, coefficients)
 
 
-def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
-                 depth: int | None = None) -> Series:
-    """Genus-fixed hyperedge series: G_{g, #I}(w_I) with the double-pole
-    kernel (to the given depth) added for shifted off-diagonal pairs at
-    genus 0.  Memoised on the evaluator."""
-    m = len(I)
-    kernel = shifted and g2 == 0 and m == 2 and I[0] != I[1]
-
-    def build():
-        wvars = tuple(sorted({ev.wvars[slot] for slot in I}))
-        data: dict[tuple, Fraction] = {}
-        for (tg2, ks), val in ev.table.items():
-            if tg2 != g2 or len(ks) != m or sum(ks) > ev.D:
-                continue
-            for comp in _distinct_permutations(ks):
-                wexp = dict.fromkeys(wvars, 0)
-                for slot, k in zip(I, comp):
-                    wexp[ev.wvars[slot]] += k
-                e = tuple(wexp.values())
-                data[e] = data.get(e, 0) + val
-        parts = []
-        if data:
-            parts.append(Series(wvars, (0,) * len(wvars), (INF,) * len(wvars), data, ev.cap,
-                                ev.layout))
-        if kernel:
-            parts.append(ev.x_kernel(I[0], I[1], depth))
-        if not parts:
-            return Series.zero((ev.wvars[I[0]],), cap=ev.cap, layout=ev.layout)
-        return series_sum(parts)
-
-    return ev._memo(("edge0", tuple(I), g2, kernel, depth if kernel else None), build)
-
-
 def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
                 depth: int | None = None):
-    """_edge_genus0's terms over ev.wvars, decoded once and memoised on the
-    evaluator, as (sums, terms, den, pos, reach): pos the positions of the
-    edge's variables, terms the (exponents, integer numerator, exponents
-    at pos) triples in ascending order of their exponent sums, which are
-    sums, den the denominator, and reach the negative reach
-    -min(0, lowest exponent) per variable.  They are decoded once per
-    shape of I (operators.shape_of) and moved to I's positions."""
+    """The genus-fixed hyperedge series G_{g, #I}(w_I), with the
+    double-pole kernel sum_k k w_a^k w_b^-k (k to the given depth, to
+    ev.kernel_depth when None) added for a shifted off-diagonal pair at
+    genus 0, as terms over ev.wvars, built from the table entries and
+    kernel terms directly and memoised on the evaluator: (sums, terms, den,
+    pos, reach), with pos the positions of the edge's variables, terms the
+    (exponents, integer numerator, exponents at pos) triples in ascending
+    order of their exponent sums, which are sums, den the denominator, and
+    reach the negative reach -min(0, lowest exponent) per variable.  They
+    are built once per shape of I (operators.shape_of) and moved to I's
+    positions."""
     shape, pos = shape_of(I)
 
     def build():
-        nums, den = _edge_genus0(ev, shape, g2, shifted, depth).numerators(ev.wvars)
-        terms = sorted(((e, v, list(e[:len(pos)])) for e, v in nums.items()),
-                       key=lambda t: sum(t[0]))
-        reach = [-min([0, *(e[i] for e in nums)]) for i in range(ev.n)]
+        m = len(shape)
+        data: dict[tuple, Fraction] = {}
+        for (tg2, ks), val in ev.table.items():
+            if tg2 == g2 and len(ks) == m and sum(ks) <= ev.D:
+                for comp in _distinct_permutations(ks):
+                    e = [0] * ev.n
+                    for slot, k in zip(shape, comp):
+                        e[slot] += k
+                    e = tuple(e)
+                    data[e] = data.get(e, 0) + val
+        if shifted and g2 == 0 and m == 2 and shape[0] != shape[1]:
+            for k in range(1, (ev.kernel_depth if depth is None else depth) + 1):
+                e = [0] * ev.n
+                e[shape[0]], e[shape[1]] = k, -k
+                data[tuple(e)] = Fraction(k)
+        data = {e: v for e, v in data.items() if v}
+        den = lcm(*(v.denominator for v in data.values()))
+        terms = sorted(((e, v.numerator * (den // v.denominator), list(e[:len(pos)]))
+                        for e, v in data.items()), key=lambda t: sum(t[0]))
+        reach = [-min([0, *(e[i] for e in data)]) for i in range(ev.n)]
         return [sum(e) for e, _, _ in terms], terms, den, list(range(len(pos))), reach
 
     key = ("terms", g2, shifted, depth)
@@ -455,6 +442,18 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
 
     return ev._memo(key + (tuple(I),), lambda: (
         sums, [(tuple(move(e)), v, bp) for e, v, bp in terms], den, pos, move(reach)))
+
+
+def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
+                 depth: int | None = None) -> Series:
+    """_edge_terms as a Series over the edge's variables."""
+    _, terms, den, pos, _ = _edge_terms(ev, I, g2, shifted, depth)
+    wvars = tuple(ev.wvars[i] for i in pos)
+    if not terms:
+        return Series.zero(wvars[:1], cap=ev.cap, layout=ev.layout)
+    data = {tuple(e[i] for i in pos): Fraction(v, den) for e, v, _ in terms}
+    lo = tuple(min(0, *(e[j] for e in data)) for j in range(len(pos)))
+    return Series(wvars, lo, (INF,) * len(pos), data, ev.cap, ev.layout)
 
 
 def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], int]:
@@ -544,7 +543,14 @@ def genus0_moments(table: CoefficientTable, n: int, D: int, sign: int = 1) -> Co
     [Fraction(1, 1), Fraction(2, 1), Fraction(5, 1)]
     >>> genus0_moments(gue_table(), 2, 2)
     {(0, (1, 1)): Fraction(1, 1)}
+
+    Every entry has k_i >= 1, so past n = D the table is empty:
+
+    >>> genus0_moments(gue_table(), 3, 2)
+    {}
     """
+    if n > D:
+        return {}
     ev = Evaluator(table, n, D, K=2, sign=sign)
     products = ((tree.valencies(), _tree_product(ev, tree.edges))
                 for tree in graphs.enumerate_graphs(n, 0))
@@ -655,12 +661,15 @@ def _compositions(n: int, D: int):
 
 def allgenus_moments(table: CoefficientTable, n: int, g2: int, D: int, sign: int = 1) -> CoefficientTable:
     """The all-genus graph relation for one (g, n) target; g2 is the
-    doubled genus.  Covers half-integer genus via odd hbar gradings."""
+    doubled genus.  Covers half-integer genus via odd hbar gradings.  Every
+    entry has k_i >= 1, so past n = D the table is empty."""
     if (g2, n) == (0, 1):
         return genus0_moments(table, 1, D, sign)
     T_target = g2 - 2 + n
     if T_target < 0:
         raise ValueError("no hbar^%d sector" % T_target)
+    if n > D:
+        return {}
     K = T_target + n + 2
     ev = Evaluator(table, n, D, K=K, sign=sign)
     total = ev.graph_sum(graphs.enumerate_graphs(n, g2 // 2), T_target)
@@ -690,7 +699,10 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
     relation over trees with one special black vertex (which may be
     univalent): the special hyperedge carries the genus-1/2 cumulant
     series, all others the genus-0 ones.  The leaves are summed by the
-    leaf contraction of genus0_moments, over enumerate_special_trees(n)."""
+    leaf contraction of genus0_moments, over enumerate_special_trees(n);
+    past n = D the table is empty."""
+    if n > D:
+        return {}
     ev = Evaluator(table, n, D, K=2)
     products = ((tree.valencies(), _special_tree_product(ev, tree))
                 for tree in graphs.enumerate_special_trees(n))

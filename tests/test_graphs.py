@@ -1,4 +1,6 @@
-from freehop.graphs import Graph, enumerate_graphs, enumerate_special_trees
+import pytest
+
+from freehop.graphs import Graph, _hyperedge_pool, enumerate_graphs, enumerate_special_trees
 
 
 def all_trees(n):
@@ -86,3 +88,36 @@ def test_special_trees():
     assert shapes == [((0,), (0, 1)), ((0, 1),), ((1,), (0, 1))]
     for g in seen:
         assert g.special == 0
+
+
+def _plain_enumeration(n, excess_bound):
+    """The search without pruning: every multiset of pool hyperedges within
+    the budget, kept when it is connected."""
+    budget = n - 1 + excess_bound
+    pool = _hyperedge_pool(n, max_size=budget + 1)
+    out = []
+
+    def rec(start, chosen, used):
+        g = Graph(n, tuple(chosen))
+        if (chosen or n == 1) and g.is_connected():
+            out.append(g)
+        for k in range(start, len(pool)):
+            cost = len(pool[k]) - 1
+            if used + cost <= budget:
+                chosen.append(pool[k])
+                rec(k, chosen, used + cost)
+                chosen.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+@pytest.mark.parametrize("n,e", [(n, e) for n in (1, 2, 3, 4) for e in (0, 1, 2)] + [(5, 0)])
+def test_pruned_enumeration_equals_connectivity_filter(n, e):
+    # the pruning skips only subtrees without output: same list, same order
+    assert enumerate_graphs(n, e) == _plain_enumeration(n, e)
+
+
+def test_tree_counts_are_labelled_hypertrees():
+    # OEIS A030019
+    assert [len(enumerate_graphs(n, 0)) for n in (1, 2, 3, 4, 5, 6)] == [1, 1, 4, 29, 311, 4447]

