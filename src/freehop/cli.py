@@ -34,6 +34,13 @@ TRANSFORM_D_BOUND = {
     ("convolution", "c2m"): 8,
     ("convolution", "m2c"): 8,
 }
+# largest --deg of transform --route formula per --genus, the doubled genus
+# cutoff: the route runs the tree and graph relations at every n <= deg, and
+# their cost grows with n, genus and degree; the longest run these allow
+# takes about 4 s (deg 4, genus 4), and one step past them takes 8 s or more,
+# for example 9.5 s for the (n, g2) = (5, 1) graph sum at deg 5 alone and
+# 16 s for the genus-0 trees at n = deg = 7 (2 vCPUs, Python 3.11)
+FORMULA_D_BOUND = {0: 6, 1: 4, 2: 4, 3: 4, 4: 4, 5: 3, 6: 3, 7: 3, 8: 3}
 
 
 class CliError(Exception):
@@ -140,6 +147,8 @@ def cmd_transform(args) -> int:
     if args.genus < 0:
         raise CliError("--genus must be nonnegative")
     deg = args.deg
+    if deg is not None and deg < 0:
+        raise CliError("--deg must be nonnegative")
     table = _load_table(args.infile, deg)
     if deg is None:
         deg = max((sum(ks) for (_, ks) in table), default=0)
@@ -152,6 +161,11 @@ def cmd_transform(args) -> int:
     if args.route == "formula":
         if args.hbar is not None:
             raise CliError("--route formula takes no --hbar: it truncates by degree, not by hbar order")
+        if g2 not in FORMULA_D_BOUND:
+            raise CliError("--route formula runs to --genus %d, not %d" % (max(FORMULA_D_BOUND), g2))
+        if deg > FORMULA_D_BOUND[g2]:
+            raise CliError("--route formula at --genus %d runs to degree %d, not %d"
+                           % (g2, FORMULA_D_BOUND[g2], deg))
         K = None
     else:
         K = _working_K(args.hbar, deg, g2)
@@ -166,8 +180,8 @@ def cmd_transform(args) -> int:
         elif args.route == "formula":
             sign = 1 if forward else -1
             out = {}
-            nmax = max((len(ks) for (_, ks) in table), default=1)
-            for n in range(1, nmax + 1):
+            # every k_i >= 1, so the entries of degree <= deg have n <= deg
+            for n in range(1, deg + 1):
                 out.update(transforms.genus0_moments(table, n, deg, sign))
                 for target_g2 in range(1, g2 + 1):
                     out.update(transforms.allgenus_moments(table, n, target_g2, deg, sign))
@@ -347,7 +361,8 @@ def cmd_verify(args) -> int:
     if args.suite == "orthogonality":
         report = hurwitz.verify_orthogonality(_given("d", args.d, 4), _given("hbar", args.hbar, 8))
     elif args.suite == "equivalence":
-        d = _given("d", args.d, 4)
+        # at d = 0 every table is empty, so no case would compare a value
+        d = _given("d", args.d, 4, least=1)
         bound = TRANSFORM_D_BOUND[("convolution", "c2m")]
         if d > bound:
             raise CliError("--suite equivalence runs the convolution routes, to d = %d, not %d" % (bound, d))

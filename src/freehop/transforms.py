@@ -17,11 +17,13 @@ Routes between a cumulant table and a moment table:
 - schur:       the same kernel, under its Schur-basis name;
 - formula:     the tree (genus 0), graph (all genus) and special-tree
                (genus 1/2) functional relations and their duals; the
-               genus-0 and genus-1/2 tree sums are one leaf contraction
-               (_leaf_contraction), over the trees or the special trees,
-               of edge products in integer numerators that drop, after
-               each factor, every term that cannot reach a target
-               (_cut_product).
+               genus-0 and genus-1/2 tree sums are edge products in
+               integer numerators that drop, after each factor, exactly
+               the terms that cannot reach a target (_cut_product), summed
+               over the trees (or special trees) of one valency vector and
+               then leaf-contracted once per valency pattern, axis by axis,
+               each k_i only as far as the later axes leave degree for
+               (_leaf_contraction).
 
 Z-tables attach hbar^(d + ell(lam)) * z(lam) times the monomial coefficient
 of p_lam; equivalently Z(lam) = sum over partitions A of the cycle set of
@@ -248,7 +250,10 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | 
     and d! / z(nu) is the class size), so the transform is two integer
     products with the character table and a truncated row product by the
     integer rows of symcore.content_rows in between; _peel reads the
-    F-table off the Z'."""
+    F-table off the Z'.  Every entry has degree >= 1, so below dmax = 1
+    the table is empty, as on the convolution routes."""
+    if dmax < 1:
+        return {}
     K = _row_K(dmax, g2max, K)
     z, den = _z_rows(table, dmax, K)
     Q = den((1,))
@@ -397,13 +402,15 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
     double-pole kernel sum_k k w_a^k w_b^-k (k to the given depth, to
     ev.kernel_depth when None) added for a shifted off-diagonal pair at
     genus 0, as terms over ev.wvars, built from the table entries and
-    kernel terms directly and memoised on the evaluator: (sums, terms, den,
-    pos, reach), with pos the positions of the edge's variables, terms the
-    (exponents, integer numerator, exponents at pos) triples in ascending
-    order of their exponent sums, which are sums, den the denominator, and
-    reach the negative reach -min(0, lowest exponent) per variable.  They
-    are built once per shape of I (operators.shape_of) and moved to I's
-    positions."""
+    kernel terms directly and memoised on the evaluator: (groups, den, pos,
+    reach), with pos the positions of the edge's variables, den the
+    denominator and reach the negative reach -min(0, lowest exponent) per
+    variable.  The terms are grouped by their exponents h on every
+    position of pos but the last: one (sum(h), h, lasts, entries) per
+    group, in ascending order of sum(h), where entries are the (exponents,
+    integer numerator) pairs of the group in ascending order of their
+    last-position exponents, which are lasts.  They are built once per
+    shape of I (operators.shape_of) and moved to I's positions."""
     shape, pos = shape_of(I)
 
     def build():
@@ -424,15 +431,21 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
                 data[tuple(e)] = Fraction(k)
         data = {e: v for e, v in data.items() if v}
         den = lcm(*(v.denominator for v in data.values()))
-        terms = sorted(((e, v.numerator * (den // v.denominator), list(e[:len(pos)]))
-                        for e, v in data.items()), key=lambda t: sum(t[0]))
+        last = len(pos) - 1
+        by_head: dict[tuple, list] = {}
+        for e, v in data.items():
+            by_head.setdefault(e[:last], []).append((e[last], e, v.numerator * (den // v.denominator)))
+        groups = []
+        for h in sorted(by_head, key=lambda h: (sum(h), h)):
+            terms = sorted(by_head[h])
+            groups.append((sum(h), list(h), [t[0] for t in terms], [t[1:] for t in terms]))
         reach = [-min([0, *(e[i] for e in data)]) for i in range(ev.n)]
-        return [sum(e) for e, _, _ in terms], terms, den, list(range(len(pos))), reach
+        return groups, den, list(range(len(pos))), reach
 
     key = ("terms", g2, shifted, depth)
-    sums, terms, den, base_pos, reach = ev._memo(key + (shape,), build)
+    groups, den, base_pos, reach = ev._memo(key + (shape,), build)
     if pos == base_pos:
-        return sums, terms, den, pos, reach
+        return groups, den, pos, reach
 
     def move(e):
         out = [0] * ev.n
@@ -441,17 +454,19 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
         return out
 
     return ev._memo(key + (tuple(I),), lambda: (
-        sums, [(tuple(move(e)), v, bp) for e, v, bp in terms], den, pos, move(reach)))
+        [(hs, h, lasts, [(tuple(move(e)), v) for e, v in entries])
+         for hs, h, lasts, entries in groups], den, pos, move(reach)))
 
 
 def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
                  depth: int | None = None) -> Series:
     """_edge_terms as a Series over the edge's variables."""
-    _, terms, den, pos, _ = _edge_terms(ev, I, g2, shifted, depth)
+    groups, den, pos, _ = _edge_terms(ev, I, g2, shifted, depth)
     wvars = tuple(ev.wvars[i] for i in pos)
-    if not terms:
+    if not groups:
         return Series.zero(wvars[:1], cap=ev.cap, layout=ev.layout)
-    data = {tuple(e[i] for i in pos): Fraction(v, den) for e, v, _ in terms}
+    data = {tuple(e[i] for i in pos): Fraction(v, den)
+            for *_, entries in groups for e, v in entries}
     lo = tuple(min(0, *(e[j] for e in data)) for j in range(len(pos)))
     return Series(wvars, lo, (INF,) * len(pos), data, ev.cap, ev.layout)
 
@@ -465,9 +480,15 @@ def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], 
     With r_i the negative w_i reach of the factors still to come, no
     descendant of a term a has a w_i-exponent below a_i - r_i, and
     max(1, .) is monotone; so after each factor a term is dropped unless
-    sum_i max(1, a_i - r_i) <= D.  Since max(1, x) >= x, the exponent sum
-    of a factor's term over its own variables is bounded by that budget,
-    which a bisect over the sorted sums applies before the exact test."""
+    sum_i max(1, a_i - r_i) <= D.  That test is applied exactly and
+    without a trial per pair: with c = a - r on the factor's positions and
+    room what the other positions leave of D, a group of the factor's
+    terms, with head exponents h, needs sum max(1, c + h) on the head, and
+    what that leaves bounds the last exponent, which one bisect over the
+    group's sorted last exponents applies.  A head needs at least
+    sum(c) + sum(h), so the loop over the groups, in ascending order of
+    sum(h), stops at the first whose head leaves no room for the last
+    position; for a pair edge that is the first group over budget."""
     D = ev.D
     state, den = start if start is not None else ({(0,) * ev.n: 1}, 1)
     reach = [0] * ev.n
@@ -475,17 +496,25 @@ def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], 
     for *_, f_reach in reversed(factors):
         after.append(reach)
         reach = [r + x for r, x in zip(reach, f_reach)]
-    for (sums, terms, fden, pos, _), r in zip(factors, reversed(after)):
+    for (groups, fden, pos, _), r in zip(factors, reversed(after)):
         others = [i for i in range(ev.n) if i not in pos]
+        *head, last = pos
         nxt: dict[tuple, int] = {}
         get = nxt.get
         for a, va in state.items():
-            c = [a[i] - r[i] for i in pos]
-            room = D - sum(max(1, a[i] - r[i]) for i in others)
-            for b, vb, bp in terms[:bisect_right(sums, room - sum(c))]:
-                if sum([max(1, x + y) for x, y in zip(c, bp)]) <= room:
-                    t = tuple(map(add, a, b))
-                    nxt[t] = get(t, 0) + va * vb
+            room = D - sum([max(1, a[i] - r[i]) for i in others])
+            if room < len(pos):
+                continue
+            c = [a[i] - r[i] for i in head]
+            cs, cl = sum(c), a[last] - r[last]
+            for hs, h, lasts, entries in groups:
+                if cs + hs >= room:
+                    break
+                left = room - sum([max(1, x + y) for x, y in zip(c, h)])
+                if left >= 1:
+                    for b, vb in entries[:bisect_right(lasts, left - cl)]:
+                        t = tuple(map(add, a, b))
+                        nxt[t] = get(t, 0) + va * vb
         state, den = nxt, den * fden
     return state, den
 
@@ -566,11 +595,16 @@ def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
     """The table at doubled genus g2 of the coefficient-wise relation over
     base trees with univalent leaves, from the (white valencies, cut edge
     product of _cut_product) pair of each base tree.  The sum over the
-    leaves is contracted into one weight per (valency, k_i, exponent)
-    applied to the base tree's product; the binomial factors (which depend
-    on the target exponents) enter that contraction.  A term reaches only
-    targets with k_i >= max(1, a_i), so the terms that need more than
-    degree D, or lie below the kernel depth, are dropped first.
+    leaves is contracted into one weight W(v_i, k_i, a_i) per axis, which
+    depends on the tree only through its valency v_i; the binomial factors
+    (which depend on the target exponents) enter that weight.  So the
+    products of the trees with one valency vector are summed first, over
+    one denominator, and after axis i is contracted the sums whose
+    valencies v_(i+1)..v_(n-1) agree are merged.  A term reaches only
+    targets with k_i >= max(1, a_i): the terms that need more than degree
+    D, or lie below the kernel depth, are dropped first, and each term is
+    kept by the degree it needs, sum_(j<i) k_j + sum_(j>=i) max(1, a_j),
+    so that k_i runs only as far as the axes after it leave room for.
     """
     n, D, sign = ev.n, ev.D, ev.sign
     # leaf weights W(v, k, a) = sum_l factor(k, v+l-1)/l! [w^(k-a)] (C-1)^l,
@@ -607,29 +641,40 @@ def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
         return rows[v, a]
 
     low = -ev.kernel_depth
-    acc_by_k: dict[tuple[int, ...], Fraction] = {}
-    for baseval, (state, den) in products:
-        # sequential tensor contraction over integer numerators: replace
-        # one a_i axis by the k_i axis at a time, weighting with
-        # W(v_i, k_i, a_i) over one denominator per axis
-        state = {key: val for key, val in state.items()
-                 if sum(max(1, a) for a in key) <= D and min(key) >= low}
-        for i in range(n):
-            den *= wden
-            nxt: dict[tuple, int] = {}
-            get = nxt.get
-            for key, val in state.items():
-                head, tail = key[:i], key[i + 1:]
-                wrow = row(baseval[i], key[i])
-                kmax = D - sum(head) - (n - 1 - i)
-                for k in range(max(1, key[i]), kmax + 1):
-                    wgt = wrow[k]
-                    if wgt:
-                        nk = head + (k,) + tail
-                        nxt[nk] = get(nk, 0) + wgt * val
-            state = nxt
-        for ks, v in state.items():
-            acc_by_k[ks] = acc_by_k.get(ks, 0) + Fraction(v, den)
+    products = list(products)
+    den = lcm(*(d for _, (_, d) in products))
+    # groups[v_i..v_(n-1)][need] = {key: integer numerator over den}
+    groups: dict[tuple, list[dict]] = {}
+    for vals, (state, d) in products:
+        s = den // d
+        needs = groups.setdefault(vals, [{} for _ in range(D + 1)])
+        for key, val in state.items():
+            need = sum([a if a > 1 else 1 for a in key])
+            if need <= D and min(key) >= low:
+                acc = needs[need]
+                acc[key] = acc.get(key, 0) + s * val
+    for i in range(n):
+        # replace the a_i axis by the k_i axis, weighting with
+        # W(v_i, k_i, a_i) over one more factor wden of the denominator
+        den *= wden
+        merged: dict[tuple, list[dict]] = {}
+        for vals, needs in groups.items():
+            nxt = merged.setdefault(vals[1:], [{} for _ in range(D + 1)])
+            for need, state in enumerate(needs):
+                for key, val in state.items():
+                    a = key[i]
+                    lo = a if a > 1 else 1
+                    rest = need - lo
+                    head, tail = key[:i], key[i + 1:]
+                    wrow = row(vals[0], a)
+                    for k in range(lo, D - rest + 1):
+                        wgt = wrow[k]
+                        if wgt:
+                            nk = head + (k,) + tail
+                            acc = nxt[rest + k]
+                            acc[nk] = acc.get(nk, 0) + wgt * val
+        groups = merged
+    acc_by_k = {ks: Fraction(v, den) for state in groups.get((), ()) for ks, v in state.items()}
     for ks in _compositions(n, D):
         acc_by_k.setdefault(ks, Fraction(0))
     out: CoefficientTable = {}

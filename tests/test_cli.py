@@ -113,45 +113,94 @@ def test_transform_routes_agree(seed, deg, g2):
 
 
 def test_transform_formula_route(tmp_path):
+    """The formula route takes n up to deg, not up to the input's largest
+    n: on the one-point GUE table at degree 6 it returns the hurwitz
+    route's 15 rows, n = 4 included."""
     cum = tmp_path / "cum.json"
-    out = tmp_path / "mom.json"
     tables.save(str(cum), tables.gue_table())
-    assert run([
-        "transform", "c2m", "--route", "formula", "--in", str(cum),
-        "--out", str(out), "--deg", "6",
-    ]) == 0
-    t, _ = tables.load(str(out))
+    outs = {}
+    for route in ("formula", "hurwitz"):
+        out = tmp_path / ("mom-%s.json" % route)
+        assert run([
+            "transform", "c2m", "--route", route, "--in", str(cum),
+            "--out", str(out), "--deg", "6",
+        ]) == 0
+        outs[route] = tables.load(str(out))[0]
+    t = outs["formula"]
     assert t[(0, (6,))] == 5
+    assert len(t) == 15 and t == outs["hurwitz"]
+    assert max(len(ks) for _, ks in t) == 4
 
 
 def test_transform_formula_genus_is_a_cutoff(tmp_path):
     """--genus G on the formula route gives every g2 <= G, odd g2 included,
-    as on the other routes, and m2c gives the input back.
-
-    The round trip runs at degree 3, where the n <= 3 rows are the whole
-    moment table: at degree 4 the (g2 = 2, n = 3) dual also reads
-    F_{0; 1,1,1,1} on its four-point hyperedge, a row the formula route
-    does not produce from an input with n <= 3."""
+    and every n <= deg, as on the other routes, and m2c gives the input
+    back.  At degree 4 the (g2 = 2, n = 3) dual reads F_{0; 1,1,1,1} on its
+    four-point hyperedge, a row of the moment table only."""
     t = tables.random_table(seed=12, nmax=3, degmax=4, g2max=2)
-    for deg in (4, 3):
-        cum = tmp_path / ("cum-%d.json" % deg)
-        tables.save(str(cum), tables.restrict_table(t, deg=deg))
-        outs = {}
-        for route in ("formula", "hurwitz"):
-            outs[route] = tmp_path / ("mom-%s-%d.json" % (route, deg))
-            assert run([
-                "transform", "c2m", "--route", route, "--in", str(cum),
-                "--out", str(outs[route]), "--deg", str(deg), "--genus", "2",
-            ]) == 0
-        formula = tables.load(str(outs["formula"]))[0]
-        assert {g2 for g2, _ in formula} == {0, 1, 2}
-        assert formula == tables.restrict_table(tables.load(str(outs["hurwitz"]))[0], n=3)
+    cum = tmp_path / "cum.json"
+    tables.save(str(cum), tables.restrict_table(t, deg=4))
+    outs = {}
+    for route in ("formula", "hurwitz"):
+        outs[route] = tmp_path / ("mom-%s.json" % route)
+        assert run([
+            "transform", "c2m", "--route", route, "--in", str(cum),
+            "--out", str(outs[route]), "--deg", "4", "--genus", "2",
+        ]) == 0
+    formula = tables.load(str(outs["formula"]))[0]
+    assert {g2 for g2, _ in formula} == {0, 1, 2}
+    assert (0, (1, 1, 1, 1)) in formula
+    assert formula == tables.load(str(outs["hurwitz"]))[0]
     back = tmp_path / "back.json"
     assert run([
         "transform", "m2c", "--route", "formula", "--in", str(outs["formula"]),
-        "--out", str(back), "--deg", "3", "--genus", "2",
+        "--out", str(back), "--deg", "4", "--genus", "2",
     ]) == 0
-    assert tables.load(str(back))[0] == tables.restrict_table(t, deg=3)
+    assert tables.load(str(back))[0] == tables.restrict_table(t, deg=4)
+
+
+@pytest.mark.parametrize("genus, deg", [
+    (0, cli.FORMULA_D_BOUND[0] + 1),
+    (1, cli.FORMULA_D_BOUND[1] + 1),
+    (max(cli.FORMULA_D_BOUND), cli.FORMULA_D_BOUND[max(cli.FORMULA_D_BOUND)] + 1),
+    (max(cli.FORMULA_D_BOUND) + 1, 2),
+])
+def test_transform_formula_bound_exit_2(tmp_path, capsys, genus, deg):
+    """Past its per-genus degree bound the formula route exits 2 at once,
+    with one error line."""
+    inp = tmp_path / "in.json"
+    tables.save(str(inp), tables.gue_table())
+    t0 = time.perf_counter()
+    assert run(["transform", "c2m", "--route", "formula", "--in", str(inp),
+                "--deg", str(deg), "--genus", str(genus)]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --route formula") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("route", ["hurwitz", "convolution", "schur", "formula"])
+@pytest.mark.parametrize("direction", ["c2m", "m2c"])
+def test_transform_degree_zero_and_negative(tmp_path, capsys, route, direction):
+    """At degree 0 every route returns the empty table; a negative degree
+    exits 2 with one error line on every route."""
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps({"entries": []}))
+    args = ["transform", direction, "--route", route, "--in", str(inp), "--out", str(out)]
+    assert run(args + ["--deg", "0"]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["entries"] == [] and obj["deg"] == 0
+    capsys.readouterr()
+    assert run(args + ["--deg", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --deg must be nonnegative\n"
+
+
+def test_verify_equivalence_degree_zero_exit_2(capsys):
+    """At d = 0 every table is empty, so the equivalence suite would compare
+    no value: it exits 2 with one error line, not with a traceback."""
+    assert run(["verify", "--suite", "equivalence", "--d", "0"]) == 2
+    assert capsys.readouterr().err == "error: verify --d must be at least 1, not 0\n"
 
 
 def test_transform_bad_input_exit_2(tmp_path):

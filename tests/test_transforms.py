@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 
 import graph_sum_reference
+import tree_route_reference
 from freehop import graphs, oracles, pscore, symcore, tables
 from freehop.hbar import HbarSeries
 from freehop.hurwitz import hurwitz_table
@@ -172,6 +173,14 @@ def test_master_forward_d1_identity():
     t = {(0, (1,)): F(7)}
     m = master_forward(t, 1, 0)
     assert m == t
+
+
+@pytest.mark.parametrize("dmax", [0, -1])
+def test_routes_below_degree_one_are_empty(dmax):
+    # every entry has degree >= 1: all four routes agree on the empty table
+    for route in (master_forward, master_inverse, convolution_forward, moebius_inverse_route):
+        assert route({}, dmax, 0) == {}
+        assert route(gue_table(), dmax, 2) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +548,33 @@ def test_genus0_tree_route_five_points():
     back = genus0_moments(mom, 5, 6, sign=-1)
     for ks in [(2, 1, 1, 1, 1), (1, 1, 1, 1, 1)]:
         assert back.get((0, ks), F(0)) == tables.table_get(t, 0, ks)
+
+
+_REFERENCE_TABLES = {
+    "random": lambda: random_table(seed=58, nmax=5, degmax=7, g2max=1),
+    "gue": gue_table,
+    "empty": dict,
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_TABLES))
+def test_genus0_tree_route_matches_per_tree_reference(name, sign):
+    # one contraction per valency pattern over the grouped cut, against
+    # the per-tree contraction over the sum-bisect cut, at every n <= D
+    t = _REFERENCE_TABLES[name]()
+    for D in range(1, 8):
+        for n in range(1, min(D, 5) + 1):
+            assert genus0_moments(t, n, D, sign) == tree_route_reference.genus0_moments(t, n, D, sign)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_TABLES))
+def test_half_genus_tree_route_matches_per_tree_reference(name):
+    t = _REFERENCE_TABLES[name]()
+    for D in range(1, 8):
+        for n in range(1, min(D, 3) + 1):
+            got = half_genus_moments_special_trees(t, n, D)
+            assert got == tree_route_reference.half_genus_moments_special_trees(t, n, D)
 
 
 # ---------------------------------------------------------------------------
