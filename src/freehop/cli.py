@@ -336,15 +336,9 @@ def suite_dual_roundtrip(deg: int = 6, count: int = 3) -> dict:
     return _report("dual-roundtrip", cases)
 
 
-SUITES = [
-    "orthogonality",
-    "equivalence",
-    "genus0-trees",
-    "all-genus",
-    "infinitesimal",
-    "gue",
-    "dual-roundtrip",
-]
+# the suites, each with the flags it reads; any other flag exits 2
+SUITES = {"orthogonality": ("d", "hbar"), "equivalence": ("d", "hbar"), "genus0-trees": ("n", "deg"),
+          "all-genus": ("deg",), "infinitesimal": ("deg",), "gue": (), "dual-roundtrip": ("deg",)}
 
 
 def _given(flag: str, value: int | None, default: int, least: int = 0) -> int:
@@ -357,6 +351,9 @@ def _given(flag: str, value: int | None, default: int, least: int = 0) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag in ("d", "n", "deg", "hbar"):
+        if getattr(args, flag) is not None and flag not in SUITES[args.suite]:
+            raise CliError("--suite %s does not read --%s" % (args.suite, flag))
     _check_hbar(args.hbar)
     if args.suite == "orthogonality":
         report = hurwitz.verify_orthogonality(_given("d", args.d, 4), _given("hbar", args.hbar, 8))

@@ -17,8 +17,6 @@ a read-only decoded view, ``{exponent: Fraction}`` over the nonzero terms.
 >>> h = HbarSeries({-1: 1, 0: Fraction(1, 2)}, 3)
 >>> h * h
 1*h^-2 + 1*h^-1 + 1/4 + O(h^3)
->>> h.inverse()
-1*h^1 + -1/2*h^2 + 1/4*h^3 + -1/8*h^4 + 1/16*h^5 + O(h^6)
 """
 
 from __future__ import annotations
@@ -94,12 +92,6 @@ class HbarSeries:
         v = Fraction(v)
         return _new(e, [v.numerator], v.denominator, K)
 
-    @classmethod
-    def from_numerators(cls, num: list, den: int, K: int) -> "HbarSeries":
-        """(sum_e num[e] hbar^e) / den, from integer numerators for hbar^0,
-        hbar^1, ... and a positive denominator."""
-        return _new(0, list(num), den, K)
-
     # -- basics --------------------------------------------------------------
     @property
     def c(self):
@@ -110,16 +102,6 @@ class HbarSeries:
                 {lo + i: Fraction(v, den) for i, v in enumerate(self._num) if v}
             )
         return self._c
-
-    def numerators(self, K: int) -> tuple[list, int]:
-        """The integer numerators of hbar^0..hbar^K, as one list, and the
-        denominator they share; the inverse of from_numerators."""
-        if K > self.K or self._lo < 0:
-            raise ValueError("no hbar^0..hbar^%d numerators of %r" % (K, self))
-        return ([0] * self._lo + self._num + [0] * (K + 1))[:K + 1], self._den
-
-    def floor(self) -> int:
-        return self._lo
 
     def coeff(self, e: int) -> Fraction:
         if e > self.K:
@@ -213,40 +195,3 @@ class HbarSeries:
         return _new(lo, out, self._den * other._den, K)
 
     __rmul__ = __mul__
-
-    def shift(self, e: int) -> "HbarSeries":
-        """Multiply by hbar^e."""
-        return _new(self._lo + e if self._num else 0, self._num, self._den, self.K + e)
-
-    def inverse(self) -> "HbarSeries":
-        """Multiplicative inverse of a series with nonzero lowest term."""
-        if not self._num:
-            raise ZeroDivisionError("inverting zero series")
-        # self = hbar^f A(hbar) / den with A integral; 1/A = sum_n hbar^n
-        # b_n / a0^(n+1), where b_0 = 1, b_n = -sum_k a_k a0^(k-1) b_(n-k)
-        f, a, den = self._lo, self._num, self._den
-        N = self.K - f
-        a0 = a[0]
-        tail = [(k, v * a0 ** (k - 1)) for k, v in enumerate(a[1:N + 1], 1) if v]
-        b = [1]
-        for n in range(1, N + 1):
-            b.append(-sum(v * b[n - k] for k, v in tail if k <= n))
-        # over the one denominator a0^(N+1)
-        num = [0] * (N + 1)
-        p = den
-        for n in range(N, -1, -1):
-            num[n] = b[n] * p
-            p *= a0
-        p //= den
-        if p < 0:
-            num, p = [-v for v in num], -p
-        return _new(-f, num, p, N - f)
-
-    def __truediv__(self, other) -> "HbarSeries":
-        if isinstance(other, HbarSeries):
-            return self * other.inverse()
-        return self * (Fraction(1) / Fraction(other))
-
-
-def delta_kron(b: bool, K: int) -> HbarSeries:
-    return HbarSeries.one(K) if b else HbarSeries.zero(K)

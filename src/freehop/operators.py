@@ -17,30 +17,28 @@ Truncation scheme: all variables w_i live under a shared total-degree cap D
 monomials above the cap can never re-enter the extractable range); the
 one-point data is built to degree D, kernels to depth n*D (a kernel's
 negative exponent in a later variable can be compensated by earlier
-kernels, at most (n-1) deep, plus degree D of table data).  The Series
-built here carry honest per-variable truncation windows in hbar.
+kernels, at most (n-1) deep, plus degree D of table data).
 
 The fixed inputs of an evaluation are built directly and memoised on its
 Evaluator, never at module level: each edge weight in one pass over the
 table entries and kernel terms (_edge_data), once per order-preserving
-shape of its hyperedge (shape_of); 1/C(w) and the coefficients of the
+shape of its hyperedge (shape_of); 1/C(w), P and the coefficients of the
 change of variables w(X) by coefficient recursions (series.inverse_coeffs,
 and the integer Lagrange recursion series.lagrange_coeffs); the u-layer
 weight and exp(E_B) by the exponential recursion on integer numerators
-(_exp_rows).  C, 1/C and P are also Series (built at vertex 0 and renamed
-by Series.renamed, which moves bit fields of the packed keys), for the
-closed forms of transforms.
+(_exp_rows).
 
-The graph sum (graph_sum) runs on integer numerators over one denominator,
-and builds a Series only for its result.  A term of an edge product is one
-int key (_Keys): the exponents of hbar, of every u_i and w_i, and of the
-total w-degree, each in its own bit field, so a product term is one add
-and every bound is tested with one add and one mask.  The vertex operator
-at vertex i is linear and reads only hbar, u_i and w_i, so it is a map
-from the local monomials hbar^a u_i^r w_i^m to integer rows over (hbar,
-w_i) (_vertex_row), built once per evaluator from the rows of the u-layer
-weight, of P B_r and of (P w d/dw)^k w^j, and each pass applies it to
-every term at once.
+The relation runs on integer numerators over one denominator from the
+edge products to the terms extract_table reads, which are rows {exponent
+tuple over (w_0, ..., w_(n-1)): numerator}.  A term of an edge product is
+one int key (_Keys): the exponents of hbar, of every u_i and w_i, and of
+the total w-degree, each in its own bit field, so a product term is one
+add and every bound is tested with one add and one mask.  The vertex
+operator at vertex i is linear and reads only hbar, u_i and w_i, so it is
+a map from the local monomials hbar^a u_i^r w_i^m to integer rows over
+(hbar, w_i) (_vertex_row), built once per evaluator from the rows of the
+u-layer weight, of P B_r and of (P w d/dw)^k w^j, and each pass applies it
+to every term at once.
 
 graph_sum reads one order, hbar^T, and only at w-exponents <= D, so it
 carries budgets instead of the full windows.  Each vertex operator adds at
@@ -51,16 +49,17 @@ lowers a w-exponent.  So along a graph's edge product the hbar orders
 above T - n v - (the remaining edges' lowest hbar exponents), the w_i
 exponents above D - (the remaining edges' negative w_i reach) and the
 total degrees above D are dropped after each factor; after the product
-the w_i exponents below -kernel_depth (prune_w); and vertex i keeps the
-orders up to T - (n - 1 - i) v, the last vertex hbar^T alone.  The vertex
-rows are read to one order H for every vertex, T - (n - 1) v less the
-lowest order of the summed edge products, which every vertex's input
-reaches at most that far below its cut.  Every cut but prune_w's drops
-only terms that cannot reach the hbar^T, w <= D part, and prune_w's is
-taken where the Series chain takes it, so extract_table sees that chain's
-series term for term, with the same unreliable terms for its negative-
-and vanishing-exponent assertions.  The re-expansion (reexpand) maps each
-w_i^e to the row of w(X_i)^e in the same way, one variable at a time.
+the w_i exponents below -kernel_depth; and vertex i keeps the orders up
+to T - (n - 1 - i) v, the last vertex hbar^T alone.  The vertex rows are
+read to one order H for every vertex, T - (n - 1) v less the lowest order
+of the summed edge products, which every vertex's input reaches at most
+that far below its cut.  Every cut but the one below -kernel_depth drops
+only terms that cannot reach the hbar^T, w <= D part, and that one is
+taken where the chain of Series objects in tests/graph_sum_reference.py
+takes it, so extract_table sees that chain's terms one for one, with the
+same unreliable terms for its negative- and vanishing-exponent
+assertions.  The re-expansion (reexpand) maps each w_i^e to the row of
+w(X_i)^e in the same way, one variable at a time.
 
 The tree routes of transforms (genus 0 and genus 1/2) cut harder, by
 reach: they run no vertex operator, and a term a of a tree's edge product
@@ -79,17 +78,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
 
-from .series import (
-    INF,
-    Series,
-    TruncationError,
-    _reduced,
-    inverse_coeffs,
-    kernel_series,
-    lagrange_coeffs,
-    layout,
-    sigma_coefficients,
-)
+from .series import (INF, TruncationError, _reduced, inverse_coeffs, lagrange_coeffs,
+                     sigma_coefficients)
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
 
@@ -184,7 +174,7 @@ class _Keys:
     keep clear.  A signed vector d packs to the delta sum_f d_f 2^offs[f],
     and key + delta is the key of the sum while every field stays in
     [0, 2^width).  The bounds of a set of fields are tested with one add
-    and one mask, as in series.Series."""
+    and one mask."""
 
     def __init__(self, n: int, bias: int, width: int):
         self.n, self.bias, self.width = n, bias, width
@@ -204,9 +194,6 @@ class _Keys:
 
     def field(self, key: int, f: int) -> int:
         return ((key >> self.offs[f]) & self.mask) - self.bias
-
-    def split(self, key: int) -> list[int]:
-        return [((key >> o) & self.mask) - self.bias for o in self.offs]
 
     def upper(self, bounds: dict) -> tuple[int, int]:
         """(M, G): (key + M) & G is zero exactly when every field f of
@@ -246,15 +233,7 @@ class Evaluator:
         self.sign = sign
         self.wvars = tuple("w%d" % i for i in range(n))
         self.uvars = tuple("u%d" % i for i in range(n))
-        self.cap = (frozenset(self.wvars), D)
         self.kernel_depth = n * D
-        # one packed-key layout for every series built here; the widths
-        # hold the offsets of the hbar/u/v/t exponents (a few times K) and
-        # of the w exponents (kernels reach down n * kernel_depth)
-        small = (4 * (K + n + 2)).bit_length()
-        wide = (4 * (D + n * self.kernel_depth)).bit_length()
-        names = ("h",) + self.uvars + ("v", "t") + self.wvars
-        self.layout = layout(names, (small,) * (len(names) - n) + (wide,) * n)
         self.sig = sigma_coefficients(K + 2)
         self.sig_inv = inverse_coeffs(self.sig, K + 2)
         self._cache: dict = {}
@@ -264,26 +243,6 @@ class Evaluator:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    def _relabelled(self, key, slots, build) -> Series:
-        """build(), a series over the vertices 0, 1, ..., memoised under
-        key, renamed to the increasing vertices slots (w_j -> w_slots[j],
-        u_j -> u_slots[j]) and memoised under key + (slots,).  An
-        increasing map keeps the sector order of every kernel."""
-        base = self._memo(key, build)
-        if all(j == s for j, s in enumerate(slots)):
-            return base
-        names = {}
-        for j, s in enumerate(slots):
-            names[self.wvars[j]] = self.wvars[s]
-            names[self.uvars[j]] = self.uvars[s]
-        return self._memo(key + (tuple(slots),), lambda: base.renamed(names))
-
-    def _w_atom(self, i: int, coeffs: dict[int, Fraction]) -> Series:
-        v = self.wvars[i]
-        lo = min((e for e, c in coeffs.items() if c), default=0)
-        return Series((v,), (lo,), (INF,), {(e,): c for e, c in coeffs.items()}, self.cap,
-                      self.layout)
 
     # -- one-point data -------------------------------------------------------
     def C_coeffs(self) -> dict[int, Fraction]:
@@ -297,26 +256,13 @@ class Evaluator:
 
         return self._memo(("Ccoef",), build)
 
-    def C(self, i: int) -> Series:
-        return self._relabelled(("C",), (i,), lambda: self._w_atom(0, self.C_coeffs()))
-
-    def invC(self, i: int) -> Series:
-        return self._relabelled(("invC",), (i,),
-                                lambda: self._w_atom(0, inverse_coeffs(self.C_coeffs(), self.D)))
-
-    def P(self, i: int) -> Series:
-        """The logarithmic-derivative factor d ln(input var) / d ln(output
-        var) for the change of variables between the two sides:
+    def P_coeffs(self) -> dict[int, Fraction]:
+        """The coefficients to w^D of the logarithmic-derivative factor
+        d ln(input var) / d ln(output var) for the change of variables
+        between the two sides:
 
             forward (sign +1): X = w / C(w),  P = C / (C - w C'),
-            dual    (sign -1): w = X * M(X),  P = M / (M + X M').
-
-        It is built once, at vertex 0, and renamed to the others.
-        """
-        return self._relabelled(("P",), (i,), lambda: self._w_atom(0, self.P_coeffs()))
-
-    def P_coeffs(self) -> dict[int, Fraction]:
-        """The coefficients of P to w^D."""
+            dual    (sign -1): w = X * M(X),  P = M / (M + X M')."""
 
         def build():
             cs = self.C_coeffs()
@@ -350,44 +296,23 @@ class Evaluator:
 
         return self._memo(("wofx", depth), build)
 
-    # -- P w d/dw ---------------------------------------------------------------
-    def pwd(self, s: Series, i: int, m: int = 1) -> Series:
-        """(P(w_i) w_i d/dw_i)^m applied to s."""
-        P = self.P(i)
-        for _ in range(m):
-            s = P * s.wdw(self.wvars[i])
-        return s
-
-    # -- hyperedge weights --------------------------------------------------------
-    def edge_weight(self, I: tuple[int, ...]) -> Series:
-        """c(u_I, w_I) for the hyperedge (multiset) I: the sum over the table
-        entries F_{g2; k} with #k = #I (each ordering k of the slots) and,
-        for an off-diagonal pair, the genus-0 kernel terms k w_a^k w_b^-k, of
+    def _edge_data(self, shape: tuple[int, ...]):
+        """The weight c(u_I, w_I) of a hyperedge I of the given shape: the
+        sum over the table entries F_{g2; k} with #k = #I (each ordering k
+        of the slots) and, for an off-diagonal pair, the genus-0 kernel
+        terms k w_a^k w_b^-k, of
 
             F_{g2; k} hbar^(g2 - 2 + #I) prod_s w_s^k_s hbar u_s sigma(hbar u_s k_s),
 
         that is, the per-slot diagonal sigma operators applied before
-        repeated variables are identified.  Built in one pass: each term's
-        slot factors are expanded into one coefficient dict, from which one
-        Series is made.  Its windows are those of the term-by-term product:
-        hbar from the lowest g2 - 2 + #I to K plus that lowest order when it
-        is negative, each w from its most negative exponent, u from 0.
-        Built once per shape of I (shape_of) and renamed to I."""
-        shape, slots = shape_of(I)
-
-        def build():
-            vars, lo, hi, nums, den = self._edge_data(shape)
-            return Series(vars, lo, hi, {e: Fraction(v, den) for e, v in nums.items()}, self.cap,
-                          self.layout)
-
-        return self._relabelled(("edge", shape), slots, build)
-
-    def _edge_data(self, shape: tuple[int, ...]):
-        """The weight of a hyperedge of the given shape as (vars, lo, hi,
-        {exponent tuple over vars: integer numerator}, den), the windows and
-        terms edge_weight builds its Series from; memoised per shape.  A
-        term of m slots is over Q S^m, Q the lcm of the entries'
-        denominators and S that of the sigma coefficients."""
+        repeated variables are identified.  Built in one pass, each term's
+        slot factors expanded into one coefficient dict, and memoised per
+        shape, as (vars, lo, hi, {exponent tuple over vars: integer
+        numerator}, den).  The windows are those of the term-by-term
+        product: hbar from the lowest g2 - 2 + #I to K plus that lowest
+        order when it is negative, each w from its most negative exponent,
+        u from 0.  A term of m slots is over Q S^m, Q the lcm of the
+        entries' denominators and S that of the sigma coefficients."""
 
         def build():
             m = len(shape)
@@ -627,10 +552,10 @@ class Evaluator:
             sum_{r >= 0} sum_k (P w d/dw)^k [v^k] P B_r [u^r] (u^r0 w^m a_series),
 
         to hbar^H and w^D, as ([(hbar, w exponents, numerator)] sorted,
-        den).  Every factor has nonnegative w-exponents and is known to w^D,
-        as in the Series chain; the cap on the total degree is left to the
-        caller.  Each factor is read to the order that H minus the other's
-        lowest order (_h_floors) reaches."""
+        den).  Every factor has nonnegative w-exponents and is known to w^D;
+        the cap on the total degree is left to the caller.  Each factor is
+        read to the order that H minus the other's lowest order (_h_floors)
+        reaches."""
 
         def build():
             ha_min, hb_min = self._h_floors()
@@ -661,12 +586,13 @@ class Evaluator:
         return self._memo(("vrow", r0, m, H), build)
 
     def _edge_factor(self, I: tuple[int, ...], keys: _Keys):
-        """edge_weight(I) for the product of graph_sum: (groups, den, hlow,
-        wlow).  The terms are integer numerators over den, grouped by their
-        w-exponents; a group is (delta of the w- and total-degree fields,
-        hbar exponents, [(delta of the hbar and u fields, numerator)]),
-        sorted by the hbar exponent.  hlow is the lowest hbar exponent and
-        wlow {vertex: lowest w-exponent} over I's vertices."""
+        """_edge_data of I's shape on I's vertices, for the product of
+        graph_sum: (groups, den, hlow, wlow).  The terms are integer
+        numerators over den, grouped by their w-exponents; a group is
+        (delta of the w- and total-degree fields, hbar exponents, [(delta
+        of the hbar and u fields, numerator)]), sorted by the hbar
+        exponent.  hlow is the lowest hbar exponent and wlow {vertex:
+        lowest w-exponent} over I's vertices."""
         shape, slots = shape_of(I)
 
         def build():
@@ -691,14 +617,14 @@ class Evaluator:
 
         return self._memo(("edgerows", tuple(I), keys.width, keys.bias), build)
 
-    def graph_sum(self, graph_list, T: int) -> Series:
+    def graph_sum(self, graph_list, T: int) -> tuple[dict[tuple, int], int]:
         """sum over graphs g of the product of g's edge weights, divided by
         |Aut g|, through the operators of every vertex, at hbar^T and at
         every w-exponent up to D, under the budgets of the module
         docstring.  The vertex operators and the cuts are linear, so the
         vertex chain runs once, on the 1/|Aut|-weighted sum of the budgeted
-        edge products.  Returns the hbar^T order alone, as a series over
-        (h, w_0, ..., w_(n-1))."""
+        edge products.  Returns the hbar^T order alone, as ({(w_0, ...,
+        w_(n-1) exponents): integer numerator}, den)."""
         graph_list = list(graph_list)
         n, D, kd = self.n, self.D, self.kernel_depth
         ha, hb = self._h_floors()
@@ -715,7 +641,7 @@ class Evaluator:
                 d *= f[1]
             dens.append(d)
         den = lcm(*dens)
-        L, G = keys.lower({keys.w(i): -kd for i in range(n)})  # prune_w's lower cut
+        L, G = keys.lower({keys.w(i): -kd for i in range(n)})  # the lower w cut
         total: dict[int, int] = {}
         for fs, d in zip(factors, dens):
             state = self._edge_product(fs, keys, T - n * floor)
@@ -734,12 +660,7 @@ class Evaluator:
         for i in range(n):
             state, den = self._vertex_pass(state, den, i, keys, T - (n - 1 - i) * floor,
                                            i == n - 1, H)
-        vars = ("h",) + self.wvars
-        data = {}
-        for k, v in state.items():
-            f = keys.split(k)
-            data[(f[_H],) + tuple(f[keys.w(i)] for i in range(n))] = Fraction(v, den)
-        return Series(vars, (T,) + (-kd,) * n, (T,) + (D,) * n, data, self.cap, self.layout)
+        return {tuple(keys.field(k, keys.w(i)) for i in range(n)): v for k, v in state.items()}, den
 
     def _edge_product(self, factors, keys: _Keys, hcut: int) -> dict[int, int]:
         """One graph's edge product from the constant 1, as {key: integer
@@ -817,9 +738,10 @@ class Evaluator:
         return {k: v // g for k, v in nxt.items()}, den * rden // g
 
     # -- n = 1 correction -------------------------------------------------------------
-    def delta_series(self, g2: int) -> Series:
+    def delta_series(self, g2: int) -> tuple[dict[tuple, int], int]:
         """Delta_g(X) in the w-picture: [hbar^(2g)] sum_m (P w d/dw)^m
-        ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C ), on integer rows."""
+        ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C ), on integer rows, as
+        ({(w_0 exponent,): numerator}, den)."""
         D = self.D
         B, bden = self._by_rows(0, g2)
         B = {e: c for e, c in B.items() if e[0] == g2 and e[1] >= 1}
@@ -833,18 +755,7 @@ class Evaluator:
             for p, y in pc.items():
                 for w, x in self._pwd_power(v - 1, wb + p)[0].items():
                     out[w] = out.get(w, 0) + c * y * x
-        den = bden * pden * cden * pden ** (vmax - 1)
-        return Series((self.wvars[0],), (0,), (D,), {(w,): Fraction(c, den) for w, c in out.items()},
-                      self.cap, self.layout)
-
-    def prune_w(self, S: Series) -> Series:
-        """Drop monomials with any w-exponent above D (once every factor
-        with negative w-exponents, i.e. every kernel, has been multiplied
-        in, later factors only raise w-exponents, so such monomials can
-        never re-enter the extractable range), and below the kernel
-        budget."""
-        window = (-self.kernel_depth, self.D)
-        return S.restrict_vars({wv: window for wv in self.wvars if wv in S.vars})
+        return {(w,): c for w, c in out.items() if c}, bden * pden * cden * pden ** (vmax - 1)
 
     # -- re-expansion ------------------------------------------------------------------
     def _w_of_x_row(self, e: int) -> list[tuple[int, Fraction]]:
@@ -871,75 +782,61 @@ class Evaluator:
 
         return sorted((e + j, c) for j, c in power(e).items() if c and e + j <= self.D)
 
-    def reexpand(self, S: Series) -> Series:
-        """Substitute w_i = w(X_i) for every variable of S, a series in the
-        w variables, expressing it as an X-series with the same variable
-        names.  Terms outside prune_w's window are dropped first; then,
-        one variable at a time, each term's w_i^e becomes the row of
-        w(X_i)^e, on integer numerators over one denominator, and the terms
-        above D in that variable or in total degree are dropped: a
-        valuation-1 substitution never lowers an exponent."""
-        n, D, kd = self.n, self.D, self.kernel_depth
-        nums, den = S.numerators(self.wvars)
-        state = {e: v for e, v in nums.items() if all(-kd <= x <= D for x in e)}
-        for i, wv in enumerate(self.wvars):
-            if wv not in S.vars:
-                continue
-            rows = {x: self._w_of_x_row(x) for x in {e[i] for e in state}}
-            rden = lcm(*(c.denominator for row in rows.values() for _, c in row))
-            rows = {x: [(j, c.numerator * (rden // c.denominator)) for j, c in row]
-                    for x, row in rows.items()}
+    def reexpand(self, rows: dict[tuple, int], den: int) -> tuple[dict[tuple, int], int]:
+        """Substitute w_i = w(X_i) for every variable of the terms {(w_0,
+        ..., w_(n-1) exponents): integer numerator} over den, and return
+        the X-terms in the same form.  Terms with an exponent outside
+        [-kernel_depth, D] are dropped first; then, one variable at a time,
+        each term's w_i^e becomes the row of w(X_i)^e, on integer
+        numerators over one denominator, and the terms above D in that
+        variable or in total degree are dropped: a valuation-1 substitution
+        never lowers an exponent."""
+        D, kd = self.D, self.kernel_depth
+        state = {e: v for e, v in rows.items() if all(-kd <= x <= D for x in e)}
+        for i in range(self.n):
+            powers = {x: self._w_of_x_row(x) for x in {e[i] for e in state}}
+            rden = lcm(*(c.denominator for row in powers.values() for _, c in row))
+            powers = {x: [(j, c.numerator * (rden // c.denominator)) for j, c in row]
+                      for x, row in powers.items()}
             nxt: dict[tuple, int] = {}
             get = nxt.get
             for e, v in state.items():
                 room = D - sum(e) + e[i]
                 head, tail = e[:i], e[i + 1:]
-                for j, c in rows[e[i]]:
+                for j, c in powers[e[i]]:
                     if j > room:
                         break
                     k = head + (j,) + tail
                     nxt[k] = get(k, 0) + v * c
             state = {k: v for k, v in nxt.items() if v}
             den *= rden
-        pos = [self.wvars.index(v) for v in S.vars]
-        data = {tuple(e[p] for p in pos): Fraction(v, den) for e, v in state.items()}
-        m = len(S.vars)
-        return Series(S.vars, (-kd,) * m, (D,) * m, data, self.cap, self.layout)
-
-    def x_kernel(self, i: int, j: int, depth: int | None = None) -> Series:
-        return kernel_series(
-            self.wvars[i], self.wvars[j], (self.wvars[i], self.wvars[j]),
-            self.kernel_depth if depth is None else depth, self.cap, self.layout,
-        )
+        return state, den
 
     # -- table extraction -----------------------------------------------------------------
-    def extract_table(self, S: Series, g2: int, check_symmetric: bool = True) -> CoefficientTable:
-        """Read F_{g; k_1..k_n} off an X-series.
+    def extract_table(self, rows: dict[tuple, int], den: int, g2: int) -> CoefficientTable:
+        """Read F_{g; k_1..k_n} off the X-terms {(exponents of X_0, ...,
+        X_(n-1)): integer numerator} over den.
 
         Entries with any exponent above D are beyond the reliable depth
         (kernel truncation) and skipped; within that range, surviving
-        negative or vanishing exponents indicate a bug and raise.
+        negative or vanishing exponents indicate a bug and raise, and so
+        do unequal coefficients at the orderings of one partition.
         """
         out: CoefficientTable = {}
         seen: dict[tuple, dict] = {}
-        for e, val in S.data.items():
-            exps = []
-            for v in self.wvars:
-                x = e[S.idx(v)] if v in S.vars else 0
-                exps.append(x)
+        for exps, v in rows.items():
             if any(x > self.D for x in exps):
                 continue
             if any(x < 0 for x in exps):
-                raise AssertionError("negative exponent survived: %r -> %s" % (e, val))
+                raise AssertionError("negative exponent survived: %r -> %s" % (exps, Fraction(v, den)))
             if any(x == 0 for x in exps):
-                raise AssertionError("vanishing exponent survived: %r -> %s" % (e, val))
+                raise AssertionError("vanishing exponent survived: %r -> %s" % (exps, Fraction(v, den)))
             if sum(exps) > self.D:
                 continue
-            key = sort_to_partition(exps)
-            seen.setdefault(key, {})[tuple(exps)] = val
+            seen.setdefault(sort_to_partition(exps), {})[exps] = Fraction(v, den)
         for key, by_order in seen.items():
             vals = set(by_order.values())
-            if check_symmetric and len(vals) != 1:
+            if len(vals) != 1:
                 raise AssertionError("asymmetric coefficients at %r: %r" % (key, by_order))
             out[(g2, key)] = next(iter(vals))
         return out

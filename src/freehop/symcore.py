@@ -181,12 +181,6 @@ def from_cycles(d: int, cycs) -> Perm:
     return tuple(img)
 
 
-def transposition(d: int, a: int, b: int) -> Perm:
-    img = list(range(d))
-    img[a], img[b] = b, a
-    return tuple(img)
-
-
 def conjugacy_class(lam: Partition) -> Iterator[Perm]:
     """Stream the conjugacy class C_lam inside S(d), each element once.
 

@@ -66,9 +66,8 @@ from operator import add, mul, sub
 
 from . import graphs, pscore, symcore
 from .operators import Evaluator, _distinct_permutations, shape_of
-from .series import INF, Series
 from .symcore import Partition, sort_to_partition
-from .tables import CoefficientTable, table_get
+from .tables import CoefficientTable
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +457,6 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
          for hs, h, lasts, entries in groups], den, pos, move(reach)))
 
 
-def _edge_genus0(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
-                 depth: int | None = None) -> Series:
-    """_edge_terms as a Series over the edge's variables."""
-    groups, den, pos, _ = _edge_terms(ev, I, g2, shifted, depth)
-    wvars = tuple(ev.wvars[i] for i in pos)
-    if not groups:
-        return Series.zero(wvars[:1], cap=ev.cap, layout=ev.layout)
-    data = {tuple(e[i] for i in pos): Fraction(v, den)
-            for *_, entries in groups for e, v in entries}
-    lo = tuple(min(0, *(e[j] for e in data)) for j in range(len(pos)))
-    return Series(wvars, lo, (INF,) * len(pos), data, ev.cap, ev.layout)
-
-
 def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], int]:
     """The product of start (the constant 1 when None) and the _edge_terms
     factors, as ({exponent tuple over ev.wvars: integer numerator},
@@ -715,16 +701,29 @@ def allgenus_moments(table: CoefficientTable, n: int, g2: int, D: int, sign: int
         raise ValueError("no hbar^%d sector" % T_target)
     if n > D:
         return {}
-    K = T_target + n + 2
-    ev = Evaluator(table, n, D, K=K, sign=sign)
-    total = ev.graph_sum(graphs.enumerate_graphs(n, g2 // 2), T_target)
-    S = total.coeff("h", T_target)
+    ev = Evaluator(table, n, D, K=T_target + n + 2, sign=sign)
+    return ev.extract_table(*_allgenus_rows(ev, g2), g2)
+
+
+def _allgenus_rows(ev: Evaluator, g2: int) -> tuple[dict[tuple, int], int]:
+    """The X-terms allgenus_moments reads the (g2, n = ev.n) entries off,
+    as ({exponent tuple: integer numerator}, den): the graph sum at
+    hbar^(g2 - 2 + n), plus the n = 1 correction, re-expanded in X, less
+    the double-pole kernel sum_k k X_0^k X_1^-k (to X_0^D) at (0, 2)."""
+    n = ev.n
+    rows, den = ev.graph_sum(graphs.enumerate_graphs(n, g2 // 2), g2 - 2 + n)
     if n == 1:
-        S = S + ev.delta_series(g2)
-    S = ev.reexpand(S)
+        delta, dden = ev.delta_series(g2)
+        rows = {e: v * dden for e, v in rows.items()}
+        for e, v in delta.items():
+            rows[e] = rows.get(e, 0) + v * den
+        den *= dden
+    rows, den = ev.reexpand(rows, den)
     if (g2, n) == (0, 2):
-        S = S - ev.x_kernel(0, 1)
-    return ev.extract_table(S, g2)
+        for k in range(1, ev.D + 1):
+            rows[k, -k] = rows.get((k, -k), 0) - k * den
+        rows = {e: v for e, v in rows.items() if v}
+    return rows, den
 
 
 def _special_tree_product(ev: Evaluator, tree: graphs.Graph) -> tuple[dict[tuple, int], int]:
@@ -752,62 +751,3 @@ def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) ->
     products = ((tree.valencies(), _special_tree_product(ev, tree))
                 for tree in graphs.enumerate_special_trees(n))
     return _leaf_contraction(ev, products, 1)
-
-
-# ---------------------------------------------------------------------------
-# specialized closed-form cross-checks
-
-
-def specialized_03(table: CoefficientTable, D: int) -> CoefficientTable:
-    """Closed form of the three-point genus-0 relation (the four-tree sum
-    written out): star term plus, for each centre i,
-
-        prod_{j != i} P(w_j) * (P w_i d/dw_i)[ (P/C)(w_i)
-                                  prod_{j != i} Gt_{0,2}(w_i, w_j) ]."""
-    ev = Evaluator(table, 3, D, K=2)
-    P = [ev.P(i) for i in range(3)]
-    total = ev.prune_w(P[0] * P[1] * P[2] * _edge_genus0(ev, (0, 1, 2)))
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        prod = None
-        for j in others:
-            pair = tuple(sorted((i, j)))
-            e = _edge_genus0(ev, pair)
-            prod = e if prod is None else prod * e
-        inner = ev.P(i) * ev.invC(i) * ev.prune_w(prod)
-        term = ev.pwd(inner, i, 1)
-        for j in others:
-            term = term * P[j]
-        total = total + ev.prune_w(term)
-    S = ev.reexpand(total)
-    return ev.extract_table(S, 0)
-
-
-def specialized_11(table: CoefficientTable, D: int) -> CoefficientTable:
-    """Closed five-term form of the (1,1) relation."""
-    ev = Evaluator(table, 1, D, K=4)
-    w = ev.wvars[0]
-    C = ev.C(0)
-    P = ev.P(0)
-    invC = ev.invC(0)
-    one24 = Fraction(1, 24)
-    # G_{1,1} cumulant series
-    g11 = ev._w_atom(0, {k: table_get(ev.table, 2, (k,)) for k in range(1, D + 1)})
-    # G_{0,2}(w, w): diagonal restriction
-    diag = {}
-    for (g2, ks), val in ev.table.items():
-        if g2 == 0 and len(ks) == 2 and sum(ks) <= D:
-            for comp in _distinct_permutations(ks):
-                e = comp[0] + comp[1]
-                diag[e] = diag.get(e, Fraction(0)) + val
-    g02diag = ev._w_atom(0, diag)
-
-    t1 = P * g11
-    t2 = ev.pwd(P * invC, 0, 1) * (-one24)
-    inner3 = P * invC * invC * C.wdw(w).wdw(w)
-    t3 = (ev.pwd(ev.pwd(inner3, 0, 1) - inner3, 0, 1)) * one24
-    t4 = ev.pwd(P * invC * g02diag, 0, 1) * Fraction(1, 2)
-    inner5 = P * C.wdw(w) * invC * invC
-    t5 = (ev.pwd(inner5, 0, 2) - inner5) * (-one24)
-    S = ev.reexpand(t1 + t2 + t3 + t4 + t5)
-    return ev.extract_table(S, 2)

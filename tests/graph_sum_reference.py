@@ -5,14 +5,118 @@ series, each graph's edge product as Series products under the hbar and w
 budgets, the n = 1 correction, and w_i = w(X_i) as a Series substitution.
 These are the references the integer-row chain of operators is tested
 against.  Every function takes the Evaluator first and memoises on it
-under keys of its own."""
+under keys of its own.
+
+The evaluator's Series face (the cap and layout of its series, C, 1/C, P,
+P w d/dw, the hyperedge weights and prune_w) comes first, and the closed
+(0,3) and (1,1) forms built from it last."""
 
 from fractions import Fraction
 from math import factorial
 
-from freehop.operators import shape_of
-from freehop.series import INF, Series, series_sum
+from freehop.operators import Evaluator, _distinct_permutations, shape_of
+from freehop.series import INF, inverse_coeffs
 from freehop.tables import table_get
+from freehop.transforms import _edge_terms
+from series_reference import Series, layout as packed_layout, series_sum
+
+
+# -- the evaluator's Series face ------------------------------------------------
+
+
+def cap(ev):
+    """The total-degree cap D over the w variables, on every series of ev."""
+    return (frozenset(ev.wvars), ev.D)
+
+
+def layout(ev):
+    """One packed-key layout for every series built for ev; the widths hold
+    the offsets of the hbar/u/v/t exponents (a few times K) and of the w
+    exponents (kernels reach down n * kernel_depth)."""
+
+    def build():
+        n = ev.n
+        small = (4 * (ev.K + n + 2)).bit_length()
+        wide = (4 * (ev.D + n * ev.kernel_depth)).bit_length()
+        names = ("h",) + ev.uvars + ("v", "t") + ev.wvars
+        return packed_layout(names, (small,) * (len(names) - n) + (wide,) * n)
+
+    return ev._memo(("ref-layout",), build)
+
+
+def relabelled(ev, key, slots, build) -> Series:
+    """build(), a series over the vertices 0, 1, ..., memoised under
+    key, renamed to the increasing vertices slots (w_j -> w_slots[j],
+    u_j -> u_slots[j]) and memoised under key + (slots,).  An
+    increasing map keeps the sector order of every kernel."""
+    base = ev._memo(key, build)
+    if all(j == s for j, s in enumerate(slots)):
+        return base
+    names = {}
+    for j, s in enumerate(slots):
+        names[ev.wvars[j]] = ev.wvars[s]
+        names[ev.uvars[j]] = ev.uvars[s]
+    return ev._memo(key + (tuple(slots),), lambda: base.renamed(names))
+
+
+def w_atom(ev, i: int, coeffs: dict[int, Fraction]) -> Series:
+    v = ev.wvars[i]
+    lo = min((e for e, c in coeffs.items() if c), default=0)
+    return Series((v,), (lo,), (INF,), {(e,): c for e, c in coeffs.items()}, cap(ev),
+                  layout(ev))
+
+
+def C_series(ev, i: int) -> Series:
+    return relabelled(ev, ("C",), (i,), lambda: w_atom(ev, 0, ev.C_coeffs()))
+
+
+def invC_series(ev, i: int) -> Series:
+    return relabelled(ev, ("invC",), (i,),
+                      lambda: w_atom(ev, 0, inverse_coeffs(ev.C_coeffs(), ev.D)))
+
+
+def P_series(ev, i: int) -> Series:
+    """P (ev.P_coeffs), built once, at vertex 0, and renamed to the others."""
+    return relabelled(ev, ("P",), (i,), lambda: w_atom(ev, 0, ev.P_coeffs()))
+
+
+def pwd(ev, s: Series, i: int, m: int = 1) -> Series:
+    """(P(w_i) w_i d/dw_i)^m applied to s."""
+    P = P_series(ev, i)
+    for _ in range(m):
+        s = P * s.wdw(ev.wvars[i])
+    return s
+
+
+def edge_weight(ev, I: tuple[int, ...]) -> Series:
+    """c(u_I, w_I) for the hyperedge (multiset) I, ev._edge_data as a
+    Series with its windows, built once per shape of I (shape_of) and
+    renamed to I."""
+    shape, slots = shape_of(I)
+
+    def build():
+        vars, lo, hi, nums, den = ev._edge_data(shape)
+        return Series(vars, lo, hi, {e: Fraction(v, den) for e, v in nums.items()}, cap(ev),
+                      layout(ev))
+
+    return relabelled(ev, ("edge", shape), slots, build)
+
+
+def prune_w(ev, S: Series) -> Series:
+    """Drop monomials with any w-exponent above D (once every factor
+    with negative w-exponents, i.e. every kernel, has been multiplied
+    in, later factors only raise w-exponents, so such monomials can
+    never re-enter the extractable range), and below the kernel
+    budget."""
+    window = (-ev.kernel_depth, ev.D)
+    return S.restrict_vars({wv: window for wv in ev.wvars if wv in S.vars})
+
+
+def terms(ev, S: Series) -> dict[tuple, Fraction]:
+    """The terms of S, a series in the w variables, as {exponent tuple
+    over ev.wvars: Fraction}: the rows of operators in Fraction form."""
+    nums, den = S.numerators(ev.wvars)
+    return {e: Fraction(v, den) for e, v in nums.items()}
 
 
 # -- one-point layers -----------------------------------------------------------
@@ -31,7 +135,7 @@ def hu_sigma_each(ev, s, i):
         if e2:
             wdw = wdw.wdw(wv).wdw(wv)
         hu = Series(("h", uv), (e2 + 1, e2 + 1), (INF, INF), {(e2 + 1, e2 + 1): c},
-                    layout=ev.layout)
+                    layout=layout(ev))
         parts.append(wdw * hu)
     return series_sum(parts).restrict("h", h_lo + 1, h_hi)
 
@@ -40,7 +144,7 @@ def series_exp(ev, S):
     """exp of a series with positive hbar valuation; the powers past
     hbar^(K + 4) fall outside the window of the sum."""
     assert S.lo[S.idx("h")] >= 1 or S.is_zero() or S.min_exp("h") >= 1
-    parts = [Series.const(S.vars, 1, S.cap, ev.layout), S]
+    parts = [Series.const(S.vars, 1, S.cap, layout(ev)), S]
     term = S
     j = 1
     while True:
@@ -65,7 +169,7 @@ def one_point_tail(ev):
                 vv = table_get(ev.table, g2, (k,))
                 if vv and g2 - 1 <= ev.K:
                     data[(g2 - 1, k)] = vv
-        return Series(("h", ev.wvars[0]), (-1, 1), (ev.K, INF), data, ev.cap, ev.layout)
+        return Series(("h", ev.wvars[0]), (-1, 1), (ev.K, INF), data, cap(ev), layout(ev))
 
     return ev._memo(("ref-g1tail",), build)
 
@@ -79,14 +183,14 @@ def a_series(ev, i):
     def build():
         wv, uv = ev.wvars[0], ev.uvars[0]
         d1 = hu_sigma_each(ev, one_point_tail(ev), 0)
-        cminus1 = ev.C(0) - Series.const((wv,), 1, ev.cap, ev.layout)
-        u = Series.variable((uv,), uv, layout=ev.layout)
+        cminus1 = C_series(ev, 0) - Series.const((wv,), 1, cap(ev), layout(ev))
+        u = Series.variable((uv,), uv, layout=layout(ev))
         expE = series_exp(ev, d1 - u * cminus1)
         inv_data = {(e2 - 1, e2 - 1): c for e2, c in ev.sig_inv.items() if e2 - 1 <= ev.K}
-        inv = Series(("h", uv), (-1, -1), (ev.K, INF), inv_data, layout=ev.layout)
+        inv = Series(("h", uv), (-1, -1), (ev.K, INF), inv_data, layout=layout(ev))
         return expE * inv
 
-    return ev._relabelled(("ref-A",), (i,), build)
+    return relabelled(ev, ("ref-A",), (i,), build)
 
 
 def b_exponent_raw(ev):
@@ -99,15 +203,15 @@ def b_exponent_raw(ev):
                 coeff = -ev.sign * ev.sig[a2] * ev.sig_inv[b2] * factorial(j - 1)
                 e = (j, 1 + a2, j)
                 data[e] = data.get(e, Fraction(0)) + coeff
-    return Series(("h", "v", "t"), (2, 1, 2), (ev.K, INF, INF), data, layout=ev.layout)
+    return Series(("h", "v", "t"), (2, 1, 2), (ev.K, INF, INF), data, layout=layout(ev))
 
 
 def apply_dy_plus_v_over_y(ev, s):
     """One application of (d_y + sign * v / y) in the t = 1/y picture:
     t^a -> (sign*v - a) t^(a+1); s carries no cap."""
     it = s.idx("t")
-    vt = Series(("v", "t"), (1, 1), (INF, INF), {(1, 1): ev.sign}, layout=ev.layout)
-    t = Series(("t",), (1,), (INF,), {(1,): -1}, layout=ev.layout)
+    vt = Series(("v", "t"), (1, 1), (INF, INF), {(1, 1): ev.sign}, layout=layout(ev))
+    t = Series(("t",), (1,), (INF,), {(1,): -1}, layout=layout(ev))
     return (s * vt + s.wdw("t") * t).restrict("t", s.lo[it] + 1, s.hi[it])
 
 
@@ -124,7 +228,7 @@ def b_raw(ev, r):
 
 def at_y(ev, s):
     """s, a series in t = 1/y, at y = C(w_0)."""
-    return s.substitute("t", ev.invC(0), powers=ev._cache.setdefault(("ref-invCpow",), {}))
+    return s.substitute("t", invC_series(ev, 0), powers=ev._cache.setdefault(("ref-invCpow",), {}))
 
 
 def b_series(ev, i, r, hmax=None):
@@ -137,18 +241,18 @@ def b_series(ev, i, r, hmax=None):
             b = b.restrict("h", -INF, hmax)
         return at_y(ev, b)
 
-    return ev._relabelled(("ref-B", r, hmax), (i,), build)
+    return relabelled(ev, ("ref-B", r, hmax), (i,), build)
 
 
 def pb_series(ev, i, r, hmax=None):
     """P(w_i) B_r at the i-th vertex, known to hbar^hmax as in b_series."""
     hmax = ev.K if hmax is None else min(hmax, ev.K)
-    return ev._relabelled(("ref-PB", r, hmax), (i,), lambda: ev.P(0) * b_series(ev, 0, r, hmax))
+    return relabelled(ev, ("ref-PB", r, hmax), (i,), lambda: P_series(ev, 0) * b_series(ev, 0, r, hmax))
 
 
 def pwd_sum(ev, parts, i):
     """sum_m (P(w_i) w_i d/dw_i)^m parts[m] over m >= 0, by Horner's rule."""
-    P = ev.P(i)
+    P = P_series(ev, i)
     acc = parts[max(parts)]
     for m in range(max(parts) - 1, -1, -1):
         acc = P * acc.wdw(ev.wvars[i])
@@ -160,11 +264,11 @@ def pwd_sum(ev, parts, i):
 def delta_series(ev, g2):
     """Delta_g(X) in the w-picture: [hbar^(2g)] sum_m (P w d/dw)^m
     ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C )."""
-    core = at_y(ev, b_raw(ev, 0)) * (ev.P(0) * ev.C(0).wdw(ev.wvars[0]))
+    core = at_y(ev, b_raw(ev, 0)) * (P_series(ev, 0) * C_series(ev, 0).wdw(ev.wvars[0]))
     vparts = core.coeff_dict("v") if "v" in core.vars else {0: core}
     parts = {mp1 - 1: part for mp1, part in vparts.items() if mp1 >= 1}
     if not parts:
-        return Series.zero((ev.wvars[0],), cap=ev.cap, layout=ev.layout)
+        return Series.zero((ev.wvars[0],), cap=cap(ev), layout=layout(ev))
     return pwd_sum(ev, parts, 0).coeff("h", g2)
 
 
@@ -182,7 +286,7 @@ def reduce_vertex(ev, S, i, hmax=None):
     # the n = 1 delta correction
     terms = [pb_series(ev, i, r, hmax) * part for r, part in parts.items() if r >= 0]
     if not terms:
-        return Series.zero(("h",), hi=(ev.K,), layout=ev.layout)
+        return Series.zero(("h",), hi=(ev.K,), layout=layout(ev))
     T = series_sum(terms)
     vparts = T.coeff_dict("v") if "v" in T.vars else {0: T}
     return pwd_sum(ev, vparts, i)
@@ -191,12 +295,12 @@ def reduce_vertex(ev, S, i, hmax=None):
 def graph_term(ev, g):
     """One graph's term through the whole vertex chain, to hbar^K: no
     budget, so every hbar order of the working window is kept."""
-    S = Series(("h",), (0,), (ev.K,), {(0,): 1}, layout=ev.layout)
+    S = Series(("h",), (0,), (ev.K,), {(0,): 1}, layout=layout(ev))
     for I in g.edges:
-        S = S * ev.edge_weight(I)
-    S = ev.prune_w(S)
+        S = S * edge_weight(ev, I)
+    S = prune_w(ev, S)
     for i in range(ev.n):
-        S = ev.prune_w(reduce_vertex(ev, S, i))
+        S = prune_w(ev, reduce_vertex(ev, S, i))
     return S * Fraction(1, g.aut_order())
 
 
@@ -205,10 +309,10 @@ def tight_edge(ev, I):
     shape, slots = shape_of(I)
 
     def build():
-        e = ev.edge_weight(shape)
+        e = edge_weight(ev, shape)
         return e.restrict_vars({v: (e.min_exp(v), INF) for v in e.vars})
 
-    return ev._relabelled(("ref-tight", shape), slots, build)
+    return relabelled(ev, ("ref-tight", shape), slots, build)
 
 
 def graph_sum(ev, graph_list, T):
@@ -222,7 +326,7 @@ def graph_sum(ev, graph_list, T):
     a, b = a_series(ev, 0), b_raw(ev, 0)
     floor = a.lo[a.idx("h")] + b.lo[b.idx("h")]
     after = [(ev.n - i) * floor for i in range(ev.n + 1)]
-    one = Series(("h",), (0,), (ev.K,), {(0,): 1}, layout=ev.layout)
+    one = Series(("h",), (0,), (ev.K,), {(0,): 1}, layout=layout(ev))
     products = []
     for g in graph_list:
         edges = [tight_edge(ev, I) for I in g.edges]
@@ -239,13 +343,13 @@ def graph_sum(ev, graph_list, T):
         for e, cut in zip(edges, reversed(cuts)):
             S = S * e
             S = S.restrict_vars({v: (-INF, cut[v]) for v in S.vars if v in cut})
-        products.append(ev.prune_w(S) * Fraction(1, g.aut_order()))
+        products.append(prune_w(ev, S) * Fraction(1, g.aut_order()))
     S = series_sum(products)
     for i in range(ev.n):
         S = S.restrict("h", -INF, T - after[i])
         h = S.idx("h")
         hmax = S.hi[h] - S.lo[h] + b.lo[b.idx("h")]
-        S = ev.prune_w(reduce_vertex(ev, S, i, hmax))
+        S = prune_w(ev, reduce_vertex(ev, S, i, hmax))
     return S
 
 
@@ -257,11 +361,81 @@ def reexpand(ev, S):
     re-applying the total-degree cap and prune_w after each variable."""
     depth = (ev.n + 1) * ev.D + 2
     wc = ev.w_of_x_coeffs(depth)
-    S = ev.prune_w(S)
+    S = prune_w(ev, S)
     for wv in ev.wvars:
         if wv not in S.vars:
             continue
-        g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()}, layout=ev.layout)
+        g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()}, layout=layout(ev))
         cache = ev._cache.setdefault(("ref-gpow", wv), {})
-        S = ev.prune_w(S.substitute(wv, g, powers=cache).with_cap(ev.cap))
+        S = prune_w(ev, S.substitute(wv, g, powers=cache).with_cap(cap(ev)))
     return S
+
+
+# -- closed forms ------------------------------------------------------------------
+
+
+def edge_genus0(ev, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
+                depth: int | None = None) -> Series:
+    """transforms._edge_terms as a Series over the edge's variables."""
+    groups, den, pos, _ = _edge_terms(ev, I, g2, shifted, depth)
+    wvars = tuple(ev.wvars[i] for i in pos)
+    if not groups:
+        return Series.zero(wvars[:1], cap=cap(ev), layout=layout(ev))
+    data = {tuple(e[i] for i in pos): Fraction(v, den)
+            for *_, entries in groups for e, v in entries}
+    lo = tuple(min(0, *(e[j] for e in data)) for j in range(len(pos)))
+    return Series(wvars, lo, (INF,) * len(pos), data, cap(ev), layout(ev))
+
+
+def specialized_03(table, D: int):
+    """Closed form of the three-point genus-0 relation (the four-tree sum
+    written out): star term plus, for each centre i,
+
+        prod_{j != i} P(w_j) * (P w_i d/dw_i)[ (P/C)(w_i)
+                                  prod_{j != i} Gt_{0,2}(w_i, w_j) ]."""
+    ev = Evaluator(table, 3, D, K=2)
+    P = [P_series(ev, i) for i in range(3)]
+    total = prune_w(ev, P[0] * P[1] * P[2] * edge_genus0(ev, (0, 1, 2)))
+    for i in range(3):
+        others = [j for j in range(3) if j != i]
+        prod = None
+        for j in others:
+            pair = tuple(sorted((i, j)))
+            e = edge_genus0(ev, pair)
+            prod = e if prod is None else prod * e
+        inner = P_series(ev, i) * invC_series(ev, i) * prune_w(ev, prod)
+        term = pwd(ev, inner, i, 1)
+        for j in others:
+            term = term * P[j]
+        total = total + prune_w(ev, term)
+    return ev.extract_table(*ev.reexpand(*total.numerators(ev.wvars)), 0)
+
+
+def specialized_11(table, D: int):
+    """Closed five-term form of the (1,1) relation."""
+    ev = Evaluator(table, 1, D, K=4)
+    w = ev.wvars[0]
+    C = C_series(ev, 0)
+    P = P_series(ev, 0)
+    invC = invC_series(ev, 0)
+    one24 = Fraction(1, 24)
+    # G_{1,1} cumulant series
+    g11 = w_atom(ev, 0, {k: table_get(ev.table, 2, (k,)) for k in range(1, D + 1)})
+    # G_{0,2}(w, w): diagonal restriction
+    diag = {}
+    for (g2, ks), val in ev.table.items():
+        if g2 == 0 and len(ks) == 2 and sum(ks) <= D:
+            for comp in _distinct_permutations(ks):
+                e = comp[0] + comp[1]
+                diag[e] = diag.get(e, Fraction(0)) + val
+    g02diag = w_atom(ev, 0, diag)
+
+    t1 = P * g11
+    t2 = pwd(ev, P * invC, 0, 1) * (-one24)
+    inner3 = P * invC * invC * C.wdw(w).wdw(w)
+    t3 = (pwd(ev, pwd(ev, inner3, 0, 1) - inner3, 0, 1)) * one24
+    t4 = pwd(ev, P * invC * g02diag, 0, 1) * Fraction(1, 2)
+    inner5 = P * C.wdw(w) * invC * invC
+    t5 = (pwd(ev, inner5, 0, 2) - inner5) * (-one24)
+    S = t1 + t2 + t3 + t4 + t5
+    return ev.extract_table(*ev.reexpand(*S.numerators(ev.wvars)), 2)

@@ -388,6 +388,24 @@ def test_verify_small_suites(tmp_path):
     ]) == 0
 
 
+_VERIFY_READS = {"orthogonality": "d hbar", "equivalence": "d hbar", "genus0-trees": "n deg",
+                 "all-genus": "deg", "infinitesimal": "deg", "gue": "", "dual-roundtrip": "deg"}
+
+
+@pytest.mark.parametrize("flag", ["d", "n", "deg", "hbar"])
+@pytest.mark.parametrize("suite", sorted(_VERIFY_READS))
+def test_verify_flags_each_suite_reads(suite, flag, capsys):
+    """A flag its suite does not read exits 2 with one error line, even at
+    a valid value; a flag it reads reaches its own check, which rejects -1."""
+    assert set(cli.SUITES) == set(_VERIFY_READS)
+    reads = flag in _VERIFY_READS[suite].split()
+    assert run(["verify", "--suite", suite, "--" + flag, "-1" if reads else "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--%s must be" % flag in err) == reads
+    assert (err == "error: --suite %s does not read --%s\n" % (suite, flag)) != reads
+
+
 @pytest.mark.parametrize("where", ["file", "below-a-file"])
 def test_unusable_cache_exit_2(tmp_path, monkeypatch, capsys, where):
     # a FREEHOP_CACHE that names a regular file, or a directory below one,

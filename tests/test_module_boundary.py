@@ -1,0 +1,31 @@
+"""The library's module boundary: the multivariate Series lives in the
+tests, and what the benchmark worker imports loads every module the
+benchmark's tracer wraps."""
+
+import ast
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_library_has_no_multivariate_series():
+    for path in sorted((ROOT / "src" / "freehop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not (isinstance(node, ast.ClassDef) and node.name == "Series"), path
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                assert not any(n == "Series" or "series_reference" in n for n in names), path
+
+
+def test_worker_imports_load_every_traced_module():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    code = "import sys, freehop.cli, freehop.oracles, freehop.transforms; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout.split()
+    assert len(tracing.MODULES) == 11 and {"freehop." + m for m in tracing.MODULES} <= set(loaded)

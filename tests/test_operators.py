@@ -4,8 +4,10 @@ import pytest
 
 import graph_sum_reference
 from freehop.operators import Evaluator, _distinct_permutations
-from freehop.series import INF, Series, series_sum, univariate_coeffs
+from freehop.series import INF
 from freehop.tables import gue_table, random_table
+from graph_sum_reference import P_series, cap, edge_weight, invC_series, layout, pwd, w_atom
+from series_reference import Series, series_sum, univariate_coeffs
 
 
 def F(a, b=1):
@@ -30,7 +32,7 @@ def test_substitution_gue():
     x = _x_of_w(ev.C_coeffs(), ev.sign, ev.D)
     # X = w/(1+w^2) = w - w^3 + w^5 - ...
     assert x[1] == 1 and x[3] == -1 and x[5] == 1
-    P = univariate_coeffs(ev.P(0), "w0")
+    P = univariate_coeffs(P_series(ev, 0), "w0")
     # P = (1+w^2)/(1-w^2) = 1 + 2w^2 + 2w^4 + ...
     assert P[0] == 1 and P[2] == 2 and P[4] == 2
 
@@ -38,16 +40,16 @@ def test_substitution_gue():
 def test_substitution_trivial():
     ev = Evaluator({}, 1, 6, K=2)
     assert _x_of_w(ev.C_coeffs(), ev.sign, ev.D) == {1: F(1)}
-    assert univariate_coeffs(ev.P(0), "w0") == {0: F(1)}
+    assert univariate_coeffs(P_series(ev, 0), "w0") == {0: F(1)}
 
 
 def test_p_is_dlog_inverse():
     # d ln X / d ln w * P == 1 to degree 12
     t = random_table(seed=1, nmax=1, degmax=13)
     ev = Evaluator(t, 1, 13, K=2)
-    x = ev._w_atom(0, _x_of_w(ev.C_coeffs(), ev.sign, ev.D))
+    x = w_atom(ev, 0, _x_of_w(ev.C_coeffs(), ev.sign, ev.D))
     dlogX = x.wdw("w0").shift("w0", -1) * x.shift("w0", -1).inverse()
-    prod = dlogX * ev.P(0)
+    prod = dlogX * P_series(ev, 0)
     assert prod.data[(0,)] == 1
     assert all(v == 0 for e, v in prod.data.items() if 0 < e[0] <= 12)
 
@@ -57,7 +59,7 @@ def test_edge_weight_leading_order():
     # off-diagonal I; spot the coefficient of the table part
     t = {(0, (1, 1)): F(5)}
     ev = Evaluator(t, 2, 4, K=4)
-    c = ev.edge_weight((0, 1))
+    c = edge_weight(ev, (0, 1))
     ih = c.idx("h")
     iu0, iu1 = c.idx("u0"), c.idx("u1")
     iw0, iw1 = c.idx("w0"), c.idx("w1")
@@ -78,7 +80,7 @@ def test_edge_weight_leading_order():
 
 def test_edge_weight_kernel_only():
     ev = Evaluator({}, 2, 3, K=3)
-    c = ev.edge_weight((0, 1))
+    c = edge_weight(ev, (0, 1))
     assert not c.is_zero()
     iw1 = c.idx("w1")
     assert all(e[iw1] < 0 for e in c.data)
@@ -89,7 +91,7 @@ def test_edge_weight_diagonal():
     # per-slot sigma factors
     t = {(0, (1, 1)): F(1)}
     ev = Evaluator(t, 1, 4, K=4)
-    c = ev.edge_weight((0, 0))
+    c = edge_weight(ev, (0, 0))
     ih, iu, iw = c.idx("h"), c.idx("u0"), c.idx("w0")
     low = {e: v for e, v in c.data.items() if e[ih] == 2}
     assert low == {tuple(2 if i in (ih, iu, iw) else 0 for i in range(len(c.vars))): F(1)}
@@ -100,16 +102,16 @@ def test_vertex_operator_full_genus0_reduction():
     # reproduces the genus-0 operator piece O_r at r = degree - 1
     t = random_table(seed=9, nmax=1, degmax=4)
     ev = Evaluator(t, 1, 4, K=4)
-    b = Series.const(("v", "t"), 1, layout=ev.layout)  # (d_y + v/y)^r . 1, t = 1/y
+    b = Series.const(("v", "t"), 1, layout=layout(ev))  # (d_y + v/y)^r . 1, t = 1/y
     for r in (0, 1, 2):
         probe = Series(("h", "u0"), (2, r + 1), (ev.K, INF), {(2, r + 1): F(1)})
         got = graph_sum_reference.reduce_vertex(ev, probe, 0).coeff("h", 1)
         if r:
             b = graph_sum_reference.apply_dy_plus_v_over_y(ev, b)
         want = None
-        vparts = b.substitute("t", ev.invC(0)).coeff_dict("v")
+        vparts = b.substitute("t", invC_series(ev, 0)).coeff_dict("v")
         for m, part in vparts.items():
-            term = ev.pwd(ev.P(0) * part, 0, m)
+            term = pwd(ev, P_series(ev, 0) * part, 0, m)
             want = term if want is None else want + term
         diff = got - want
         assert all(v == 0 for v in diff.data.values())
@@ -139,7 +141,7 @@ def _edge_weight_term_by_term(ev, I):
             wexp[ev.wvars[slot]] = wexp.get(ev.wvars[slot], 0) + k
         wvars = tuple(sorted(wexp))
         term = term * Series(wvars, tuple(min(wexp[v], 0) for v in wvars), (INF,) * len(wvars),
-                             {tuple(wexp[v] for v in wvars): 1}, ev.cap)
+                             {tuple(wexp[v] for v in wvars): 1}, cap(ev))
         for slot, k in zip(I, comp):
             data = {(e2 + 1, e2 + 1): c * k ** e2 for e2, c in ev.sig.items() if e2 + 1 <= ev.K}
             term = term * Series(("h", ev.uvars[slot]), (0, 0), (ev.K, INF), data)
@@ -159,7 +161,7 @@ def _windows(s):
 def test_edge_weight_one_pass_equals_term_by_term(I, sign, K):
     t = random_table(seed=31, nmax=3, degmax=4, g2max=2)
     ev = Evaluator(t, 3, 4, K=K, sign=sign)
-    got = ev.edge_weight(I)
+    got = edge_weight(ev, I)
     want = _edge_weight_term_by_term(ev, I)
     assert got == want
     # at K = 2 a three-slot weight starts past hbar^K: empty, windows kept

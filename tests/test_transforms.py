@@ -4,15 +4,15 @@ from math import lcm
 import pytest
 
 import graph_sum_reference
+import hbar_reference
 import tree_route_reference
 from freehop import graphs, oracles, pscore, symcore, tables
 from freehop.hbar import HbarSeries
 from freehop.hurwitz import hurwitz_table
 from freehop.operators import Evaluator
-from freehop.series import Series
 from freehop.tables import gue_table, random_table, restrict_table, table_equal, table_get
 from freehop.transforms import (
-    _edge_genus0,
+    _allgenus_rows,
     _peel,
     _special_tree_product,
     _tree_kernel_depths,
@@ -28,19 +28,13 @@ from freehop.transforms import (
     moebius_inverse_route,
     required_K,
     schur_d_oracle,
-    specialized_03,
-    specialized_11,
 )
+from graph_sum_reference import edge_genus0, specialized_03, specialized_11
+from series_reference import Series
 
 
 def F(a, b=1):
     return Fraction(a, b)
-
-
-def _graph_term(ev, g):
-    """One graph's term through the whole vertex chain, to hbar^K: no
-    budget, so every hbar order of the working window is kept."""
-    return graph_sum_reference.graph_term(ev, g)
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +52,13 @@ def z_value(table, nu, K):
     """Z(nu) as an hbar-series, by the first-block recursion of _z_rows."""
     nu = symcore.sort_to_partition(nu)
     z, den = _z_rows(table, sum(nu), K)
-    return HbarSeries.from_numerators(z[nu], den(nu), K)
+    return hbar_reference.from_numerators(z[nu], den(nu), K)
 
 
 def z_table(table, d, K):
     """Z(nu) for every nu |- d, from one run of the recursion."""
     z, den = _z_rows(table, d, K)
-    return {nu: HbarSeries.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
+    return {nu: hbar_reference.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
 
 
 def table_from_z(ztabs, dmax, K, g2max):
@@ -72,7 +66,7 @@ def table_from_z(ztabs, dmax, K, g2max):
     _peel from their numerators over one denominator per degree."""
     z, dens = {}, [1]
     for d in range(1, dmax + 1):
-        rows = {nu: ztabs[nu].numerators(K) for nu in symcore.partitions(d)}
+        rows = {nu: hbar_reference.numerators(ztabs[nu], K) for nu in symcore.partitions(d)}
         q = lcm(*(rden for _, rden in rows.values()))
         dens.append(q)
         for nu, (row, rden) in rows.items():
@@ -253,13 +247,13 @@ def _object_content_transform(table, dmax, g2max, K, inverse):
         m = one
         for c in symcore.contents(rho):
             m = m * HbarSeries({0: 1, 1: c}, K)
-        return m.inverse() if inverse else m
+        return hbar_reference.inverse(m) if inverse else m
 
     ztabs = {(): one}
     for d in range(1, dmax + 1):
         parts = symcore.partitions(d)
         chars = symcore.character_table(d)  # row rho, column nu
-        b = [Z(nu) / symcore.z_factor(nu) for nu in parts]
+        b = [hbar_reference.divide(Z(nu), symcore.z_factor(nu)) for nu in parts]
         c = [sum((v * x for x, v in zip(row, b) if x), zero) * mult(rho) for rho, row in zip(parts, chars)]
         for lam, col in zip(parts, zip(*chars)):
             ztabs[lam] = sum((v * x for x, v in zip(col, c) if x), zero)
@@ -458,8 +452,7 @@ def test_genus0_n1_catalan():
 def test_cxm_functional_equation():
     # C(X M(X)) = M(X): verified through series composition
     t = random_table(seed=44, nmax=1, degmax=6)
-    from freehop.operators import Evaluator
-    from freehop.series import poly1, univariate_coeffs
+    from series_reference import poly1, univariate_coeffs
 
     m = genus0_moments(t, 1, 6)
     D = 6
@@ -505,11 +498,11 @@ def test_tree_route_symmetric_output():
 def _reachable_reference(ev, factors):
     """The plain Series product of the factors, pruned by prune_w, then
     its terms with sum_i max(1, a_i) <= D, as {exponents: Fraction}."""
-    prod = Series.const(ev.wvars, 1, ev.cap, ev.layout)
+    prod = Series.const(ev.wvars, 1, graph_sum_reference.cap(ev), graph_sum_reference.layout(ev))
     for f in factors:
         prod = prod * f
-    nums, den = ev.prune_w(prod).numerators(ev.wvars)
-    return {a: F(v, den) for a, v in nums.items() if v and sum(max(1, x) for x in a) <= ev.D}
+    prod = graph_sum_reference.terms(ev, graph_sum_reference.prune_w(ev, prod))
+    return {a: v for a, v in prod.items() if v and sum(max(1, x) for x in a) <= ev.D}
 
 
 def _as_fractions(product):
@@ -525,14 +518,14 @@ def test_tree_product_cut_is_exact(sign):
     ev = Evaluator(t, 4, 6, K=2, sign=sign)
     for tree in graphs.enumerate_graphs(4, 0):
         depths = _tree_kernel_depths(tree.edges, ev.D)
-        ref = _reachable_reference(ev, [_edge_genus0(ev, I, depth=depths.get(I)) for I in tree.edges])
+        ref = _reachable_reference(ev, [edge_genus0(ev, I, depth=depths.get(I)) for I in tree.edges])
         assert _as_fractions(_tree_product(ev, tree.edges)) == ref
     ev = Evaluator(t, 3, 6, K=2, sign=sign)
     for tree in graphs.enumerate_special_trees(3):
         rest = tree.edges[1:]
         depths = _tree_kernel_depths(rest, ev.D)
-        factors = [_edge_genus0(ev, tree.edges[0], g2=1, shifted=False)]
-        factors += [_edge_genus0(ev, I, depth=depths.get(I)) for I in rest]
+        factors = [edge_genus0(ev, tree.edges[0], g2=1, shifted=False)]
+        factors += [edge_genus0(ev, I, depth=depths.get(I)) for I in rest]
         assert _as_fractions(_special_tree_product(ev, tree)) == _reachable_reference(ev, factors)
 
 
@@ -628,16 +621,16 @@ def test_graph_sum_equals_unbudgeted_graph_terms(g2, n, D, sign):
     """The hbar and w budgets and the single vertex chain of graph_sum
     change nothing at the hbar^T coefficient it is read at."""
     from freehop import graphs as G
-    from freehop.operators import Evaluator
-    from freehop.series import series_sum
+    from series_reference import series_sum
 
     t = random_table(seed=78 + g2 + n, nmax=n, degmax=D, g2max=g2)
     T = g2 - 2 + n
     ev = Evaluator(t, n, D, K=T + n + 2, sign=sign)
     gs = G.enumerate_graphs(n, g2 // 2)
-    want = series_sum([_graph_term(ev, g) for g in gs]).coeff("h", T)
-    got = ev.graph_sum(gs, T).coeff("h", T)
-    assert not want.is_zero() and got == want
+    want = series_sum([graph_sum_reference.graph_term(ev, g) for g in gs]).coeff("h", T)
+    want = graph_sum_reference.terms(ev, want)
+    got, den = ev.graph_sum(gs, T)
+    assert want and {e: F(v, den) for e, v in got.items()} == want
 
 
 def test_allgenus_n4_matches_master_forward():
@@ -646,22 +639,16 @@ def test_allgenus_n4_matches_master_forward():
     assert want and allgenus_moments(t, 4, 1, 4) == want
 
 
-def _extract_input(ev, gs, g2, T, chain):
-    """The series allgenus_moments hands to extract_table, by the integer-row
-    chain of the evaluator (chain None) or by the Series reference."""
-    if chain is None:
-        S = ev.graph_sum(gs, T).coeff("h", T)
-        if ev.n == 1:
-            S = S + ev.delta_series(g2)
-        S = ev.reexpand(S)
-    else:
-        S = chain.graph_sum(ev, gs, T).coeff("h", T)
-        if ev.n == 1:
-            S = S + chain.delta_series(ev, g2)
-        S = chain.reexpand(ev, S)
-    if (g2, ev.n) == (0, 2):
-        S = S - ev.x_kernel(0, 1)
-    return S
+def _reference_rows(ev, g2):
+    """The terms allgenus_moments hands to extract_table, by the chain of
+    Series objects, as {exponent tuple: Fraction}, at (g2, n) != (0, 2):
+    there the substitution needs negative powers of w(X), which the
+    reference Series does not form."""
+    T = g2 - 2 + ev.n
+    S = graph_sum_reference.graph_sum(ev, graphs.enumerate_graphs(ev.n, g2 // 2), T).coeff("h", T)
+    if ev.n == 1:
+        S = S + graph_sum_reference.delta_series(ev, g2)
+    return graph_sum_reference.terms(ev, graph_sum_reference.reexpand(ev, S))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -671,25 +658,25 @@ def _extract_input(ev, gs, g2, T, chain):
 )
 def test_row_chain_matches_object_reference(g2, n, D, sign):
     """The graph sum, the n = 1 correction and the re-expansion on integer
-    rows hand extract_table the same series, term for term, as the chain of
-    Series objects they replace, whose truncations the rows reproduce."""
+    rows hand extract_table the same terms, one for one, as the chain of
+    Series objects they replace, whose truncations the rows reproduce:
+    the terms extract_table skips or asserts on too."""
     t = random_table(seed=300 + 10 * g2 + n, nmax=n, degmax=D, g2max=g2)
-    T = g2 - 2 + n
-    gs = graphs.enumerate_graphs(n, g2 // 2)
-    got = _extract_input(Evaluator(t, n, D, K=T + n + 2, sign=sign), gs, g2, T, None)
-    want = _extract_input(Evaluator(t, n, D, K=T + n + 2, sign=sign), gs, g2, T,
-                          graph_sum_reference)
-    assert got == want
-    assert (n > D) == want.is_zero()
+    K = g2 + 2 * n
+    rows, den = _allgenus_rows(Evaluator(t, n, D, K=K, sign=sign), g2)
+    want = _reference_rows(Evaluator(t, n, D, K=K, sign=sign), g2)
+    assert {e: F(v, den) for e, v in rows.items()} == want
+    assert (n > D) == (not want)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_delta_series_matches_object_reference(sign):
     for g2, D in [(1, 10), (2, 6), (4, 5)]:
         t = random_table(seed=310 + g2, nmax=1, degmax=D, g2max=g2)
-        ev = Evaluator(t, 1, D, K=g2 + 2, sign=sign)
-        ref = graph_sum_reference.delta_series(Evaluator(t, 1, D, K=g2 + 2, sign=sign), g2)
-        assert ev.delta_series(g2) == ref
+        rows, den = Evaluator(t, 1, D, K=g2 + 2, sign=sign).delta_series(g2)
+        ref = Evaluator(t, 1, D, K=g2 + 2, sign=sign)
+        assert {e: F(v, den) for e, v in rows.items()} == graph_sum_reference.terms(
+            ref, graph_sum_reference.delta_series(ref, g2))
 
 
 def test_relations_stop_past_n_equal_D(monkeypatch):
@@ -715,7 +702,6 @@ def test_graph_grading_bound_extra_layer():
     # graphs beyond the excess bound contribute nothing at the extracted
     # order: force one extra layer and compare
     from freehop import graphs as G
-    from freehop.operators import Evaluator
 
     t = random_table(seed=75, nmax=2, degmax=3, g2max=2)
     t = {k: v for k, v in t.items() if k[0] % 2 == 0}
@@ -725,7 +711,7 @@ def test_graph_grading_bound_extra_layer():
     base = [g.edges for g in G.enumerate_graphs(n, g2 // 2)]
     extra = [g for g in G.enumerate_graphs(n, g2 // 2 + 1) if g.edges not in base]
     for g in extra:
-        term = _graph_term(ev, g)
+        term = graph_sum_reference.graph_term(ev, g)
         assert term.coeff("h", T_target).is_zero()
 
 
