@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import hurwitz, oracles, pscore, symcore, tables, transforms
+from .hbar import _decode
 from .series import TruncationError
 
 EXIT_OK = 0
@@ -100,28 +101,20 @@ def cmd_moebius(args) -> int:
         raise CliError("d must be nonnegative")
     _check_hbar(args.hbar)
     if args.hbar is None:
-        mu = pscore.moebius(args.d)
-        entries = [
-            {
-                "partition": pscore.setpartition_to_json(part),
-                "perm": symcore.perm_to_json(perm),
-                "value": str(v),
-            }
-            for (part, perm), v in sorted(mu.items())
-            if v
-        ]
-        obj = {"d": args.d, "kind": "moebius", "entries": entries}
+        obj = {"d": args.d, "kind": "moebius"}
+        values = {x: str(v) for x, v in pscore.moebius(args.d).items() if v}
     else:
-        mu = pscore.moebius_hbar(args.d, args.hbar)
-        entries = [
-            {
-                "partition": pscore.setpartition_to_json(part),
-                "perm": symcore.perm_to_json(perm),
-                "value": {str(e): str(c) for e, c in sorted(v.c.items())},
-            }
-            for (part, perm), v in sorted(mu.items())
-        ]
-        obj = {"d": args.d, "kind": "moebius-hbar", "hbar": args.hbar, "entries": entries}
+        obj = {"d": args.d, "kind": "moebius-hbar", "hbar": args.hbar}
+        values = {x: {str(e): str(c) for e, c in _decode(row, 1).items()}
+                  for x, row in pscore.moebius_hbar(args.d, args.hbar).items()}
+    obj["entries"] = [
+        {
+            "partition": pscore.setpartition_to_json(part),
+            "perm": symcore.perm_to_json(perm),
+            "value": v,
+        }
+        for (part, perm), v in sorted(values.items())
+    ]
     _write_output(obj, args.out)
     return EXIT_OK
 

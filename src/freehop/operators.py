@@ -78,7 +78,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
 
-from .series import (INF, TruncationError, _reduced, inverse_coeffs, lagrange_coeffs,
+from .series import (TruncationError, _reduced, inverse_coeffs, lagrange_coeffs,
                      sigma_coefficients)
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
@@ -307,12 +307,10 @@ class Evaluator:
         that is, the per-slot diagonal sigma operators applied before
         repeated variables are identified.  Built in one pass, each term's
         slot factors expanded into one coefficient dict, and memoised per
-        shape, as (vars, lo, hi, {exponent tuple over vars: integer
-        numerator}, den).  The windows are those of the term-by-term
-        product: hbar from the lowest g2 - 2 + #I to K plus that lowest
-        order when it is negative, each w from its most negative exponent,
-        u from 0.  A term of m slots is over Q S^m, Q the lcm of the
-        entries' denominators and S that of the sigma coefficients."""
+        shape, as (vars, {exponent tuple over vars: integer numerator},
+        den), to hbar^(K plus the lowest g2 - 2 + #I when it is negative).
+        A term of m slots is over Q S^m, Q the lcm of the entries'
+        denominators and S that of the sigma coefficients."""
 
         def build():
             m = len(shape)
@@ -325,15 +323,13 @@ class Evaluator:
                 for k in range(1, self.kernel_depth + 1):
                     entries.append((m - 2, (k, -k), Fraction(k)))
             if not entries:
-                return ("h",), (0,), (self.K,), {}, 1
+                return ("h",), {}, 1
             wvars = tuple(sorted({self.wvars[s] for s in shape}))
             uvars = tuple(dict.fromkeys(self.uvars[s] for s in shape))
             vars = ("h",) + wvars + uvars
             wpos = [vars.index(self.wvars[s]) for s in shape]
             upos = [vars.index(self.uvars[s]) for s in shape]
-            hlo = min(e[0] for e in entries)
-            hhi = self.K + min(0, hlo)
-            wlo = [0] * len(vars)
+            hhi = self.K + min(0, *(e[0] for e in entries))
             sig, S = _int_rows(self.sig)
             sig = sorted(sig.items())
             Q = lcm(*(val.denominator for _, _, val in entries))
@@ -344,8 +340,6 @@ class Evaluator:
                 base[0] = hexp
                 for p, k in zip(wpos, comp):
                     base[p] += k
-                for p in wpos:
-                    wlo[p] = min(wlo[p], base[p])
                 # the slot factors hbar u sigma(hbar u k), one at a time
                 terms = {tuple(base): val.numerator * (Q // val.denominator)}
                 for p, k in zip(upos, comp):
@@ -365,9 +359,7 @@ class Evaluator:
                     terms = nxt
                 for e, c in terms.items():
                     data[e] = data.get(e, 0) + c
-            lo = (hlo,) + tuple(wlo[1:])
-            hi = (hhi,) + tuple(INF + x for x in wlo[1:])
-            return (vars, lo, hi) + _reduced({e: c for e, c in data.items() if c}, Q * S ** m)
+            return (vars,) + _reduced({e: c for e, c in data.items() if c}, Q * S ** m)
 
         return self._memo(("edgedata", shape), build)
 
@@ -596,7 +588,7 @@ class Evaluator:
         shape, slots = shape_of(I)
 
         def build():
-            vars, _, _, nums, den = self._edge_data(shape)
+            vars, nums, den = self._edge_data(shape)
             offs = [keys.offs[_H]]
             for v in vars[1:]:
                 j = slots[int(v[1:])]

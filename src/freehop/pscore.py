@@ -1,6 +1,7 @@
-"""Set partitions, partitioned permutations and the convolution algebra on
-them (zeta, Moebius, plain and hbar-extended), and the factorization counts
-of a one-block target (1_d, pi_lam) that the convolution routes evaluate:
+"""Set partitions, partitioned permutations, the Moebius function on them,
+plain and hbar-extended (with the hbar zeta function, on the integer rows
+of freehop.hbar), and the factorization counts of a one-block target
+(1_d, pi_lam) that the convolution routes evaluate:
 a walk over one permutation per orbit of S_d under conjugation by the
 centralizer of pi_lam, weighted by the orbit's size, which lists the
 partitions of a permutation's cycles once per linkage pattern for the
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _all_perms
+from operator import add
 
-from .hbar import HbarSeries
 from . import symcore
+from .hbar import _mul_add
 from .symcore import Perm
 
 SetPartition = tuple[int, ...]
@@ -183,15 +185,6 @@ def product_extended(x: PartPerm, y: PartPerm) -> PartPerm:
     return (join(x[0], y[0]), symcore.compose(x[1], y[1]))
 
 
-def product_strict(x: PartPerm, y: PartPerm) -> PartPerm | None:
-    """The multiplication keeping only colength-additive products; None is
-    the absorbing zero."""
-    z = product_extended(x, y)
-    if pp_colength(x) + pp_colength(y) == pp_colength(z):
-        return z
-    return None
-
-
 def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
     """All of PS(d): pairs (A, a) with 0_a <= A."""
     if d > bound:
@@ -204,101 +197,22 @@ def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
 
 
 # ---------------------------------------------------------------------------
-# functions on PS(d) and their convolutions
-#
-# A PSFunction is a plain dict {(part, perm): value}; values may be Fraction
-# or HbarSeries.  Multiplicative functions are given by a block rule
-# (cycle type -> value) and expanded to total tables when convolving.
+# functions on PS(d): plain values, or hbar-series as the integer rows of
+# freehop.hbar
 
 
-def zeta_function(d: int) -> dict[PartPerm, Fraction]:
-    return {
-        (orbit_partition(s), s): Fraction(1) for s in _all_perms(range(d))
-    }
-
-
-def delta_function(d: int) -> dict[PartPerm, Fraction]:
-    return {unit_pp(d): Fraction(1)}
-
-
-def zeta_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
-    return {
-        (orbit_partition(s), s): HbarSeries.monomial(1, symcore.colength(s), K)
-        for s in _all_perms(range(d))
-    }
-
-
-def delta_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
-    return {unit_pp(d): HbarSeries.one(K)}
-
-
-def convolve(f, g, kind: str = "strict"):
-    """Convolution (f * g) or extended convolution (f (*) g) of total tables.
-
-    Sums f(x) g(y) over factorizations x . y = target (strict) or
-    x (.) y = target (extended).
-    """
-    if kind not in ("strict", "extended"):
-        raise ValueError("kind must be strict or extended")
-    # functions built at different working truncations must not be mixed;
-    # guarantees above the working truncation (from positive valuations)
-    # are fine
-    mins = [
-        min(v.K for v in fn.values() if isinstance(v, HbarSeries))
-        for fn in (f, g)
-        if any(isinstance(v, HbarSeries) for v in fn.values())
-    ]
-    if len(mins) == 2 and mins[0] != mins[1]:
-        raise ValueError("truncation mismatch: %s vs %s" % tuple(mins))
-    out: dict[PartPerm, object] = {}
-    for x, fx in f.items():
-        if _is_zero(fx):
-            continue
-        for y, gy in g.items():
-            if _is_zero(gy):
-                continue
-            if kind == "strict":
-                z = product_strict(x, y)
-                if z is None:
-                    continue
-            else:
-                z = product_extended(x, y)
-            term = fx * gy
-            if z in out:
-                out[z] = out[z] + term
-            else:
-                out[z] = term
-    return out
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, HbarSeries):
-        return v.is_zero()
-    return v == 0
-
-
-def multiplicative_function(d: int, blockvalue) -> dict[PartPerm, object]:
-    """Total table of the multiplicative function with the given block rule.
-
-    ``blockvalue(mu)`` is the value on a one-block partitioned permutation
-    whose permutation has cycle type ``mu``.
-    """
+def zeta_hbar(d: int, K: int) -> dict[PartPerm, list]:
+    """zeta_hbar(0_s, s) = hbar^|s| for every s in S(d), as integer rows
+    to hbar^K (over the denominator 1)."""
     out = {}
-    for part, s in enumerate_ps(d):
-        v = None
-        for blk in blocks_of(part):
-            mu = symcore.sort_to_partition(
-                len(c) for c in symcore.cycles(s) if c[0] in blk
-            )
-            bv = blockvalue(mu)
-            v = bv if v is None else v * bv
-        out[(part, s)] = v
+    for s in _all_perms(range(d)):
+        c = symcore.colength(s)
+        out[(orbit_partition(s), s)] = [int(e == c) for e in range(K + 1)]
     return out
 
 
 def moebius(d: int) -> dict[PartPerm, Fraction]:
     """The *-inverse of zeta on PS(d), by triangular solve in colength."""
-    zeta = zeta_function(d)
     elements = enumerate_ps(d, bound=max(6, d))
     elements.sort(key=pp_colength)
     mu: dict[PartPerm, Fraction] = {}
@@ -333,30 +247,27 @@ def moebius(d: int) -> dict[PartPerm, Fraction]:
 _moebius_hbar_cache: dict = {}
 
 
-def moebius_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
-    """(*)-inverse of zeta_hbar up to hbar^K, by the Neumann series
-    (zeta_hbar differs from the unit delta at order hbar)."""
+def moebius_hbar(d: int, K: int) -> dict[PartPerm, list]:
+    """(*)-inverse of zeta_hbar up to hbar^K, as integer rows (over the
+    denominator 1), by the Neumann series: zeta_hbar is the unit delta
+    plus N, N(0_s, s) = hbar^|s| for s != id, so the inverse is
+    sum_j (-N)^(*j), each power one extended convolution, and (-N)^(*j)
+    starts at hbar^j."""
     if (d, K) in _moebius_hbar_cache:
         return _moebius_hbar_cache[(d, K)]
-    zh = zeta_hbar(d, K)
-    n = dict(zh)
     unit = unit_pp(d)
-    if unit in n:
-        n[unit] = n[unit] - HbarSeries.one(K)
-        if n[unit].is_zero():
-            del n[unit]
-    out = delta_hbar(d, K)
-    power = delta_hbar(d, K)
-    for j in range(1, K + 1):
-        power = convolve(power, n, kind="extended")
-        power = {x: v.truncate(K) for x, v in power.items() if not v.is_zero()}
-        if not power:
-            break
-        sign = -1 if j % 2 else 1
-        for x, v in power.items():
-            term = v * sign
-            out[x] = out.get(x, HbarSeries.zero(K)) + term
-    out = {x: v for x, v in out.items() if not v.is_zero()}
+    n = [(y, row) for y, row in zeta_hbar(d, K).items() if y != unit and any(row)]
+    out = {unit: [1] + [0] * K}
+    power = dict(out)
+    for _ in range(K):
+        nxt: dict[PartPerm, list] = {}
+        for x, p in power.items():
+            for y, q in n:
+                _mul_add(nxt.setdefault(product_extended(x, y), [0] * (K + 1)), -1, p, q, K)
+        power = {x: row for x, row in nxt.items() if any(row)}
+        for x, row in power.items():
+            out[x] = list(map(add, out.get(x, [0] * (K + 1)), row))
+    out = {x: row for x, row in out.items() if any(row)}
     _moebius_hbar_cache[(d, K)] = out
     return out
 
@@ -482,27 +393,6 @@ def target_factorizations(lam: symcore.Partition) -> tuple:
     return out
 
 
-def leading_order(phi_h: dict[PartPerm, HbarSeries]) -> dict[PartPerm, Fraction]:
-    """Extract the coefficient of hbar^|(A, a)| from an hbar-graded function.
-
-    Raises if any value has terms below its colength order.
-    """
-    out = {}
-    for x, v in phi_h.items():
-        col = pp_colength(x)
-        if any(e < col for e in v.c):
-            raise ValueError("value at %r below hbar^%d" % (x, col))
-        out[x] = v.coeff(col)
-    return out
-
-
-def infinitesimal_order(phi_h: dict[PartPerm, HbarSeries]):
-    """Extract (leading, subleading) coefficients hbar^|x|, hbar^(|x|+1)."""
-    lead = leading_order(phi_h)
-    sub = {x: v.coeff(pp_colength(x) + 1) for x, v in phi_h.items()}
-    return lead, sub
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 
@@ -510,6 +400,3 @@ def infinitesimal_order(phi_h: dict[PartPerm, HbarSeries]):
 def setpartition_to_json(part: SetPartition) -> list[list[int]]:
     return [sorted(x + 1 for x in blk) for blk in blocks_of(part)]
 
-
-def setpartition_from_json(arr, d: int) -> SetPartition:
-    return from_blocks(d, [[x - 1 for x in blk] for blk in arr])

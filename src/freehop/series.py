@@ -2,14 +2,12 @@
 coefficients of sinh(t/2)/(t/2), the reciprocal of a series 1 + O(w), and
 the coefficients of w(X) by Lagrange inversion, with zeros not stored.
 TruncationError is raised where a result would need a coefficient past
-the working truncation, and INF stands for an unbounded window."""
+the working truncation."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-INF = 10**9
 
 
 class TruncationError(ValueError):

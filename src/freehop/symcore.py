@@ -173,14 +173,6 @@ def canonical_permutation(lam: Partition) -> Perm:
     return tuple(img)
 
 
-def from_cycles(d: int, cycs) -> Perm:
-    img = list(range(d))
-    for cyc in cycs:
-        for i, x in enumerate(cyc):
-            img[x] = cyc[(i + 1) % len(cyc)]
-    return tuple(img)
-
-
 def conjugacy_class(lam: Partition) -> Iterator[Perm]:
     """Stream the conjugacy class C_lam inside S(d), each element once.
 
@@ -260,21 +252,6 @@ def contents(lam: Partition) -> list[int]:
     return [j - i for i, p in enumerate(lam, start=1) for j in range(1, p + 1)]
 
 
-def hook_dimension(lam: Partition) -> int:
-    """Dimension of the irreducible indexed by lam (hook length formula)."""
-    if not lam:
-        return 1
-    conj = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            conj[j] += 1
-    n = factorial(sum(lam))
-    for i, p in enumerate(lam):
-        for j in range(p):
-            n //= (p - j) + (conj[j] - i) - 1
-    return n
-
-
 @lru_cache(maxsize=None)
 def content_rows(d: int, K: int, inverse: bool = False) -> tuple[tuple[int, ...], ...]:
     """The hbar^0..hbar^K coefficients of prod over the cells of rho of
@@ -311,9 +288,3 @@ def content_rows(d: int, K: int, inverse: bool = False) -> tuple[tuple[int, ...]
 def perm_to_json(s: Perm) -> list[int]:
     return [x + 1 for x in s]
 
-
-def perm_from_json(arr) -> Perm:
-    s = tuple(int(x) - 1 for x in arr)
-    if sorted(s) != list(range(len(s))):
-        raise ValueError("not a permutation: %r" % (arr,))
-    return s

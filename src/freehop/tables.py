@@ -8,7 +8,6 @@ Rationals serialize as exact "p/q" strings.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
@@ -30,9 +29,19 @@ def table_set(T: CoefficientTable, g2: int, ks, value) -> None:
         T.pop(key, None)
 
 
+def checked_items(T: CoefficientTable):
+    """The items of T, raising ValueError at a key whose k is not in
+    sort_to_partition order: the routes look entries up by that order, so
+    such an entry would be missed, or read besides its sorted twin."""
+    for key, v in T.items():
+        if key[1] != sort_to_partition(key[1]):
+            raise ValueError("table key %r: k is not weakly decreasing" % (key,))
+        yield key, v
+
+
 def normalize(T: CoefficientTable) -> CoefficientTable:
     out: CoefficientTable = {}
-    for (g2, ks), v in T.items():
+    for (g2, ks), v in checked_items(T):
         if g2 < 0:
             raise ValueError("negative genus")
         table_set(out, g2, ks, v)
@@ -158,18 +167,6 @@ def _exact_value(v) -> Fraction:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def save(path: str, T: CoefficientTable, meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json(T, meta), fh, indent=1)
-
-
-def load(path: str) -> tuple[CoefficientTable, dict]:
-    with open(path) as fh:
-        obj = json.load(fh)
-    meta = {k: v for k, v in obj.items() if k != "entries"}
-    return from_json(obj), meta
 
 
 def to_csv(T: CoefficientTable) -> str:

@@ -41,17 +41,17 @@ that holds the first cycle: with nu = (a, rho),
 where c_T = prod_k C(m_k(rho), t_k) counts the sets of cycles of rho whose
 lengths form T.  Its inverse peels the T = rho term off the same sum.
 
-Representation.  Every master route keeps its hbar-series as integer
-rows, the numerators of hbar^0..hbar^K, over a denominator fixed by the
-partition, and the rows stop at K = min(K, required_K).  The block values
-B(mu) of the input table sit over Q^ell(mu), Q the lcm of the table's
-denominators (_block_rows), and so does Z(nu) over Q^ell(nu); the
+Representation.  Every master route keeps its hbar-series as the integer
+rows of freehop.hbar, the numerators of hbar^0..hbar^K, over a denominator
+fixed by the partition, and the rows stop at K = min(K, required_K).  The
+block values B(mu) of the input table sit over Q^ell(mu), Q the lcm of the
+table's denominators (_block_rows), and so does Z(nu) over Q^ell(nu); the
 Z(nu) / z(nu) of one degree d, and the chi-transform of them, over
 Q^d d!; the Z and block values of the peel over one D_d per degree, with
 D_a D_b dividing D_(a+b); and the moments and cumulants of degree d on
 the convolution routes over Q^d.  So a product term is a truncated
-convolution of integer lists, and a Fraction is built only where an entry
-is read off (_store).
+convolution of integer lists (hbar._mul_add), and a Fraction is built
+only where an entry is read off (_store).
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ from math import comb, factorial, lcm
 from operator import add, mul, sub
 
 from . import graphs, pscore, symcore
+from .hbar import _decode, _mul_add
 from .operators import Evaluator, _distinct_permutations, shape_of
 from .symcore import Partition, sort_to_partition
-from .tables import CoefficientTable
+from .tables import CoefficientTable, checked_items
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +103,6 @@ def _splits(nu: Partition) -> tuple:
     return tuple(out)
 
 
-def _mul_add(acc: list, c: int, a, b, K: int) -> None:
-    """acc += c * a * b, for integer rows indexed by the hbar exponent
-    0..K, truncated at hbar^K; every row has length K + 1."""
-    lb = next((j for j, y in enumerate(b) if y), K + 1)
-    b = b[lb:]
-    for i, x in enumerate(a[:K + 1 - lb]):
-        if x:
-            x *= c
-            i += lb
-            acc[i:] = map(add, acc[i:], map(x.__mul__, b))
-
-
 def _first_block_sum(nu: Partition, block: dict, z: dict, den, K: int) -> list:
     """The first-block sum sum_T c_T B(nu_1 u T) Z(rest) over den(nu), on
     integer rows: the row of a partition p in ``block`` or ``z`` is over
@@ -133,8 +122,9 @@ def _block_rows(table: CoefficientTable, dmax: int, K: int):
     truncated at hbar^K: returns (block, qpow), where block[mu] is the
     row of B(mu) Q^len(mu) for every mu with a nonzero row, qpow[e] = Q^e
     for e <= dmax, and Q is the lcm of the denominators of the table
-    entries of degree <= dmax."""
-    Q = lcm(*(v.denominator for (_, mu), v in table.items() if sum(mu) <= dmax))
+    entries of degree <= dmax.  Raises ValueError on a key whose k is not
+    a partition (tables.checked_items)."""
+    Q = lcm(*(v.denominator for (_, mu), v in checked_items(table) if sum(mu) <= dmax))
     qpow = [Q ** e for e in range(dmax + 1)]
     block = {}
     for d in range(1, dmax + 1):
@@ -197,18 +187,16 @@ def _peel(z: dict, dens: list, dmax: int, K: int, g2max: int) -> CoefficientTabl
             row = list(map(sub, row, _first_block_sum(nu, block, zD, den, K)))
             if any(row):
                 block[nu] = row
-            _store(out, nu, row, D[d], g2max, K)
+            _store(out, nu, row, D[d], g2max)
     return out
 
 
-def _store(out: CoefficientTable, lam: Partition, row: list, den: int, g2max: int, K: int):
+def _store(out: CoefficientTable, lam: Partition, row: list, den: int, g2max: int):
     """Read the entries F_{g2; lam}, g2 <= g2max, off the hbar gradings of
     a block value known to hbar^K, given as an integer row over den."""
     base = sum(lam) + len(lam) - 2
-    for g2 in range(0, min(g2max, K - base) + 1):
-        v = row[base + g2]
-        if v:
-            out[(g2, lam)] = Fraction(v, den)
+    for g2, v in _decode(row[base:base + g2max + 1], den).items():
+        out[(g2, lam)] = v
 
 
 def required_K(dmax: int, g2max: int) -> int:
@@ -342,7 +330,7 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: i
                 p = _product_row(types, block, memo, K)
                 if p is not None:
                     _mul_add(acc, qpow[d - sum(map(len, types))], h, p, K)
-            _store(out, lam, acc, qpow[d], g2max, K)
+            _store(out, lam, acc, qpow[d], g2max)
     return out
 
 
@@ -386,7 +374,7 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
             for lam in parts:
                 x[lam][j] -= sum(n * x[mu][j - a] for mu, a, n in links[lam] if a <= j)
         for lam in parts:
-            _store(out, lam, x[lam], qpow[d], g2max, K)
+            _store(out, lam, x[lam], qpow[d], g2max)
         cum.update(x)
     return out
 

@@ -15,10 +15,10 @@ from fractions import Fraction
 from math import factorial
 
 from freehop.operators import Evaluator, _distinct_permutations, shape_of
-from freehop.series import INF, inverse_coeffs
+from freehop.series import inverse_coeffs
 from freehop.tables import table_get
 from freehop.transforms import _edge_terms
-from series_reference import Series, layout as packed_layout, series_sum
+from series_reference import INF, Series, layout as packed_layout, series_sum
 
 
 # -- the evaluator's Series face ------------------------------------------------
@@ -90,13 +90,29 @@ def pwd(ev, s: Series, i: int, m: int = 1) -> Series:
 
 def edge_weight(ev, I: tuple[int, ...]) -> Series:
     """c(u_I, w_I) for the hyperedge (multiset) I, ev._edge_data as a
-    Series with its windows, built once per shape of I (shape_of) and
-    renamed to I."""
+    Series, built once per shape of I (shape_of) and renamed to I.  Its
+    windows, read off the table entries and kernel terms _edge_data sums,
+    are those of the term-by-term product: hbar from the lowest
+    g2 - 2 + #I to K plus that lowest order when it is negative, each w
+    from its most negative exponent, u from 0."""
     shape, slots = shape_of(I)
 
     def build():
-        vars, lo, hi, nums, den = ev._edge_data(shape)
-        return Series(vars, lo, hi, {e: Fraction(v, den) for e, v in nums.items()}, cap(ev),
+        vars, nums, den = ev._edge_data(shape)
+        m = len(shape)
+        entries = [(g2 - 2 + m, comp) for (g2, ks) in ev.table
+                   if len(ks) == m and sum(ks) <= ev.D and g2 - 2 + m <= ev.K
+                   for comp in _distinct_permutations(ks)]
+        if m == 2 and shape[0] != shape[1]:
+            entries += [(0, (k, -k)) for k in range(1, ev.kernel_depth + 1)]
+        lo = [min((h for h, _ in entries), default=0)] + [0] * (len(vars) - 1)
+        for _, comp in entries:
+            base = [0] * len(vars)
+            for s, k in zip(shape, comp):
+                base[vars.index(ev.wvars[s])] += k
+            lo[1:] = map(min, lo[1:], base[1:])
+        hi = (ev.K + min(0, lo[0]),) + tuple(INF + x for x in lo[1:])
+        return Series(vars, tuple(lo), hi, {e: Fraction(v, den) for e, v in nums.items()}, cap(ev),
                       layout(ev))
 
     return relabelled(ev, ("edge", shape), slots, build)
@@ -367,6 +383,10 @@ def reexpand(ev, S):
             continue
         g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()}, layout=layout(ev))
         cache = ev._cache.setdefault(("ref-gpow", wv), {})
+        if -1 not in cache:
+            # g^-1 = X^-1 (g/X)^-1, for the kernels: g is no unit to invert
+            unit = Series((wv,), (0,), (depth - 1,), {(e - 1,): v for e, v in wc.items()}, layout=layout(ev))
+            cache[-1] = Series((wv,), (-1,), (INF,), {(-1,): 1}, layout=layout(ev)) * unit.inverse()
         S = prune_w(ev, S.substitute(wv, g, powers=cache).with_cap(cap(ev)))
     return S
 

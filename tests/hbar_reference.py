@@ -1,48 +1,162 @@
-"""HbarSeries arithmetic that only the tests use: the series from and to
-integer numerators over one denominator, the inverse, and division."""
+"""The hbar-series as an object: HbarSeries, exact truncated Laurent
+series in the single grading variable hbar, the reference the library's
+integer rows (freehop.hbar) are compared with by ``==``, and the
+arithmetic only the tests use: the series from and to integer numerators
+over one denominator, the inverse, and division.
+
+A series is known to hbar^K: coefficients with exponent > K are unknown
+and never stored.  Negative exponents are allowed (the one-point function
+carries an hbar^(-1) constant).  Arithmetic tracks the tightest truncation
+guaranteed by the inputs.  The terms are integer numerators by exponent
+over one positive denominator, in lowest terms, and ``.c`` is a read-only
+decoded view {exponent: Fraction} over the nonzero terms.
+"""
+
+from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 
-from freehop.hbar import HbarSeries, _new
+from freehop.series import _reduced
+
+
+def _new(num: dict[int, int], den: int, K: int) -> "HbarSeries":
+    """The series sum_e num[e] hbar^e / den known to hbar^K, with the
+    terms past K and the zeros dropped and the common factor divided out,
+    a form in which equal series at equal K are equal field by field."""
+    s = object.__new__(HbarSeries)
+    s._num, s._den = _reduced({e: v for e, v in num.items() if v and e <= K}, den)
+    s.K = K
+    return s
+
+
+class HbarSeries:
+    __slots__ = ("_num", "_den", "K")
+
+    def __init__(self, coeffs: dict[int, Fraction], K: int):
+        kept = {e: Fraction(v) for e, v in coeffs.items() if v and e <= K}
+        den = lcm(*(v.denominator for v in kept.values()))
+        self._num, self._den = _reduced({e: v.numerator * (den // v.denominator) for e, v in kept.items()}, den)
+        self.K = K
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, K: int) -> "HbarSeries":
+        return _new({}, 1, K)
+
+    @classmethod
+    def one(cls, K: int) -> "HbarSeries":
+        return _new({0: 1}, 1, K)
+
+    @classmethod
+    def const(cls, v, K: int) -> "HbarSeries":
+        return cls.monomial(v, 0, K)
+
+    @classmethod
+    def monomial(cls, v, e: int, K: int) -> "HbarSeries":
+        v = Fraction(v)
+        return _new({e: v.numerator}, v.denominator, K)
+
+    # -- basics --------------------------------------------------------------
+    @property
+    def c(self):
+        """Read-only view {exponent: Fraction} of the nonzero terms."""
+        return MappingProxyType({e: Fraction(v, self._den) for e, v in sorted(self._num.items())})
+
+    def low(self) -> int:
+        """The lowest exponent of a nonzero term, 0 for the zero series."""
+        return min(self._num, default=0)
+
+    def coeff(self, e: int) -> Fraction:
+        if e > self.K:
+            raise ValueError("coefficient hbar^%d beyond truncation %d" % (e, self.K))
+        return Fraction(self._num.get(e, 0), self._den)
+
+    def truncate(self, K: int) -> "HbarSeries":
+        return self if K >= self.K else _new(self._num, self._den, K)
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HbarSeries):
+            return NotImplemented
+        a, b = self.truncate(other.K), other.truncate(self.K)
+        return (a._num, a._den) == (b._num, b._den)
+
+    # equality compares at the smaller K, which no hash of the stored
+    # terms can respect
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        terms = ["%s*h^%d" % (v, e) if e else str(v) for e, v in self.c.items()]
+        return " + ".join(terms + ["O(h^%d)" % (self.K + 1)])
+
+    # -- arithmetic ----------------------------------------------------------
+    def __add__(self, other) -> "HbarSeries":
+        if not isinstance(other, HbarSeries):
+            other = HbarSeries.const(other, self.K)
+        den = lcm(self._den, other._den)
+        out = {e: v * (den // self._den) for e, v in self._num.items()}
+        for e, v in other._num.items():
+            out[e] = out.get(e, 0) + v * (den // other._den)
+        return _new(out, den, min(self.K, other.K))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "HbarSeries":
+        return self * -1
+
+    def __sub__(self, other) -> "HbarSeries":
+        return self + -other
+
+    def __rsub__(self, other) -> "HbarSeries":
+        return (-self) + other
+
+    def __mul__(self, other) -> "HbarSeries":
+        if not isinstance(other, HbarSeries):
+            v = Fraction(other)
+            return _new({e: x * v.numerator for e, x in self._num.items()}, self._den * v.denominator, self.K)
+        # truncation: unknown tail of one factor times the lowest known
+        # exponent of the other bounds the reliable window
+        K = min(self.K + other.low(), other.K + self.low())
+        out: dict[int, int] = {}
+        for ea, va in self._num.items():
+            for eb, vb in other._num.items():
+                if ea + eb <= K:
+                    out[ea + eb] = out.get(ea + eb, 0) + va * vb
+        return _new(out, self._den * other._den, K)
+
+    __rmul__ = __mul__
 
 
 def from_numerators(num: list, den: int, K: int) -> HbarSeries:
     """(sum_e num[e] hbar^e) / den, from integer numerators for hbar^0,
     hbar^1, ... and a positive denominator."""
-    return _new(0, list(num), den, K)
+    return HbarSeries({e: Fraction(v, den) for e, v in enumerate(num)}, K)
 
 
 def numerators(s: HbarSeries, K: int) -> tuple[list, int]:
     """The integer numerators of hbar^0..hbar^K, as one list, and the
-    denominator they share; the inverse of from_numerators."""
-    if K > s.K or s._lo < 0:
+    lowest denominator they share; the inverse of from_numerators."""
+    if K > s.K or s.low() < 0:
         raise ValueError("no hbar^0..hbar^%d numerators of %r" % (K, s))
-    return ([0] * s._lo + s._num + [0] * (K + 1))[:K + 1], s._den
+    return [s._num.get(e, 0) for e in range(K + 1)], s._den
 
 
 def inverse(s: HbarSeries) -> HbarSeries:
-    """Multiplicative inverse of a series with nonzero lowest term."""
-    if not s._num:
+    """Multiplicative inverse of a series with nonzero lowest term: with
+    s = hbar^f a_f (1 + sum_k hbar^k a_(f+k) / a_f), solve s x = 1 order
+    by order."""
+    if s.is_zero():
         raise ZeroDivisionError("inverting zero series")
-    # s = hbar^f A(hbar) / den with A integral; 1/A = sum_n hbar^n
-    # b_n / a0^(n+1), where b_0 = 1, b_n = -sum_k a_k a0^(k-1) b_(n-k)
-    f, a, den = s._lo, s._num, s._den
-    N = s.K - f
-    a0 = a[0]
-    tail = [(k, v * a0 ** (k - 1)) for k, v in enumerate(a[1:N + 1], 1) if v]
-    b = [1]
+    c, f = s.c, s.low()
+    lead, N = c[f], s.K - f
+    x = [Fraction(1)]
     for n in range(1, N + 1):
-        b.append(-sum(v * b[n - k] for k, v in tail if k <= n))
-    # over the one denominator a0^(N+1)
-    num = [0] * (N + 1)
-    p = den
-    for n in range(N, -1, -1):
-        num[n] = b[n] * p
-        p *= a0
-    p //= den
-    if p < 0:
-        num, p = [-v for v in num], -p
-    return _new(-f, num, p, N - f)
+        x.append(-sum(c.get(f + k, 0) / lead * x[n - k] for k in range(1, n + 1)))
+    return HbarSeries({n - f: v / lead for n, v in enumerate(x)}, N - f)
 
 
 def divide(s: HbarSeries, other) -> HbarSeries:

@@ -1,0 +1,162 @@
+"""The object-valued functions on PS(d) that only the tests use, with
+their values Fractions or hbar_reference.HbarSeries: the plain zeta and
+delta functions, the strict and extended convolutions of total tables,
+multiplicative functions built from a block rule, the hbar zeta and
+Moebius functions as HbarSeries (the reference pscore's integer rows are
+compared with by ``==``), and the leading and subleading orders of an
+hbar-graded function.
+
+A function is a plain dict {(part, perm): value}.  Multiplicative
+functions are given by a block rule (cycle type -> value) and expanded to
+total tables when convolving.
+"""
+
+from fractions import Fraction
+from itertools import permutations as _all_perms
+
+from freehop import symcore
+from freehop.pscore import (PartPerm, blocks_of, enumerate_ps, orbit_partition, pp_colength,
+                            product_extended, unit_pp)
+from hbar_reference import HbarSeries
+
+
+def product_strict(x: PartPerm, y: PartPerm) -> PartPerm | None:
+    """The multiplication keeping only colength-additive products; None is
+    the absorbing zero."""
+    z = product_extended(x, y)
+    if pp_colength(x) + pp_colength(y) == pp_colength(z):
+        return z
+    return None
+
+
+def zeta_function(d: int) -> dict[PartPerm, Fraction]:
+    return {
+        (orbit_partition(s), s): Fraction(1) for s in _all_perms(range(d))
+    }
+
+
+def delta_function(d: int) -> dict[PartPerm, Fraction]:
+    return {unit_pp(d): Fraction(1)}
+
+
+def zeta_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
+    return {
+        (orbit_partition(s), s): HbarSeries.monomial(1, symcore.colength(s), K)
+        for s in _all_perms(range(d))
+    }
+
+
+def convolve(f, g, kind: str = "strict"):
+    """Convolution (f * g) or extended convolution (f (*) g) of total tables.
+
+    Sums f(x) g(y) over factorizations x . y = target (strict) or
+    x (.) y = target (extended).
+    """
+    if kind not in ("strict", "extended"):
+        raise ValueError("kind must be strict or extended")
+    # functions built at different working truncations must not be mixed;
+    # guarantees above the working truncation (from positive valuations)
+    # are fine
+    mins = [
+        min(v.K for v in fn.values() if isinstance(v, HbarSeries))
+        for fn in (f, g)
+        if any(isinstance(v, HbarSeries) for v in fn.values())
+    ]
+    if len(mins) == 2 and mins[0] != mins[1]:
+        raise ValueError("truncation mismatch: %s vs %s" % tuple(mins))
+    out: dict[PartPerm, object] = {}
+    for x, fx in f.items():
+        if _is_zero(fx):
+            continue
+        for y, gy in g.items():
+            if _is_zero(gy):
+                continue
+            if kind == "strict":
+                z = product_strict(x, y)
+                if z is None:
+                    continue
+            else:
+                z = product_extended(x, y)
+            term = fx * gy
+            if z in out:
+                out[z] = out[z] + term
+            else:
+                out[z] = term
+    return out
+
+
+def _is_zero(v) -> bool:
+    if isinstance(v, HbarSeries):
+        return v.is_zero()
+    return v == 0
+
+
+def multiplicative_function(d: int, blockvalue) -> dict[PartPerm, object]:
+    """Total table of the multiplicative function with the given block rule.
+
+    ``blockvalue(mu)`` is the value on a one-block partitioned permutation
+    whose permutation has cycle type ``mu``.
+    """
+    out = {}
+    for part, s in enumerate_ps(d):
+        v = None
+        for blk in blocks_of(part):
+            mu = symcore.sort_to_partition(
+                len(c) for c in symcore.cycles(s) if c[0] in blk
+            )
+            bv = blockvalue(mu)
+            v = bv if v is None else v * bv
+        out[(part, s)] = v
+    return out
+
+
+_moebius_hbar_cache: dict = {}
+
+
+def moebius_hbar(d: int, K: int) -> dict[PartPerm, HbarSeries]:
+    """(*)-inverse of zeta_hbar up to hbar^K, by the Neumann series
+    (zeta_hbar differs from the unit delta at order hbar)."""
+    if (d, K) in _moebius_hbar_cache:
+        return _moebius_hbar_cache[(d, K)]
+    zh = zeta_hbar(d, K)
+    n = dict(zh)
+    unit = unit_pp(d)
+    if unit in n:
+        n[unit] = n[unit] - HbarSeries.one(K)
+        if n[unit].is_zero():
+            del n[unit]
+    out = {unit: HbarSeries.one(K)}
+    power = dict(out)
+    for j in range(1, K + 1):
+        power = convolve(power, n, kind="extended")
+        power = {x: v.truncate(K) for x, v in power.items() if not v.is_zero()}
+        if not power:
+            break
+        sign = -1 if j % 2 else 1
+        for x, v in power.items():
+            term = v * sign
+            out[x] = out.get(x, HbarSeries.zero(K)) + term
+    out = {x: v for x, v in out.items() if not v.is_zero()}
+    _moebius_hbar_cache[(d, K)] = out
+    return out
+
+
+def leading_order(phi_h: dict[PartPerm, HbarSeries]) -> dict[PartPerm, Fraction]:
+    """Extract the coefficient of hbar^|(A, a)| from an hbar-graded function.
+
+    Raises if any value has terms below its colength order.
+    """
+    out = {}
+    for x, v in phi_h.items():
+        col = pp_colength(x)
+        if any(e < col for e in v.c):
+            raise ValueError("value at %r below hbar^%d" % (x, col))
+        out[x] = v.coeff(col)
+    return out
+
+
+def infinitesimal_order(phi_h: dict[PartPerm, HbarSeries]):
+    """Extract (leading, subleading) coefficients hbar^|x|, hbar^(|x|+1)."""
+    lead = leading_order(phi_h)
+    sub = {x: v.coeff(pp_colength(x) + 1) for x, v in phi_h.items()}
+    return lead, sub

@@ -46,7 +46,9 @@ from math import lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
 
-from freehop.series import INF, TruncationError, _reduced
+from freehop.series import TruncationError, _reduced
+
+INF = 10**9  # an unbounded window
 
 # narrowest field of a layout built from data: room for the offsets of a
 # few products before a widening is needed

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freehop import cli, oracles, tables
+import pscore_reference
+import table_files
+from freehop import cli, oracles, pscore, tables
 
 
 def run(args):
@@ -50,17 +52,24 @@ def test_moebius_output(tmp_path):
 
 
 def test_moebius_hbar_output(tmp_path):
+    # every entry equals the HbarSeries-valued Moebius function
     out = tmp_path / "mh.json"
-    assert run(["moebius", "--d", "2", "--hbar", "4", "--out", str(out)]) == 0
+    assert run(["moebius", "--d", "3", "--hbar", "5", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
-    assert obj["kind"] == "moebius-hbar"
+    assert (obj["d"], obj["kind"], obj["hbar"]) == (3, "moebius-hbar", 5)
+    want = {
+        (json.dumps(pscore.setpartition_to_json(part)), perm): {str(e): str(c) for e, c in sorted(v.c.items())}
+        for (part, perm), v in pscore_reference.moebius_hbar(3, 5).items()
+    }
+    got = {(json.dumps(e["partition"]), tuple(x - 1 for x in e["perm"])): e["value"] for e in obj["entries"]}
+    assert len(got) == len(obj["entries"]) and got == want
 
 
 def test_transform_roundtrip(tmp_path):
     cum = tmp_path / "cum.json"
     mom = tmp_path / "mom.json"
     back = tmp_path / "back.json"
-    tables.save(str(cum), tables.gue_table())
+    table_files.save(str(cum), tables.gue_table())
     assert run([
         "transform", "c2m", "--route", "hurwitz", "--in", str(cum),
         "--out", str(mom), "--deg", "8", "--genus", "2",
@@ -73,12 +82,12 @@ def test_transform_roundtrip(tmp_path):
     # invert at desk scale (the weakly monotone series grows quickly in
     # the hbar order, so the inverse leg runs at d <= 4)
     mom4 = tmp_path / "mom4.json"
-    tables.save(str(mom4), tables.restrict_table(t, deg=4, g2=2))
+    table_files.save(str(mom4), tables.restrict_table(t, deg=4, g2=2))
     assert run([
         "transform", "m2c", "--route", "hurwitz", "--in", str(mom4),
         "--out", str(back), "--deg", "4", "--genus", "2",
     ]) == 0
-    t2, _ = tables.load(str(back))
+    t2 = table_files.load(str(back))
     assert t2 == tables.gue_table()
 
 
@@ -89,12 +98,12 @@ def _transform(tmp, direction, route, table, deg, g2):
     """One ``transform`` run through cli.main, table in and table out."""
     src = os.path.join(tmp, "in.json")
     dst = os.path.join(tmp, "out-%s-%s.json" % (direction, route))
-    tables.save(src, table)
+    table_files.save(src, table)
     assert run([
         "transform", direction, "--route", route, "--in", src,
         "--out", dst, "--deg", str(deg), "--genus", str(g2),
     ]) == 0
-    return tables.load(dst)[0]
+    return table_files.load(dst)
 
 
 @settings(max_examples=8, deadline=None)
@@ -117,7 +126,7 @@ def test_transform_formula_route(tmp_path):
     n: on the one-point GUE table at degree 6 it returns the hurwitz
     route's 15 rows, n = 4 included."""
     cum = tmp_path / "cum.json"
-    tables.save(str(cum), tables.gue_table())
+    table_files.save(str(cum), tables.gue_table())
     outs = {}
     for route in ("formula", "hurwitz"):
         out = tmp_path / ("mom-%s.json" % route)
@@ -125,7 +134,7 @@ def test_transform_formula_route(tmp_path):
             "transform", "c2m", "--route", route, "--in", str(cum),
             "--out", str(out), "--deg", "6",
         ]) == 0
-        outs[route] = tables.load(str(out))[0]
+        outs[route] = table_files.load(str(out))
     t = outs["formula"]
     assert t[(0, (6,))] == 5
     assert len(t) == 15 and t == outs["hurwitz"]
@@ -139,7 +148,7 @@ def test_transform_formula_genus_is_a_cutoff(tmp_path):
     four-point hyperedge, a row of the moment table only."""
     t = tables.random_table(seed=12, nmax=3, degmax=4, g2max=2)
     cum = tmp_path / "cum.json"
-    tables.save(str(cum), tables.restrict_table(t, deg=4))
+    table_files.save(str(cum), tables.restrict_table(t, deg=4))
     outs = {}
     for route in ("formula", "hurwitz"):
         outs[route] = tmp_path / ("mom-%s.json" % route)
@@ -147,16 +156,16 @@ def test_transform_formula_genus_is_a_cutoff(tmp_path):
             "transform", "c2m", "--route", route, "--in", str(cum),
             "--out", str(outs[route]), "--deg", "4", "--genus", "2",
         ]) == 0
-    formula = tables.load(str(outs["formula"]))[0]
+    formula = table_files.load(str(outs["formula"]))
     assert {g2 for g2, _ in formula} == {0, 1, 2}
     assert (0, (1, 1, 1, 1)) in formula
-    assert formula == tables.load(str(outs["hurwitz"]))[0]
+    assert formula == table_files.load(str(outs["hurwitz"]))
     back = tmp_path / "back.json"
     assert run([
         "transform", "m2c", "--route", "formula", "--in", str(outs["formula"]),
         "--out", str(back), "--deg", "4", "--genus", "2",
     ]) == 0
-    assert tables.load(str(back))[0] == tables.restrict_table(t, deg=4)
+    assert table_files.load(str(back)) == tables.restrict_table(t, deg=4)
 
 
 @pytest.mark.parametrize("genus, deg", [
@@ -169,7 +178,7 @@ def test_transform_formula_bound_exit_2(tmp_path, capsys, genus, deg):
     """Past its per-genus degree bound the formula route exits 2 at once,
     with one error line."""
     inp = tmp_path / "in.json"
-    tables.save(str(inp), tables.gue_table())
+    table_files.save(str(inp), tables.gue_table())
     t0 = time.perf_counter()
     assert run(["transform", "c2m", "--route", "formula", "--in", str(inp),
                 "--deg", str(deg), "--genus", str(genus)]) == 2
@@ -213,7 +222,7 @@ def test_transform_bad_input_exit_2(tmp_path):
 
 def test_transform_degree_mismatch_exit_2(tmp_path):
     cum = tmp_path / "cum.json"
-    tables.save(str(cum), {(0, (5,)): Fraction(1)})
+    table_files.save(str(cum), {(0, (5,)): Fraction(1)})
     assert run([
         "transform", "c2m", "--route", "hurwitz", "--in", str(cum), "--deg", "3",
     ]) == 2
@@ -228,7 +237,7 @@ def test_transform_degree_bound_exit_2(tmp_path, direction, route, deg):
     """Past its bound a route exits 2; m2c on hurwitz has none, and at
     degree 6 it agrees with schur."""
     inp = tmp_path / "in.json"
-    tables.save(str(inp), tables.random_table(seed=9, nmax=6, degmax=6, g2max=1))
+    table_files.save(str(inp), tables.random_table(seed=9, nmax=6, degmax=6, g2max=1))
     args = ["transform", direction, "--in", str(inp), "--deg", str(deg), "--genus", "1"]
     if (route, direction) in cli.TRANSFORM_D_BOUND:
         assert run(args + ["--route", route]) == 2
@@ -237,20 +246,20 @@ def test_transform_degree_bound_exit_2(tmp_path, direction, route, deg):
     for r in (route, "schur"):
         out = tmp_path / ("out-%s.json" % r)
         assert run(args + ["--route", r, "--out", str(out)]) == 0
-        outs[r], _ = tables.load(str(out))
+        outs[r] = table_files.load(str(out))
     assert outs[route] == outs["schur"]
 
 
 def test_transform_low_hbar_exit_3(tmp_path):
     cum = tmp_path / "cum.json"
-    tables.save(str(cum), tables.random_table(seed=8, nmax=4, degmax=4, g2max=2))
+    table_files.save(str(cum), tables.random_table(seed=8, nmax=4, degmax=4, g2max=2))
     outs = {}
     for hbar in (None, 8):
         out = tmp_path / ("out-%s.json" % hbar)
         args = ["transform", "c2m", "--route", "convolution", "--in", str(cum),
                 "--out", str(out), "--deg", "4", "--genus", "2"]
         assert run(args + (["--hbar", str(hbar)] if hbar else [])) == 0
-        outs[hbar], _ = tables.load(str(out))
+        outs[hbar] = table_files.load(str(out))
     # hbar^8 holds the highest entry, F_{g2=2; 1,1,1,1}
     assert outs[8] == outs[None] and (2, (1, 1, 1, 1)) in outs[8]
     for route in ("hurwitz", "convolution", "schur"):
@@ -262,7 +271,7 @@ def test_transform_low_hbar_exit_3(tmp_path):
 
 def test_negative_hbar_exit_2(tmp_path):
     inp = tmp_path / "in.json"
-    tables.save(str(inp), tables.gue_table())
+    table_files.save(str(inp), tables.gue_table())
     assert run(["hurwitz", "--d", "2", "--kind", "strict", "--hbar", "-1"]) == 2
     assert run(["moebius", "--d", "2", "--hbar", "-1"]) == 2
     for route in ("hurwitz", "formula"):
@@ -295,7 +304,7 @@ def test_verify_explicit_zero(tmp_path):
 
 def test_transform_formula_rejects_hbar(tmp_path, capsys):
     inp = tmp_path / "in.json"
-    tables.save(str(inp), tables.gue_table())
+    table_files.save(str(inp), tables.gue_table())
     args = ["transform", "c2m", "--route", "formula", "--in", str(inp), "--deg", "4"]
     assert run(args + ["--hbar", "6"]) == 2
     assert "--hbar" in capsys.readouterr().err
@@ -332,7 +341,7 @@ def test_transform_bad_table_exit_2(tmp_path, entry):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"entries": _GOOD_ENTRIES + [entry]}))
     with pytest.raises(ValueError):
-        tables.load(str(path))
+        table_files.load(str(path))
     assert run(["transform", "c2m", "--route", "schur", "--in", str(path), "--deg", "3"]) == 2
     path.write_text(json.dumps({"entries": _GOOD_ENTRIES}))
     assert run(["transform", "c2m", "--route", "schur", "--in", str(path), "--deg", "3",
@@ -342,7 +351,7 @@ def test_transform_bad_table_exit_2(tmp_path, entry):
 @pytest.mark.parametrize("route", ["hurwitz", "convolution", "schur", "formula"])
 def test_transform_negative_genus_exit_2(tmp_path, route):
     inp = tmp_path / "in.json"
-    tables.save(str(inp), tables.gue_table())
+    table_files.save(str(inp), tables.gue_table())
     assert run(["transform", "c2m", "--route", route, "--in", str(inp), "--deg", "4", "--genus", "-1"]) == 2
 
 
@@ -355,7 +364,7 @@ def test_negative_sizes_exit_2():
 def test_transform_csv(tmp_path):
     cum = tmp_path / "cum.json"
     out = tmp_path / "mom.csv"
-    tables.save(str(cum), tables.gue_table())
+    table_files.save(str(cum), tables.gue_table())
     assert run([
         "transform", "c2m", "--route", "hurwitz", "--in", str(cum),
         "--out", str(out), "--deg", "4", "--csv",
@@ -368,7 +377,7 @@ def test_transform_csv(tmp_path):
 def test_gue_fixture(tmp_path):
     out = tmp_path / "gue.json"
     assert run(["gue", "--genus", "4", "--deg", "8", "--out", str(out)]) == 0
-    t, _ = tables.load(str(out))
+    t = table_files.load(str(out))
     assert t[(2, (8,))] == 70 and t[(4, (8,))] == 21
 
 
@@ -433,7 +442,7 @@ def test_main_in_sequence_equals_each_call_alone(tmp_path, capsys):
     process, with an argparse rejection and an input error among them,
     gives each call the exit code and output it has in a fresh process."""
     src = str(tmp_path / "in.json")
-    tables.save(src, tables.random_table(seed=8, nmax=3, degmax=3, g2max=1))
+    table_files.save(src, tables.random_table(seed=8, nmax=3, degmax=3, g2max=1))
     transform = ["transform", "c2m", "--route", "convolution", "--in", src]
     calls = [
         transform + ["--deg", "3", "--genus", "1", "--csv"],

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from freehop.hbar import HbarSeries
-from hbar_reference import divide, from_numerators, inverse, numerators
+from hbar_reference import HbarSeries, divide, from_numerators, inverse, numerators
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ import pytest
 
 import graph_sum_reference
 from freehop.operators import Evaluator, _distinct_permutations
-from freehop.series import INF
 from freehop.tables import gue_table, random_table
 from graph_sum_reference import P_series, cap, edge_weight, invC_series, layout, pwd, w_atom
-from series_reference import Series, series_sum, univariate_coeffs
+from series_reference import INF, Series, series_sum, univariate_coeffs
 
 
 def F(a, b=1):

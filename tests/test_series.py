@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freehop.series import INF, TruncationError, inverse_coeffs, lagrange_coeffs, sigma_coefficients
-from series_reference import SectorError, Series, kernel_series, layout, poly1, univariate_coeffs
+from freehop.series import TruncationError, inverse_coeffs, lagrange_coeffs, sigma_coefficients
+from series_reference import INF, SectorError, Series, kernel_series, layout, poly1, univariate_coeffs
 
 
 def F(a, b=1):

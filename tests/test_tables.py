@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import table_files
 from freehop import tables
 
 
@@ -22,8 +23,8 @@ def test_json_roundtrip(tmp_path):
     # rationals serialized as exact strings
     assert {e["value"] for e in obj["entries"]} == {"1/3", "-7/2"}
     path = tmp_path / "t.json"
-    tables.save(str(path), t)
-    loaded, meta = tables.load(str(path))
+    table_files.save(str(path), t)
+    loaded = table_files.load(str(path))
     assert loaded == t
 
 

@@ -5,9 +5,9 @@ import pytest
 
 import graph_sum_reference
 import hbar_reference
+import pscore_reference
 import tree_route_reference
 from freehop import graphs, oracles, pscore, symcore, tables
-from freehop.hbar import HbarSeries
 from freehop.hurwitz import hurwitz_table
 from freehop.operators import Evaluator
 from freehop.tables import gue_table, random_table, restrict_table, table_equal, table_get
@@ -30,6 +30,7 @@ from freehop.transforms import (
     schur_d_oracle,
 )
 from graph_sum_reference import edge_genus0, specialized_03, specialized_11
+from hbar_reference import HbarSeries
 from series_reference import Series
 
 
@@ -48,17 +49,15 @@ def blockvalue_series(table, mu, K):
     return HbarSeries({base + g2: table_get(table, g2, mu) for g2 in range(0, K - base + 1)}, K)
 
 
-def z_value(table, nu, K):
-    """Z(nu) as an hbar-series, by the first-block recursion of _z_rows."""
-    nu = symcore.sort_to_partition(nu)
-    z, den = _z_rows(table, sum(nu), K)
-    return hbar_reference.from_numerators(z[nu], den(nu), K)
-
-
 def z_table(table, d, K):
-    """Z(nu) for every nu |- d, from one run of the recursion."""
+    """Z(nu) as an hbar-series for every nu |- d, from one run of the
+    first-block recursion of _z_rows."""
     z, den = _z_rows(table, d, K)
     return {nu: hbar_reference.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
+
+
+def z_value(table, nu, K):
+    return z_table(table, sum(nu), K)[symcore.sort_to_partition(nu)]
 
 
 def table_from_z(ztabs, dmax, K, g2max):
@@ -103,11 +102,14 @@ def test_z_table_roundtrip_random():
 def _z_by_set_partitions(table, nu, K):
     """Z(nu) by its definition: the sum over all set partitions of the
     cycles of pi_nu of products of block values."""
-    out = HbarSeries.zero(K)
+    out, values = HbarSeries.zero(K), {}
     for grouping in pscore.set_partitions_of(len(nu)):
         term = HbarSeries.one(K)
         for blk in grouping:
-            term = term * blockvalue_series(table, symcore.sort_to_partition(nu[i] for i in blk), K)
+            mu = symcore.sort_to_partition(nu[i] for i in blk)
+            if mu not in values:
+                values[mu] = blockvalue_series(table, mu, K)
+            term = term * values[mu]
         out = out + term
     return out
 
@@ -177,6 +179,23 @@ def test_routes_below_degree_one_are_empty(dmax):
         assert route(gue_table(), dmax, 2) == {}
 
 
+@pytest.mark.parametrize("route", [
+    master_forward, master_inverse, convolution_forward, moebius_inverse_route,
+    lambda t, d, g2: schur_d_oracle(t, d, g2, inverse=True),
+    lambda t, d, g2: genus0_moments(t, 2, d), lambda t, d, g2: genus0_moments(t, 2, d, sign=-1),
+    lambda t, d, g2: allgenus_moments(t, 2, 1, d), lambda t, d, g2: allgenus_moments(t, 2, 1, d, sign=-1),
+    lambda t, d, g2: half_genus_moments_special_trees(t, 2, d),
+], ids=["master-c2m", "master-m2c", "convolution-c2m", "moebius-m2c", "schur-m2c", "genus0-c2m",
+        "genus0-m2c", "allgenus-c2m", "allgenus-m2c", "half-genus-c2m"])
+def test_routes_reject_keys_out_of_partition_order(route):
+    # an entry under (1, 2) would be missed by a lookup of (2, 1), or read
+    # besides it
+    assert route({(0, (2, 1)): F(1), (0, (1, 1)): F(1), (1, (1,)): F(2)}, 3, 1)
+    for bad in ({(0, (1, 2)): F(1)}, {(0, (1, 2)): F(1), (0, (2, 1)): F(1)}):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            route(bad, 3, 1)
+
+
 # ---------------------------------------------------------------------------
 # route equivalences
 
@@ -202,7 +221,7 @@ def _hurwitz_number_sum(table, dmax, g2max, kind):
     K = default_K(dmax, g2max)
     ztabs = {(): HbarSeries.one(K)}
     for d in range(1, dmax + 1):
-        H = hurwitz_table(d, kind, K)
+        H = {k: hbar_reference.from_numerators(*v, K) for k, v in hurwitz_table(d, kind, K).items()}
         Z = z_table(table, d, K)
         for lam in symcore.partitions(d):
             acc = HbarSeries.zero(K)
@@ -227,21 +246,6 @@ def _object_content_transform(table, dmax, g2max, K, inverse):
     content multipliers as products of series, the loop over characters
     on series, and the peel over set partitions with two or more blocks."""
     zero, one = HbarSeries.zero(K), HbarSeries.one(K)
-    values = {}
-
-    def value(mu):
-        if mu not in values:
-            values[mu] = blockvalue_series(table, mu, K)
-        return values[mu]
-
-    def Z(nu):
-        out = zero
-        for grouping in pscore.set_partitions_of(len(nu)):
-            term = one
-            for blk in grouping:
-                term = term * value(symcore.sort_to_partition(nu[i] for i in blk))
-            out = out + term
-        return out
 
     def mult(rho):
         m = one
@@ -253,7 +257,7 @@ def _object_content_transform(table, dmax, g2max, K, inverse):
     for d in range(1, dmax + 1):
         parts = symcore.partitions(d)
         chars = symcore.character_table(d)  # row rho, column nu
-        b = [hbar_reference.divide(Z(nu), symcore.z_factor(nu)) for nu in parts]
+        b = [hbar_reference.divide(_z_by_set_partitions(table, nu, K), symcore.z_factor(nu)) for nu in parts]
         c = [sum((v * x for x, v in zip(row, b) if x), zero) * mult(rho) for rho, row in zip(parts, chars)]
         for lam, col in zip(parts, zip(*chars)):
             ztabs[lam] = sum((v * x for x, v in zip(col, c) if x), zero)
@@ -268,10 +272,7 @@ def _object_content_transform(table, dmax, g2max, K, inverse):
                         term = term * block[symcore.sort_to_partition(nu[i] for i in blk)]
                     acc = acc - term
             block[nu] = acc
-            base = d + len(nu) - 2
-            for g2 in range(0, min(g2max, K - base) + 1):
-                if acc.coeff(base + g2):
-                    out[(g2, nu)] = acc.coeff(base + g2)
+            _read_off(out, nu, acc, g2max, K)
     return out
 
 
@@ -301,18 +302,12 @@ def _full_table_convolution(table, dmax, g2max, K, inverse):
     K = default_K(dmax, g2max) if K is None else K
     out = {}
     for d in range(1, dmax + 1):
-        phi = pscore.multiplicative_function(d, lambda mu: blockvalue_series(table, mu, K))
-        kernel = pscore.moebius_hbar(d, K) if inverse else pscore.zeta_hbar(d, K)
-        conv = pscore.convolve(kernel, phi, kind="extended")
+        phi = pscore_reference.multiplicative_function(d, lambda mu: blockvalue_series(table, mu, K))
+        kernel = (pscore_reference.moebius_hbar if inverse else pscore_reference.zeta_hbar)(d, K)
+        conv = pscore_reference.convolve(kernel, phi, kind="extended")
         for lam in symcore.partitions(d):
             target = (pscore.coarsest(d), symcore.canonical_permutation(lam))
-            val = conv.get(target, HbarSeries.zero(K))
-            base = d + len(lam) - 2
-            for g2 in range(g2max + 1):
-                if base + g2 <= K:
-                    v = val.coeff(base + g2)
-                    if v:
-                        out[(g2, lam)] = v
+            _read_off(out, lam, conv.get(target, HbarSeries.zero(K)), g2max, K)
     return out
 
 
@@ -641,20 +636,23 @@ def test_allgenus_n4_matches_master_forward():
 
 def _reference_rows(ev, g2):
     """The terms allgenus_moments hands to extract_table, by the chain of
-    Series objects, as {exponent tuple: Fraction}, at (g2, n) != (0, 2):
-    there the substitution needs negative powers of w(X), which the
-    reference Series does not form."""
+    Series objects, as {exponent tuple: Fraction}; at (g2, n) = (0, 2)
+    less the double-pole kernel sum_k k X_0^k X_1^-k, k <= D."""
     T = g2 - 2 + ev.n
     S = graph_sum_reference.graph_sum(ev, graphs.enumerate_graphs(ev.n, g2 // 2), T).coeff("h", T)
     if ev.n == 1:
         S = S + graph_sum_reference.delta_series(ev, g2)
-    return graph_sum_reference.terms(ev, graph_sum_reference.reexpand(ev, S))
+    rows = graph_sum_reference.terms(ev, graph_sum_reference.reexpand(ev, S))
+    if (g2, ev.n) == (0, 2):
+        for k in range(1, ev.D + 1):
+            rows[k, -k] = rows.get((k, -k), 0) - k
+    return {e: v for e, v in rows.items() if v}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize(
     "g2,n,D",
-    [(1, 1, 10), (2, 1, 6), (1, 2, 5), (2, 2, 4), (0, 3, 4), (1, 3, 3), (2, 3, 3), (1, 4, 3)],
+    [(1, 1, 10), (2, 1, 6), (0, 2, 5), (1, 2, 5), (2, 2, 4), (0, 3, 4), (1, 3, 3), (2, 3, 3), (1, 4, 3)],
 )
 def test_row_chain_matches_object_reference(g2, n, D, sign):
     """The graph sum, the n = 1 correction and the re-expansion on integer
