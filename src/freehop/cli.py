@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import hurwitz, oracles, pscore, symcore, tables, transforms
 from .hbar import _decode
@@ -22,8 +23,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_TRUNCATION = 3
 
-# largest d of the hurwitz subcommand: the table has p(d)^2 entries, and
-# printing a weak one at d = 10, hbar^20 (2.4 MB of JSON) takes about a second
+# largest d of the hurwitz subcommand: the table has p(d)^2 entries; a whole
+# hurwitz --d 10 --kind weak call takes 0.16-0.26 s and writes 514 KB of
+# JSON at the default hbar^9, and 0.22-0.35 s and 1.4 MB at hbar^20 (fresh
+# processes on 2 vCPUs whose speed varies, Python 3.11)
 HURWITZ_D_BOUND = 10
 # largest d of the moebius subcommand, which enumerates PS(d)
 MOEBIUS_D_BOUND = 6
@@ -50,8 +53,35 @@ class CliError(Exception):
         self.code = code
 
 
-def _write_output(obj, path: str | None, csv: str | None = None):
-    text = csv if csv is not None else json.dumps(obj, indent=1)
+# json's C encoder with json.dumps's defaults, made once: json.dumps makes
+# one per call, which costs as much as encoding a table entry, and with an
+# indent it takes the pure-Python encoder instead
+_DEFAULTS = json.JSONEncoder()
+_c_encoder = c_make_encoder(None, _DEFAULTS.default, encode_basestring_ascii, None,
+                            _DEFAULTS.key_separator, _DEFAULTS.item_separator,
+                            _DEFAULTS.sort_keys, _DEFAULTS.skipkeys, _DEFAULTS.allow_nan)
+
+
+def _encode(obj) -> str:
+    return "".join(_c_encoder(obj, 0))
+
+
+def _dumps(obj: dict) -> str:
+    """obj as JSON, each top-level key on its own line and each item of a
+    top-level list on its own line, every piece through json's C encoder;
+    json.loads reads back what json.dumps(obj) would give."""
+    lines = []
+    for key, value in obj.items():
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(map(_encode, value)) + "\n]"
+        else:
+            text = _encode(value)
+        lines.append(_encode(key) + ": " + text)
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
+def _write_output(obj: dict, path: str | None, csv: str | None = None):
+    text = csv if csv is not None else _dumps(obj)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -378,58 +408,75 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+COMMANDS = ("hurwitz", "moebius", "transform", "verify", "gue")
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and kept for the process:
-    building it takes over a millisecond, parsing a fraction of one."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, built on the first call per command and kept for the
+    process: building it takes over a millisecond, parsing a fraction of
+    one.  Given a subcommand name it holds only that subcommand, which is
+    all a call of that subcommand parses, and its usage, help and errors
+    read as under the full parser; given None it holds all five."""
     p = argparse.ArgumentParser(
         prog="freehop",
         description="exact partitioned-permutation convolutions, monotone "
         "Hurwitz numbers, and higher-order moment/cumulant transforms",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    # a one-command parser's usage still names all five
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    names = COMMANDS if command is None else (command,)
 
-    ph = sub.add_parser("hurwitz", help="emit a monotone Hurwitz table")
-    ph.add_argument("--d", type=int, required=True)
-    ph.add_argument("--kind", choices=hurwitz.KINDS, required=True)
-    ph.add_argument("--hbar", type=int, default=None)
-    ph.add_argument("--out", default=None)
+    if "hurwitz" in names:
+        ph = sub.add_parser("hurwitz", help="emit a monotone Hurwitz table")
+        ph.add_argument("--d", type=int, required=True)
+        ph.add_argument("--kind", choices=hurwitz.KINDS, required=True)
+        ph.add_argument("--hbar", type=int, default=None)
+        ph.add_argument("--out", default=None)
 
-    pm = sub.add_parser("moebius", help="emit the Moebius function on PS(d)")
-    pm.add_argument("--d", type=int, required=True)
-    pm.add_argument("--hbar", type=int, default=None)
-    pm.add_argument("--out", default=None)
+    if "moebius" in names:
+        pm = sub.add_parser("moebius", help="emit the Moebius function on PS(d)")
+        pm.add_argument("--d", type=int, required=True)
+        pm.add_argument("--hbar", type=int, default=None)
+        pm.add_argument("--out", default=None)
 
-    pt = sub.add_parser("transform", help="run a moment/cumulant transform")
-    pt.add_argument("direction", choices=["m2c", "c2m"])
-    pt.add_argument("--route", choices=["hurwitz", "convolution", "schur", "formula"],
-                    required=True)
-    pt.add_argument("--in", dest="infile", required=True)
-    pt.add_argument("--out", default=None)
-    pt.add_argument("--deg", type=int, default=None)
-    pt.add_argument("--hbar", type=int, default=None)
-    pt.add_argument("--genus", type=int, default=0, help="doubled genus cutoff")
-    pt.add_argument("--csv", action="store_true")
+    if "transform" in names:
+        pt = sub.add_parser("transform", help="run a moment/cumulant transform")
+        pt.add_argument("direction", choices=["m2c", "c2m"])
+        pt.add_argument("--route", choices=["hurwitz", "convolution", "schur", "formula"],
+                        required=True)
+        pt.add_argument("--in", dest="infile", required=True)
+        pt.add_argument("--out", default=None)
+        pt.add_argument("--deg", type=int, default=None)
+        pt.add_argument("--hbar", type=int, default=None)
+        pt.add_argument("--genus", type=int, default=0, help="doubled genus cutoff")
+        pt.add_argument("--csv", action="store_true")
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=SUITES, required=True)
-    pv.add_argument("--d", type=int, default=None)
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--deg", type=int, default=None)
-    pv.add_argument("--hbar", type=int, default=None)
-    pv.add_argument("--out", default=None)
+    if "verify" in names:
+        pv = sub.add_parser("verify", help="run a verification suite")
+        pv.add_argument("--suite", choices=SUITES, required=True)
+        pv.add_argument("--d", type=int, default=None)
+        pv.add_argument("--n", type=int, default=None)
+        pv.add_argument("--deg", type=int, default=None)
+        pv.add_argument("--hbar", type=int, default=None)
+        pv.add_argument("--out", default=None)
 
-    pg = sub.add_parser("gue", help="emit the Gaussian gluing fixture")
-    pg.add_argument("--genus", type=int, required=True, help="doubled genus cutoff")
-    pg.add_argument("--deg", type=int, required=True)
-    pg.add_argument("--out", default=None)
-    pg.add_argument("--csv", action="store_true")
+    if "gue" in names:
+        pg = sub.add_parser("gue", help="emit the Gaussian gluing fixture")
+        pg.add_argument("--genus", type=int, required=True, help="doubled genus cutoff")
+        pg.add_argument("--deg", type=int, required=True)
+        pg.add_argument("--out", default=None)
+        pg.add_argument("--csv", action="store_true")
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # -h, a typo or no argument at all gets the full parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     # looked up per call, so the kept parser holds no command function
     fn = {"hurwitz": cmd_hurwitz, "moebius": cmd_moebius, "transform": cmd_transform,
           "verify": cmd_verify, "gue": cmd_gue}[args.command]

@@ -14,7 +14,8 @@ parallel edges to the same white vertex can be swapped:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -22,11 +23,11 @@ from math import factorial
 Hyperedge = tuple[int, ...]  # sorted, possibly with repeats
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: tuple[Hyperedge, ...]  # sorted multiset
-    special: int = -1  # index into edges of the special vertex, or -1
+class Graph(namedtuple("Graph", "n edges special", defaults=(-1,))):
+    """n white vertices; edges, the sorted multiset of hyperedges; special,
+    the index into edges of the special vertex, or -1."""
+
+    __slots__ = ()
 
     def aut_order(self) -> int:
         counts: dict[Hyperedge, int] = {}
@@ -82,7 +83,8 @@ def _hyperedge_pool(n: int, max_size: int) -> list[Hyperedge]:
     return pool
 
 
-def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
+@lru_cache(maxsize=None)
+def enumerate_graphs(n: int, excess_bound: int) -> tuple[Graph, ...]:
     """All connected bicoloured graphs with sum_I (#I - 1) <= n-1+excess,
     hyperedges of size >= 2, each isomorphism class once.
 
@@ -99,6 +101,8 @@ def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
     the cost spent beyond the joins made, exceeding excess_bound.  Only
     subtrees with no output are skipped, so the list and its order are
     those of the plain search that tests connectivity at every node.
+    The result is kept for the process, as a tuple so no caller can change
+    it.
 
     >>> [g.edges for g in enumerate_graphs(1, 1)]
     [(), ((0, 0),)]
@@ -129,7 +133,7 @@ def enumerate_graphs(n: int, excess_bound: int) -> list[Graph]:
             chosen.pop()
 
     rec(0, [], 0, list(range(n)), n)
-    return out
+    return tuple(out)
 
 
 def enumerate_special_trees(n: int) -> list[Graph]:

@@ -178,13 +178,6 @@ def unit_pp(d: int) -> PartPerm:
     return (finest(d), symcore.identity(d))
 
 
-def product_extended(x: PartPerm, y: PartPerm) -> PartPerm:
-    """(A, a) (.) (B, b) = (A v B, a o b); always defined."""
-    if len(x[1]) != len(y[1]):
-        raise ValueError("size mismatch")
-    return (join(x[0], y[0]), symcore.compose(x[1], y[1]))
-
-
 def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
     """All of PS(d): pairs (A, a) with 0_a <= A."""
     if d > bound:
@@ -259,11 +252,17 @@ def moebius_hbar(d: int, K: int) -> dict[PartPerm, list]:
     n = [(y, row) for y, row in zeta_hbar(d, K).items() if y != unit and any(row)]
     out = {unit: [1] + [0] * K}
     power = dict(out)
+    joins: dict[tuple[SetPartition, SetPartition], SetPartition] = {}  # at most Bell(d)^2
     for _ in range(K):
         nxt: dict[PartPerm, list] = {}
         for x, p in power.items():
             for y, q in n:
-                _mul_add(nxt.setdefault(product_extended(x, y), [0] * (K + 1)), -1, p, q, K)
+                pair = (x[0], y[0])
+                part = joins.get(pair)
+                if part is None:
+                    part = joins[pair] = join(*pair)
+                xy = (part, symcore.compose(x[1], y[1]))
+                _mul_add(nxt.setdefault(xy, [0] * (K + 1)), -1, p, q, K)
         power = {x: row for x, row in nxt.items() if any(row)}
         for x, row in power.items():
             out[x] = list(map(add, out.get(x, [0] * (K + 1)), row))

@@ -9,6 +9,7 @@ Rationals serialize as exact "p/q" strings.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from .symcore import sort_to_partition
@@ -18,15 +19,6 @@ CoefficientTable = dict[tuple[int, tuple[int, ...]], Fraction]
 
 def table_get(T: CoefficientTable, g2: int, ks) -> Fraction:
     return T.get((g2, sort_to_partition(ks)), Fraction(0))
-
-
-def table_set(T: CoefficientTable, g2: int, ks, value) -> None:
-    v = Fraction(value)
-    key = (g2, sort_to_partition(ks))
-    if v:
-        T[key] = v
-    else:
-        T.pop(key, None)
 
 
 def checked_items(T: CoefficientTable):
@@ -40,11 +32,16 @@ def checked_items(T: CoefficientTable):
 
 
 def normalize(T: CoefficientTable) -> CoefficientTable:
+    """T with its zero entries dropped and every value a Fraction; a value
+    that is one already is kept as it is."""
     out: CoefficientTable = {}
-    for (g2, ks), v in checked_items(T):
-        if g2 < 0:
+    for key, v in checked_items(T):
+        if key[0] < 0:
             raise ValueError("negative genus")
-        table_set(out, g2, ks, v)
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v:
+            out[key] = v
     return out
 
 
@@ -138,26 +135,45 @@ def from_json(obj) -> CoefficientTable:
         g2, ks = e["g2"], e["k"]
         if not _is_int(g2) or g2 < 0:
             raise ValueError("g2 = %r is not a nonnegative integer" % (g2,))
-        if not isinstance(ks, list) or not ks or not all(_is_int(k) and k > 0 for k in ks):
+        if not _positive_ints(ks):
             raise ValueError("k = %r is not a nonempty list of positive integers" % (ks,))
         key = (g2, sort_to_partition(ks))
         if key in seen:
             raise ValueError("two entries for g2 = %d, k = %r" % (g2, list(key[1])))
         seen.add(key)
-        table_set(out, g2, ks, _exact_value(e["value"]))
+        v = _exact_value(e["value"])
+        if v:
+            out[key] = v
     return out
+
+
+# the strings written by to_json, read without Fraction's general parser
+_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
 def _exact_value(v) -> Fraction:
     """An entry's value: an integer or a string such as "p/q"; a JSON
-    float or boolean is not an exact rational and is rejected.
+    float or boolean is not an exact rational and is rejected.  Strings
+    of the form -?[0-9]+(/[0-9]+)? are read with int(), every other one
+    by Fraction(str), with the same values and the same errors.
 
+    >>> _exact_value("-6/4")
+    Fraction(-3, 2)
     >>> _exact_value(0.1)
     Traceback (most recent call last):
     ...
     ValueError: value = 0.1 is not an integer or a "p/q" string
     """
-    if not (_is_int(v) or isinstance(v, str)):
+    if isinstance(v, str):
+        m = _INTEGER_RATIO(v)
+        if m is not None:
+            num, den = m.groups()
+            if den is None:
+                return Fraction(int(num))
+            den = int(den)
+            if den:
+                return Fraction(int(num), den)
+    elif not _is_int(v):
         raise ValueError('value = %r is not an integer or a "p/q" string' % (v,))
     try:
         return Fraction(v)
@@ -167,6 +183,17 @@ def _exact_value(v) -> Fraction:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive_ints(ks) -> bool:
+    """ks is a nonempty list of positive integers, booleans excluded."""
+    if not isinstance(ks, list) or not ks:
+        return False
+    for k in ks:
+        # type(k) is int first: JSON's integers, without a call
+        if not (type(k) is int or _is_int(k)) or k <= 0:
+            return False
+    return True
 
 
 def to_csv(T: CoefficientTable) -> str:

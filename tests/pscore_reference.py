@@ -1,5 +1,6 @@
 """The object-valued functions on PS(d) that only the tests use, with
-their values Fractions or hbar_reference.HbarSeries: the plain zeta and
+their values Fractions or hbar_reference.HbarSeries: the strict and
+extended products of partitioned permutations, the plain zeta and
 delta functions, the strict and extended convolutions of total tables,
 multiplicative functions built from a block rule, the hbar zeta and
 Moebius functions as HbarSeries (the reference pscore's integer rows are
@@ -15,9 +16,15 @@ from fractions import Fraction
 from itertools import permutations as _all_perms
 
 from freehop import symcore
-from freehop.pscore import (PartPerm, blocks_of, enumerate_ps, orbit_partition, pp_colength,
-                            product_extended, unit_pp)
+from freehop.pscore import PartPerm, blocks_of, enumerate_ps, join, orbit_partition, pp_colength, unit_pp
 from hbar_reference import HbarSeries
+
+
+def product_extended(x: PartPerm, y: PartPerm) -> PartPerm:
+    """(A, a) (.) (B, b) = (A v B, a o b); always defined."""
+    if len(x[1]) != len(y[1]):
+        raise ValueError("size mismatch")
+    return (join(x[0], y[0]), symcore.compose(x[1], y[1]))
 
 
 def product_strict(x: PartPerm, y: PartPerm) -> PartPerm | None:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -470,3 +472,126 @@ def test_main_in_sequence_equals_each_call_alone(tmp_path, capsys):
                                capture_output=True, text=True)
         assert got == (alone.returncode, alone.stdout, alone.stderr), argv
     assert [code for code, _, _ in together] == [0, 0, 2, 0, 3, 2, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the output writer: every output goes through cli._write_output
+
+
+def _written(tmp_path, monkeypatch, argv):
+    """The object one call passes to _write_output, and the file's text."""
+    seen, write = [], cli._write_output
+
+    def spy(obj, path, csv=None):
+        seen.append(obj)
+        write(obj, path, csv)
+
+    monkeypatch.setattr(cli, "_write_output", spy)
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert len(seen) == 1
+    return seen[0], out.read_text()
+
+
+def _writer_calls(src):
+    calls = [["transform", d, "--route", r, "--in", src, "--deg", "4", "--genus", "1"]
+             for d in ("c2m", "m2c") for r in ("hurwitz", "convolution", "schur", "formula")]
+    calls += [["gue", "--genus", "2", "--deg", "6"], ["gue", "--genus", "0", "--deg", "0"]]
+    calls += [["hurwitz", "--d", "3", "--kind", k] for k in ("strict", "weak")]
+    calls += [["moebius", "--d", "3"], ["moebius", "--d", "3", "--hbar", "3"], ["moebius", "--d", "0"]]
+    small = {"orthogonality": ["--d", "3"], "equivalence": ["--d", "2"],
+             "genus0-trees": ["--n", "2", "--deg", "3"], "all-genus": ["--deg", "3"],
+             "infinitesimal": ["--deg", "3"], "dual-roundtrip": ["--deg", "4"]}
+    calls += [["verify", "--suite", s] + small.get(s, []) for s in cli.SUITES]
+    return calls
+
+
+def test_every_output_reads_back_as_written(tmp_path, monkeypatch):
+    """json.loads of each output file equals the object written; each
+    top-level key starts a line, and each item of a top-level list is one
+    line of its own."""
+    src = str(tmp_path / "in.json")
+    table_files.save(src, tables.random_table(seed=9, nmax=4, degmax=4, g2max=1))
+    for argv in _writer_calls(src):
+        obj, text = _written(tmp_path, monkeypatch, argv)
+        assert json.loads(text) == obj, argv
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}", argv
+        bare = [line.rstrip(",") for line in lines]
+        for key, value in obj.items():
+            if isinstance(value, list) and value:
+                at = lines.index(json.dumps(key) + ": [")
+                items = bare[at + 1:at + 1 + len(value)]
+                assert [json.loads(line) for line in items] == value, argv
+                assert bare[at + 1 + len(value)] == "]", argv
+            else:
+                assert json.dumps(key) + ": " + json.dumps(value) in bare, argv
+
+
+def test_writer_layout():
+    obj = {"entries": [{"k": [2, 1], "value": "1/2"}, {"k": [1], "value": "-3"}], "empty": [],
+           "route": "hurwitz", "deg": 4, "pass": True}
+    assert cli._dumps(obj) == "\n".join([
+        "{",
+        '"entries": [',
+        '{"k": [2, 1], "value": "1/2"},',
+        '{"k": [1], "value": "-3"}',
+        "],",
+        '"empty": [],',
+        '"route": "hurwitz",',
+        '"deg": 4,',
+        '"pass": true',
+        "}",
+    ])
+
+
+# ---------------------------------------------------------------------------
+# the parser: a call of one subcommand builds only that subcommand's parser
+
+_PARSE_SAMPLES = {
+    "hurwitz": [["--d", "3", "--kind", "weak"], ["--d", "3", "--kind", "weak", "--hbar", "2", "--out", "x"],
+                ["--d", "x", "--kind", "weak"], ["--d", "3"], ["--d", "3", "--kind", "nope"]],
+    "moebius": [["--d", "3"], ["--d", "3", "--hbar", "1"], [], ["--d"]],
+    "transform": [["c2m", "--route", "schur", "--in", "f"],
+                  ["m2c", "--route", "formula", "--in", "f", "--deg", "4", "--genus", "2", "--csv"],
+                  ["c2m", "--in", "f"], ["x2y", "--route", "schur", "--in", "f"], ["c2m", "--route", "schur"]],
+    "verify": [["--suite", "gue"], ["--suite", "all-genus", "--deg", "3"], ["--suite", "nope"], []],
+    "gue": [["--genus", "2", "--deg", "4", "--csv"], ["--genus", "2"], ["--genus", "a", "--deg", "4"]],
+}
+_PARSE_COMMON = [["-h"], ["--bogus"], ["--out"], ["extra"]]
+
+
+def _parse(parser, argv):
+    """The namespace or exit code of one parse, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_command_parser_reads_as_the_full_one(command):
+    assert set(_PARSE_SAMPLES) == set(cli.COMMANDS)
+    one, full = cli.build_parser(command), cli.build_parser()
+    assert one is cli.build_parser(command) and one is not full
+    assert one.format_usage() == full.format_usage()
+    codes = set()
+    for tail in _PARSE_SAMPLES[command] + _PARSE_COMMON:
+        got = _parse(one, [command] + tail)
+        assert got == _parse(full, [command] + tail), tail
+        codes.add(got[0] if isinstance(got[0], int) else "parsed")
+    assert codes == {0, 2, "parsed"}
+
+
+def test_main_builds_the_full_parser_without_a_command(capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    for argv in (["-h"], ["--help"], ["trasform", "c2m"], []):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert cli.main(["moebius", "--d", "1"]) == 0
+    assert built == [None] * 4 + ["moebius"]
+    assert "invalid choice: 'trasform'" in capsys.readouterr().err

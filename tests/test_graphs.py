@@ -109,7 +109,7 @@ def _plain_enumeration(n, excess_bound):
                 chosen.pop()
 
     rec(0, [], 0)
-    return out
+    return tuple(out)
 
 
 @pytest.mark.parametrize("n,e", [(n, e) for n in (1, 2, 3, 4) for e in (0, 1, 2)] + [(5, 0)])
@@ -121,3 +121,20 @@ def test_pruned_enumeration_equals_connectivity_filter(n, e):
 def test_tree_counts_are_labelled_hypertrees():
     # OEIS A030019
     assert [len(enumerate_graphs(n, 0)) for n in (1, 2, 3, 4, 5, 6)] == [1, 1, 4, 29, 311, 4447]
+
+
+def test_memoised_enumeration_equals_a_fresh_one():
+    for n in (1, 2, 3, 4, 5):
+        for e in (0, 1, 2):
+            kept = enumerate_graphs(n, e)
+            assert type(kept) is tuple and enumerate_graphs(n, e) is kept
+            assert kept == enumerate_graphs.__wrapped__(n, e)
+    enumerate_graphs.cache_clear()  # (5, 2) keeps 74463 graphs
+
+
+def test_graph_is_a_slotted_tuple():
+    g = Graph(2, ((0, 1),))
+    assert g == Graph(2, ((0, 1),), -1) and g.special == -1
+    assert hash(g) == hash(Graph(2, ((0, 1),), special=-1))
+    assert repr(g) == "Graph(n=2, edges=((0, 1),), special=-1)"
+    assert not hasattr(g, "__dict__")

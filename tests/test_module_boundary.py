@@ -1,6 +1,7 @@
 """The library's module boundary: the multivariate Series and the
 HbarSeries object live in the tests, and what the benchmark worker imports
-loads every module the benchmark's tracer wraps."""
+loads every module the benchmark's tracer wraps and none of the modules
+that dataclasses pulls in."""
 
 import ast
 import importlib.util
@@ -22,11 +23,20 @@ def test_library_has_no_multivariate_series():
                 assert not any(n in ("Series", "HbarSeries") or "_reference" in n for n in names), path
 
 
+def _loaded_by_worker_imports() -> set[str]:
+    code = "import sys, freehop.cli, freehop.oracles, freehop.transforms; print(*sys.modules)"
+    return set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout.split())
+
+
 def test_worker_imports_load_every_traced_module():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    code = "import sys, freehop.cli, freehop.oracles, freehop.transforms; print(*sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout.split()
-    assert len(tracing.MODULES) == 11 and {"freehop." + m for m in tracing.MODULES} <= set(loaded)
+    loaded = _loaded_by_worker_imports()
+    assert len(tracing.MODULES) == 11 and {"freehop." + m for m in tracing.MODULES} <= loaded
+
+
+def test_worker_imports_load_no_dataclasses():
+    # each costs a fresh process import time, and no freehop code uses them
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & _loaded_by_worker_imports()

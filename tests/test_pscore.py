@@ -18,12 +18,11 @@ from freehop.pscore import (
     moebius,
     orbit_partition,
     pp_colength,
-    product_extended,
     unit_pp,
 )
 from hbar_reference import HbarSeries, from_numerators
-from pscore_reference import (convolve, delta_function, multiplicative_function, product_strict, zeta_function,
-                              zeta_hbar)
+from pscore_reference import (convolve, delta_function, multiplicative_function, product_extended, product_strict,
+                              zeta_function, zeta_hbar)
 
 
 def test_join_basics():
