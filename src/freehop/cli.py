@@ -28,7 +28,9 @@ EXIT_TRUNCATION = 3
 # JSON at the default hbar^9, and 0.22-0.35 s and 1.4 MB at hbar^20 (fresh
 # processes on 2 vCPUs whose speed varies, Python 3.11)
 HURWITZ_D_BOUND = 10
-# largest d of the moebius subcommand, which enumerates PS(d)
+# largest d of the moebius subcommand, which enumerates PS(d): at d = 6
+# (4051 elements) pscore.moebius takes 78-81 s and moebius_hbar(6, 10)
+# 127-145 s in process (2 vCPUs, Python 3.11)
 MOEBIUS_D_BOUND = 6
 # largest --deg per (route, direction) of transform: the convolution routes
 # walk one permutation per centralizer orbit of S_d for their factorization
@@ -96,19 +98,17 @@ def _check_hbar(hbar: int | None):
         raise CliError("--hbar must be nonnegative")
 
 
-def _working_K(hbar: int | None, deg: int, g2: int) -> int:
-    """--hbar, or the default truncation; exit 3 when --hbar is too low to
-    hold every entry with |lam| <= deg and g2 <= genus."""
-    if hbar is None:
-        return transforms.default_K(deg, g2)
+def _check_truncation(hbar: int | None, deg: int, g2: int):
+    """Exit 3 when --hbar is too low to hold every entry with |lam| <= deg
+    and g2 <= genus.  The routes stop at that order, so a higher --hbar
+    changes nothing."""
     need = transforms.required_K(deg, g2)
-    if hbar < need:
+    if hbar is not None and hbar < need:
         raise CliError(
             "--hbar %d drops entries: degree %d and genus2 %d need hbar^%d"
             % (hbar, deg, g2, need),
             EXIT_TRUNCATION,
         )
-    return hbar
 
 
 def cmd_hurwitz(args) -> int:
@@ -189,17 +189,16 @@ def cmd_transform(args) -> int:
         if deg > FORMULA_D_BOUND[g2]:
             raise CliError("--route formula at --genus %d runs to degree %d, not %d"
                            % (g2, FORMULA_D_BOUND[g2], deg))
-        K = None
     else:
-        K = _working_K(args.hbar, deg, g2)
+        _check_truncation(args.hbar, deg, g2)
     forward = args.direction == "c2m"
     try:
         if args.route in ("hurwitz", "schur"):
             fn = transforms.master_forward if forward else transforms.master_inverse
-            out = fn(table, deg, g2, K)
+            out = fn(table, deg, g2)
         elif args.route == "convolution":
             fn = transforms.convolution_forward if forward else transforms.moebius_inverse_route
-            out = fn(table, deg, g2, K)
+            out = fn(table, deg, g2)
         elif args.route == "formula":
             sign = 1 if forward else -1
             out = {}
@@ -251,14 +250,15 @@ def _case(name, expected, got) -> dict:
 EQUIVALENCE_G2 = 3
 
 
-def suite_equivalence(d: int, K: int, count: int = 5, g2: int = EQUIVALENCE_G2) -> dict:
+def suite_equivalence(d: int) -> dict:
     cases = []
-    for seed in range(count):
+    g2 = EQUIVALENCE_G2
+    for seed in range(5):
         t = tables.random_table(seed=100 + seed, nmax=d, degmax=d, g2max=g2)
-        m_h = transforms.master_forward(t, d, g2, K)
-        m_c = transforms.convolution_forward(t, d, g2, K)
-        back_w = transforms.master_inverse(m_h, d, g2, K)
-        back_m = transforms.moebius_inverse_route(m_h, d, g2, K)
+        m_h = transforms.master_forward(t, d, g2)
+        m_c = transforms.convolution_forward(t, d, g2)
+        back_w = transforms.master_inverse(m_h, d, g2)
+        back_m = transforms.moebius_inverse_route(m_h, d, g2)
         want = tables.restrict_table(t, deg=d, g2=g2)
         cases.append(_case("seed %d: (i)==(ii)" % seed, True, tables.table_equal(m_h, m_c, deg=d, g2=g2)))
         cases.append(_case("seed %d: (iii) inverts" % seed, True, tables.table_equal(back_w, want, deg=d, g2=g2)))
@@ -266,9 +266,9 @@ def suite_equivalence(d: int, K: int, count: int = 5, g2: int = EQUIVALENCE_G2) 
     return _report("equivalence", cases)
 
 
-def suite_genus0_trees(n: int, deg: int, count: int = 3) -> dict:
+def suite_genus0_trees(n: int, deg: int) -> dict:
     cases = []
-    for seed in range(count):
+    for seed in range(3):
         t = tables.random_table(seed=200 + seed, nmax=n, degmax=deg)
         got = transforms.genus0_moments(t, n, deg)
         for ks in _monomials(n, deg):
@@ -341,9 +341,9 @@ def suite_gue() -> dict:
     return _report("gue", cases)
 
 
-def suite_dual_roundtrip(deg: int = 6, count: int = 3) -> dict:
+def suite_dual_roundtrip(deg: int = 6) -> dict:
     cases = []
-    for seed in range(count):
+    for seed in range(3):
         t = tables.random_table(seed=500 + seed, nmax=3, degmax=deg)
         mom = {}
         back = {}
@@ -386,7 +386,8 @@ def cmd_verify(args) -> int:
         bound = TRANSFORM_D_BOUND[("convolution", "c2m")]
         if d > bound:
             raise CliError("--suite equivalence runs the convolution routes, to d = %d, not %d" % (bound, d))
-        report = suite_equivalence(d, _working_K(args.hbar, d, EQUIVALENCE_G2))
+        _check_truncation(args.hbar, d, EQUIVALENCE_G2)
+        report = suite_equivalence(d)
     elif args.suite == "genus0-trees":
         report = suite_genus0_trees(_given("n", args.n, 3, least=1), _given("deg", args.deg, 6))
     elif args.suite == "all-genus":

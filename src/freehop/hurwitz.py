@@ -174,7 +174,7 @@ def hurwitz_table(d: int, kind: str, K: int) -> dict[tuple[Partition, Partition]
     # by r, then rho
     mult = list(zip(*_content_multipliers(d, kind, rmax)))
     pad = [0] * (K - rmax)
-    z = [int(symcore.z_factor(lam)) for lam in parts]
+    z = [symcore.z_factor(lam) for lam in parts]
     out = {}
     for i, lam in enumerate(parts):
         for j in range(i, len(parts)):
@@ -287,7 +287,7 @@ def verify_orthogonality(d: int, K: int) -> dict:
     parts = symcore.partitions(d)
     strict = hurwitz_table(d, "strict", K)
     weak = hurwitz_table(d, "weak", K)
-    z = [int(symcore.z_factor(lam)) for lam in parts]
+    z = [symcore.z_factor(lam) for lam in parts]
     L = lcm(*z)  # first[(lam, rho)] is over z_lam z_rho, second[(rho, nu)] over z_rho z_nu
     cases = []
     ok = True

@@ -12,10 +12,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_perms
 from math import factorial
+from operator import add, sub
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -66,29 +66,29 @@ def multiplicities(lam: Partition) -> dict[int, int]:
     return m
 
 
-def z_factor(lam: Partition) -> Fraction:
+def z_factor(lam: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type ``lam``.
 
     Equals ``d!/#C_lam`` and ``prod(lam_i) * prod_j m_j(lam)!``.
 
     >>> z_factor((1, 1))
-    Fraction(2, 1)
+    2
     >>> z_factor((2, 1))
-    Fraction(2, 1)
+    2
     >>> z_factor((3, 3, 1))
-    Fraction(18, 1)
+    18
     """
     z = 1
     for p in lam:
         z *= p
     for mult in multiplicities(lam).values():
         z *= factorial(mult)
-    return Fraction(z)
+    return z
 
 
 def class_size(lam: Partition) -> int:
     d = sum(lam)
-    return factorial(d) // int(z_factor(lam))
+    return factorial(d) // z_factor(lam)
 
 
 def sort_to_partition(ks) -> Partition:
@@ -192,59 +192,51 @@ def all_permutations(d: int) -> Iterator[Perm]:
 # characters (Murnaghan-Nakayama) and contents
 
 
-def _strip_removals(lam: Partition, length: int):
-    """Yield (height, rest) for each removal of a border strip of given
-    length from lam, where rest is the remaining partition."""
-    ell = len(lam)
-    # border strip removals correspond to beta-set moves
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    bset = set(beta)
-    for i in range(ell):
-        b = beta[i] - length
-        if b < 0 or b in bset:
-            continue
-        nb = sorted(bset - {beta[i]} | {b}, reverse=True)
-        rest = tuple(nb[j] - (ell - 1 - j) for j in range(ell))
-        rest = tuple(p for p in rest if p > 0)
-        if not is_partition(rest):  # pragma: no cover - beta moves keep order
-            continue
-        # height = number of rows the strip spans minus 1
-        height = sum(1 for x in bset if b < x < beta[i])
-        yield height, rest
-
-
-@lru_cache(maxsize=None)
-def character(lam: Partition, mu: Partition) -> int:
-    """Irreducible symmetric-group character chi^lam(mu), by the
-    Murnaghan-Nakayama recursion.
-
-    >>> character((3,), (1, 1, 1))
-    1
-    >>> character((1, 1), (2,))
-    -1
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError("size mismatch")
-    if not lam:
-        return 1
-    k = mu[0]
-    rest_mu = mu[1:]
-    total = 0
-    for height, rest_lam in _strip_removals(lam, k):
-        total += (-1) ** height * character(rest_lam, rest_mu)
-    return total
-
-
 @lru_cache(maxsize=None)
 def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     """The p(d) x p(d) character table: row i, column j holds
     chi^rho(mu) for rho = partitions(d)[i] and mu = partitions(d)[j].
 
+    Built from the tables of lower degree by the Murnaghan-Nakayama rule
+
+        chi^rho(mu) = sum over the border strips xi of rho of length mu_1
+                      of (-1)^ht(xi) chi^(rho - xi)(mu_2, mu_3, ...),
+
+    column block by column block (James-Kerber 2.7).  The columns with
+    mu_1 = k are consecutive, and their (mu_2, ...) are the partitions of
+    d - k with parts <= k, the last columns of character_table(d - k); so
+    each strip adds a tail of one row of that table.  A strip of length k
+    moves a bead of the beta-set b_i = rho_i + len(rho) - 1 - i down by k
+    onto a free place, past ht(xi) beads.
+
     >>> character_table(3)
     ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
     """
-    parts = partitions(d)
-    return tuple(tuple(character(rho, mu) for mu in parts) for rho in parts)
+    if not d:
+        return ((1,),)
+    parts = _partitions(d)
+    rows: list[list[int]] = [[] for _ in parts]
+    for k in range(d, 0, -1):
+        lower = character_table(d - k)
+        index = {lam: i for i, lam in enumerate(_partitions(d - k))}
+        start = sum(1 for lam in index if lam and lam[0] > k)
+        for row, rho in zip(rows, parts):
+            ell = len(rho)
+            beta = [p + ell - 1 - i for i, p in enumerate(rho)]
+            seg = [0] * (len(index) - start)
+            for i in range(ell):
+                b = beta[i] - k
+                j = i + 1
+                while j < ell and beta[j] > b:
+                    j += 1
+                if b < 0 or j < ell and beta[j] == b:
+                    continue
+                # the beads i+1..j-1 move up one place, and b takes place j-1
+                rest = rho[:i] + tuple(p - 1 for p in rho[i + 1:j]) + (b + j - ell,) + rho[j:]
+                tail = lower[index[tuple(p for p in rest if p)]][start:]
+                seg = list(map(add if (j - i) % 2 else sub, seg, tail))
+            row += seg
+    return tuple(map(tuple, rows))
 
 
 def contents(lam: Partition) -> list[int]:

@@ -64,8 +64,7 @@ def table_equal(A: CoefficientTable, B: CoefficientTable, n=None, deg=None, g2=N
     return a == b
 
 
-def random_table(seed: int, nmax: int, degmax: int, g2max: int = 0,
-                 denominators=(1, 2, 3)) -> CoefficientTable:
+def random_table(seed: int, nmax: int, degmax: int, g2max: int = 0) -> CoefficientTable:
     """Deterministic pseudo-random table with all admissible entries filled;
     coefficients are small rationals."""
     rng = random.Random(seed)
@@ -73,7 +72,7 @@ def random_table(seed: int, nmax: int, degmax: int, g2max: int = 0,
     for g2 in range(g2max + 1):
         for ks in _index_tuples(nmax, degmax):
             num = rng.randint(-3, 3)
-            den = rng.choice(denominators)
+            den = rng.choice((1, 2, 3))
             if num:
                 out[(g2, ks)] = Fraction(num, den)
     return out

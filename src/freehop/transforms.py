@@ -43,7 +43,8 @@ lengths form T.  Its inverse peels the T = rho term off the same sum.
 
 Representation.  Every master route keeps its hbar-series as the integer
 rows of freehop.hbar, the numerators of hbar^0..hbar^K, over a denominator
-fixed by the partition, and the rows stop at K = min(K, required_K).  The
+fixed by the partition, and the rows stop at K = required_K, the highest
+order an entry is read off at; a term never feeds a lower order.  The
 block values B(mu) of the input table sit over Q^ell(mu), Q the lcm of the
 table's denominators (_block_rows), and so does Z(nu) over Q^ell(nu); the
 Z(nu) / z(nu) of one degree d, and the chi-transform of them, over
@@ -207,24 +208,11 @@ def required_K(dmax: int, g2max: int) -> int:
     return 2 * dmax - 2 + g2max
 
 
-def default_K(dmax: int, g2max: int) -> int:
-    return required_K(dmax, g2max) + 1
-
-
-def _row_K(dmax: int, g2max: int, K: int | None) -> int:
-    """The hbar order the integer rows of a master route stop at: no entry
-    read sits above required_K, and a term never feeds a lower hbar order,
-    so the rows stop there, or at K when it is lower."""
-    need = required_K(dmax, g2max)
-    return need if K is None else min(K, need)
-
-
 # ---------------------------------------------------------------------------
 # routes: hurwitz and schur, one content-multiplier kernel
 
 
-def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | None,
-                       inverse: bool) -> CoefficientTable:
+def _content_transform(table: CoefficientTable, dmax: int, g2max: int, inverse: bool) -> CoefficientTable:
     """z(lam) sum_nu H(lam, nu) Z(nu), H the strictly (weakly) monotone
     Hurwitz series, as a chi-transform.  A central element acts on the
     irreducible rho |- d by a scalar, so with b_nu = Z(nu) / z(nu)
@@ -241,7 +229,7 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | 
     the table is empty, as on the convolution routes."""
     if dmax < 1:
         return {}
-    K = _row_K(dmax, g2max, K)
+    K = required_K(dmax, g2max)
     z, den = _z_rows(table, dmax, K)
     Q = den((1,))
     zout, dens = {}, [1]
@@ -262,21 +250,20 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, K: int | 
     return _peel(zout, dens, dmax, K, g2max)
 
 
-def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
+def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int) -> CoefficientTable:
     """Moments from cumulants via strictly monotone Hurwitz numbers."""
-    return _content_transform(cum_table, dmax, g2max, K, inverse=False)
+    return _content_transform(cum_table, dmax, g2max, inverse=False)
 
 
-def master_inverse(mom_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
+def master_inverse(mom_table: CoefficientTable, dmax: int, g2max: int) -> CoefficientTable:
     """Cumulants from moments via weakly monotone Hurwitz numbers."""
-    return _content_transform(mom_table, dmax, g2max, K, inverse=True)
+    return _content_transform(mom_table, dmax, g2max, inverse=True)
 
 
-def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None,
-                   inverse: bool = False) -> CoefficientTable:
+def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, inverse: bool = False) -> CoefficientTable:
     """The master relation in the Schur basis: s_lam is multiplied by
     prod_{(i,j) in lam} (1 + hbar (j - i)), or by its inverse."""
-    return _content_transform(cum_table, dmax, g2max, K, inverse)
+    return _content_transform(cum_table, dmax, g2max, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +295,7 @@ def _product_row(types: tuple, rows: dict, memo: dict, K: int):
     return memo[types]
 
 
-def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
+def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int) -> CoefficientTable:
     """Moments from cumulants by the extended convolution with zeta_hbar,
 
         phi(1_d, pi_lam) = sum over alpha beta = pi_lam, B >= 0_beta,
@@ -319,7 +306,7 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: i
     group is its hbar row times the product of its types' block values.
     The moments of degree d sit over Q^d, a product of block values over
     Q^(sum of their lengths), which is at most d."""
-    K = _row_K(dmax, g2max, K)
+    K = required_K(dmax, g2max)
     block, qpow = _block_rows(cum_table, dmax, K)
     memo = {(): [1] + [0] * K}
     out: CoefficientTable = {}
@@ -334,7 +321,7 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int, K: i
     return out
 
 
-def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K: int | None = None) -> CoefficientTable:
+def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int) -> CoefficientTable:
     """Cumulants from moments: the (*)-inverse of convolution_forward,
 
         phi_dual = mu_hbar (*) phi,
@@ -350,7 +337,7 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
         x_lam[j] = r_lam[j] - sum n x_mu[j - |alpha|],
 
     each x_mu[j - |alpha|] being of a lower order, already solved."""
-    K = _row_K(dmax, g2max, K)
+    K = required_K(dmax, g2max)
     moments, qpow = _block_rows(mom_table, dmax, K)
     cum: dict[Partition, list] = {}
     memo = {(): [1] + [0] * K}
@@ -383,12 +370,11 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int, K:
 # functional-relation routes (trees, graphs, coefficients)
 
 
-def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
-                depth: int | None = None):
+def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, depth: int | None = None):
     """The genus-fixed hyperedge series G_{g, #I}(w_I), with the
     double-pole kernel sum_k k w_a^k w_b^-k (k to the given depth, to
-    ev.kernel_depth when None) added for a shifted off-diagonal pair at
-    genus 0, as terms over ev.wvars, built from the table entries and
+    ev.kernel_depth when None) added for an off-diagonal pair at genus 0,
+    as terms over ev.wvars, built from the table entries and
     kernel terms directly and memoised on the evaluator: (groups, den, pos,
     reach), with pos the positions of the edge's variables, den the
     denominator and reach the negative reach -min(0, lowest exponent) per
@@ -411,7 +397,7 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
                         e[slot] += k
                     e = tuple(e)
                     data[e] = data.get(e, 0) + val
-        if shifted and g2 == 0 and m == 2 and shape[0] != shape[1]:
+        if g2 == 0 and m == 2 and shape[0] != shape[1]:
             for k in range(1, (ev.kernel_depth if depth is None else depth) + 1):
                 e = [0] * ev.n
                 e[shape[0]], e[shape[1]] = k, -k
@@ -429,7 +415,7 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, shifted: bool = 
         reach = [-min([0, *(e[i] for e in data)]) for i in range(ev.n)]
         return groups, den, list(range(len(pos))), reach
 
-    key = ("terms", g2, shifted, depth)
+    key = ("terms", g2, depth)
     groups, den, base_pos, reach = ev._memo(key + (shape,), build)
     if pos == base_pos:
         return groups, den, pos, reach
@@ -723,7 +709,7 @@ def _special_tree_product(ev: Evaluator, tree: graphs.Graph) -> tuple[dict[tuple
     univalent marks of one tree share their tree's."""
     rest = tree.edges[1:]
     others = ev._memo(("tree", rest), lambda: _tree_product(ev, rest))
-    return _cut_product(ev, [_edge_terms(ev, tree.edges[0], g2=1, shifted=False)], others)
+    return _cut_product(ev, [_edge_terms(ev, tree.edges[0], g2=1)], others)
 
 
 def half_genus_moments_special_trees(table: CoefficientTable, n: int, D: int) -> CoefficientTable:

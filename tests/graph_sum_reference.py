@@ -394,10 +394,9 @@ def reexpand(ev, S):
 # -- closed forms ------------------------------------------------------------------
 
 
-def edge_genus0(ev, I: tuple[int, ...], g2: int = 0, shifted: bool = True,
-                depth: int | None = None) -> Series:
+def edge_genus0(ev, I: tuple[int, ...], g2: int = 0, depth: int | None = None) -> Series:
     """transforms._edge_terms as a Series over the edge's variables."""
-    groups, den, pos, _ = _edge_terms(ev, I, g2, shifted, depth)
+    groups, den, pos, _ = _edge_terms(ev, I, g2, depth)
     wvars = tuple(ev.wvars[i] for i in pos)
     if not groups:
         return Series.zero(wvars[:1], cap=cap(ev), layout=layout(ev))

@@ -65,12 +65,12 @@ def test_criterion_03_four_route_equivalence():
                 if sum(k[1]) + len(k[1]) - 2 + k[0] <= K and sum(k[1]) <= 4
             }
 
-        m_h = transforms.master_forward(t, 4, 3, K=K)
-        m_c = transforms.convolution_forward(t, 4, 3, K=K)
-        m_s = transforms.schur_d_oracle(t, 4, 3, K=K)
+        m_h = transforms.master_forward(t, 4, 3)
+        m_c = transforms.convolution_forward(t, 4, 3)
+        m_s = transforms.schur_d_oracle(t, 4, 3)
         ok = ok and within(m_h) == within(m_c) == within(m_s)
-        back_w = transforms.master_inverse(m_h, 4, 3, K=K)
-        back_m = transforms.moebius_inverse_route(m_h, 4, 3, K=K)
+        back_w = transforms.master_inverse(m_h, 4, 3)
+        back_m = transforms.moebius_inverse_route(m_h, 4, 3)
         want = within(restrict_table(t, deg=4, g2=3))
         ok = ok and within(back_w) == want == within(back_m)
         if not ok:

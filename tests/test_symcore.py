@@ -3,9 +3,10 @@ from math import factorial
 
 import pytest
 
+import symcore_reference
 from freehop.symcore import (
     canonical_permutation,
-    character,
+    character_table,
     colength,
     compose,
     conjugacy_class,
@@ -15,6 +16,12 @@ from freehop.symcore import (
     partitions,
     z_factor,
 )
+
+
+def character(lam, mu):
+    """chi^lam(mu), read off the character table."""
+    parts = partitions(sum(lam))
+    return character_table(sum(lam))[parts.index(lam)][parts.index(mu)]
 
 
 def test_partitions_small():
@@ -177,6 +184,28 @@ def test_character_dimension_hook():
             assert character(lam, (1,) * d) == hook_dimension(lam)
 
 
+@pytest.mark.parametrize("d", range(15))
+def test_character_table_matches_per_entry_recursion(d):
+    parts = partitions(d)
+    want = tuple(tuple(symcore_reference.character(rho, mu) for mu in parts) for rho in parts)
+    assert character_table(d) == want
+
+
+def test_character_table_degree_20():
+    # at d = 20 (p(20) = 627): the column of 1^d is the hook-length
+    # dimension, the squared dimensions sum to d!, and every column has
+    # norm z(mu)
+    d = 20
+    parts = partitions(d)
+    table = character_table(d)
+    dims = [row[-1] for row in table]
+    assert parts[-1] == (1,) * d
+    assert dims == [hook_dimension(lam) for lam in parts]
+    assert sum(x * x for x in dims) == factorial(d)
+    for mu, col in zip(parts, zip(*table)):
+        assert sum(x * x for x in col) == z_factor(mu)
+
+
 def test_content_polynomial():
     (one,) = content_rows(1, 6)
     assert one == (1, 0, 0, 0, 0, 0, 0)
@@ -195,4 +224,4 @@ def test_size_mismatch_errors():
     with pytest.raises(ValueError):
         compose((0, 1), (0,))
     with pytest.raises(ValueError):
-        character((2,), (1, 1, 1))
+        symcore_reference.character((2,), (1, 1, 1))

@@ -20,7 +20,6 @@ from freehop.transforms import (
     _z_rows,
     allgenus_moments,
     convolution_forward,
-    default_K,
     genus0_moments,
     half_genus_moments_special_trees,
     master_forward,
@@ -117,7 +116,7 @@ def _z_by_set_partitions(table, nu, K):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_z_assembly_matches_set_partition_sum(seed):
     t = random_table(seed=70 + seed, nmax=6, degmax=6, g2max=2)
-    for K in (3, required_K(6, 2), default_K(6, 2)):
+    for K in (3, required_K(6, 2), required_K(6, 2) + 1):
         ztabs = {(): HbarSeries.one(K)}
         for d in range(1, 7):
             zt = z_table(t, d, K)
@@ -218,7 +217,7 @@ def _hurwitz_number_sum(table, dmax, g2max, kind):
     """The master relation in its Hurwitz-number form,
     Z'(lam) = z(lam) sum_nu H(lam, nu) Z(nu), with H the strictly (weakly)
     monotone series of hurwitz_table, read back to an F-table."""
-    K = default_K(dmax, g2max)
+    K = required_K(dmax, g2max)
     ztabs = {(): HbarSeries.one(K)}
     for d in range(1, dmax + 1):
         H = {k: hbar_reference.from_numerators(*v, K) for k, v in hurwitz_table(d, kind, K).items()}
@@ -240,11 +239,12 @@ def test_master_routes_equal_hurwitz_number_sum(seed, dmax, g2max):
     assert _hurwitz_number_sum(m, dmax, g2max, "weak") == master_inverse(m, dmax, g2max)
 
 
-def _object_content_transform(table, dmax, g2max, K, inverse):
+def _object_content_transform(table, dmax, g2max, inverse):
     """The master routes' chi-transform on HbarSeries objects, as they ran
     before the integer-row kernel: Z by its set-partition definition, the
     content multipliers as products of series, the loop over characters
     on series, and the peel over set partitions with two or more blocks."""
+    K = required_K(dmax, g2max)
     zero, one = HbarSeries.zero(K), HbarSeries.one(K)
 
     def mult(rho):
@@ -285,21 +285,17 @@ def test_master_kernel_matches_object_reference(case):
         "gue": gue_table,  # every Z row of odd degree is zero
         "empty": dict,
     }[kind]()
-    req, dflt = required_K(dmax, g2max), default_K(dmax, g2max)
-    # below required_K (K = 6 at deg 4, genus2 3, as in criterion 3), at
-    # it, at the default and past it
-    for K in (req - 3, req, dflt, dflt + 3):
-        want = _object_content_transform(t, dmax, g2max, K, inverse=False)
-        assert master_forward(t, dmax, g2max, K) == want
-        assert master_inverse(t, dmax, g2max, K) == _object_content_transform(t, dmax, g2max, K, inverse=True)
-        if kind == "random" and K == dflt:
-            assert master_inverse(want, dmax, g2max, K) == restrict_table(t, deg=dmax, g2=g2max)
+    want = _object_content_transform(t, dmax, g2max, inverse=False)
+    assert master_forward(t, dmax, g2max) == want
+    assert master_inverse(t, dmax, g2max) == _object_content_transform(t, dmax, g2max, inverse=True)
+    if kind == "random":
+        assert master_inverse(want, dmax, g2max) == restrict_table(t, deg=dmax, g2=g2max)
 
 
-def _full_table_convolution(table, dmax, g2max, K, inverse):
+def _full_table_convolution(table, dmax, g2max, inverse):
     """The convolution routes on total tables over PS(d), read at the
     one-block targets: the reference for the one-block routes."""
-    K = default_K(dmax, g2max) if K is None else K
+    K = required_K(dmax, g2max)
     out = {}
     for d in range(1, dmax + 1):
         phi = pscore_reference.multiplicative_function(d, lambda mu: blockvalue_series(table, mu, K))
@@ -311,12 +307,12 @@ def _full_table_convolution(table, dmax, g2max, K, inverse):
     return out
 
 
-@pytest.mark.parametrize("seed, g2, K", [(0, 3, None), (1, 1, 6), (2, 0, 4), (3, 2, 11)])
-def test_one_block_routes_equal_full_tables(seed, g2, K):
+@pytest.mark.parametrize("seed, g2", [(0, 3), (1, 1), (2, 0), (3, 2)])
+def test_one_block_routes_equal_full_tables(seed, g2):
     t = random_table(seed=60 + seed, nmax=4, degmax=4, g2max=g2)
-    assert convolution_forward(t, 4, g2, K) == _full_table_convolution(t, 4, g2, K, False)
+    assert convolution_forward(t, 4, g2) == _full_table_convolution(t, 4, g2, False)
     # any table is the moment table of some multiplicative function
-    assert moebius_inverse_route(t, 4, g2, K) == _full_table_convolution(t, 4, g2, K, True)
+    assert moebius_inverse_route(t, 4, g2) == _full_table_convolution(t, 4, g2, True)
 
 
 def test_convolution_routes_at_degree_6():
@@ -341,10 +337,10 @@ def _read_off(out, lam, val, g2max, K):
             out[(g2, lam)] = val.coeff(base + g2)
 
 
-def _object_convolution_forward(cum_table, dmax, g2max, K=None):
+def _object_convolution_forward(cum_table, dmax, g2max):
     """convolution_forward on HbarSeries objects, one series product per
     factorization key, as it ran before the integer rows."""
-    K = default_K(dmax, g2max) if K is None else K
+    K = required_K(dmax, g2max)
     block = {mu: blockvalue_series(cum_table, mu, K)
              for d in range(1, dmax + 1) for mu in symcore.partitions(d)}
     out = {}
@@ -358,11 +354,11 @@ def _object_convolution_forward(cum_table, dmax, g2max, K=None):
     return out
 
 
-def _object_moebius_inverse_route(mom_table, dmax, g2max, K=None):
+def _object_moebius_inverse_route(mom_table, dmax, g2max):
     """moebius_inverse_route on HbarSeries objects, as it ran before the
     integer rows: the same-degree unknowns by a fixed-point iteration that
     gains one hbar order per pass."""
-    K = default_K(dmax, g2max) if K is None else K
+    K = required_K(dmax, g2max)
     moments = {mu: blockvalue_series(mom_table, mu, K)
                for d in range(1, dmax + 1) for mu in symcore.partitions(d)}
     cum, out = {}, {}
@@ -409,12 +405,8 @@ def test_convolution_routes_match_object_reference(case):
         "gue": gue_table,
         "empty": dict,
     }[kind]()
-    req, dflt = required_K(dmax, g2max), default_K(dmax, g2max)
-    for K in (req - 2, req, dflt, dflt + 3):
-        assert convolution_forward(t, dmax, g2max, K) == _object_convolution_forward(t, dmax, g2max, K)
-        # any table is the moment table of some multiplicative function
-        assert moebius_inverse_route(t, dmax, g2max, K) == _object_moebius_inverse_route(t, dmax, g2max, K)
     assert convolution_forward(t, dmax, g2max) == _object_convolution_forward(t, dmax, g2max)
+    # any table is the moment table of some multiplicative function
     assert moebius_inverse_route(t, dmax, g2max) == _object_moebius_inverse_route(t, dmax, g2max)
 
 
@@ -519,7 +511,7 @@ def test_tree_product_cut_is_exact(sign):
     for tree in graphs.enumerate_special_trees(3):
         rest = tree.edges[1:]
         depths = _tree_kernel_depths(rest, ev.D)
-        factors = [edge_genus0(ev, tree.edges[0], g2=1, shifted=False)]
+        factors = [edge_genus0(ev, tree.edges[0], g2=1)]
         factors += [edge_genus0(ev, I, depth=depths.get(I)) for I in rest]
         assert _as_fractions(_special_tree_product(ev, tree)) == _reachable_reference(ev, factors)
 

@@ -64,7 +64,7 @@ def tree_product(ev, edges):
 def special_tree_product(ev, tree):
     rest = tree.edges[1:]
     others = ev._memo(("reference tree", rest), lambda: tree_product(ev, rest))
-    return cut_product(ev, [_edge_terms(ev, tree.edges[0], g2=1, shifted=False)], others)
+    return cut_product(ev, [_edge_terms(ev, tree.edges[0], g2=1)], others)
 
 
 def leaf_contraction(ev, products, g2):
