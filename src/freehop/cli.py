@@ -28,9 +28,11 @@ EXIT_TRUNCATION = 3
 # JSON at the default hbar^9, and 0.22-0.35 s and 1.4 MB at hbar^20 (fresh
 # processes on 2 vCPUs whose speed varies, Python 3.11)
 HURWITZ_D_BOUND = 10
-# largest d of the moebius subcommand, which enumerates PS(d): at d = 6
-# (4051 elements) pscore.moebius takes 78-81 s and moebius_hbar(6, 10)
-# 127-145 s in process (2 vCPUs, Python 3.11)
+# largest d of the moebius subcommand, whose Neumann series walks PS(d)
+# times S(d): at d = 6 (4051 elements) pscore.moebius takes 11-15 s and
+# moebius_hbar(6, 10) 29-36 s in process, where the triangular solve and
+# the separate hbar series before them took 70-82 s and 112-118 s
+# (three alternated runs each, 2 vCPUs, Python 3.11)
 MOEBIUS_D_BOUND = 6
 # largest --deg per (route, direction) of transform: the convolution routes
 # walk one permutation per centralizer orbit of S_d for their factorization

@@ -3,10 +3,12 @@ rows: the library's one hbar-series representation.
 
 A series known to hbar^K is a list of K + 1 integer numerators, those of
 hbar^0..hbar^K, over one positive denominator kept beside it; terms past K
-are never stored.  The master routes, the Hurwitz tables and the hbar
-Moebius function all compute on these rows.  A product is one truncated
-convolution of integer lists (_mul_add), and a Fraction is built only
-where a coefficient is read off (_decode).
+are never stored.  The master routes, the Hurwitz tables and the Moebius
+function on PS(d), plain and hbar-extended, all compute on these rows.  A
+product is one truncated convolution of integer lists (_mul_add), or a
+shift of a row where one factor is a monomial hbar^c, as in the Moebius
+function's Neumann series; a Fraction is built only where a coefficient
+is read off (_decode).
 
 >>> acc = [0, 0, 0, 0]
 >>> _mul_add(acc, 1, [2, 1, 0, 0], [1, 0, 3, 0], 3)  # (2 + h)(1 + 3 h^2)

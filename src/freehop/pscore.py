@@ -1,7 +1,8 @@
 """Set partitions, partitioned permutations, the Moebius function on them,
-plain and hbar-extended (with the hbar zeta function, on the integer rows
-of freehop.hbar), and the factorization counts of a one-block target
-(1_d, pi_lam) that the convolution routes evaluate:
+plain and hbar-extended, both by one Neumann series of the hbar zeta
+function on the integer rows of freehop.hbar (the plain one keeps only
+the colength-additive products), and the factorization counts of a
+one-block target (1_d, pi_lam) that the convolution routes evaluate:
 a walk over one permutation per orbit of S_d under conjugation by the
 centralizer of pi_lam, weighted by the orbit's size, which lists the
 partitions of a permutation's cycles once per linkage pattern for the
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _all_perms
-from operator import add
+from operator import add, sub
 
 from . import symcore
-from .hbar import _mul_add
 from .symcore import Perm
 
 SetPartition = tuple[int, ...]
@@ -116,32 +116,6 @@ def join(a: SetPartition, b: SetPartition) -> SetPartition:
     return canonical_ids(tuple(find(x) for x in range(d)))
 
 
-def leq(a: SetPartition, b: SetPartition) -> bool:
-    """Refinement order: every block of a inside a block of b."""
-    if len(a) != len(b):
-        raise ValueError("size mismatch")
-    img: dict[int, int] = {}
-    for x in range(len(a)):
-        if a[x] in img:
-            if img[a[x]] != b[x]:
-                return False
-        else:
-            img[a[x]] = b[x]
-    return True
-
-
-def coarsenings(part: SetPartition):
-    """All set partitions >= part (partitions of the block set)."""
-    blks = blocks_of(part)
-    for grouping in set_partitions_of(len(blks)):
-        ids = [0] * len(part)
-        for gid, group in enumerate(grouping):
-            for bi in group:
-                for x in blks[bi]:
-                    ids[x] = gid
-        yield canonical_ids(tuple(ids))
-
-
 def set_partitions_of(n: int):
     """All set partitions of range(n) as lists of tuples (restricted growth)."""
     if n == 0:
@@ -178,97 +152,86 @@ def unit_pp(d: int) -> PartPerm:
     return (finest(d), symcore.identity(d))
 
 
-def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
-    """All of PS(d): pairs (A, a) with 0_a <= A."""
-    if d > bound:
-        raise ValueError("enumeration bound exceeded: d=%d > %d" % (d, bound))
-    out = []
-    for s in _all_perms(range(d)):
-        for part in coarsenings(orbit_partition(s)):
-            out.append((part, s))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# functions on PS(d): plain values, or hbar-series as the integer rows of
-# freehop.hbar
+# the Moebius function on PS(d), plain or hbar-extended, as the integer rows
+# of freehop.hbar
 
 
-def zeta_hbar(d: int, K: int) -> dict[PartPerm, list]:
-    """zeta_hbar(0_s, s) = hbar^|s| for every s in S(d), as integer rows
-    to hbar^K (over the denominator 1)."""
-    out = {}
-    for s in _all_perms(range(d)):
-        c = symcore.colength(s)
-        out[(orbit_partition(s), s)] = [int(e == c) for e in range(K + 1)]
+def _neumann(d: int, K: int, additive: bool) -> dict[PartPerm, list]:
+    """sum_j (-N)^(*j) to hbar^K, as integer rows over the denominator 1,
+    with N(0_s, s) = hbar^|s| for s != id: zeta_hbar is the unit delta plus
+    N, so this is its (*)-inverse.  Each power is one walk over the steps
+    x -> x (.) (0_s, s), and a step shifts x's row by |s|, so (-N)^(*j)
+    starts at hbar^j.  With additive, only the steps with
+    |x (.) (0_s, s)| = |x| + |s| are kept: the product of the plain
+    convolution *.  A step left out adds only above hbar^|x (.) (0_s, s)|,
+    since |x (.) y| <= |x| + |y|, so the coefficient at hbar^|x| is the
+    same either way; the additive walk is the smaller one.  Every entry
+    met is kept, its row zero or not."""
+    col = {s: symcore.colength(s) for s in _all_perms(range(d))}
+    by_zero: dict[SetPartition, list[Perm]] = {}
+    for s, c in col.items():
+        if c:
+            by_zero.setdefault(orbit_partition(s), []).append(s)
+    # 0_s fixes |s|: the steps grouped by 0_s, in ascending |s|
+    steps = sorted((col[ss[0]], zero_s, ss) for zero_s, ss in by_zero.items())
+    unit = unit_pp(d)
+    out = {unit: [1] + [0] * K}
+    power = dict(out)
+    joins: dict[tuple[SetPartition, SetPartition], tuple[SetPartition, int]] = {}  # at most Bell(d)^2
+    for j in range(K):
+        nxt: dict[PartPerm, list] = {}
+        for (A, a), p in power.items():
+            x_col = 2 * part_colength(A) - col[a]
+            a_of = a.__getitem__
+            for c, B, ss in steps:
+                if j + c > K:
+                    break
+                pair = (A, B)
+                found = joins.get(pair)
+                if found is None:
+                    part = join(A, B)
+                    found = joins[pair] = (part, 2 * part_colength(part))
+                part, twice = found
+                # an additive step needs |a o s| = need
+                need = twice - x_col - c
+                if additive and not 0 <= need < d:
+                    continue
+                for s in ss:
+                    ab = tuple(map(a_of, s))  # a o s
+                    if additive and col[ab] != need:
+                        continue
+                    xy = (part, ab)
+                    acc = nxt.get(xy)
+                    if acc is None:
+                        acc = nxt[xy] = [0] * (K + 1)
+                    acc[c:] = map(sub, acc[c:], p)
+        power = {x: row for x, row in nxt.items() if any(row)}
+        if not power:
+            break
+        for x, row in power.items():
+            out[x] = list(map(add, out[x], row)) if x in out else row
     return out
 
 
 def moebius(d: int) -> dict[PartPerm, Fraction]:
-    """The *-inverse of zeta on PS(d), by triangular solve in colength."""
-    elements = enumerate_ps(d, bound=max(6, d))
-    elements.sort(key=pp_colength)
-    mu: dict[PartPerm, Fraction] = {}
-    for target in elements:
-        val = Fraction(1) if target == unit_pp(d) else Fraction(0)
-        tgt_col = pp_colength(target)
-        part_t, perm_t = target
-        # factorizations (A, a) . (0_b, b) = target with b != id
-        for b in _all_perms(range(d)):
-            col_b = symcore.colength(b)
-            if col_b == 0 or col_b > tgt_col:
-                continue
-            a = symcore.compose(perm_t, symcore.inverse(b))
-            zero_b = orbit_partition(b)
-            if not leq(zero_b, part_t):
-                continue
-            # candidates A: 0_a <= A <= target partition, colength additive,
-            # A v 0_b = target partition
-            for cand in coarsenings(orbit_partition(a)):
-                if not leq(cand, part_t):
-                    continue
-                x = (cand, a)
-                if pp_colength(x) + col_b != tgt_col:
-                    continue
-                if join(cand, zero_b) != part_t:
-                    continue
-                val -= mu[x]
-        mu[target] = val
-    return mu
+    """The *-inverse of zeta on PS(d): the Neumann series with the
+    additive steps only, whose row at x is mu(x) hbar^|x|.  It has every
+    element of PS(d), zero or not: (0_a, a) is unit (.) (0_a, a), and any
+    other (A, a) is (A, a t) (.) (0_t, t), additively, for a transposition
+    t of two cycles of a in one block of A.
 
-
-_moebius_hbar_cache: dict = {}
+    >>> sorted(moebius(2).items())
+    [(((0, 0), (0, 1)), Fraction(1, 1)), (((0, 0), (1, 0)), Fraction(-1, 1)), (((0, 1), (0, 1)), Fraction(1, 1))]
+    """
+    return {x: Fraction(row[pp_colength(x)]) for x, row in _neumann(d, max(2 * d - 2, 0), True).items()}
 
 
 def moebius_hbar(d: int, K: int) -> dict[PartPerm, list]:
-    """(*)-inverse of zeta_hbar up to hbar^K, as integer rows (over the
-    denominator 1), by the Neumann series: zeta_hbar is the unit delta
-    plus N, N(0_s, s) = hbar^|s| for s != id, so the inverse is
-    sum_j (-N)^(*j), each power one extended convolution, and (-N)^(*j)
-    starts at hbar^j."""
-    if (d, K) in _moebius_hbar_cache:
-        return _moebius_hbar_cache[(d, K)]
-    unit = unit_pp(d)
-    n = [(y, row) for y, row in zeta_hbar(d, K).items() if y != unit and any(row)]
-    out = {unit: [1] + [0] * K}
-    power = dict(out)
-    joins: dict[tuple[SetPartition, SetPartition], SetPartition] = {}  # at most Bell(d)^2
-    for _ in range(K):
-        nxt: dict[PartPerm, list] = {}
-        for x, p in power.items():
-            for y, q in n:
-                pair = (x[0], y[0])
-                part = joins.get(pair)
-                if part is None:
-                    part = joins[pair] = join(*pair)
-                xy = (part, symcore.compose(x[1], y[1]))
-                _mul_add(nxt.setdefault(xy, [0] * (K + 1)), -1, p, q, K)
-        power = {x: row for x, row in nxt.items() if any(row)}
-        for x, row in power.items():
-            out[x] = list(map(add, out.get(x, [0] * (K + 1)), row))
-    out = {x: row for x, row in out.items() if any(row)}
-    _moebius_hbar_cache[(d, K)] = out
-    return out
+    """(*)-inverse of zeta_hbar up to hbar^K, zeta_hbar(0_s, s) = hbar^|s|,
+    as integer rows over the denominator 1, on the entries whose row is
+    not zero: the Neumann series with every step."""
+    return {x: row for x, row in _neumann(d, K, False).items() if any(row)}
 
 
 def _centralizer_generators(lam: symcore.Partition) -> list[Perm]:

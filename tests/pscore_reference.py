@@ -1,5 +1,8 @@
 """The object-valued functions on PS(d) that only the tests use, with
-their values Fractions or hbar_reference.HbarSeries: the strict and
+their values Fractions or hbar_reference.HbarSeries: the refinement
+order, the coarsenings of a set partition and the enumeration of PS(d),
+the plain Moebius function by a triangular solve in colength (the
+reference pscore.moebius's Neumann series is compared with), the strict and
 extended products of partitioned permutations, the plain zeta and
 delta functions, the strict and extended convolutions of total tables,
 multiplicative functions built from a block rule, the hbar zeta and
@@ -16,8 +19,79 @@ from fractions import Fraction
 from itertools import permutations as _all_perms
 
 from freehop import symcore
-from freehop.pscore import PartPerm, blocks_of, enumerate_ps, join, orbit_partition, pp_colength, unit_pp
+from freehop.pscore import (PartPerm, SetPartition, blocks_of, canonical_ids, join, orbit_partition, pp_colength,
+                            set_partitions_of, unit_pp)
 from hbar_reference import HbarSeries
+
+
+def leq(a: SetPartition, b: SetPartition) -> bool:
+    """Refinement order: every block of a inside a block of b."""
+    if len(a) != len(b):
+        raise ValueError("size mismatch")
+    img: dict[int, int] = {}
+    for x in range(len(a)):
+        if a[x] in img:
+            if img[a[x]] != b[x]:
+                return False
+        else:
+            img[a[x]] = b[x]
+    return True
+
+
+def coarsenings(part: SetPartition):
+    """All set partitions >= part (partitions of the block set)."""
+    blks = blocks_of(part)
+    for grouping in set_partitions_of(len(blks)):
+        ids = [0] * len(part)
+        for gid, group in enumerate(grouping):
+            for bi in group:
+                for x in blks[bi]:
+                    ids[x] = gid
+        yield canonical_ids(tuple(ids))
+
+
+def enumerate_ps(d: int, bound: int = 6) -> list[PartPerm]:
+    """All of PS(d): pairs (A, a) with 0_a <= A."""
+    if d > bound:
+        raise ValueError("enumeration bound exceeded: d=%d > %d" % (d, bound))
+    out = []
+    for s in _all_perms(range(d)):
+        for part in coarsenings(orbit_partition(s)):
+            out.append((part, s))
+    return out
+
+
+def moebius(d: int) -> dict[PartPerm, Fraction]:
+    """The *-inverse of zeta on PS(d), by triangular solve in colength."""
+    elements = enumerate_ps(d, bound=max(6, d))
+    elements.sort(key=pp_colength)
+    mu: dict[PartPerm, Fraction] = {}
+    for target in elements:
+        val = Fraction(1) if target == unit_pp(d) else Fraction(0)
+        tgt_col = pp_colength(target)
+        part_t, perm_t = target
+        # factorizations (A, a) . (0_b, b) = target with b != id
+        for b in _all_perms(range(d)):
+            col_b = symcore.colength(b)
+            if col_b == 0 or col_b > tgt_col:
+                continue
+            a = symcore.compose(perm_t, symcore.inverse(b))
+            zero_b = orbit_partition(b)
+            if not leq(zero_b, part_t):
+                continue
+            # candidates A: 0_a <= A <= target partition, colength additive,
+            # A v 0_b = target partition
+            for cand in coarsenings(orbit_partition(a)):
+                if not leq(cand, part_t):
+                    continue
+                x = (cand, a)
+                if pp_colength(x) + col_b != tgt_col:
+                    continue
+                if join(cand, zero_b) != part_t:
+                    continue
+                val -= mu[x]
+        mu[target] = val
+    return mu
 
 
 def product_extended(x: PartPerm, y: PartPerm) -> PartPerm:

@@ -53,6 +53,27 @@ def test_moebius_output(tmp_path):
     assert vals[("[[1, 2]]", (1, 2))] == "1"
 
 
+def test_moebius_bound_exit_2(capsys):
+    assert run(["moebius", "--d", "7"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: d=7 exceeds the enumeration bound 6\n")
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("hbar", [None, 0, 1, 4])
+def test_moebius_small_d_output(capsys, d, hbar):
+    # PS(0) is {((), ())} and PS(1) is {((0,), (0,))}: mu = mu_hbar = 1 on
+    # the one element, at every --hbar
+    args = ["moebius", "--d", str(d)] + ([] if hbar is None else ["--hbar", str(hbar)])
+    assert run(args) == 0
+    head = '"kind": "moebius"' if hbar is None else '"kind": "moebius-hbar",\n"hbar": %d' % hbar
+    point = '"partition": [], "perm": []' if d == 0 else '"partition": [[1]], "perm": [1]'
+    value = '"1"' if hbar is None else '{"0": "1"}'
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == '{\n"d": %d,\n%s,\n"entries": [\n{%s, "value": %s}\n]\n}\n' % (d, head, point, value)
+
+
 def test_moebius_hbar_output(tmp_path):
     # every entry equals the HbarSeries-valued Moebius function
     out = tmp_path / "mh.json"

@@ -10,19 +10,17 @@ from freehop import oracles, pscore, symcore
 from freehop.pscore import (
     blocks_of,
     coarsest,
-    enumerate_ps,
     finest,
     from_blocks,
     join,
-    leq,
     moebius,
     orbit_partition,
     pp_colength,
     unit_pp,
 )
 from hbar_reference import HbarSeries, from_numerators
-from pscore_reference import (convolve, delta_function, multiplicative_function, product_extended, product_strict,
-                              zeta_function, zeta_hbar)
+from pscore_reference import (convolve, delta_function, enumerate_ps, leq, multiplicative_function, product_extended,
+                              product_strict, zeta_function, zeta_hbar)
 
 
 def test_join_basics():
@@ -99,9 +97,6 @@ def test_zeta_values():
     z = zeta_function(2)
     assert z[(orbit_partition((1, 0)), (1, 0))] == 1
     assert (coarsest(3), (1, 0, 2)) not in zeta_function(3)
-    zh = pscore.zeta_hbar(3, 6)
-    assert zh[(orbit_partition((1, 2, 0)), (1, 2, 0))] == [0, 0, 1, 0, 0, 0, 0]
-    assert {x: from_numerators(row, 1, 6) for x, row in zh.items()} == zeta_hbar(3, 6)
 
 
 def test_convolution_unit():
@@ -198,6 +193,29 @@ def test_moebius_values_d2():
     assert mu[unit_pp(2)] == 1
     assert mu[(coarsest(2), (1, 0))] == -1
     assert mu[(coarsest(2), (0, 1))] == 1
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_moebius_equals_triangular_solve(d):
+    # the additive Neumann walk against the reference solve, on every
+    # element of PS(d), zero values included
+    assert moebius(d) == ref.moebius(d)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_moebius_is_leading_order_of_moebius_hbar(d):
+    # mu(x) is the hbar^|x| coefficient of mu_hbar(x), and mu_hbar(x) has
+    # no term below it
+    K = max(2 * d - 2, 0)
+    mu, rows = moebius(d), pscore.moebius_hbar(d, K)
+    assert rows.keys() <= mu.keys()
+    for x, v in mu.items():
+        row = rows.get(x, [0] * (K + 1))
+        assert not any(row[:pp_colength(x)]) and row[pp_colength(x)] == v
+    # with the additive steps alone, the walk is the plain product: every
+    # row is mu(x) hbar^|x|
+    for x, row in pscore._neumann(d, K, True).items():
+        assert row == [mu[x] if e == pp_colength(x) else 0 for e in range(K + 1)]
 
 
 def test_moebius_hbar_roundtrip():
