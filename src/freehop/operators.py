@@ -20,13 +20,22 @@ negative exponent in a later variable can be compensated by earlier
 kernels, at most (n-1) deep, plus degree D of table data).
 
 The fixed inputs of an evaluation are built directly and memoised on its
-Evaluator, never at module level: each edge weight in one pass over the
-table entries and kernel terms (_edge_data), once per order-preserving
-shape of its hyperedge (shape_of); 1/C(w), P and the coefficients of the
-change of variables w(X) by coefficient recursions (series.inverse_coeffs,
-and the integer Lagrange recursion series.lagrange_coeffs); the u-layer
-weight and exp(E_B) by the exponential recursion on integer numerators
-(_exp_rows).
+Evaluator, never at module level.  The hyperedge weights read the table
+in one place, _slot_entries: per number of slots and g2, every entry with
+|k| <= D in each distinct order of its slots, and for an off-diagonal
+pair at genus 0 the kernel terms ((k, -k), k) to the depth the caller
+gives.  The graph sum's edge weights (_edge_data: every g2 with
+g2 - 2 + #I <= K, kernels to kernel_depth) and the tree routes'
+(transforms._edge_terms: one g2, the kernel depths of
+transforms._tree_kernel_depths) are each built once per order-preserving
+shape of their hyperedge (shape_of).  An _edge_data weight is integer
+numerators keyed by exponent tuples over positions (hbar, the w of each
+distinct slot, the u of each), which _edge_factor moves onto the key
+fields of the hyperedge's vertices.  1/C(w), P and the coefficients of
+the change of variables w(X) come from the one-variable recursions of
+series (inverse_coeffs, the integer Lagrange recursion lagrange_coeffs
+and the one series product _w_product); the u-layer weight and exp(E_B)
+from the exponential recursion on integer numerators (_exp_rows).
 
 The relation runs on integer numerators over one denominator from the
 edge products to the terms extract_table reads, which are rows {exponent
@@ -76,9 +85,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, lshift
 
-from .series import (TruncationError, _reduced, inverse_coeffs, lagrange_coeffs,
+from .series import (TruncationError, _reduced, _w_product, inverse_coeffs, lagrange_coeffs,
                      sigma_coefficients)
 from .symcore import sort_to_partition
 from .tables import CoefficientTable, normalize, table_get
@@ -119,17 +128,6 @@ def _int_rows(coeffs: dict) -> tuple[dict, int]:
     zeros dropped."""
     den = lcm(*(c.denominator for c in coeffs.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}, den
-
-
-def _w_product(a: dict, b: dict, top: int) -> dict:
-    """The product of two series in one variable, given as {exponent:
-    coefficient}, cut above the exponent top."""
-    out: dict = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            if x + y <= top:
-                out[x + y] = out.get(x + y, 0) + cx * cy
-    return out
 
 
 def _exp_rows(E: dict, width: int, top: int, keep=None) -> tuple[dict, int]:
@@ -231,8 +229,6 @@ class Evaluator:
         self.D = D
         self.K = K  # hbar working truncation
         self.sign = sign
-        self.wvars = tuple("w%d" % i for i in range(n))
-        self.uvars = tuple("u%d" % i for i in range(n))
         self.kernel_depth = n * D
         self.sig = sigma_coefficients(K + 2)
         self.sig_inv = inverse_coeffs(self.sig, K + 2)
@@ -267,12 +263,7 @@ class Evaluator:
         def build():
             cs = self.C_coeffs()
             inv = inverse_coeffs({k: c * (1 - self.sign * k) for k, c in cs.items()}, self.D)
-            out: dict[int, Fraction] = {}
-            for a, ca in cs.items():
-                for b, cb in inv.items():
-                    if a + b <= self.D:
-                        out[a + b] = out.get(a + b, 0) + ca * cb
-            return out
+            return _w_product(cs, inv, self.D)
 
         return self._memo(("Pcoef",), build)
 
@@ -296,39 +287,48 @@ class Evaluator:
 
         return self._memo(("wofx", depth), build)
 
+    def _slot_entries(self, shape: tuple[int, ...], g2: int, depth: int = 0) -> list:
+        """The table entries F_{g2; k} with #k = #shape and |k| <= D, each
+        in every distinct order of its slots, as (k, F_{g2; k}), followed,
+        when the shape is an off-diagonal pair and g2 = 0, by the
+        double-pole kernel terms ((k, -k), k), k = 1..depth.  The hyperedge
+        weights of the tree and graph relations read the table through
+        this list alone; memoised per (#shape, g2, kernel depth)."""
+        m = len(shape)
+        depth = depth if g2 == 0 and m == 2 and shape[0] != shape[1] else 0
+
+        def build():
+            if depth:
+                return self._slot_entries(shape, 0) + [((k, -k), Fraction(k)) for k in range(1, depth + 1)]
+            return [(comp, v) for (tg2, ks), v in self.table.items()
+                    if tg2 == g2 and len(ks) == m and sum(ks) <= self.D
+                    for comp in _distinct_permutations(ks)]
+
+        return self._memo(("entries", m, g2, depth), build)
+
     def _edge_data(self, shape: tuple[int, ...]):
         """The weight c(u_I, w_I) of a hyperedge I of the given shape: the
-        sum over the table entries F_{g2; k} with #k = #I (each ordering k
-        of the slots) and, for an off-diagonal pair, the genus-0 kernel
-        terms k w_a^k w_b^-k, of
+        sum over the _slot_entries of every g2 with g2 - 2 + #I <= K (an
+        off-diagonal pair's kernel terms to kernel_depth) of
 
             F_{g2; k} hbar^(g2 - 2 + #I) prod_s w_s^k_s hbar u_s sigma(hbar u_s k_s),
 
         that is, the per-slot diagonal sigma operators applied before
         repeated variables are identified.  Built in one pass, each term's
         slot factors expanded into one coefficient dict, and memoised per
-        shape, as (vars, {exponent tuple over vars: integer numerator},
-        den), to hbar^(K plus the lowest g2 - 2 + #I when it is negative).
-        A term of m slots is over Q S^m, Q the lcm of the entries'
-        denominators and S that of the sigma coefficients."""
+        shape, as ({exponent tuple: integer numerator}, den), to hbar^(K
+        plus the lowest g2 - 2 + #I when it is negative).  The positions of
+        an exponent tuple are hbar, the w of each distinct slot 0, 1, ...
+        of the shape, then the u of each.  A term of m slots is over
+        Q S^m, Q the lcm of the entries' denominators and S that of the
+        sigma coefficients."""
 
         def build():
-            m = len(shape)
-            entries = []
-            for (g2, ks), val in self.table.items():
-                if len(ks) == m and sum(ks) <= self.D and g2 - 2 + m <= self.K:
-                    for comp in _distinct_permutations(ks):
-                        entries.append((g2 - 2 + m, comp, val))
-            if m == 2 and shape[0] != shape[1]:
-                for k in range(1, self.kernel_depth + 1):
-                    entries.append((m - 2, (k, -k), Fraction(k)))
+            m, s = len(shape), max(shape) + 1
+            entries = [(g2 - 2 + m, comp, val) for g2 in range(self.K + 3 - m)
+                       for comp, val in self._slot_entries(shape, g2, self.kernel_depth)]
             if not entries:
-                return ("h",), {}, 1
-            wvars = tuple(sorted({self.wvars[s] for s in shape}))
-            uvars = tuple(dict.fromkeys(self.uvars[s] for s in shape))
-            vars = ("h",) + wvars + uvars
-            wpos = [vars.index(self.wvars[s]) for s in shape]
-            upos = [vars.index(self.uvars[s]) for s in shape]
+                return {}, 1
             hhi = self.K + min(0, *(e[0] for e in entries))
             sig, S = _int_rows(self.sig)
             sig = sorted(sig.items())
@@ -336,13 +336,13 @@ class Evaluator:
             factors: dict[int, list] = {}  # by k: [(d, S sig_(d-1) k^(d-1))]
             data: dict[tuple, int] = {}
             for hexp, comp, val in entries:
-                base = [0] * len(vars)
-                base[0] = hexp
-                for p, k in zip(wpos, comp):
-                    base[p] += k
+                base = [hexp] + [0] * (2 * s)
+                for j, k in zip(shape, comp):
+                    base[1 + j] += k
                 # the slot factors hbar u sigma(hbar u k), one at a time
                 terms = {tuple(base): val.numerator * (Q // val.denominator)}
-                for p, k in zip(upos, comp):
+                for j, k in zip(shape, comp):
+                    p = 1 + s + j
                     factor = factors.get(k)
                     if factor is None:
                         factor = factors[k] = [(e2 + 1, c * k ** e2) for e2, c in sig]
@@ -359,29 +359,29 @@ class Evaluator:
                     terms = nxt
                 for e, c in terms.items():
                     data[e] = data.get(e, 0) + c
-            return (vars,) + _reduced({e: c for e, c in data.items() if c}, Q * S ** m)
+            return _reduced({e: c for e, c in data.items() if c}, Q * S ** m)
 
         return self._memo(("edgedata", shape), build)
 
     # -- the graph sum on integer rows -------------------------------------------------
-    def _a_rows(self) -> tuple[list[tuple[int, int, int, int]], int]:
+    def _a_rows(self) -> tuple[dict[tuple, list], int]:
         """The u-layer weight at a white vertex,
 
             exp( hbar u sigma(hbar u w d/dw)(G_1 - hbar^(-1)) - u (C - 1) )
             / ( hbar u sigma(hbar u) ),
 
-        to hbar^(K-1) and w^D, over (hbar, u, w), as ([(exponents,
-        numerator)] sorted, den).  G_1 - hbar^(-1) is hbar^(-1)(C - 1) plus
-        the one-point entries hbar^(g2-1) F_{g2;k} w^k, g2 >= 1; the sigma
-        operator takes its term hbar^h w^k to sum_e2 sig_e2 k^e2
-        (hbar u)^(e2+1) hbar^h w^k, read to hbar^K, and the hbar^0 part of
-        that (e2 = 0 on hbar^(-1)(C - 1)) cancels u (C - 1)."""
+        to hbar^(K-1) and w^D, grouped by the (u, w) exponents, as ({(u,
+        w): [(hbar, numerator)] by increasing hbar}, den).  G_1 - hbar^(-1)
+        is hbar^(-1)(C - 1) plus the one-point entries hbar^(g2-1) F_{g2;k}
+        w^k, g2 >= 1; the sigma operator takes its term hbar^h w^k to
+        sum_e2 sig_e2 k^e2 (hbar u)^(e2+1) hbar^h w^k, read to hbar^K, and
+        the hbar^0 part of that (e2 = 0 on hbar^(-1)(C - 1)) cancels
+        u (C - 1)."""
 
         def build():
             K, D = self.K, self.D
             tail = [(-1, k, c) for k, c in self.C_coeffs().items() if k]
-            tail += [(g2 - 1, ks[0], v) for (g2, ks), v in self.table.items()
-                     if g2 >= 1 and len(ks) == 1 and ks[0] <= D and g2 - 1 <= K and v]
+            tail += [(g2 - 1, k, v) for g2 in range(1, K + 2) for (k,), v in self._slot_entries((0,), g2)]
             E: dict[tuple, Fraction] = {}
             for h0, k, c in tail:
                 for e2, s in self.sig.items():
@@ -398,7 +398,10 @@ class Evaluator:
                     if h + d <= K - 1:
                         out[h + d, u + d, w] = out.get((h + d, u + d, w), 0) + c * x
             out, den = _reduced({e: c for e, c in out.items() if c}, fden * iden)
-            return sorted(e + (c,) for e, c in out.items()), den
+            groups: dict[tuple, list] = {}
+            for (h, u, w), c in sorted(out.items()):
+                groups.setdefault((u, w), []).append((h, c))
+            return groups, den
 
         return self._memo(("Arows",), build)
 
@@ -432,20 +435,12 @@ class Evaluator:
 
         return self._memo(("Brows", r), build)
 
-    def _a_groups(self) -> tuple[dict[tuple, list], int]:
-        """_a_rows grouped by the (u, w) exponents: ({(u, w): [(hbar,
-        numerator)] by increasing hbar}, den)."""
-        A, den = self._a_rows()
-        groups: dict[tuple, list] = {}
-        for h, u, w, c in A:
-            groups.setdefault((u, w), []).append((h, c))
-        return groups, den
-
     def _h_floors(self) -> tuple[int, int]:
         """The lowest hbar exponents of the u-layer weight (_a_rows) and of
         every P B_r: the one of _b_rows(0), since (d_y + sign v/y),
         t = 1/C(w) and P keep it."""
-        return self._a_rows()[0][0][0], min(h for h, _, _ in self._b_rows(0)[0])
+        return (min(hs[0][0] for hs in self._a_rows()[0].values()),
+                min(h for h, _, _ in self._b_rows(0)[0]))
 
     def _P_rows(self) -> tuple[dict[int, int], int]:
         return self._memo(("Prows",), lambda: _int_rows(self.P_coeffs()))
@@ -551,7 +546,7 @@ class Evaluator:
 
         def build():
             ha_min, hb_min = self._h_floors()
-            groups, aden = self._memo(("Agroups",), self._a_groups)
+            groups, aden = self._a_rows()
             parts = []
             for (ua, wa), hs in groups.items():
                 r, e = r0 + ua, m + wa
@@ -579,8 +574,10 @@ class Evaluator:
 
     def _edge_factor(self, I: tuple[int, ...], keys: _Keys):
         """_edge_data of I's shape on I's vertices, for the product of
-        graph_sum: (groups, den, hlow, wlow).  The terms are integer
-        numerators over den, grouped by their w-exponents; a group is
+        graph_sum: (groups, den, hlow, wlow).  The hbar position goes to
+        the hbar field, and the w and u positions of the shape's slot j to
+        the w and u fields of I's j-th distinct vertex.  The terms are
+        integer numerators over den, grouped by their w-exponents; a group is
         (delta of the w- and total-degree fields, hbar exponents, [(delta
         of the hbar and u fields, numerator)]), sorted by the hbar
         exponent.  hlow is the lowest hbar exponent and wlow {vertex:
@@ -588,23 +585,20 @@ class Evaluator:
         shape, slots = shape_of(I)
 
         def build():
-            vars, nums, den = self._edge_data(shape)
-            offs = [keys.offs[_H]]
-            for v in vars[1:]:
-                j = slots[int(v[1:])]
-                offs.append(keys.offs[keys.w(j) if v[0] == "w" else keys.u(j)])
-            wpos = [p for p, v in enumerate(vars) if v[0] == "w"]
-            hupos = [p for p, v in enumerate(vars) if v[0] != "w"]
+            nums, den = self._edge_data(shape)
+            s = len(slots)
+            woffs = [keys.offs[keys.w(j)] for j in slots]
+            huoffs = [keys.offs[_H]] + [keys.offs[keys.u(j)] for j in slots]
             by_w: dict[tuple, list] = {}
             for e, c in nums.items():
-                by_w.setdefault(tuple(e[p] for p in wpos), []).append(
-                    (e[0], sum(e[p] << offs[p] for p in hupos), c))
+                by_w.setdefault(e[1:s + 1], []).append(
+                    (e[0], sum(map(lshift, (e[0],) + e[s + 1:], huoffs)), c))
             groups = []
             for ew, terms in by_w.items():
                 terms.sort()
-                wd = sum(x << offs[p] for p, x in zip(wpos, ew)) + (sum(ew) << keys.offs[keys.tw])
+                wd = sum(map(lshift, ew, woffs)) + (sum(ew) << keys.offs[keys.tw])
                 groups.append((wd, [t[0] for t in terms], [t[1:] for t in terms]))
-            wlow = {slots[int(vars[p][1:])]: min(ew[j] for ew in by_w) for j, p in enumerate(wpos)}
+            wlow = {j: min(ew[p] for ew in by_w) for p, j in enumerate(slots)} if by_w else {}
             return groups, den, min((e[0] for e in nums), default=0), wlow
 
         return self._memo(("edgerows", tuple(I), keys.width, keys.bias), build)

@@ -1,6 +1,10 @@
 """One-variable coefficient recursions over the rationals: the Taylor
 coefficients of sinh(t/2)/(t/2), the reciprocal of a series 1 + O(w), and
-the coefficients of w(X) by Lagrange inversion, with zeros not stored.
+the coefficients of w(X) by Lagrange inversion, with zeros not stored; and
+the library's one product of one-variable series {exponent: coefficient}
+cut at a top exponent (_w_product), on Fractions or integer numerators:
+the Lagrange powers phi^k, P, the powers of 1/C and of phi, the vertex
+rows and the leaf weights of the tree routes are multiplied by it.
 TruncationError is raised where a result would need a coefficient past
 the working truncation."""
 
@@ -23,6 +27,21 @@ def _reduced(terms: dict, den: int) -> tuple[dict, int]:
         if g != 1:
             return {k: v // g for k, v in terms.items()}, den // g
     return terms, den
+
+
+def _w_product(a: dict, b: dict, top: int) -> dict:
+    """The product of two series in one variable, given as {exponent:
+    coefficient}, cut above the exponent top.
+
+    >>> _w_product({0: 1, 1: 1}, {0: 1, 1: 1}, 1)
+    {0: 1, 1: 2}
+    """
+    out: dict = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            if x + y <= top:
+                out[x + y] = out.get(x + y, 0) + cx * cy
+    return out
 
 
 def sigma_coefficients(K: int) -> dict[int, Fraction]:
@@ -72,8 +91,9 @@ def inverse_coeffs(coeffs: dict[int, Fraction], top: int) -> dict[int, Fraction]
 def lagrange_coeffs(phi: dict[int, Fraction], D: int) -> dict[int, Fraction]:
     """[X^k] w(X) for k = 1..D, where w = X phi(w) and phi is given as
     {exponent: coefficient}: by Lagrange inversion [X^k] w = [w^(k-1)]
-    phi^k / k.  The powers phi^k are integer lists over one denominator,
-    cut at w^(D-1), the highest coefficient read.
+    phi^k / k.  The powers phi^k are integer numerators over one
+    denominator, multiplied by _w_product and cut at w^(D-1), the highest
+    coefficient read.
 
     >>> sorted(lagrange_coeffs({0: 1, 2: 1}, 7).items())
     [(1, Fraction(1, 1)), (3, Fraction(1, 1)), (5, Fraction(2, 1)), (7, Fraction(5, 1))]
@@ -83,21 +103,11 @@ def lagrange_coeffs(phi: dict[int, Fraction], D: int) -> dict[int, Fraction]:
     top = D - 1
     kept = {e: Fraction(c) for e, c in phi.items() if e <= top and c}
     den = lcm(*(c.denominator for c in kept.values())) if kept else 1
-    base = [(e, c.numerator * (den // c.denominator)) for e, c in sorted(kept.items())]
+    base = {e: c.numerator * (den // c.denominator) for e, c in kept.items()}
     out = {}
-    power, pden = [1] + [0] * top, 1  # phi^0
+    power, pden = {0: 1}, 1  # phi^0
     for k in range(1, D + 1):
-        nxt = [0] * (top + 1)
-        for e, c in base:
-            for j in range(top + 1 - e):
-                if power[j]:
-                    nxt[j + e] += c * power[j]
-        pden *= den
-        g = gcd(pden, *nxt)
-        if g != 1:
-            nxt = [v // g for v in nxt]
-            pden //= g
-        power = nxt
-        if power[k - 1]:
+        power, pden = _reduced(_w_product(power, base, top), pden * den)
+        if power.get(k - 1):
             out[k] = Fraction(power[k - 1], pden * k)
     return out

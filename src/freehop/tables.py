@@ -87,12 +87,8 @@ def _index_tuples(nmax: int, degmax: int):
             for rest in rec(n - 1, p, total - p):
                 yield (p,) + rest
 
-    seen = set()
     for n in range(1, nmax + 1):
-        for tup in rec(n, degmax, degmax):
-            if tup not in seen:
-                seen.add(tup)
-                yield tup
+        yield from rec(n, degmax, degmax)
 
 
 def gue_table() -> CoefficientTable:

@@ -67,7 +67,8 @@ from operator import add, mul, sub
 
 from . import graphs, pscore, symcore
 from .hbar import _decode, _mul_add
-from .operators import Evaluator, _distinct_permutations, shape_of
+from .operators import Evaluator, shape_of
+from .series import _w_product
 from .symcore import Partition, sort_to_partition
 from .tables import CoefficientTable, checked_items
 
@@ -374,11 +375,11 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, depth: int | Non
     """The genus-fixed hyperedge series G_{g, #I}(w_I), with the
     double-pole kernel sum_k k w_a^k w_b^-k (k to the given depth, to
     ev.kernel_depth when None) added for an off-diagonal pair at genus 0,
-    as terms over ev.wvars, built from the table entries and
-    kernel terms directly and memoised on the evaluator: (groups, den, pos,
-    reach), with pos the positions of the edge's variables, den the
-    denominator and reach the negative reach -min(0, lowest exponent) per
-    variable.  The terms are grouped by their exponents h on every
+    as terms over the exponents of w_0, ..., w_(n-1), summed from the
+    entries of ev._slot_entries and memoised on the evaluator: (groups,
+    den, pos, reach), with pos the positions of the edge's variables, den
+    the denominator and reach the negative reach -min(0, lowest exponent)
+    per variable.  The terms are grouped by their exponents h on every
     position of pos but the last: one (sum(h), h, lasts, entries) per
     group, in ascending order of sum(h), where entries are the (exponents,
     integer numerator) pairs of the group in ascending order of their
@@ -387,21 +388,13 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, depth: int | Non
     shape, pos = shape_of(I)
 
     def build():
-        m = len(shape)
         data: dict[tuple, Fraction] = {}
-        for (tg2, ks), val in ev.table.items():
-            if tg2 == g2 and len(ks) == m and sum(ks) <= ev.D:
-                for comp in _distinct_permutations(ks):
-                    e = [0] * ev.n
-                    for slot, k in zip(shape, comp):
-                        e[slot] += k
-                    e = tuple(e)
-                    data[e] = data.get(e, 0) + val
-        if g2 == 0 and m == 2 and shape[0] != shape[1]:
-            for k in range(1, (ev.kernel_depth if depth is None else depth) + 1):
-                e = [0] * ev.n
-                e[shape[0]], e[shape[1]] = k, -k
-                data[tuple(e)] = Fraction(k)
+        for comp, val in ev._slot_entries(shape, g2, ev.kernel_depth if depth is None else depth):
+            e = [0] * ev.n
+            for slot, k in zip(shape, comp):
+                e[slot] += k
+            e = tuple(e)
+            data[e] = data.get(e, 0) + val
         data = {e: v for e, v in data.items() if v}
         den = lcm(*(v.denominator for v in data.values()))
         last = len(pos) - 1
@@ -433,7 +426,7 @@ def _edge_terms(ev: Evaluator, I: tuple[int, ...], g2: int = 0, depth: int | Non
 
 def _cut_product(ev: Evaluator, factors, start=None) -> tuple[dict[tuple, int], int]:
     """The product of start (the constant 1 when None) and the _edge_terms
-    factors, as ({exponent tuple over ev.wvars: integer numerator},
+    factors, as ({exponent tuple over w_0, ..., w_(n-1): integer numerator},
     denominator), keeping only the terms that can reach a target.
 
     Every term that reaches the leaf contraction has sum_i max(1, a_i) <= D.
@@ -573,18 +566,10 @@ def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
     # over den_C^l
     cs = {e: c for e, c in ev.C_coeffs().items() if e}
     den_c = lcm(*(c.denominator for c in cs.values()))
-    base = [(e, c.numerator * (den_c // c.denominator)) for e, c in sorted(cs.items())]
-    top = (n + 1) * D
-    pows = [[1] + [0] * top]
+    base = {e: c.numerator * (den_c // c.denominator) for e, c in cs.items()}
+    pows = [{0: 1}]
     for _ in range(D):
-        cur = [0] * (top + 1)
-        for e1, v1 in enumerate(pows[-1]):
-            if v1:
-                for e2, v2 in base:
-                    if e1 + e2 > top:
-                        break
-                    cur[e1 + e2] += v1 * v2
-        pows.append(cur)
+        pows.append(_w_product(pows[-1], base, (n + 1) * D))
     wden = factorial(D) * den_c ** D
     scale = [factorial(D) // factorial(l) * den_c ** (D - l) for l in range(D + 1)]
     rows: dict[tuple[int, int], list[int]] = {}
@@ -594,7 +579,7 @@ def _leaf_contraction(ev: Evaluator, products, g2: int) -> CoefficientTable:
         if (v, a) not in rows:
             rows[v, a] = [
                 sum(_binom_factor(k, v + l - 1, sign) * pows[l][k - a] * scale[l]
-                    for l in range(max(0, 1 - v), D + 1) if pows[l][k - a])
+                    for l in range(max(0, 1 - v), D + 1) if pows[l].get(k - a))
                 if k >= max(1, a) else 0
                 for k in range(D + 1)
             ]

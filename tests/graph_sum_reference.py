@@ -24,9 +24,19 @@ from series_reference import INF, Series, layout as packed_layout, series_sum
 # -- the evaluator's Series face ------------------------------------------------
 
 
+def wvars(ev):
+    """The names of the w variables of ev's series, w0, ..., w(n-1)."""
+    return tuple("w%d" % i for i in range(ev.n))
+
+
+def uvars(ev):
+    """The names of the u variables, u0, ..., u(n-1)."""
+    return tuple("u%d" % i for i in range(ev.n))
+
+
 def cap(ev):
     """The total-degree cap D over the w variables, on every series of ev."""
-    return (frozenset(ev.wvars), ev.D)
+    return (frozenset(wvars(ev)), ev.D)
 
 
 def layout(ev):
@@ -38,7 +48,7 @@ def layout(ev):
         n = ev.n
         small = (4 * (ev.K + n + 2)).bit_length()
         wide = (4 * (ev.D + n * ev.kernel_depth)).bit_length()
-        names = ("h",) + ev.uvars + ("v", "t") + ev.wvars
+        names = ("h",) + uvars(ev) + ("v", "t") + wvars(ev)
         return packed_layout(names, (small,) * (len(names) - n) + (wide,) * n)
 
     return ev._memo(("ref-layout",), build)
@@ -54,13 +64,13 @@ def relabelled(ev, key, slots, build) -> Series:
         return base
     names = {}
     for j, s in enumerate(slots):
-        names[ev.wvars[j]] = ev.wvars[s]
-        names[ev.uvars[j]] = ev.uvars[s]
+        names[wvars(ev)[j]] = wvars(ev)[s]
+        names[uvars(ev)[j]] = uvars(ev)[s]
     return ev._memo(key + (tuple(slots),), lambda: base.renamed(names))
 
 
 def w_atom(ev, i: int, coeffs: dict[int, Fraction]) -> Series:
-    v = ev.wvars[i]
+    v = wvars(ev)[i]
     lo = min((e for e, c in coeffs.items() if c), default=0)
     return Series((v,), (lo,), (INF,), {(e,): c for e, c in coeffs.items()}, cap(ev),
                   layout(ev))
@@ -84,32 +94,34 @@ def pwd(ev, s: Series, i: int, m: int = 1) -> Series:
     """(P(w_i) w_i d/dw_i)^m applied to s."""
     P = P_series(ev, i)
     for _ in range(m):
-        s = P * s.wdw(ev.wvars[i])
+        s = P * s.wdw(wvars(ev)[i])
     return s
 
 
 def edge_weight(ev, I: tuple[int, ...]) -> Series:
     """c(u_I, w_I) for the hyperedge (multiset) I, ev._edge_data as a
-    Series, built once per shape of I (shape_of) and renamed to I.  Its
-    windows, read off the table entries and kernel terms _edge_data sums,
-    are those of the term-by-term product: hbar from the lowest
-    g2 - 2 + #I to K plus that lowest order when it is negative, each w
-    from its most negative exponent, u from 0."""
+    Series over wvars and uvars, built once per shape of I (shape_of) and
+    renamed to I.  Its windows, read off the table entries and kernel
+    terms _edge_data sums, are those of the term-by-term product: hbar
+    from the lowest g2 - 2 + #I to K plus that lowest order when it is
+    negative, each w from its most negative exponent, u from 0."""
     shape, slots = shape_of(I)
 
     def build():
-        vars, nums, den = ev._edge_data(shape)
-        m = len(shape)
+        nums, den = ev._edge_data(shape)
+        m, width = len(shape), max(shape) + 1
         entries = [(g2 - 2 + m, comp) for (g2, ks) in ev.table
                    if len(ks) == m and sum(ks) <= ev.D and g2 - 2 + m <= ev.K
                    for comp in _distinct_permutations(ks)]
         if m == 2 and shape[0] != shape[1]:
             entries += [(0, (k, -k)) for k in range(1, ev.kernel_depth + 1)]
+        # the positions of _edge_data: hbar, the w and then the u of each slot
+        vars = ("h",) + wvars(ev)[:width] + uvars(ev)[:width] if entries else ("h",)
         lo = [min((h for h, _ in entries), default=0)] + [0] * (len(vars) - 1)
         for _, comp in entries:
             base = [0] * len(vars)
             for s, k in zip(shape, comp):
-                base[vars.index(ev.wvars[s])] += k
+                base[vars.index(wvars(ev)[s])] += k
             lo[1:] = map(min, lo[1:], base[1:])
         hi = (ev.K + min(0, lo[0]),) + tuple(INF + x for x in lo[1:])
         return Series(vars, tuple(lo), hi, {e: Fraction(v, den) for e, v in nums.items()}, cap(ev),
@@ -125,13 +137,13 @@ def prune_w(ev, S: Series) -> Series:
     never re-enter the extractable range), and below the kernel
     budget."""
     window = (-ev.kernel_depth, ev.D)
-    return S.restrict_vars({wv: window for wv in ev.wvars if wv in S.vars})
+    return S.restrict_vars({wv: window for wv in wvars(ev) if wv in S.vars})
 
 
 def terms(ev, S: Series) -> dict[tuple, Fraction]:
     """The terms of S, a series in the w variables, as {exponent tuple
-    over ev.wvars: Fraction}: the rows of operators in Fraction form."""
-    nums, den = S.numerators(ev.wvars)
+    over wvars(ev): Fraction}: the rows of operators in Fraction form."""
+    nums, den = S.numerators(wvars(ev))
     return {e: Fraction(v, den) for e, v in nums.items()}
 
 
@@ -142,7 +154,7 @@ def hu_sigma_each(ev, s, i):
     """Multiply each monomial by hbar u_i sigma(hbar u_i k) with k its
     w_i-exponent: the sum over e2 of sig_e2 (hbar u_i)^(e2+1)
     (w_i d/dw_i)^e2 s, with the hbar window of s capped at K."""
-    wv, uv = ev.wvars[i], ev.uvars[i]
+    wv, uv = wvars(ev)[i], uvars(ev)[i]
     h_lo = s.lo[s.idx("h")] if "h" in s.vars else 0
     h_hi = min(s.hi[s.idx("h")] if "h" in s.vars else INF, ev.K)
     parts = []
@@ -185,7 +197,7 @@ def one_point_tail(ev):
                 vv = table_get(ev.table, g2, (k,))
                 if vv and g2 - 1 <= ev.K:
                     data[(g2 - 1, k)] = vv
-        return Series(("h", ev.wvars[0]), (-1, 1), (ev.K, INF), data, cap(ev), layout(ev))
+        return Series(("h", wvars(ev)[0]), (-1, 1), (ev.K, INF), data, cap(ev), layout(ev))
 
     return ev._memo(("ref-g1tail",), build)
 
@@ -197,7 +209,7 @@ def a_series(ev, i):
     / ( hbar u sigma(hbar u) )."""
 
     def build():
-        wv, uv = ev.wvars[0], ev.uvars[0]
+        wv, uv = wvars(ev)[0], uvars(ev)[0]
         d1 = hu_sigma_each(ev, one_point_tail(ev), 0)
         cminus1 = C_series(ev, 0) - Series.const((wv,), 1, cap(ev), layout(ev))
         u = Series.variable((uv,), uv, layout=layout(ev))
@@ -271,7 +283,7 @@ def pwd_sum(ev, parts, i):
     P = P_series(ev, i)
     acc = parts[max(parts)]
     for m in range(max(parts) - 1, -1, -1):
-        acc = P * acc.wdw(ev.wvars[i])
+        acc = P * acc.wdw(wvars(ev)[i])
         if m in parts:
             acc = acc + parts[m]
     return acc
@@ -280,11 +292,11 @@ def pwd_sum(ev, parts, i):
 def delta_series(ev, g2):
     """Delta_g(X) in the w-picture: [hbar^(2g)] sum_m (P w d/dw)^m
     ( [v^(m+1)] exp(E_B)|_{y=C} * P w d/dw C )."""
-    core = at_y(ev, b_raw(ev, 0)) * (P_series(ev, 0) * C_series(ev, 0).wdw(ev.wvars[0]))
+    core = at_y(ev, b_raw(ev, 0)) * (P_series(ev, 0) * C_series(ev, 0).wdw(wvars(ev)[0]))
     vparts = core.coeff_dict("v") if "v" in core.vars else {0: core}
     parts = {mp1 - 1: part for mp1, part in vparts.items() if mp1 >= 1}
     if not parts:
-        return Series.zero((ev.wvars[0],), cap=cap(ev), layout=layout(ev))
+        return Series.zero((wvars(ev)[0],), cap=cap(ev), layout=layout(ev))
     return pwd_sum(ev, parts, 0).coeff("h", g2)
 
 
@@ -295,7 +307,7 @@ def reduce_vertex(ev, S, i, hmax=None):
     """Apply the full operator weight at vertex i to the series S (which
     may depend on h, u_i, w_* and other u's), with P B_r known to
     hbar^hmax (to hbar^K when None)."""
-    uv = ev.uvars[i]
+    uv = uvars(ev)[i]
     S = S * a_series(ev, i)
     parts = S.coeff_dict(uv) if uv in S.vars else {0: S}
     # only r >= 0 enters; the hbar^(-1) u^(-1) unit is accounted for by
@@ -347,13 +359,13 @@ def graph_sum(ev, graph_list, T):
     for g in graph_list:
         edges = [tight_edge(ev, I) for I in g.edges]
         cuts = []
-        cut = dict.fromkeys(ev.wvars, ev.D)
+        cut = dict.fromkeys(wvars(ev), ev.D)
         cut["h"] = T - after[0]
         for e in reversed(edges):
             cuts.append(dict(cut))
             lows = dict(zip(e.vars, e.lo))
             cut["h"] -= lows["h"]
-            for wv in ev.wvars:
+            for wv in wvars(ev):
                 cut[wv] -= min(0, lows.get(wv, 0))
         S = one
         for e, cut in zip(edges, reversed(cuts)):
@@ -378,7 +390,7 @@ def reexpand(ev, S):
     depth = (ev.n + 1) * ev.D + 2
     wc = ev.w_of_x_coeffs(depth)
     S = prune_w(ev, S)
-    for wv in ev.wvars:
+    for wv in wvars(ev):
         if wv not in S.vars:
             continue
         g = Series((wv,), (1,), (depth,), {(e,): v for e, v in wc.items()}, layout=layout(ev))
@@ -397,13 +409,13 @@ def reexpand(ev, S):
 def edge_genus0(ev, I: tuple[int, ...], g2: int = 0, depth: int | None = None) -> Series:
     """transforms._edge_terms as a Series over the edge's variables."""
     groups, den, pos, _ = _edge_terms(ev, I, g2, depth)
-    wvars = tuple(ev.wvars[i] for i in pos)
+    names = tuple(wvars(ev)[i] for i in pos)
     if not groups:
-        return Series.zero(wvars[:1], cap=cap(ev), layout=layout(ev))
+        return Series.zero(names[:1], cap=cap(ev), layout=layout(ev))
     data = {tuple(e[i] for i in pos): Fraction(v, den)
             for *_, entries in groups for e, v in entries}
     lo = tuple(min(0, *(e[j] for e in data)) for j in range(len(pos)))
-    return Series(wvars, lo, (INF,) * len(pos), data, cap(ev), layout(ev))
+    return Series(names, lo, (INF,) * len(pos), data, cap(ev), layout(ev))
 
 
 def specialized_03(table, D: int):
@@ -427,13 +439,13 @@ def specialized_03(table, D: int):
         for j in others:
             term = term * P[j]
         total = total + prune_w(ev, term)
-    return ev.extract_table(*ev.reexpand(*total.numerators(ev.wvars)), 0)
+    return ev.extract_table(*ev.reexpand(*total.numerators(wvars(ev))), 0)
 
 
 def specialized_11(table, D: int):
     """Closed five-term form of the (1,1) relation."""
     ev = Evaluator(table, 1, D, K=4)
-    w = ev.wvars[0]
+    w = wvars(ev)[0]
     C = C_series(ev, 0)
     P = P_series(ev, 0)
     invC = invC_series(ev, 0)
@@ -457,4 +469,4 @@ def specialized_11(table, D: int):
     inner5 = P * C.wdw(w) * invC * invC
     t5 = (pwd(ev, inner5, 0, 2) - inner5) * (-one24)
     S = t1 + t2 + t3 + t4 + t5
-    return ev.extract_table(*ev.reexpand(*S.numerators(ev.wvars)), 2)
+    return ev.extract_table(*ev.reexpand(*S.numerators(wvars(ev))), 2)

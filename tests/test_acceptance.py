@@ -18,7 +18,7 @@ from freehop.hurwitz import (
 )
 from freehop.symcore import partitions
 from freehop.tables import gue_table, random_table, restrict_table, table_equal
-from graph_sum_reference import P_series, specialized_03, specialized_11, w_atom
+from graph_sum_reference import P_series, specialized_03, specialized_11, w_atom, wvars
 from hbar_reference import HbarSeries, from_numerators
 
 
@@ -227,7 +227,7 @@ def test_criterion_09_infinitesimal():
     ev = Evaluator(t1, 1, 10, K=3)
     ghalf = w_atom(ev, 0, {k: tables.table_get(t1, 1, (k,)) for k in range(1, 11)})
     lhs = P_series(ev, 0) * ghalf
-    got = ev.extract_table(*ev.reexpand(*lhs.numerators(ev.wvars)), 1)
+    got = ev.extract_table(*ev.reexpand(*lhs.numerators(wvars(ev))), 1)
     ok = ok and table_equal(got, closed, deg=10, g2=1)
     # special-tree route vs hbar-graded oracle, n <= 2, d <= 5
     for n in (1, 2):

@@ -144,6 +144,20 @@ def test_transform_routes_agree(seed, deg, g2):
             assert _transform(tmp, "c2m", route, cum, deg, g2) == want
 
 
+@pytest.mark.parametrize("seed,deg,g2", [(0, 4, 0), (1, 3, 1), (2, 4, 2), (3, 2, 2), (4, 4, 1)])
+def test_formula_route_agrees_with_hurwitz(seed, deg, g2):
+    """The formula route on fixed random tables: c2m gives the hurwitz
+    route's moment table, and its m2c output goes back to the input
+    through c2m."""
+    t = tables.random_table(seed=seed, nmax=deg, degmax=deg, g2max=2)
+    want = tables.restrict_table(t, deg=deg, g2=g2)
+    with tempfile.TemporaryDirectory() as tmp:
+        moments = _transform(tmp, "c2m", "formula", t, deg, g2)
+        assert moments == _transform(tmp, "c2m", "hurwitz", t, deg, g2)
+        cum = _transform(tmp, "m2c", "formula", t, deg, g2)
+        assert _transform(tmp, "c2m", "formula", cum, deg, g2) == want
+
+
 def test_transform_formula_route(tmp_path):
     """The formula route takes n up to deg, not up to the input's largest
     n: on the one-point GUE table at degree 6 it returns the hurwitz

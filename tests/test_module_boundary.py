@@ -1,7 +1,8 @@
 """The library's module boundary: the multivariate Series and the
-HbarSeries object live in the tests, and what the benchmark worker imports
-loads every module the benchmark's tracer wraps and none of the modules
-that dataclasses pulls in."""
+HbarSeries object live in the tests, the relations build no variable
+names and put table entries into slot orders in one place, and what the
+benchmark worker imports loads every module the benchmark's tracer wraps
+and none of the modules that dataclasses pulls in."""
 
 import ast
 import importlib.util
@@ -13,14 +14,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_library_has_no_multivariate_series():
-    # nor the HbarSeries object: both are references kept in the tests
+def _library_nodes():
     for path in sorted((ROOT / "src" / "freehop").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            assert not (isinstance(node, ast.ClassDef) and node.name in ("Series", "HbarSeries")), path
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
-                assert not any(n in ("Series", "HbarSeries") or "_reference" in n for n in names), path
+            yield path, node
+
+
+def test_library_has_no_multivariate_series():
+    # nor the HbarSeries object: both are references kept in the tests
+    for path, node in _library_nodes():
+        assert not (isinstance(node, ast.ClassDef) and node.name in ("Series", "HbarSeries")), path
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            assert not any(n in ("Series", "HbarSeries") or "_reference" in n for n in names), path
+
+
+def test_library_builds_no_relation_variable_names():
+    # the hyperedge weights are keyed by exponent positions, not by names
+    # such as "w3" and "u1", and the Evaluator lists no such names
+    for path, node in _library_nodes():
+        assert not (isinstance(node, ast.Constant) and node.value in ("w%d", "u%d")), path
+        assert not (isinstance(node, ast.Attribute) and node.attr in ("wvars", "uvars")), path
+        assert not (isinstance(node, ast.FunctionDef) and node.name in ("wvars", "uvars")), path
+
+
+def test_library_orders_slots_in_one_place():
+    # every table entry is put into its slot orders by Evaluator._slot_entries
+    calls = [path.name for path, node in _library_nodes() if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_distinct_permutations"]
+    assert calls == ["operators.py"]
 
 
 def _loaded_by_worker_imports() -> set[str]:

@@ -5,7 +5,8 @@ import pytest
 import graph_sum_reference
 from freehop.operators import Evaluator, _distinct_permutations
 from freehop.tables import gue_table, random_table
-from graph_sum_reference import P_series, cap, edge_weight, invC_series, layout, pwd, w_atom
+from graph_sum_reference import (P_series, cap, edge_weight, invC_series, layout, pwd, uvars, w_atom,
+                                 wvars)
 from series_reference import INF, Series, series_sum, univariate_coeffs
 
 
@@ -137,13 +138,13 @@ def _edge_weight_term_by_term(ev, I):
         term = Series(("h",), (hexp,), (ev.K,), {(hexp,): val})
         wexp = {}
         for slot, k in zip(I, comp):
-            wexp[ev.wvars[slot]] = wexp.get(ev.wvars[slot], 0) + k
-        wvars = tuple(sorted(wexp))
-        term = term * Series(wvars, tuple(min(wexp[v], 0) for v in wvars), (INF,) * len(wvars),
-                             {tuple(wexp[v] for v in wvars): 1}, cap(ev))
+            wexp[wvars(ev)[slot]] = wexp.get(wvars(ev)[slot], 0) + k
+        ws = tuple(sorted(wexp))
+        term = term * Series(ws, tuple(min(wexp[v], 0) for v in ws), (INF,) * len(ws),
+                             {tuple(wexp[v] for v in ws): 1}, cap(ev))
         for slot, k in zip(I, comp):
             data = {(e2 + 1, e2 + 1): c * k ** e2 for e2, c in ev.sig.items() if e2 + 1 <= ev.K}
-            term = term * Series(("h", ev.uvars[slot]), (0, 0), (ev.K, INF), data)
+            term = term * Series(("h", uvars(ev)[slot]), (0, 0), (ev.K, INF), data)
         terms.append(term)
     if not terms:
         return Series.zero(("h",), hi=(ev.K,))

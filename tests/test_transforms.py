@@ -485,7 +485,8 @@ def test_tree_route_symmetric_output():
 def _reachable_reference(ev, factors):
     """The plain Series product of the factors, pruned by prune_w, then
     its terms with sum_i max(1, a_i) <= D, as {exponents: Fraction}."""
-    prod = Series.const(ev.wvars, 1, graph_sum_reference.cap(ev), graph_sum_reference.layout(ev))
+    prod = Series.const(graph_sum_reference.wvars(ev), 1, graph_sum_reference.cap(ev),
+                        graph_sum_reference.layout(ev))
     for f in factors:
         prod = prod * f
     prod = graph_sum_reference.terms(ev, graph_sum_reference.prune_w(ev, prod))
