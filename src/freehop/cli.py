@@ -361,9 +361,41 @@ def suite_dual_roundtrip(deg: int = 6) -> dict:
     return _report("dual-roundtrip", cases)
 
 
+CLOSED_FORM_G2 = 4
+
+
+def suite_closed_forms(deg: int = 12) -> dict:
+    """The master routes against closed forms, far past the brute-force
+    oracles: every one-point entry of master_forward on GUE to doubled
+    genus CLOSED_FORM_G2 against the Harer-Zagier recursion, and the
+    genus-0 one-point entries of both directions against the free
+    moment-cumulant relation on random tables (master_inverse of a table
+    taken as moments gives cumulants whose free moments are that table's)."""
+    cases = []
+    g2max = CLOSED_FORM_G2
+    got = transforms.master_forward(tables.gue_table(), deg, g2max)
+    want = oracles.harer_zagier(deg // 2, g2max // 2)
+    for g2 in range(g2max + 1):
+        for k in range(1, deg + 1):
+            key = (g2, (k,))
+            cases.append(_case("GUE F_{%d/2;%d}" % (g2, k), want.get(key, Fraction(0)), got.get(key, Fraction(0))))
+    for seed in range(2):
+        t = tables.random_table(seed=600 + seed, nmax=3, degmax=deg)
+        one_point = {key: v for key, v in t.items() if len(key[1]) == 1}
+        m = transforms.master_forward(t, deg, 0)
+        m = {key: v for key, v in m.items() if len(key[1]) == 1}
+        c = transforms.master_inverse(t, deg, 0)
+        cases.append(_case("seed %d: master_forward == free moments" % seed,
+                           oracles.free_moments_genus0(t, deg), m))
+        cases.append(_case("seed %d: free moments of master_inverse == input" % seed,
+                           one_point, oracles.free_moments_genus0(c, deg)))
+    return _report("closed-forms", cases)
+
+
 # the suites, each with the flags it reads; any other flag exits 2
 SUITES = {"orthogonality": ("d", "hbar"), "equivalence": ("d", "hbar"), "genus0-trees": ("n", "deg"),
-          "all-genus": ("deg",), "infinitesimal": ("deg",), "gue": (), "dual-roundtrip": ("deg",)}
+          "all-genus": ("deg",), "infinitesimal": ("deg",), "gue": (), "dual-roundtrip": ("deg",),
+          "closed-forms": ("deg",)}
 
 
 def _given(flag: str, value: int | None, default: int, least: int = 0) -> int:
@@ -400,6 +432,8 @@ def cmd_verify(args) -> int:
         report = suite_gue()
     elif args.suite == "dual-roundtrip":
         report = suite_dual_roundtrip(_given("deg", args.deg, 6))
+    elif args.suite == "closed-forms":
+        report = suite_closed_forms(_given("deg", args.deg, 12, least=1))
     else:  # pragma: no cover
         raise CliError("unknown suite %r" % args.suite)
     if not report["cases"]:

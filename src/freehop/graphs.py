@@ -57,24 +57,6 @@ class Graph(namedtuple("Graph", "n edges special", defaults=(-1,))):
         """sum_I (#I - 1) - (n - 1); zero exactly for trees."""
         return sum(len(e) - 1 for e in self.edges) - (self.n - 1)
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            for i in e[1:]:
-                ri, r0 = find(i), find(e[0])
-                if ri != r0:
-                    parent[max(ri, r0)] = min(ri, r0)
-        return len({find(x) for x in range(self.n)}) == 1
-
 
 def _hyperedge_pool(n: int, max_size: int) -> list[Hyperedge]:
     pool = []

@@ -38,7 +38,7 @@ from math import factorial, lcm
 from operator import mul
 
 from . import symcore
-from .hbar import _decode, _mul_add
+from .hbar import Packed, _decode
 from .symcore import Partition, Perm
 
 KINDS = ("strict", "weak", "free-single")
@@ -171,16 +171,19 @@ def hurwitz_table(d: int, kind: str, K: int) -> dict[tuple[Partition, Partition]
     parts = symcore.partitions(d)
     rmax = K if kind == "weak" else min(K, max(d - 1, 0))
     chars = symcore.character_table(d)
-    # by r, then rho
-    mult = list(zip(*_content_multipliers(d, kind, rmax)))
+    mult = _content_multipliers(d, kind, rmax)
+    # each entry is a packed sum of the multiplier rows, read back at once:
+    # |sum_rho chi^rho(lam) chi^rho(nu) m_rho(r)| <= max |m| sqrt(z_lam z_nu)
+    # by Cauchy-Schwarz and column orthogonality, and z_lam <= d!
+    ring = Packed(rmax, (max(abs(v) for m in mult for v in m) * factorial(d)).bit_length() + 1)
+    mult = [ring.row(m) for m in mult]
     pad = [0] * (K - rmax)
     z = [symcore.z_factor(lam) for lam in parts]
     out = {}
     for i, lam in enumerate(parts):
         for j in range(i, len(parts)):
-            w = [chi[i] * chi[j] for chi in chars]
-            row = [sum(map(mul, w, m)) for m in mult] + pad
-            out[(lam, parts[j])] = out[(parts[j], lam)] = (row, z[i] * z[j])
+            row = ring.reduce(sum(map(mul, [chi[i] * chi[j] for chi in chars], mult)))
+            out[(lam, parts[j])] = out[(parts[j], lam)] = (ring.read(row, 0, rmax + 1) + pad, z[i] * z[j])
     return out
 
 
@@ -289,24 +292,28 @@ def verify_orthogonality(d: int, K: int) -> dict:
     weak = hurwitz_table(d, "weak", K)
     z = [symcore.z_factor(lam) for lam in parts]
     L = lcm(*z)  # first[(lam, rho)] is over z_lam z_rho, second[(rho, nu)] over z_rho z_nu
+    # a residual slot is at most L (max |strict row| max |weak row| + d!),
+    # in sums of |coefficients|, since sum_rho 1 / z_rho = 1 and z_nu <= d!
+    top = [max(sum(map(abs, row)) for row, _ in t.values()) for t in (strict, weak)]
+    ring = Packed(K, (L * (top[0] * top[1] + factorial(d))).bit_length() + 1)
+    strict, weak = ({key: ring.row(row) for key, (row, _) in t.items()} for t in (strict, weak))
     cases = []
     ok = True
     for order in ("strict-weak", "weak-strict"):
         first, second = (strict, weak) if order == "strict-weak" else (weak, strict)
         for lam in parts:
             for j, nu in enumerate(parts):
-                resid = [0] * (K + 1)
-                for zr, rho in zip(z, parts):
-                    _mul_add(resid, L // zr, first[(lam, rho)][0], second[(rho, nu)][0], K)
+                resid = sum(L // zr * first[(lam, rho)] * second[(rho, nu)] for zr, rho in zip(z, parts))
                 if lam == nu:
-                    resid[0] -= L * z[j]
-                good = not any(resid)
+                    resid -= L * z[j]
+                resid = ring.reduce(resid)
+                good = resid == 0
                 ok = ok and good
                 cases.append(
                     {
                         "input": {"order": order, "lambda": list(lam), "nu": list(nu)},
                         "expected": "delta",
-                        "got": "delta" if good else str(_decode(resid, L * z[j])),
+                        "got": "delta" if good else str(_decode(ring.read(resid, 0, K + 1), L * z[j])),
                         "pass": good,
                     }
                 )

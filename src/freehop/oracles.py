@@ -421,3 +421,66 @@ def gue_moments_by_gluing(kmax: int) -> CoefficientTable:
         for g, c in polygon_gluings_by_genus(k).items():
             out[(2 * g, (2 * k,))] = Fraction(c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed forms from the literature, which reach far past the walks above
+
+
+def harer_zagier(kmax: int, gmax: int) -> CoefficientTable:
+    """GUE one-point moments F_{2g; (2k)} = eps_g(k), the number of
+    gluings of a 2k-gon into a genus-g surface, for k <= kmax and
+    g <= gmax, by the Harer-Zagier recursion (Invent. Math. 85, 1986)
+
+        (k + 1) eps_g(k) = (4k - 2) eps_g(k - 1)
+                           + (k - 1)(2k - 1)(2k - 3) eps_(g-1)(k - 2),
+
+    eps_0(0) = 1.  Only the nonzero entries are listed.
+
+    >>> sorted(harer_zagier(3, 1).items())
+    [((0, (2,)), Fraction(1, 1)), ((0, (4,)), Fraction(2, 1)), ((0, (6,)), Fraction(5, 1)), ((2, (4,)), Fraction(1, 1)), ((2, (6,)), Fraction(10, 1))]
+    """
+    eps = [[1] + [0] * kmax]  # eps[g][k]
+    for g in range(1, gmax + 1):
+        eps.append([0] * (kmax + 1))
+    for k in range(1, kmax + 1):
+        for g in range(gmax + 1):
+            v = (4 * k - 2) * eps[g][k - 1]
+            if g and k >= 2:
+                v += (k - 1) * (2 * k - 1) * (2 * k - 3) * eps[g - 1][k - 2]
+            eps[g][k] = v // (k + 1)
+    return {(2 * g, (2 * k,)): Fraction(eps[g][k])
+            for g in range(gmax + 1) for k in range(1, kmax + 1) if eps[g][k]}
+
+
+def free_moments_genus0(table: CoefficientTable, deg: int) -> CoefficientTable:
+    """The genus-0 one-point moments m_n, n <= deg, of the free cumulants
+    kappa_s = F_{0; (s)} of a table, by the free moment-cumulant relation
+    (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
+    2006)
+
+        m_n = sum_(s = 1..n) kappa_s [x^(n - s)] M(x)^s,  M = sum_i m_i x^i,
+
+    with m_0 = 1, as {(0, (n,)): m_n} over the nonzero m_n.  It builds no
+    inverse series: each m_n needs only the m_i of lower degree.
+
+    >>> free_moments_genus0({(0, (2,)): Fraction(1)}, 6)
+    {(0, (2,)): Fraction(1, 1), (0, (4,)): Fraction(2, 1), (0, (6,)): Fraction(5, 1)}
+    """
+    kappa = [table_get(table, 0, (s,)) for s in range(deg + 1)]
+    m = [Fraction(1)]
+    for n in range(1, deg + 1):
+        # power = M^s to x^(n - s), for s = 1, 2, ...
+        power = m[:n]
+        total = Fraction(0)
+        for s in range(1, n + 1):
+            if kappa[s]:
+                total += kappa[s] * power[n - s]
+            nxt = [Fraction(0)] * (n - s)
+            for i, a in enumerate(power[:n - s]):
+                if a:
+                    for j in range(n - s - i):
+                        nxt[i + j] += a * m[j]
+            power = nxt
+        m.append(total)
+    return {(0, (n,)): v for n, v in enumerate(m) if n and v}

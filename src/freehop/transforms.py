@@ -41,18 +41,24 @@ that holds the first cycle: with nu = (a, rho),
 where c_T = prod_k C(m_k(rho), t_k) counts the sets of cycles of rho whose
 lengths form T.  Its inverse peels the T = rho term off the same sum.
 
-Representation.  Every master route keeps its hbar-series as the integer
-rows of freehop.hbar, the numerators of hbar^0..hbar^K, over a denominator
-fixed by the partition, and the rows stop at K = required_K, the highest
-order an entry is read off at; a term never feeds a lower order.  The
-block values B(mu) of the input table sit over Q^ell(mu), Q the lcm of the
+Representation.  Every master route keeps its hbar-series as the rows of
+freehop.hbar, the numerators of hbar^0..hbar^K over a denominator fixed
+by the partition, and the rows stop at K = required_K, the highest order
+an entry is read off at; a term never feeds a lower order.  The block
+values B(mu) of the input table sit over Q^ell(mu), Q the lcm of the
 table's denominators (_block_rows), and so does Z(nu) over Q^ell(nu); the
 Z(nu) / z(nu) of one degree d, and the chi-transform of them, over
 Q^d d!; the Z and block values of the peel over one D_d per degree, with
 D_a D_b dividing D_(a+b); and the moments and cumulants of degree d on
-the convolution routes over Q^d.  So a product term is a truncated
-convolution of integer lists (hbar._mul_add), and a Fraction is built
-only where an entry is read off (_store).
+the convolution routes over Q^d.  A row is one integer with a slot of B
+bits per order (hbar.Packed), so a product term is one big-integer
+product, and a slot is decoded, and a Fraction built, only where an entry
+is read off (_store).  B comes from a bound: each kernel runs first on
+hbar.Bounds, the same recursion on one scalar bound of the sum of |v_j|
+per row, and B is the bit length of the largest bound of a row it reads
+off, plus one.  Where Q^dmax is wide (PACKED_MAX_BITS), the master kernel
+keeps its Z-assembly and peel on lists, and the Moebius route solves on
+lists order by order (hbar.Lists).
 """
 
 from __future__ import annotations
@@ -63,10 +69,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
-from operator import add, mul, sub
+from operator import add, mul
 
 from . import graphs, pscore, symcore
-from .hbar import _decode, _mul_add
+from .hbar import Bounds, Lists, Packed, _decode
 from .operators import Evaluator, shape_of
 from .series import _w_product
 from .symcore import Partition, sort_to_partition
@@ -105,27 +111,35 @@ def _splits(nu: Partition) -> tuple:
     return tuple(out)
 
 
-def _first_block_sum(nu: Partition, block: dict, z: dict, den, K: int) -> list:
+def _first_block_sum(nu: Partition, block: dict, z: dict, den, ring) -> int:
     """The first-block sum sum_T c_T B(nu_1 u T) Z(rest) over den(nu), on
-    integer rows: the row of a partition p in ``block`` or ``z`` is over
-    den(p), and den(mu) den(rest) divides den(nu).  A block missing from
-    ``block`` is a zero term."""
-    acc = [0] * (K + 1)
+    the rows of ``ring`` (freehop.hbar): the row of a partition p in
+    ``block`` or ``z`` is over den(p), and den(mu) den(rest) divides
+    den(nu).  A block missing from ``block`` is a zero term.
+
+    A block value B(mu) starts at hbar^(|mu| + len(mu) - 2), and so a
+    Z(rest), as a sum of products of block values over set partitions of
+    rest's cycles, starts at hbar^(|rest| - len(rest)) at the lowest (all
+    blocks single cycles); so does each Z' of the chi-transform, since a
+    Hurwitz series H(lam, nu) starts at hbar^|len(lam) - len(nu)|.  The
+    products multiply only the slots above these orders."""
+    acc = ring.zero()
     dn = den(nu)
     for mu, rest, c in _splits(nu):
         b = block.get(mu)
         if b is not None:
-            _mul_add(acc, c * dn // (den(mu) * den(rest)), b, z[rest], K)
-    return acc
+            acc = ring.mul_add(acc, c * dn // (den(mu) * den(rest)),
+                               b, sum(mu) + len(mu) - 2, z[rest], sum(rest) - len(rest))
+    return ring.reduce(acc)
 
 
 def _block_rows(table: CoefficientTable, dmax: int, K: int):
     """The block values B(mu), |mu| <= dmax, of a table as integer rows
     truncated at hbar^K: returns (block, qpow), where block[mu] is the
-    row of B(mu) Q^len(mu) for every mu with a nonzero row, qpow[e] = Q^e
-    for e <= dmax, and Q is the lcm of the denominators of the table
-    entries of degree <= dmax.  Raises ValueError on a key whose k is not
-    a partition (tables.checked_items)."""
+    list of the numerators of B(mu) Q^len(mu) for every mu with a nonzero
+    row, qpow[e] = Q^e for e <= dmax, and Q is the lcm of the denominators
+    of the table entries of degree <= dmax.  Raises ValueError on a key
+    whose k is not a partition (tables.checked_items)."""
     Q = lcm(*(v.denominator for (_, mu), v in checked_items(table) if sum(mu) <= dmax))
     qpow = [Q ** e for e in range(dmax + 1)]
     block = {}
@@ -141,38 +155,38 @@ def _block_rows(table: CoefficientTable, dmax: int, K: int):
     return block, qpow
 
 
-def _z_rows(table: CoefficientTable, dmax: int, K: int):
+def _z_rows(block: dict, qpow: list, dmax: int, ring):
     """Z(nu) for every nu |- d <= dmax by the first-block recursion,
 
         Z(nu) = sum_{T sub-multiset of rho} c_T B(nu_1 u T) Z(rho - T),
 
-    rho = nu minus its largest part nu_1, c_T = prod_k C(m_k(rho), t_k).
-    Returns (z, den): z[nu] is the integer row of Z(nu) den(nu), with
-    den(nu) = Q^len(nu) over the Q of _block_rows.  A block value B(mu)
-    sits over Q^len(mu) too, so each term of the recursion is an integer
-    row product."""
-    block, qpow = _block_rows(table, dmax, K)
+    rho = nu minus its largest part nu_1, c_T = prod_k C(m_k(rho), t_k),
+    from the block rows and Q-powers of _block_rows.  Returns (z, den):
+    z[nu] is the row of Z(nu) den(nu) in ``ring``, with den(nu) =
+    Q^len(nu).  A block value B(mu) sits over Q^len(mu) too, so each term
+    of the recursion is a product of rows times an integer."""
+    block = {mu: ring.row(row) for mu, row in block.items()}
 
     def den(p: Partition) -> int:
         return qpow[len(p)]
 
-    z = {(): [1] + [0] * K}
+    z = {(): ring.one}
     for d in range(1, dmax + 1):
         for nu in symcore.partitions(d):
-            z[nu] = _first_block_sum(nu, block, z, den, K)
+            z[nu] = _first_block_sum(nu, block, z, den, ring)
     return z, den
 
 
-def _peel(z: dict, dens: list, dmax: int, K: int, g2max: int) -> CoefficientTable:
+def _peel(z: dict, dens: list, dmax: int, g2max: int, ring) -> CoefficientTable:
     """Invert the Z-assembly, degree by degree: with nu = (a, rho),
 
         B(nu) = Z(nu) - sum_{T != rho} c_T B(a u T) Z(rho - T),
 
     where each B(a u T) is of lower degree and each Z(rho - T) is an input
     value; then read the F-table off the hbar gradings of the B(nu).
-    z[nu] is an integer row over dens[|nu|].  Z and B of degree d are put
-    over one D_d, the lcm of dens[d] and every D_a D_(d-a), so each term is
-    an integer row product times D_d / (D_a D_(d-a))."""
+    z[nu] is a row of ``ring`` over dens[|nu|].  Z and B of degree d are
+    put over one D_d, the lcm of dens[d] and every D_a D_(d-a), so each
+    term is a product of rows times D_d / (D_a D_(d-a))."""
     D = [1]
     for d in range(1, dmax + 1):
         D.append(lcm(dens[d], *(D[a] * D[d - a] for a in range(1, d))))
@@ -184,21 +198,30 @@ def _peel(z: dict, dens: list, dmax: int, K: int, g2max: int) -> CoefficientTabl
     for d in range(1, dmax + 1):
         s = D[d] // dens[d]
         for nu in symcore.partitions(d):
-            zD[nu] = row = z[nu] if s == 1 else [v * s for v in z[nu]]
+            zD[nu] = row = z[nu] if s == 1 else ring.scale(s, z[nu])
             # block lacks nu itself, so the sum leaves out T = rho
-            row = list(map(sub, row, _first_block_sum(nu, block, zD, den, K)))
-            if any(row):
+            row = ring.sub(row, _first_block_sum(nu, block, zD, den, ring))
+            if ring.nonzero(row):
                 block[nu] = row
-            _store(out, nu, row, D[d], g2max)
+            _store(out, nu, row, D[d], g2max, ring)
     return out
 
 
-def _store(out: CoefficientTable, lam: Partition, row: list, den: int, g2max: int):
+def _store(out: CoefficientTable, lam: Partition, row: int, den: int, g2max: int, ring):
     """Read the entries F_{g2; lam}, g2 <= g2max, off the hbar gradings of
-    a block value known to hbar^K, given as an integer row over den."""
+    a block value known to hbar^K, given as a row of ``ring`` over den."""
     base = sum(lam) + len(lam) - 2
-    for g2, v in _decode(row[base:base + g2max + 1], den).items():
+    for g2, v in _decode(ring.read(row, base, base + g2max + 1), den).items():
         out[(g2, lam)] = v
+
+
+def _packed(kernel, K: int, *args) -> CoefficientTable:
+    """Run a kernel written against the row operations of freehop.hbar
+    twice: on Bounds, to bound every row it reads off, then on Packed rows
+    whose slot width that bound makes exact."""
+    bounds = Bounds(K)
+    kernel(*args, bounds)
+    return kernel(*args, Packed(K, bounds.width()))
 
 
 def required_K(dmax: int, g2max: int) -> int:
@@ -213,6 +236,16 @@ def required_K(dmax: int, g2max: int) -> int:
 # routes: hurwitz and schur, one content-multiplier kernel
 
 
+# Rows of degree d carry the common denominator Q^d.  Packing pads every
+# slot to the widest, and CPython multiplies wide packed rows more slowly
+# than it convolves their lists, so past this many bits of Q^dmax the
+# Z-assembly and the peel run on lists.  Measured on CPython 3.11 at
+# (deg, g2) = (12, 4) and (16, 4), in both directions: packed rows were
+# 1.5 to 4 times faster than lists where Q^dmax had 32 and 42 bits, and
+# as fast or slower where it had 259 and 459.
+PACKED_MAX_BITS = 128
+
+
 def _content_transform(table: CoefficientTable, dmax: int, g2max: int, inverse: bool) -> CoefficientTable:
     """z(lam) sum_nu H(lam, nu) Z(nu), H the strictly (weakly) monotone
     Hurwitz series, as a chi-transform.  A central element acts on the
@@ -221,34 +254,54 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, inverse: 
         Z'(lam) = sum_rho chi^rho(lam) m_rho sum_nu chi^rho(nu) b_nu,
 
     m_rho = prod over the cells of rho of (1 + hbar c), c the content, or
-    its inverse when ``inverse`` is set.  Per degree the b_nu are one
-    integer matrix over the denominator Q^d d! (Z(nu) is over Q^len(nu)
-    and d! / z(nu) is the class size), so the transform is two integer
-    products with the character table and a truncated row product by the
-    integer rows of symcore.content_rows in between; _peel reads the
-    F-table off the Z'.  Every entry has degree >= 1, so below dmax = 1
-    the table is empty, as on the convolution routes."""
+    its inverse when ``inverse`` is set.  Per degree the b_nu are rows over
+    the denominator Q^d d! (Z(nu) is over Q^len(nu) and d! / z(nu) is the
+    class size), so the transform is two sums of rows times characters
+    and a row product by the rows of symcore.content_rows in between;
+    _peel reads the F-table off the Z'.  Every entry has degree >= 1, so
+    below dmax = 1 the table is empty, as on the convolution routes.
+
+    The kernel runs on packed rows (_packed) while Q^dmax has at most
+    PACKED_MAX_BITS bits; past that, the Z-assembly and the peel run on
+    lists and only the chi-transform packs (hbar.Lists.packed)."""
     if dmax < 1:
         return {}
     K = required_K(dmax, g2max)
-    z, den = _z_rows(table, dmax, K)
-    Q = den((1,))
-    zout, dens = {}, [1]
+    block, qpow = _block_rows(table, dmax, K)
+    if qpow[dmax].bit_length() <= PACKED_MAX_BITS:
+        return _packed(_content_kernel, K, block, qpow, dmax, g2max, inverse)
+    return _content_kernel(block, qpow, dmax, g2max, inverse, Lists(K))
+
+
+def _content_kernel(block: dict, qpow: list, dmax: int, g2max: int, inverse: bool, ring) -> CoefficientTable:
+    """_content_transform on the rows of ``ring``, from the block rows and
+    Q-powers of _block_rows."""
+    z, _ = _z_rows(block, qpow, dmax, ring)
+    zout = {}
     for d in range(1, dmax + 1):
-        parts = symcore.partitions(d)
-        chars = symcore.character_table(d)  # row rho, column nu
-        scale = [Q ** (d - len(nu)) * symcore.class_size(nu) for nu in parts]
-        cols = list(zip(*([v * s for v in z[nu]] for nu, s in zip(parts, scale))))
-        c = []
-        for chi, m in zip(chars, symcore.content_rows(d, K, inverse)):
-            acc = [0] * (K + 1)
-            _mul_add(acc, 1, m, [sum(map(mul, chi, col)) for col in cols], K)
-            c.append(acc)
-        cols = list(zip(*c))
-        for lam, chi in zip(parts, zip(*chars)):
-            zout[lam] = [sum(map(mul, chi, col)) for col in cols]
-        dens.append(Q ** d * factorial(d))
-    return _peel(zout, dens, dmax, K, g2max)
+        rows = {nu: z[nu] for nu in symcore.partitions(d)}
+        zout.update(ring.packed(lambda rows, r: _chi_transform(rows, r, qpow, d, inverse), rows))
+    dens = [1] + [qpow[d] * factorial(d) for d in range(1, dmax + 1)]
+    return _peel(zout, dens, dmax, g2max, ring)
+
+
+def _chi_transform(z: dict, ring, qpow: list, d: int, inverse: bool) -> dict:
+    """The Z'(lam), lam |- d, of _content_transform from the Z(nu), nu |- d,
+    over Q^len(nu), as rows of ``ring``, Packed or Bounds, each over
+    Q^d d!.
+
+    In the bound pass the characters keep their signs and m_rho is its
+    value at hbar = 1 (at hbar = -1 inverse, Bounds.multiplier):
+    sum_rho chi^rho(lam) chi^rho(nu) m_rho is z(lam) z(nu) H(lam, nu),
+    whose coefficients are the monotone Hurwitz numbers, all >= 0
+    (alternating in sign inverse), so that value is the exact sum of their
+    absolute values to hbar^K."""
+    parts = symcore.partitions(d)
+    chars = symcore.character_table(d)  # row rho, column nu
+    xs = [ring.scale(qpow[d - len(nu)] * symcore.class_size(nu), z[nu]) for nu in parts]
+    cs = [ring.reduce(ring.multiplier(m, -1 if inverse else 1) * sum(map(mul, chi, xs)))
+          for chi, m in zip(chars, symcore.content_rows(d, ring.K, inverse))]
+    return {lam: ring.reduce(sum(map(mul, chi, cs))) for lam, chi in zip(parts, zip(*chars))}
 
 
 def master_forward(cum_table: CoefficientTable, dmax: int, g2max: int) -> CoefficientTable:
@@ -271,10 +324,11 @@ def schur_d_oracle(cum_table: CoefficientTable, dmax: int, g2max: int, inverse: 
 # route: convolution on PS(d), evaluated at the one-block targets
 
 
+@lru_cache(maxsize=None)
 def _grouped_factorizations(lam: Partition, K: int) -> dict:
     """pscore.target_factorizations(lam) grouped by the block types: for
     each types, the integer row of sum n hbar^|alpha| over its keys with
-    |alpha| <= K."""
+    |alpha| <= K.  Memoised per (lam, K); the rows are read only."""
     rows: dict = {}
     for (col_a, types), n in pscore.target_factorizations(lam):
         if col_a <= K:
@@ -282,17 +336,14 @@ def _grouped_factorizations(lam: Partition, K: int) -> dict:
     return rows
 
 
-def _product_row(types: tuple, rows: dict, memo: dict, K: int):
+def _product_row(types: tuple, rows: dict, memo: dict, ring):
     """The product of rows[mu] over the sorted cycle types mu of ``types``,
     or None when a type has no row (a zero value); memo holds the product
     of every prefix of types asked for so far, with memo[()] the row of 1."""
     if types not in memo:
-        head, last = _product_row(types[:-1], rows, memo, K), rows.get(types[-1])
-        if head is None or last is None:
-            memo[types] = None
-        else:
-            memo[types] = acc = [0] * (K + 1)
-            _mul_add(acc, 1, head, last, K)
+        head, last = _product_row(types[:-1], rows, memo, ring), rows.get(types[-1])
+        memo[types] = None if head is None or last is None else ring.reduce(
+            ring.mul_add(ring.zero(), 1, head, 0, last, 0))
     return memo[types]
 
 
@@ -306,19 +357,25 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int) -> C
     counts of ``pscore.target_factorizations``, grouped by block types: each
     group is its hbar row times the product of its types' block values.
     The moments of degree d sit over Q^d, a product of block values over
-    Q^(sum of their lengths), which is at most d."""
-    K = required_K(dmax, g2max)
-    block, qpow = _block_rows(cum_table, dmax, K)
-    memo = {(): [1] + [0] * K}
+    Q^(sum of their lengths), which is at most d.  Runs on packed rows
+    (_packed)."""
+    return _packed(_convolution_kernel, required_K(dmax, g2max), cum_table, dmax, g2max)
+
+
+def _convolution_kernel(cum_table: CoefficientTable, dmax: int, g2max: int, ring) -> CoefficientTable:
+    """convolution_forward on the rows of ``ring``."""
+    block, qpow = _block_rows(cum_table, dmax, ring.K)
+    block = {mu: ring.row(row) for mu, row in block.items()}
+    memo = {(): ring.one}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         for lam in symcore.partitions(d):
-            acc = [0] * (K + 1)
-            for types, h in _grouped_factorizations(lam, K).items():
-                p = _product_row(types, block, memo, K)
+            acc = ring.zero()
+            for types, h in _grouped_factorizations(lam, ring.K).items():
+                p = _product_row(types, block, memo, ring)
                 if p is not None:
-                    _mul_add(acc, qpow[d - sum(map(len, types))], h, p, K)
-            _store(out, lam, acc, qpow[d], g2max)
+                    acc = ring.mul_add(acc, qpow[d - sum(map(len, types))], ring.row(h), 0, p, 0)
+            _store(out, lam, ring.reduce(acc), qpow[d], g2max, ring)
     return out
 
 
@@ -337,32 +394,34 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int) ->
 
         x_lam[j] = r_lam[j] - sum n x_mu[j - |alpha|],
 
-    each x_mu[j - |alpha|] being of a lower order, already solved."""
+    each x_mu[j - |alpha|] being of a lower order, already solved.  The
+    rows are lists (hbar.Lists): the solve reads them one order at a
+    time, which packed rows would have to decode at every order."""
     K = required_K(dmax, g2max)
+    ring = Lists(K)
     moments, qpow = _block_rows(mom_table, dmax, K)
     cum: dict[Partition, list] = {}
-    memo = {(): [1] + [0] * K}
+    memo = {(): ring.one}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         parts = symcore.partitions(d)
         x, links = {}, {}
         for lam in parts:
-            m = moments.get(lam, [0] * (K + 1))
-            x[lam] = r = [v * qpow[d - len(lam)] for v in m]
+            x[lam] = r = ring.scale(qpow[d - len(lam)], moments.get(lam, ring.zero()))
             links[lam] = []
             for types, h in _grouped_factorizations(lam, K).items():
                 if len(types) == 1:
                     links[lam] += [(types[0], a, n) for a, n in enumerate(h) if a and n]
                 else:
-                    p = _product_row(types, cum, memo, K)
+                    p = _product_row(types, cum, memo, ring)
                     if p is not None:
-                        _mul_add(r, -1, h, p, K)
+                        ring.mul_add(r, -1, h, 0, p, 0)
         # x[lam] holds r_lam and is solved in place, order by order
         for j in range(K + 1):
             for lam in parts:
                 x[lam][j] -= sum(n * x[mu][j - a] for mu, a, n in links[lam] if a <= j)
         for lam in parts:
-            _store(out, lam, x[lam], qpow[d], g2max)
+            _store(out, lam, x[lam], qpow[d], g2max, ring)
         cum.update(x)
     return out
 

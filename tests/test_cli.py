@@ -435,7 +435,8 @@ def test_verify_small_suites(tmp_path):
 
 
 _VERIFY_READS = {"orthogonality": "d hbar", "equivalence": "d hbar", "genus0-trees": "n deg",
-                 "all-genus": "deg", "infinitesimal": "deg", "gue": "", "dual-roundtrip": "deg"}
+                 "all-genus": "deg", "infinitesimal": "deg", "gue": "", "dual-roundtrip": "deg",
+                 "closed-forms": "deg"}
 
 
 @pytest.mark.parametrize("flag", ["d", "n", "deg", "hbar"])
@@ -536,7 +537,8 @@ def _writer_calls(src):
     calls += [["moebius", "--d", "3"], ["moebius", "--d", "3", "--hbar", "3"], ["moebius", "--d", "0"]]
     small = {"orthogonality": ["--d", "3"], "equivalence": ["--d", "2"],
              "genus0-trees": ["--n", "2", "--deg", "3"], "all-genus": ["--deg", "3"],
-             "infinitesimal": ["--deg", "3"], "dual-roundtrip": ["--deg", "4"]}
+             "infinitesimal": ["--deg", "3"], "dual-roundtrip": ["--deg", "4"],
+             "closed-forms": ["--deg", "4"]}
     calls += [["verify", "--suite", s] + small.get(s, []) for s in cli.SUITES]
     return calls
 

@@ -11,8 +11,10 @@ from freehop import graphs, oracles, pscore, symcore, tables
 from freehop.hurwitz import hurwitz_table
 from freehop.operators import Evaluator
 from freehop.tables import gue_table, random_table, restrict_table, table_equal, table_get
+from freehop.hbar import Bounds, Packed
 from freehop.transforms import (
     _allgenus_rows,
+    _block_rows,
     _peel,
     _special_tree_product,
     _tree_kernel_depths,
@@ -50,9 +52,15 @@ def blockvalue_series(table, mu, K):
 
 def z_table(table, d, K):
     """Z(nu) as an hbar-series for every nu |- d, from one run of the
-    first-block recursion of _z_rows."""
-    z, den = _z_rows(table, d, K)
-    return {nu: hbar_reference.from_numerators(z[nu], den(nu), K) for nu in symcore.partitions(d)}
+    first-block recursion of _z_rows on packed rows, at the slot width
+    that a run on Bounds gives for them."""
+    block, qpow = _block_rows(table, d, K)
+    bounds = Bounds(K)
+    zb, _ = _z_rows(block, qpow, d, bounds)
+    ring = Packed(K, max(zb.values()).bit_length() + 1)
+    z, den = _z_rows(block, qpow, d, ring)
+    return {nu: hbar_reference.from_numerators(ring.read(z[nu], 0, K + 1), den(nu), K)
+            for nu in symcore.partitions(d)}
 
 
 def z_value(table, nu, K):
@@ -61,7 +69,8 @@ def z_value(table, nu, K):
 
 def table_from_z(ztabs, dmax, K, g2max):
     """The F-table, g2 <= g2max, of Z-values known to hbar^K, read off by
-    _peel from their numerators over one denominator per degree."""
+    _peel from their numerators over one denominator per degree, packed at
+    the slot width that a run of _peel on Bounds gives."""
     z, dens = {}, [1]
     for d in range(1, dmax + 1):
         rows = {nu: hbar_reference.numerators(ztabs[nu], K) for nu in symcore.partitions(d)}
@@ -69,7 +78,10 @@ def table_from_z(ztabs, dmax, K, g2max):
         dens.append(q)
         for nu, (row, rden) in rows.items():
             z[nu] = [v * (q // rden) for v in row]
-    return _peel(z, dens, dmax, K, g2max)
+    bounds = Bounds(K)
+    _peel({nu: bounds.row(row) for nu, row in z.items()}, dens, dmax, g2max, bounds)
+    ring = Packed(K, bounds.width())
+    return _peel({nu: ring.row(row) for nu, row in z.items()}, dens, dmax, g2max, ring)
 
 
 def test_z_empty_is_one():
