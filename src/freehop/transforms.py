@@ -56,9 +56,9 @@ product, and a slot is decoded, and a Fraction built, only where an entry
 is read off (_store).  B comes from a bound: each kernel runs first on
 hbar.Bounds, the same recursion on one scalar bound of the sum of |v_j|
 per row, and B is the bit length of the largest bound of a row it reads
-off, plus one.  Where Q^dmax is wide (PACKED_MAX_BITS), the master kernel
-keeps its Z-assembly and peel on lists, and the Moebius route solves on
-lists order by order (hbar.Lists).
+off, plus one.  Where that width passes PACKED_MAX_BITS, the master
+kernel keeps its Z-assembly and peel on lists, and the Moebius route
+solves on lists order by order (hbar.Lists).
 """
 
 from __future__ import annotations
@@ -236,14 +236,13 @@ def required_K(dmax: int, g2max: int) -> int:
 # routes: hurwitz and schur, one content-multiplier kernel
 
 
-# Rows of degree d carry the common denominator Q^d.  Packing pads every
-# slot to the widest, and CPython multiplies wide packed rows more slowly
-# than it convolves their lists, so past this many bits of Q^dmax the
-# Z-assembly and the peel run on lists.  Measured on CPython 3.11 at
-# (deg, g2) = (12, 4) and (16, 4), in both directions: packed rows were
-# 1.5 to 4 times faster than lists where Q^dmax had 32 and 42 bits, and
-# as fast or slower where it had 259 and 459.
-PACKED_MAX_BITS = 128
+# The widest slot, in bits, at which the master kernel multiplies packed
+# rows.  Packing pads every slot to the widest, and CPython multiplies wide
+# packed rows more slowly than it convolves their lists; measured on
+# CPython 3.11 at (deg, g2) = (12, 4), (16, 4) and (20, 2), in both
+# directions, packed rows were faster at slot widths of 185 to 234 bits,
+# as fast at 360 and slower from 374 on.
+PACKED_MAX_BITS = 320
 
 
 def _content_transform(table: CoefficientTable, dmax: int, g2max: int, inverse: bool) -> CoefficientTable:
@@ -261,16 +260,23 @@ def _content_transform(table: CoefficientTable, dmax: int, g2max: int, inverse: 
     _peel reads the F-table off the Z'.  Every entry has degree >= 1, so
     below dmax = 1 the table is empty, as on the convolution routes.
 
-    The kernel runs on packed rows (_packed) while Q^dmax has at most
-    PACKED_MAX_BITS bits; past that, the Z-assembly and the peel run on
-    lists and only the chi-transform packs (hbar.Lists.packed)."""
+    The kernel runs first on Bounds, and then on rows packed at the slot
+    width that bound gives when it is at most PACKED_MAX_BITS; past it,
+    the Z-assembly and the peel run on lists and only the chi-transform
+    packs (hbar.Lists.packed).  The rows read off at degree dmax sit over
+    a multiple of Q^dmax, so where Q^dmax alone has more bits than that,
+    the kernel goes to lists without the bound pass."""
     if dmax < 1:
         return {}
     K = required_K(dmax, g2max)
     block, qpow = _block_rows(table, dmax, K)
+    ring = Lists(K)
     if qpow[dmax].bit_length() <= PACKED_MAX_BITS:
-        return _packed(_content_kernel, K, block, qpow, dmax, g2max, inverse)
-    return _content_kernel(block, qpow, dmax, g2max, inverse, Lists(K))
+        bounds = Bounds(K)
+        _content_kernel(block, qpow, dmax, g2max, inverse, bounds)
+        if bounds.width() <= PACKED_MAX_BITS:
+            ring = Packed(K, bounds.width())
+    return _content_kernel(block, qpow, dmax, g2max, inverse, ring)
 
 
 def _content_kernel(block: dict, qpow: list, dmax: int, g2max: int, inverse: bool, ring) -> CoefficientTable:

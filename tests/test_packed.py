@@ -103,10 +103,20 @@ def test_kernel_on_lists_equals_packed(inverse):
     assert transforms._content_kernel(block, qpow, 6, 2, inverse, Lists(K)) == packed
 
 
-def test_large_denominators_take_the_list_rows(monkeypatch):
-    """Past PACKED_MAX_BITS of Q^dmax the Z-assembly and the peel run on
-    lists; the table is the same either way."""
-    t = {(0, (1,)): Fraction(1, 3 ** 40), (0, (2,)): Fraction(2, 7), (1, (1, 1)): Fraction(-5, 11)}
+@pytest.mark.parametrize("t, path", [
+    # small denominators and entries: packed rows
+    ({(0, (1,)): Fraction(1, 3), (0, (2,)): Fraction(2, 7), (1, (1, 1)): Fraction(-5, 11)},
+     [Bounds, Packed]),
+    # Q^dmax alone wider than PACKED_MAX_BITS: lists, with no bound pass
+    ({(0, (1,)): Fraction(1, 3 ** 100), (0, (2,)): Fraction(2, 7), (1, (1, 1)): Fraction(-5, 11)},
+     [Lists]),
+    # a small Q but wide entries: the bound asks for wide slots, so lists
+    ({(0, (1,)): Fraction(10 ** 120, 3), (0, (2,)): Fraction(2, 7), (1, (1, 1)): Fraction(-5, 11)},
+     [Bounds, Lists]),
+])
+def test_the_slot_width_picks_the_row_form(monkeypatch, t, path):
+    """Past PACKED_MAX_BITS the Z-assembly and the peel run on lists; the
+    table is the same either way."""
     seen = []
     kernel = transforms._content_kernel
 
@@ -116,7 +126,7 @@ def test_large_denominators_take_the_list_rows(monkeypatch):
 
     monkeypatch.setattr(transforms, "_content_kernel", spy)
     forward = transforms.master_forward(t, 4, 1)
-    assert seen == [Lists]
+    assert seen == path
     monkeypatch.setattr(transforms, "PACKED_MAX_BITS", 10 ** 6)
     seen.clear()
     assert transforms.master_forward(t, 4, 1) == forward
