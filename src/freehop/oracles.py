@@ -5,11 +5,13 @@ factorizations (0_alpha, alpha) (.) (B, beta) = (1_d, pi_lam), counted by
 hbar order and block cycle types and evaluated in plain Fractions, and
 surface-gluing counts by Euler characteristic.  The walk takes one beta
 per orbit of S_d under conjugation by the centralizer of pi_lam, weighted
-by the orbit's size, and lists the partitions B of beta's cycles once per
-linkage pattern (the cycle lengths in each class of cycles that alpha
+by the orbit's size, and counts the partitions B of beta's cycles once
+per linkage pattern (the cycle lengths in each class of cycles that alpha
 links) for the process, since the B that count depend on beta only
-through it.  They share no series or operator machinery with the routes
-they check.
+through it: every B by the block of the first cycle and the rest, less
+those that leave the classes in more than one piece, by the piece of the
+first class and the rest.  They share no series or operator machinery
+with the routes they check.
 """
 
 from __future__ import annotations
@@ -18,40 +20,11 @@ import json
 import os
 from fractions import Fraction
 from itertools import permutations as _all_perms, product
+from math import comb
 
 from . import symcore
 from .symcore import Partition, Perm
 from .tables import CoefficientTable, table_get
-
-
-def _partitions_into_blocks(m: int, nb: int):
-    """Set partitions of range(m) with exactly nb blocks, by restricted
-    growth strings (codes[i] <= 1 + max of earlier codes, capped at nb)."""
-    if nb < 1 or nb > m:
-        return
-    codes = [0] * m
-
-    def rec(i: int, used: int):
-        if used + (m - i) < nb:
-            return
-        if i == m:
-            if used == nb:
-                blocks: list[list[int]] = [[] for _ in range(nb)]
-                for x, c in enumerate(codes):
-                    blocks[c].append(x)
-                yield [tuple(b) for b in blocks]
-            return
-        for c in range(min(used + 1, nb)):
-            codes[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    yield from rec(0, 0)
-
-
-def _joins_to_full(m: int, groups_a, groups_b) -> bool:
-    """Whether the groups of range(m) in groups_a and groups_b together
-    connect all of range(m)."""
-    return len(set(_roots(m, groups_a, groups_b))) == 1
 
 
 def _roots(m: int, *groupings) -> list[int]:
@@ -119,29 +92,90 @@ def _orbit_reps(lam: Partition):
         pending |= orbit - {beta}
 
 
-_groupings: dict[tuple, dict[tuple[Partition, ...], int]] = {}
+def _first_with(parts: tuple):
+    """Each way to put the first of parts (a sorted tuple) with a
+    sub-multiset T of the others: (the first and T, the others left,
+    the number of sets of the others, as distinct objects, whose values
+    form T).  Both tuples stay sorted.
+
+    >>> list(_first_with((1, 2, 2)))
+    [((1,), (2, 2), 1), ((1, 2), (2,), 2), ((1, 2, 2), (), 1)]
+    """
+    counts: dict = {}
+    for x in parts[1:]:
+        counts[x] = counts.get(x, 0) + 1
+    for take in product(*(range(n + 1) for n in counts.values())):
+        ways, block, left = 1, parts[:1], ()
+        for (x, n), t in zip(counts.items(), take):
+            ways *= comb(n, t)
+            block += (x,) * t
+            left += (x,) * (n - t)
+        yield block, left, ways
 
 
-def _connected_groupings(classes: tuple[Partition, ...], nb: int) -> dict[tuple[Partition, ...], int]:
-    """The partitions B of a permutation's cycles into nb blocks that join
-    its linked classes into one, counted by the cycle types on the blocks,
-    where classes holds the cycle lengths of each class.  They depend on
-    nothing else, so each is listed once per process."""
-    key = (classes, nb)
-    if key in _groupings:
-        return _groupings[key]
-    lens = [p for cls in classes for p in cls]
-    starts = [sum(map(len, classes[:i])) for i in range(len(classes))]
-    links = [tuple(range(s, s + len(cls))) for s, cls in zip(starts, classes)]
-    m = len(lens)
-    found: dict[tuple[Partition, ...], int] = {}
-    for grouping in _partitions_into_blocks(m, nb):
-        if len(classes) > 1 and not _joins_to_full(m, links, grouping):
-            continue
-        types = tuple(sorted(symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping))
-        found[types] = found.get(types, 0) + 1
-    _groupings[key] = found
-    return found
+def _concat(a: dict, b: dict) -> dict:
+    """Groupings of two disjoint sets of cycles, counted by block types,
+    put side by side: the types concatenated and sorted, the counts
+    multiplied."""
+    out: dict = {}
+    for ta, na in a.items():
+        for tb, nb in b.items():
+            key = tuple(sorted(ta + tb))
+            out[key] = out.get(key, 0) + na * nb
+    return out
+
+
+_every: dict[Partition, dict[tuple[Partition, ...], int]] = {}
+
+
+def _every_grouping(lens: Partition) -> dict[tuple[Partition, ...], int]:
+    """Every partition of a set of cycles with lengths lens into blocks,
+    counted by the sorted cycle types on the blocks: the block of the
+    first cycle, then every partition of the cycles left.  Each lens is
+    counted once per process.
+
+    >>> _every_grouping((1, 1, 1))
+    {((1,), (1,), (1,)): 1, ((1,), (1, 1)): 3, ((1, 1, 1),): 1}
+    """
+    if not lens:
+        return {(): 1}
+    if lens not in _every:
+        found: dict[tuple[Partition, ...], int] = {}
+        for block, left, ways in _first_with(lens):
+            for types, c in _concat({(block,): ways}, _every_grouping(left)).items():
+                found[types] = found.get(types, 0) + c
+        _every[lens] = found
+    return _every[lens]
+
+
+_groupings: dict[tuple[Partition, ...], dict[tuple[Partition, ...], int]] = {}
+
+
+def _connected_groupings(classes: tuple[Partition, ...]) -> dict[tuple[Partition, ...], int]:
+    """The partitions B of a permutation's cycles that join its linked
+    classes into one, counted by the cycle types on the blocks, where
+    classes is the sorted tuple of the cycle lengths of each class.  The
+    classes that B joins to the first form a sub-tuple S, on whose
+    cycles B joins S into one, and B is any partition of the other
+    cycles; so the B that join all are every B less, over each S != all
+    with the first class, those that join S and not more.  They depend on
+    nothing else, so each is counted once per process.
+
+    >>> _connected_groupings(((1,), (1,)))
+    {((1, 1),): 1}
+    """
+    if classes not in _groupings:
+        found = dict(_every_grouping(_lengths(classes)))
+        for part, left, ways in _first_with(classes):
+            if left:
+                for types, c in _concat(_connected_groupings(part), _every_grouping(_lengths(left))).items():
+                    found[types] -= ways * c
+        _groupings[classes] = {types: c for types, c in found.items() if c}
+    return _groupings[classes]
+
+
+def _lengths(classes: tuple[Partition, ...]) -> Partition:
+    return symcore.sort_to_partition(p for cls in classes for p in cls)
 
 
 def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Partition, ...]], int]:
@@ -162,8 +196,8 @@ def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Parti
     beta>, that the cycles of pi_lam link.  Conjugating beta by c in the
     centralizer of pi_lam conjugates alpha by c too, which keeps both.  So
     the walk takes one beta per orbit, weighted by the orbit's size, sums
-    the weights per (|alpha|, pattern), and lists the B once per pattern
-    and block count (_connected_groupings).
+    the weights per (|alpha|, pattern), and counts the B once per pattern
+    (_connected_groupings), keeping those with a block count in range.
     """
     d = sum(lam)
     pi = symcore.canonical_permutation(lam)
@@ -188,8 +222,9 @@ def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Parti
         weights[key] = weights.get(key, 0) + size
     out: dict[tuple[int, tuple[Partition, ...]], int] = {}
     for (col_a, classes), size in weights.items():
-        for nb in block_counts(col_a, sum(map(len, classes))):
-            for types, c in _connected_groupings(classes, nb).items():
+        nbs = block_counts(col_a, sum(map(len, classes)))
+        for types, c in _connected_groupings(classes).items():
+            if len(types) in nbs:
                 key = (col_a, types)
                 out[key] = out.get(key, 0) + size * c
     return out

@@ -4,9 +4,12 @@ function on the integer rows of freehop.hbar (the plain one keeps only
 the colength-additive products), and the factorization counts of a
 one-block target (1_d, pi_lam) that the convolution routes evaluate:
 a walk over one permutation per orbit of S_d under conjugation by the
-centralizer of pi_lam, weighted by the orbit's size, which lists the
-partitions of a permutation's cycles once per linkage pattern for the
-process (target_factorizations).
+centralizer of pi_lam, weighted by the orbit's size, whose linkage
+pattern is found by union-find on pi_lam's cycles, and which counts the
+partitions of a permutation's cycles that join the pattern into one
+block once per pattern for the process, by an inclusion-exclusion over
+the classes on first-block recursions, never listing the Bell(m) set
+partitions (target_factorizations).
 
 A set partition of [d] is stored canonically as a tuple ``ids`` of length d
 mapping each point to its block id, blocks numbered 0, 1, ... in order of
@@ -16,6 +19,7 @@ their least element.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as _all_perms
 from operator import add, sub
 
@@ -33,18 +37,6 @@ def canonical_ids(ids) -> SetPartition:
             relabel[b] = len(relabel)
         out.append(relabel[b])
     return tuple(out)
-
-
-def from_blocks(d: int, blocks) -> SetPartition:
-    ids = [-1] * d
-    for i, blk in enumerate(blocks):
-        for x in blk:
-            if not 0 <= x < d or ids[x] != -1:
-                raise ValueError("blocks must partition range(d)")
-            ids[x] = i
-    if any(b == -1 for b in ids):
-        raise ValueError("blocks must cover range(d)")
-    return canonical_ids(ids)
 
 
 def blocks_of(part: SetPartition) -> list[tuple[int, ...]]:
@@ -65,10 +57,6 @@ def part_colength(part: SetPartition) -> int:
 
 def finest(d: int) -> SetPartition:
     return tuple(range(d))
-
-
-def coarsest(d: int) -> SetPartition:
-    return (0,) * d
 
 
 def orbit_partition(s: Perm) -> SetPartition:
@@ -114,28 +102,6 @@ def join(a: SetPartition, b: SetPartition) -> SetPartition:
         else:
             first_b[b[x]] = x
     return canonical_ids(tuple(find(x) for x in range(d)))
-
-
-def set_partitions_of(n: int):
-    """All set partitions of range(n) as lists of tuples (restricted growth)."""
-    if n == 0:
-        yield []
-        return
-    codes = [0] * n
-
-    def rec(i: int, maxid: int):
-        if i == n:
-            nb = maxid + 1
-            blocks: list[list[int]] = [[] for _ in range(nb)]
-            for x, c in enumerate(codes):
-                blocks[c].append(x)
-            yield [tuple(b) for b in blocks]
-            return
-        for c in range(maxid + 2):
-            codes[i] = c
-            yield from rec(i + 1, max(maxid, c))
-
-    yield from rec(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +248,91 @@ def _orbit_reps(lam: symcore.Partition):
         met |= orbit - {beta}
 
 
-_linked_groupings_cache: dict = {}
+def _flat(pattern: tuple[symcore.Partition, ...]) -> symcore.Partition:
+    return symcore.sort_to_partition(p for mu in pattern for p in mu)
 
 
+def _times(a: dict, b: dict) -> dict:
+    """The product of two counts by block types: a grouping of one set of
+    cycles with a grouping of another, the types concatenated and sorted."""
+    out: dict = {}
+    for ta, na in a.items():
+        for tb, nb in b.items():
+            key = tuple(sorted(ta + tb))
+            out[key] = out.get(key, 0) + na * nb
+    return out
+
+
+@lru_cache(maxsize=None)
+def _all_groupings(nu: symcore.Partition) -> dict[tuple[symcore.Partition, ...], int]:
+    """Every partition B of a set of cycles with lengths nu, counted by the
+    sorted cycle types on the blocks of B: the block of the first cycle
+    takes the cycles of a sub-multiset T of the others, in c_T ways
+    (symcore._splits), and the rest are grouped alike.  Memoised per nu for
+    the process; the dicts are read only.
+
+    >>> _all_groupings((2, 1, 1))
+    {((1,), (1,), (2,)): 1, ((1, 1), (2,)): 1, ((1,), (2, 1)): 2, ((2, 1, 1),): 1}
+    """
+    if not nu:
+        return {(): 1}
+    out: dict = {}
+    for mu, rest, c in symcore._splits(nu):
+        for types, n in _times({(mu,): c}, _all_groupings(rest)).items():
+            out[types] = out.get(types, 0) + n
+    return out
+
+
+@lru_cache(maxsize=None)
 def _linked_groupings(pattern: tuple[symcore.Partition, ...]) -> dict[tuple[symcore.Partition, ...], int]:
     """The partitions B of the cycles of a permutation whose linked classes
-    have the cycle lengths in pattern, with B v (the classes) one block,
-    counted by the cycle types on the blocks of B; listed once per process."""
-    found = _linked_groupings_cache.get(pattern)
-    if found is None:
-        lens = [p for mu in pattern for p in mu]
-        linked = tuple(i for i, mu in enumerate(pattern) for _ in mu)
-        m = len(lens)
-        found = _linked_groupings_cache[pattern] = {}
-        for grouping in set_partitions_of(m):
-            if len(pattern) > 1 and join(linked, from_blocks(m, grouping)) != coarsest(m):
-                continue
-            types = tuple(sorted(
-                symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping
-            ))
-            found[types] = found.get(types, 0) + 1
-    return found
+    have the cycle lengths in pattern (a sorted tuple of partitions), with
+    B v (the classes) one block, counted by the cycle types on the blocks
+    of B.  In any B, the classes that B v (the classes) joins to the first
+    form a sub-pattern S, on whose cycles B is connected, and B is any
+    partition of the rest, so by inclusion-exclusion
+
+        Conn(P) = All(P) - sum over S with the first class, S != P,
+                           of c_S Conn(S) All(P - S),
+
+    with S taken c_S ways (symcore._splits over the classes).  Memoised per
+    pattern for the process; the dicts are read only.
+
+    >>> _linked_groupings(((1,), (1, 1)))
+    {((1,), (1, 1)): 2, ((1, 1, 1),): 1}
+    """
+    found = dict(_all_groupings(_flat(pattern)))
+    for sub, rest, c in symcore._splits(pattern):
+        if rest:
+            for types, n in _times(_linked_groupings(sub), _all_groupings(_flat(rest))).items():
+                found[types] -= c * n
+    return {types: n for types, n in found.items() if n}
+
+
+def _linkage(lam: symcore.Partition, cycs) -> tuple[symcore.Partition, ...]:
+    """The linkage pattern of the cycles cycs of a beta: the cycle lengths
+    in each class of cycles that the cycles of pi_lam they meet join, as
+    a sorted tuple of partitions, by union-find on pi_lam's cycle
+    indices."""
+    owner = [i for i, p in enumerate(lam) for _ in range(p)]  # pi_lam's cycle through each point
+    parent = list(range(len(lam)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for cyc in cycs:
+        r = find(owner[cyc[0]])
+        for x in cyc[1:]:
+            s = find(owner[x])
+            if s != r:
+                parent[s] = r
+    classes: dict[int, list[int]] = {}
+    for cyc in cycs:
+        classes.setdefault(find(owner[cyc[0]]), []).append(len(cyc))
+    return tuple(sorted(symcore.sort_to_partition(c) for c in classes.values()))
 
 
 _target_counts_cache: dict = {}
@@ -320,10 +350,11 @@ def target_factorizations(lam: symcore.Partition) -> tuple:
     (0, (lam,)) with count 1.
 
     The B and their types depend on beta only through the cycle lengths in
-    each class of beta's cycles that alpha links, and <alpha, beta> =
-    <pi_lam, beta>.  Conjugating beta by an element of the centralizer of
-    pi_lam keeps that pattern and |alpha|, so one beta per orbit is
-    walked, weighted by the orbit's size.
+    each class of beta's cycles that alpha links (_linkage), and
+    <alpha, beta> = <pi_lam, beta>.  Conjugating beta by an element of the
+    centralizer of pi_lam keeps that pattern and |alpha|, so one beta per
+    orbit is walked, weighted by the orbit's size, and the B are counted
+    once per pattern (_linked_groupings).
 
     >>> target_factorizations((2,))
     (((0, ((2,),)), 1), ((1, ((1,), (1,))), 1), ((1, ((1, 1),)), 1))
@@ -331,19 +362,9 @@ def target_factorizations(lam: symcore.Partition) -> tuple:
     if lam in _target_counts_cache:
         return _target_counts_cache[lam]
     pi = symcore.canonical_permutation(lam)
-    zero_pi = orbit_partition(pi)
     sizes: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
     for beta, size in _orbit_reps(lam):
-        cycs = symcore.cycles(beta)
-        # the cycles of beta joined through the cycles of pi_lam they meet,
-        # as a partition of range(#cycles)
-        linked = join(zero_pi, orbit_partition(beta))
-        linked = canonical_ids(linked[c[0]] for c in cycs)
-        pattern = tuple(sorted(
-            symcore.sort_to_partition(len(c) for c, b in zip(cycs, linked) if b == cls)
-            for cls in range(num_blocks(linked))
-        ))
-        key = (symcore.colength(symcore.compose(pi, symcore.inverse(beta))), pattern)
+        key = (symcore.colength(symcore.compose(pi, symcore.inverse(beta))), _linkage(lam, symcore.cycles(beta)))
         sizes[key] = sizes.get(key, 0) + size
     counts: dict[tuple[int, tuple[symcore.Partition, ...]], int] = {}
     for (col_a, pattern), size in sizes.items():

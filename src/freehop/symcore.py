@@ -1,4 +1,5 @@
-"""Integer partitions, permutations of [d], conjugacy classes and characters.
+"""Integer partitions and the first-block splits of a multiset, permutations
+of [d], conjugacy classes and characters.
 
 Conventions used throughout the package:
 
@@ -12,9 +13,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations as _all_perms
-from math import factorial
+from itertools import permutations as _all_perms, product
+from math import comb, factorial
 from operator import add, sub
 from typing import Iterator
 
@@ -94,6 +96,36 @@ def class_size(lam: Partition) -> int:
 def sort_to_partition(ks) -> Partition:
     """Weakly decreasing reordering of a sequence of positive ints."""
     return tuple(sorted(ks, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _splits(nu: tuple) -> tuple:
+    """The first-block splits of nu = (a, rho), a sorted tuple of parts
+    (the lengths of a partition, or the classes of a linkage pattern): for
+    each sub-multiset T of rho, the block a u T, the rest rho - T and the
+    count c_T = prod_k C(m_k(rho), t_k) of sets of rho's parts, as
+    distinct objects, whose values form T.  The block and the rest keep
+    nu's order.  Memoised per nu.
+
+    >>> for mu, rest, c in _splits((3, 2, 1, 1)):
+    ...     print(mu, rest, c)
+    (3,) (2, 1, 1) 1
+    (3, 1) (2, 1) 2
+    (3, 1, 1) (2,) 1
+    (3, 2) (1, 1) 1
+    (3, 2, 1) (1,) 2
+    (3, 2, 1, 1) () 1
+    """
+    out = []
+    mult = Counter(nu[1:])  # distinct parts in nu's order
+    for ts in product(*(range(m + 1) for m in mult.values())):
+        mu, rest, c = nu[:1], (), 1
+        for (k, m), t in zip(mult.items(), ts):
+            mu += (k,) * t
+            rest += (k,) * (m - t)
+            c *= comb(m, t)
+        out.append((mu, rest, c))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -64,51 +64,21 @@ solves on lists order by order (hbar.Lists).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import add, mul
 
 from . import graphs, pscore, symcore
 from .hbar import Bounds, Lists, Packed, _decode
 from .operators import Evaluator, shape_of
 from .series import _w_product
-from .symcore import Partition, sort_to_partition
+from .symcore import Partition, _splits, sort_to_partition
 from .tables import CoefficientTable, checked_items
 
 
 # ---------------------------------------------------------------------------
 # partition-function tables
-
-
-@lru_cache(maxsize=None)
-def _splits(nu: Partition) -> tuple:
-    """The first-block splits of nu = (a, rho): for each sub-multiset T of
-    rho, the block a u T, the rest rho - T and the count
-    c_T = prod_k C(m_k(rho), t_k) of sets of rho's parts, as distinct
-    cycles, whose lengths form T.  Memoised per nu.
-
-    >>> for mu, rest, c in _splits((3, 2, 1, 1)):
-    ...     print(mu, rest, c)
-    (3,) (2, 1, 1) 1
-    (3, 1) (2, 1) 2
-    (3, 1, 1) (2,) 1
-    (3, 2) (1, 1) 1
-    (3, 2, 1) (1,) 2
-    (3, 2, 1, 1) () 1
-    """
-    out = []
-    mult = Counter(nu[1:])  # distinct parts in descending order
-    for ts in product(*(range(m + 1) for m in mult.values())):
-        mu, rest, c = nu[:1], (), 1
-        for (k, m), t in zip(mult.items(), ts):
-            mu += (k,) * t
-            rest += (k,) * (m - t)
-            c *= comb(m, t)
-        out.append((mu, rest, c))
-    return tuple(out)
 
 
 def _first_block_sum(nu: Partition, block: dict, z: dict, den, ring) -> int:

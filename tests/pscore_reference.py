@@ -1,9 +1,11 @@
 """The object-valued functions on PS(d) that only the tests use, with
-their values Fractions or hbar_reference.HbarSeries: the refinement
-order, the coarsenings of a set partition and the enumeration of PS(d),
-the plain Moebius function by a triangular solve in colength (the
-reference pscore.moebius's Neumann series is compared with), the strict and
-extended products of partitioned permutations, the plain zeta and
+their values Fractions or hbar_reference.HbarSeries: a set partition
+from its blocks, the coarsest one and the list of all set partitions of
+range(n) (the Bell enumeration the library's first-block recursions are
+checked against), the refinement order, the coarsenings of a set
+partition and the enumeration of PS(d), the plain Moebius function by a
+triangular solve in colength (the reference pscore.moebius's Neumann
+series is compared with), the strict and extended products of partitioned permutations, the plain zeta and
 delta functions, the strict and extended convolutions of total tables,
 multiplicative functions built from a block rule, the hbar zeta and
 Moebius functions as HbarSeries (the reference pscore's integer rows are
@@ -19,9 +21,46 @@ from fractions import Fraction
 from itertools import permutations as _all_perms
 
 from freehop import symcore
-from freehop.pscore import (PartPerm, SetPartition, blocks_of, canonical_ids, join, orbit_partition, pp_colength,
-                            set_partitions_of, unit_pp)
+from freehop.pscore import PartPerm, SetPartition, blocks_of, canonical_ids, join, orbit_partition, pp_colength, unit_pp
 from hbar_reference import HbarSeries
+
+
+def from_blocks(d: int, blocks) -> SetPartition:
+    ids = [-1] * d
+    for i, blk in enumerate(blocks):
+        for x in blk:
+            if not 0 <= x < d or ids[x] != -1:
+                raise ValueError("blocks must partition range(d)")
+            ids[x] = i
+    if any(b == -1 for b in ids):
+        raise ValueError("blocks must cover range(d)")
+    return canonical_ids(ids)
+
+
+def coarsest(d: int) -> SetPartition:
+    return (0,) * d
+
+
+def set_partitions_of(n: int):
+    """All set partitions of range(n) as lists of tuples (restricted growth)."""
+    if n == 0:
+        yield []
+        return
+    codes = [0] * n
+
+    def rec(i: int, maxid: int):
+        if i == n:
+            nb = maxid + 1
+            blocks: list[list[int]] = [[] for _ in range(nb)]
+            for x, c in enumerate(codes):
+                blocks[c].append(x)
+            yield [tuple(b) for b in blocks]
+            return
+        for c in range(maxid + 2):
+            codes[i] = c
+            yield from rec(i + 1, max(maxid, c))
+
+    yield from rec(1, 0)
 
 
 def leq(a: SetPartition, b: SetPartition) -> bool:

@@ -249,6 +249,16 @@ def test_verify_equivalence_degree_zero_exit_2(capsys):
     assert capsys.readouterr().err == "error: verify --d must be at least 1, not 0\n"
 
 
+@pytest.mark.parametrize("suite, least", [("all-genus", 3), ("infinitesimal", 2), ("dual-roundtrip", 1)])
+def test_verify_degree_with_an_empty_case_exit_2(suite, least, tmp_path, capsys):
+    """Below its least degree some case of the suite would compare two
+    empty tables and pass without checking a value: it exits 2 with one
+    error line instead.  At the least degree the suite runs and passes."""
+    assert run(["verify", "--suite", suite, "--deg", str(least - 1)]) == 2
+    assert capsys.readouterr().err == "error: verify --deg must be at least %d, not %d\n" % (least, least - 1)
+    assert run(["verify", "--suite", suite, "--deg", str(least), "--out", str(tmp_path / "rep.json")]) == 0
+
+
 def test_transform_bad_input_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,8 +1,9 @@
 """The library's module boundary: the multivariate Series and the
 HbarSeries object live in the tests, the relations build no variable
-names and put table entries into slot orders in one place, and what the
-benchmark worker imports loads every module the benchmark's tracer wraps
-and none of the modules that dataclasses pulls in."""
+names and put table entries into slot orders in one place, no module
+lists all set partitions, and what the benchmark worker imports loads
+every module the benchmark's tracer wraps and none of the modules that
+dataclasses pulls in."""
 
 import ast
 import importlib.util
@@ -43,6 +44,16 @@ def test_library_orders_slots_in_one_place():
     calls = [path.name for path, node in _library_nodes() if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_distinct_permutations"]
     assert calls == ["operators.py"]
+
+
+def test_library_lists_no_set_partitions():
+    # the factorization walks count the connected groupings by first-block
+    # recursions; the Bell enumerations live in the tests
+    listers = ("set_partitions_of", "_partitions_into_blocks")
+    for path, node in _library_nodes():
+        assert not (isinstance(node, ast.FunctionDef) and node.name in listers), path
+        assert not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) in listers), path
 
 
 def _loaded_by_worker_imports() -> set[str]:

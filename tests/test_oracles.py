@@ -162,6 +162,36 @@ def test_oracles_import_no_route_code():
     assert used <= {"symcore", "tables"}, used
 
 
+def _partitions_into_blocks(m: int, nb: int):
+    """Set partitions of range(m) with exactly nb blocks, by restricted
+    growth strings (codes[i] <= 1 + max of earlier codes, capped at nb)."""
+    if nb < 1 or nb > m:
+        return
+    codes = [0] * m
+
+    def rec(i: int, used: int):
+        if used + (m - i) < nb:
+            return
+        if i == m:
+            if used == nb:
+                blocks: list[list[int]] = [[] for _ in range(nb)]
+                for x, c in enumerate(codes):
+                    blocks[c].append(x)
+                yield [tuple(b) for b in blocks]
+            return
+        for c in range(min(used + 1, nb)):
+            codes[i] = c
+            yield from rec(i + 1, max(used, c + 1))
+
+    yield from rec(0, 0)
+
+
+def _joins_to_full(m: int, groups_a, groups_b) -> bool:
+    """Whether the groups of range(m) in groups_a and groups_b together
+    connect all of range(m)."""
+    return len(set(oracles._roots(m, groups_a, groups_b))) == 1
+
+
 def _unmemoised_factorization_counts(lam, K):
     """The walk of oracles._factorization_counts with no memo: every beta
     lists the partitions of its own cycles."""
@@ -177,8 +207,8 @@ def _unmemoised_factorization_counts(lam, K):
         owner = {x: i for i, cyc in enumerate(cycs_b) for x in cyc}
         links = [tuple({owner[x] for x in cyc}) for cyc in cycs_a]
         for nb in range(max(1, (span - K + 1) // 2), min(m, (span - d - len(lam) + 2) // 2) + 1):
-            for grouping in oracles._partitions_into_blocks(m, nb):
-                if oracles._joins_to_full(m, links, grouping):
+            for grouping in _partitions_into_blocks(m, nb):
+                if _joins_to_full(m, links, grouping):
                     key = (col_a, tuple(sorted(
                         symcore.sort_to_partition(len(cycs_b[i]) for i in grp) for grp in grouping
                     )))

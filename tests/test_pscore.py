@@ -9,9 +9,7 @@ import pscore_reference as ref
 from freehop import oracles, pscore, symcore
 from freehop.pscore import (
     blocks_of,
-    coarsest,
     finest,
-    from_blocks,
     join,
     moebius,
     orbit_partition,
@@ -19,8 +17,8 @@ from freehop.pscore import (
     unit_pp,
 )
 from hbar_reference import HbarSeries, from_numerators
-from pscore_reference import (convolve, delta_function, enumerate_ps, leq, multiplicative_function, product_extended,
-                              product_strict, zeta_function, zeta_hbar)
+from pscore_reference import (coarsest, convolve, delta_function, enumerate_ps, from_blocks, leq, multiplicative_function,
+                              product_extended, product_strict, set_partitions_of, zeta_function, zeta_hbar)
 
 
 def test_join_basics():
@@ -357,7 +355,7 @@ def _plain_target_factorizations(lam):
         found = by_pattern.get(pattern)
         if found is None:
             found = by_pattern[pattern] = {}
-            for grouping in pscore.set_partitions_of(m):
+            for grouping in set_partitions_of(m):
                 if join(linked, from_blocks(m, grouping)) != coarsest(m):
                     continue
                 types = tuple(sorted(
@@ -370,12 +368,55 @@ def _plain_target_factorizations(lam):
     return tuple(sorted(counts.items()))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
-def test_target_factorizations_match_plain_walk(d):
+@pytest.mark.parametrize("lams", [pytest.param(symcore.partitions(d), id=str(d)) for d in range(1, 7)]
+                         + [pytest.param([lam], id="lam" + "".join(map(str, lam))) for lam in [(7,), (4, 3), (3, 2, 1, 1)]])
+def test_target_factorizations_match_plain_walk(lams):
     # one beta per centralizer orbit, weighted by its size, counts what
     # the walk over all of S_d counts
-    for lam in symcore.partitions(d):
+    for lam in lams:
         assert pscore.target_factorizations(lam) == _plain_target_factorizations(lam)
+
+
+def _bell_filter(pattern, connected=True):
+    """The partitions B of the cycles of a pattern (its classes laid out
+    one after another), counted by block types, by listing all Bell(m)
+    of them and keeping those whose join with the classes is one block."""
+    lens = [p for mu in pattern for p in mu]
+    linked = tuple(i for i, mu in enumerate(pattern) for _ in mu)
+    m = len(lens)
+    found = {}
+    for grouping in set_partitions_of(m):
+        if connected and join(linked, from_blocks(m, grouping)) != coarsest(m):
+            continue
+        types = tuple(sorted(symcore.sort_to_partition(lens[i] for i in grp) for grp in grouping))
+        found[types] = found.get(types, 0) + 1
+    return found
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_connected_groupings_match_bell_filter(d):
+    # the first-block recursions of both walks (pscore's and the oracle's)
+    # against the Bell enumeration, on every linkage pattern of every
+    # lam |- d; the linkage by union-find on pi_lam's cycles is the one
+    # join on set partitions of [d] gives
+    patterns = set()
+    for lam in symcore.partitions(d):
+        zero_pi = orbit_partition(symcore.canonical_permutation(lam))
+        for beta, _ in pscore._orbit_reps(lam):
+            cycs = symcore.cycles(beta)
+            linked = join(zero_pi, orbit_partition(beta))
+            classes = {}
+            for c in cycs:
+                classes.setdefault(linked[c[0]], []).append(len(c))
+            pattern = tuple(sorted(symcore.sort_to_partition(c) for c in classes.values()))
+            assert pscore._linkage(lam, cycs) == pattern
+            patterns.add(pattern)
+    for pattern in sorted(patterns):
+        want = _bell_filter(pattern)
+        assert pscore._linked_groupings(pattern) == want
+        assert oracles._connected_groupings(pattern) == want
+        lens = symcore.sort_to_partition(p for mu in pattern for p in mu)
+        assert pscore._all_groupings(lens) == oracles._every_grouping(lens) == _bell_filter(pattern, connected=False)
 
 
 @pytest.mark.parametrize("d", range(1, 8))

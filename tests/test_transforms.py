@@ -114,7 +114,7 @@ def _z_by_set_partitions(table, nu, K):
     """Z(nu) by its definition: the sum over all set partitions of the
     cycles of pi_nu of products of block values."""
     out, values = HbarSeries.zero(K), {}
-    for grouping in pscore.set_partitions_of(len(nu)):
+    for grouping in pscore_reference.set_partitions_of(len(nu)):
         term = HbarSeries.one(K)
         for blk in grouping:
             mu = symcore.sort_to_partition(nu[i] for i in blk)
@@ -277,7 +277,7 @@ def _object_content_transform(table, dmax, g2max, inverse):
     for d in range(1, dmax + 1):
         for nu in symcore.partitions(d):
             acc = ztabs[nu]
-            for grouping in pscore.set_partitions_of(len(nu)):
+            for grouping in pscore_reference.set_partitions_of(len(nu)):
                 if len(grouping) > 1:
                     term = one
                     for blk in grouping:
@@ -314,7 +314,7 @@ def _full_table_convolution(table, dmax, g2max, inverse):
         kernel = (pscore_reference.moebius_hbar if inverse else pscore_reference.zeta_hbar)(d, K)
         conv = pscore_reference.convolve(kernel, phi, kind="extended")
         for lam in symcore.partitions(d):
-            target = (pscore.coarsest(d), symcore.canonical_permutation(lam))
+            target = (pscore_reference.coarsest(d), symcore.canonical_permutation(lam))
             _read_off(out, lam, conv.get(target, HbarSeries.zero(K)), g2max, K)
     return out
 
