@@ -36,8 +36,9 @@ HURWITZ_D_BOUND = 10
 MOEBIUS_D_BOUND = 6
 # largest --deg per (route, direction) of transform: the convolution routes
 # walk one permutation per centralizer orbit of S_d for their factorization
-# counts; a fresh process at degree 8 takes about 7 s, most of it in those
-# counts (2 vCPUs, Python 3.11)
+# counts; a fresh process at degree 8 takes 2.4-2.9 s, most of it in that
+# walk over S_8, and convolution_forward at degree 9 took 37 s in a fresh
+# process (2 vCPUs, Python 3.11)
 TRANSFORM_D_BOUND = {
     ("convolution", "c2m"): 8,
     ("convolution", "m2c"): 8,

@@ -230,8 +230,9 @@ def _walk_orders():
 @pytest.mark.parametrize("lam, extra", list(_walk_orders()),
                          ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else str(x))
 def test_factorization_walk_memo_is_exact(lam, extra):
-    # the walk takes one beta per centralizer orbit and lists B once per
-    # linkage pattern for the process; it counts what the plain walk counts
+    # the walk takes one beta per centralizer orbit and counts B once per
+    # linkage pattern for the process; it counts what the plain walk, which
+    # lists every B of every beta, counts
     K = sum(lam) + len(lam) - 2 + extra
     assert oracles._factorization_counts(lam, K) == _unmemoised_factorization_counts(lam, K)
 
