@@ -223,10 +223,7 @@ def cmd_transform(args) -> int:
 def cmd_gue(args) -> int:
     if args.genus < 0 or args.deg < 0:
         raise CliError("--genus and --deg must be nonnegative")
-    kmax = args.deg // 2
-    moments = {
-        k: v for k, v in oracles.gue_moments_by_gluing(kmax).items() if k[0] <= args.genus
-    }
+    moments = oracles.harer_zagier(args.deg // 2, args.genus // 2)
     obj = tables.to_json(moments, {"fixture": "gue", "genus2": args.genus, "deg": args.deg})
     csv = tables.to_csv(moments) if args.csv else None
     _write_output(obj, args.out, csv)
@@ -486,7 +483,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         pt = sub.add_parser("transform", help="run a moment/cumulant transform")
         pt.add_argument("direction", choices=["m2c", "c2m"])
         pt.add_argument("--route", choices=["hurwitz", "convolution", "schur", "formula"],
-                        required=True)
+                        required=True,
+                        help="schur is an alias of hurwitz: both run the one master kernel")
         pt.add_argument("--in", dest="infile", required=True)
         pt.add_argument("--out", default=None)
         pt.add_argument("--deg", type=int, default=None)
@@ -526,9 +524,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except oracles.CacheError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except TruncationError as exc:
         print("truncation insufficiency: %s" % exc, file=sys.stderr)
         return EXIT_TRUNCATION

@@ -16,8 +16,7 @@ with the routes they check.
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 from fractions import Fraction
 from itertools import permutations as _all_perms, product
 from math import comb
@@ -230,6 +229,7 @@ def _factorization_counts(lam: Partition, K: int) -> dict[tuple[int, tuple[Parti
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def star_factorization_counts(lam: Partition) -> dict[tuple[Partition, ...], int]:
     """Counts of strict-product factorizations
 
@@ -240,7 +240,8 @@ def star_factorization_counts(lam: Partition) -> dict[tuple[Partition, ...], int
     zeta-convolution against a multiplicative function; evaluating a table
     is then a weighted sum over this dictionary.  These are the
     factorizations of the lowest hbar order d + ell(lam) - 2, where
-    colength is additive.
+    colength is additive.  Each lam is counted once per process, so
+    callers must not change the dict returned.
     """
     d = sum(lam)
     if d == 0:
@@ -251,90 +252,11 @@ def star_factorization_counts(lam: Partition) -> dict[tuple[Partition, ...], int
     return out
 
 
-_star_cache: dict[Partition, dict] = {}
-
-
-class CacheError(Exception):
-    """FREEHOP_CACHE names a path the star counts cannot be read from or
-    written to."""
-
-
-def star_counts_cached(lam: Partition) -> dict[tuple[Partition, ...], int]:
-    """Memory- and disk-cached star_factorization_counts (FREEHOP_CACHE
-    names the cache directory).  A cache file whose ``lambda`` field names
-    another partition, or that is not a JSON object with a well-formed
-    ``entries`` list (see _star_counts_from_file), is a miss, rebuilt and
-    overwritten.  A cache directory that cannot be created, read or written
-    raises CacheError."""
-    if lam in _star_cache:
-        return _star_cache[lam]
-    cdir = os.environ.get("FREEHOP_CACHE")
-    path = None
-    try:
-        if cdir:
-            path = os.path.join(cdir, "starcounts-%s.json" % "-".join(map(str, lam)))
-            if os.path.exists(path):
-                table = _star_counts_from_file(path, lam)
-                if table is not None:
-                    _star_cache[lam] = table
-                    return table
-        table = star_factorization_counts(lam)
-        if path:
-            os.makedirs(cdir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(
-                    {
-                        "lambda": list(lam),
-                        "entries": [
-                            {"types": [list(t) for t in key], "count": c}
-                            for key, c in sorted(table.items())
-                        ],
-                    },
-                    fh,
-                )
-            os.replace(tmp, path)
-    except OSError as exc:
-        raise CacheError("FREEHOP_CACHE=%s is not a usable cache directory: %s" % (cdir, exc)) from exc
-    _star_cache[lam] = table
-    return table
-
-
-def _star_counts_from_file(path: str, lam: Partition):
-    """The counts stored at path, or None unless the file is a JSON object
-    whose ``lambda`` field is lam and whose ``entries`` are a list of
-    objects, each with an integer ``count`` and with ``types`` a list of
-    nonempty partitions (lists of positive, weakly decreasing integers)
-    that together sum to |lam|."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError:
-            return None
-    if not isinstance(obj, dict) or obj.get("lambda") != list(lam):
-        return None
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        return None
-    table = {}
-    for e in entries:
-        if not isinstance(e, dict):
-            return None
-        types, count = e.get("types"), e.get("count")
-        if type(count) is not int or not isinstance(types, list) or not all(
-            isinstance(t, list) and t and all(type(x) is int for x in t) and symcore.is_partition(t)
-            for t in types
-        ) or sum(map(sum, types)) != sum(lam):
-            return None
-        table[tuple(tuple(t) for t in types)] = count
-    return table
-
-
 def genus0_moment_by_convolution(cum_table: CoefficientTable, ks) -> Fraction:
     """F_{0; k_1..k_n} as the zeta-star-convolution of the genus-0
     multiplicative cumulant function, evaluated at (1_d, pi_lam)."""
     lam = symcore.sort_to_partition(ks)
-    counts = star_counts_cached(lam)
+    counts = star_factorization_counts(lam)
     total = Fraction(0)
     for key, c in counts.items():
         prod = Fraction(c)

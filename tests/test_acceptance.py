@@ -11,15 +11,12 @@ from fractions import Fraction
 
 import pscore_reference
 from freehop import oracles, pscore, symcore, tables, transforms
-from freehop.hurwitz import (
-    free_single_count,
-    strict_monotone_count,
-    verify_orthogonality,
-)
+from freehop.hurwitz import verify_orthogonality
 from freehop.symcore import partitions
 from freehop.tables import gue_table, random_table, restrict_table, table_equal
 from graph_sum_reference import P_series, specialized_03, specialized_11, w_atom, wvars
 from hbar_reference import HbarSeries, from_numerators
+from hurwitz_reference import free_single_count, strict_monotone_count
 
 
 def _report(num: int, name: str, ok: bool):

@@ -428,6 +428,18 @@ def test_gue_fixture(tmp_path):
     assert t[(2, (8,))] == 70 and t[(4, (8,))] == 21
 
 
+def test_gue_matches_gluing_walk(tmp_path):
+    # gue emits the Harer-Zagier counts; they equal the polygon gluings
+    # walked one by one, filtered to g2 <= --genus, at every degree to 12
+    walked = oracles.gue_moments_by_gluing(6)
+    out = tmp_path / "gue.json"
+    for deg in range(13):
+        for g2 in range(9):
+            assert run(["gue", "--genus", str(g2), "--deg", str(deg), "--out", str(out)]) == 0
+            want = {key: v for key, v in walked.items() if key[0] <= g2 and key[1][0] <= deg}
+            assert table_files.load(str(out)) == want, (g2, deg)
+
+
 def test_verify_suite_pass(tmp_path):
     out = tmp_path / "rep.json"
     assert run(["verify", "--suite", "orthogonality", "--d", "3", "--hbar", "6", "--out", str(out)]) == 0
@@ -463,19 +475,25 @@ def test_verify_flags_each_suite_reads(suite, flag, capsys):
     assert (err == "error: --suite %s does not read --%s\n" % (suite, flag)) != reads
 
 
-@pytest.mark.parametrize("where", ["file", "below-a-file"])
-def test_unusable_cache_exit_2(tmp_path, monkeypatch, capsys, where):
-    # a FREEHOP_CACHE that names a regular file, or a directory below one,
-    # is bad input (exit 2) with a one-line message, not a failed
-    # verification (exit 1) with a traceback
+def test_freehop_cache_is_ignored(tmp_path):
+    # the oracle's counts are memoised per process only: in a fresh
+    # process, a FREEHOP_CACHE that names a regular file changes neither
+    # the exit code, nor the report, nor the file
     blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    cache = blocker if where == "file" else blocker / "cache"
-    monkeypatch.setenv("FREEHOP_CACHE", str(cache))
-    monkeypatch.setattr(oracles, "_star_cache", {})
-    assert run(["verify", "--suite", "genus0-trees", "--n", "1", "--deg", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: FREEHOP_CACHE=%s " % cache) and err.count("\n") == 1
+    blocker.write_text("not a directory")
+    env = {k: v for k, v in os.environ.items() if k != "FREEHOP_CACHE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    script = "import sys; from freehop.cli import main; sys.exit(main(sys.argv[1:]))"
+    reports = []
+    for extra in ({}, {"FREEHOP_CACHE": str(blocker)}):
+        out = tmp_path / ("report-%d.json" % len(reports))
+        argv = ["verify", "--suite", "genus0-trees", "--n", "1", "--deg", "2", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=dict(env, **extra),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), extra
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert blocker.read_text() == "not a directory"
 
 
 def test_exit_codes_stable():

@@ -1,9 +1,9 @@
 """The library's module boundary: the multivariate Series and the
 HbarSeries object live in the tests, the relations build no variable
 names and put table entries into slot orders in one place, no module
-lists all set partitions, and what the benchmark worker imports loads
-every module the benchmark's tracer wraps and none of the modules that
-dataclasses pulls in."""
+lists all set partitions or reads the environment, and what the
+benchmark worker imports loads every module the benchmark's tracer wraps
+and none of the modules that dataclasses pulls in."""
 
 import ast
 import importlib.util
@@ -54,6 +54,16 @@ def test_library_lists_no_set_partitions():
         assert not (isinstance(node, ast.FunctionDef) and node.name in listers), path
         assert not (isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) in listers), path
+
+
+def test_library_reads_no_environment():
+    # a library call depends on its arguments and input files only
+    readers = ("environ", "environb", "getenv", "getenvb")
+    for path, node in _library_nodes():
+        assert not (isinstance(node, ast.Attribute) and node.attr in readers), path
+        assert not (isinstance(node, ast.Name) and node.id in readers), path
+        if isinstance(node, ast.ImportFrom):
+            assert not any(a.name in readers for a in node.names), path
 
 
 def _loaded_by_worker_imports() -> set[str]:

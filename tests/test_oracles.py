@@ -1,6 +1,5 @@
 import ast
 import itertools
-import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -87,54 +86,6 @@ def test_hbar_oracle_half_genus_grading():
     # d = 1: base grading l + d - 2 = 0
     assert series.get(0, 0) == 1
     assert series.get(1, 0) == F(1, 2)
-
-
-def test_star_cache_disk(tmp_path, monkeypatch):
-    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
-    oracles._star_cache.clear()
-    c1 = oracles.star_counts_cached((2, 1))
-    assert list(tmp_path.glob("starcounts-2-1.json"))
-    oracles._star_cache.clear()
-    c2 = oracles.star_counts_cached((2, 1))
-    assert c1 == c2
-    oracles._star_cache.clear()
-
-
-def test_star_cache_checks_lambda(tmp_path, monkeypatch):
-    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
-    path = tmp_path / "starcounts-2-1.json"
-    want = star_factorization_counts((2, 1))
-    # the counts of (3,) planted under the name of (2, 1), files that are
-    # not a table, and tables of (2, 1) without entries, with an entry
-    # without a count and with a count that is not an integer
-    planted = {"lambda": [3], "entries": [
-        {"types": [list(t) for t in key], "count": c}
-        for key, c in sorted(star_factorization_counts((3,)).items())
-    ]}
-    entries = [{"types": [list(t) for t in key], "count": c} for key, c in sorted(want.items())]
-    no_count = {"lambda": [2, 1], "entries": [{"types": e["types"]} for e in entries]}
-    half = {"lambda": [2, 1], "entries": [dict(e, count=e["count"] + 0.5) for e in entries]}
-    bad = (planted, {"lambda": [2, 1]}, no_count, half)
-    for text in [json.dumps(obj) for obj in bad] + ["{not json", "[]"]:
-        path.write_text(text)
-        oracles._star_cache.clear()
-        assert oracles.star_counts_cached((2, 1)) == want
-        assert json.loads(path.read_text())["lambda"] == [2, 1]
-    oracles._star_cache.clear()
-
-
-def test_star_cache_checks_types(tmp_path, monkeypatch):
-    # entries whose cycle types are not partitions, or do not sum to
-    # |lambda|, are a miss and the file is rebuilt
-    monkeypatch.setenv("FREEHOP_CACHE", str(tmp_path))
-    path = tmp_path / "starcounts-2-1.json"
-    want = star_factorization_counts((2, 1))
-    for types in ([[7, -1]], [[1, 2]], [[0, 3]], [[], [2, 1]], [[2]], [[2, 1], [1]]):
-        path.write_text(json.dumps({"lambda": [2, 1], "entries": [{"types": types, "count": 5}]}))
-        oracles._star_cache.clear()
-        assert oracles.star_counts_cached((2, 1)) == want
-        assert json.loads(path.read_text())["entries"][0]["types"] != types
-    oracles._star_cache.clear()
 
 
 def _freehop_imports(source: str):
