@@ -88,10 +88,13 @@ def _dumps(obj: dict) -> str:
 def _write_output(obj: dict, path: str | None, csv: str | None = None):
     text = csv if csv is not None else _dumps(obj)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (path, exc))
     else:
         print(text)
 

@@ -53,10 +53,6 @@ class Graph(namedtuple("Graph", "n edges special", defaults=(-1,))):
                 val[i] += 1
         return tuple(val)
 
-    def excess(self) -> int:
-        """sum_I (#I - 1) - (n - 1); zero exactly for trees."""
-        return sum(len(e) - 1 for e in self.edges) - (self.n - 1)
-
 
 def _hyperedge_pool(n: int, max_size: int) -> list[Hyperedge]:
     pool = []

@@ -38,12 +38,14 @@ largest bound of a row the kernel decodes gives B = bound.bit_length() + 1.
 
 Packing pads every slot to the widest, and CPython multiplies wide
 packed rows no faster than it convolves lists of their slots.  So the list
-form, the numerators of hbar^0..hbar^K in a list, stays where rows are
-wide or are read one order at a time: ``Lists`` gives lists the same
-operations (the master kernel's Z-assembly and peel on tables whose
-common denominator is large, the order-by-order Moebius solve), and the
-Hurwitz tables and the Moebius function on PS(d) hand out lists.  A
-Fraction is built only where a coefficient is read off (_decode):
+form, the numerators of hbar^0..hbar^K in a list, serves where packing
+gains nothing: ``Lists`` gives lists the same operations, for both
+convolution directions and the master kernel's Z-assembly and peel on
+tables whose common denominator is large.  ``Packed`` serves the rest of
+the master kernel and the Hurwitz tables, ``Bounds`` the master kernel's
+slot width.  The Hurwitz tables and the Moebius function on PS(d) hand
+out lists.  A Fraction is built only where a coefficient is read off
+(_decode):
 
 >>> _decode([2, 1, -6, -3], 4)
 {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(-3, 2), 3: Fraction(-3, 4)}
@@ -199,9 +201,9 @@ class Lists:
     skips zero coefficients.  Packing pads every slot to the width of the
     largest one, and CPython multiplies wide packed rows more slowly than
     it convolves their lists; so a kernel whose rows are wide runs its
-    products on lists (transforms.PACKED_MAX_BITS).  ``packed`` still runs
-    a map of rows, such as a chi-transform, on packed rows, at the width a
-    bound of its own outputs gives."""
+    products on lists (transforms.PACKED_MAX_BITS), as do the convolution
+    routes.  ``packed`` still runs a map of rows, such as a chi-transform,
+    on packed rows, at the width a bound of its own outputs gives."""
 
     __slots__ = ("K",)
 

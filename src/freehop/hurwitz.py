@@ -17,11 +17,12 @@ by the contents of rho, so
 with m_rho(r) the hbar^r coefficient of prod over the cells of rho of
 (1 + hbar c), e_r(contents) (strict), or of its inverse, (-1)^r
 h_r(contents) (weak), both the integer rows of ``symcore.content_rows``,
-or the central character of the colength-r class sum (free single).  The
-characters come from ``symcore.character_table``.  The master routes in
-``transforms`` multiply by the same ``content_rows`` inside their
-chi-transform, without building a table.  The enumeration and
-group-algebra oracles it is checked with live in
+or the central character of the colength-r class sum (free single), which
+by Jucys' theorem is e_r(contents) again: that class sum is e_r of the
+Jucys-Murphy elements.  The characters come from ``symcore.character_table``.
+The master routes in ``transforms`` multiply by the same ``content_rows``
+inside their chi-transform, without building a table.  The enumeration
+and group-algebra oracles it is checked with live in
 ``tests/hurwitz_reference.py``.
 """
 

@@ -49,16 +49,19 @@ values B(mu) of the input table sit over Q^ell(mu), Q the lcm of the
 table's denominators (_block_rows), and so does Z(nu) over Q^ell(nu); the
 Z(nu) / z(nu) of one degree d, and the chi-transform of them, over
 Q^d d!; the Z and block values of the peel over one D_d per degree, with
-D_a D_b dividing D_(a+b); and the moments and cumulants of degree d on
-the convolution routes over Q^d.  A row is one integer with a slot of B
-bits per order (hbar.Packed), so a product term is one big-integer
-product, and a slot is decoded, and a Fraction built, only where an entry
-is read off (_store).  B comes from a bound: each kernel runs first on
-hbar.Bounds, the same recursion on one scalar bound of the sum of |v_j|
-per row, and B is the bit length of the largest bound of a row it reads
-off, plus one.  Where that width passes PACKED_MAX_BITS, the master
-kernel keeps its Z-assembly and peel on lists, and the Moebius route
-solves on lists order by order (hbar.Lists).
+D_a D_b dividing D_(a+b).  The hurwitz kernel packs a row into one integer
+with a slot of B bits per order (hbar.Packed), so a product term is one
+big-integer product, and a slot is decoded, and a Fraction built, only
+where an entry is read off (_store).  B comes from a bound: the kernel
+runs first on hbar.Bounds, the same recursion on one scalar bound of the
+sum of |v_j| per row, and B is the bit length of the largest bound of a
+row it reads off, plus one.  Where that width passes PACKED_MAX_BITS, the
+kernel keeps its Z-assembly and peel on lists (hbar.Lists).
+
+The convolution routes run on lists in both directions, with no bound
+pass: every block row sits over Q^|mu| (_degree_rows), so a product of
+degree d is over Q^d, one grouped sum (_grouped_sum) serves both, and the
+inverse's solve reads its rows one order at a time.
 """
 
 from __future__ import annotations
@@ -185,15 +188,6 @@ def _store(out: CoefficientTable, lam: Partition, row: int, den: int, g2max: int
         out[(g2, lam)] = v
 
 
-def _packed(kernel, K: int, *args) -> CoefficientTable:
-    """Run a kernel written against the row operations of freehop.hbar
-    twice: on Bounds, to bound every row it reads off, then on Packed rows
-    whose slot width that bound makes exact."""
-    bounds = Bounds(K)
-    kernel(*args, bounds)
-    return kernel(*args, Packed(K, bounds.width()))
-
-
 def required_K(dmax: int, g2max: int) -> int:
     """The highest hbar order the master routes read off: F_{g2; lam} sits
     at hbar^(|lam| + len(lam) - 2 + g2), which over |lam| <= dmax and
@@ -312,15 +306,37 @@ def _grouped_factorizations(lam: Partition, K: int) -> dict:
     return rows
 
 
-def _product_row(types: tuple, rows: dict, memo: dict, ring):
+def _product_row(types: tuple, rows: dict, memo: dict, ring: Lists):
     """The product of rows[mu] over the sorted cycle types mu of ``types``,
-    or None when a type has no row (a zero value); memo holds the product
-    of every prefix of types asked for so far, with memo[()] the row of 1."""
+    or None when a type has no row (a zero value); a single type is its
+    row, and memo holds the product of every longer prefix asked for."""
+    if len(types) == 1:
+        return rows.get(types[0])
     if types not in memo:
         head, last = _product_row(types[:-1], rows, memo, ring), rows.get(types[-1])
-        memo[types] = None if head is None or last is None else ring.reduce(
-            ring.mul_add(ring.zero(), 1, head, 0, last, 0))
+        memo[types] = None if head is None or last is None else ring.mul_add(
+            ring.zero(), 1, head, 0, last, 0)
     return memo[types]
+
+
+def _degree_rows(table: CoefficientTable, dmax: int, K: int):
+    """(rows, qpow) of _block_rows with each row over Q^|mu|, not
+    Q^len(mu), so that a product of rows of total degree d is over Q^d."""
+    block, qpow = _block_rows(table, dmax, K)
+    return {mu: [qpow[sum(mu) - len(mu)] * v for v in row] for mu, row in block.items()}, qpow
+
+
+def _grouped_sum(lam: Partition, rows: dict, memo: dict, ring: Lists) -> list:
+    """The sum over the factorization types of (1_d, pi_lam), lam |- d, of
+    each type's hbar row times the product of its blocks' rows (over Q^d
+    when every row is over Q^|mu|); a type with a block missing from
+    ``rows`` is a zero term.  ``memo`` is that of _product_row."""
+    acc = ring.zero()
+    for types, h in _grouped_factorizations(lam, ring.K).items():
+        p = _product_row(types, rows, memo, ring)
+        if p is not None:
+            ring.mul_add(acc, 1, h, 0, p, 0)
+    return acc
 
 
 def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int) -> CoefficientTable:
@@ -330,28 +346,15 @@ def convolution_forward(cum_table: CoefficientTable, dmax: int, g2max: int) -> C
                            0_alpha v B = 1_d of hbar^|alpha| prod_B phi_dual,
 
     evaluated only at the one-block targets through the factorization
-    counts of ``pscore.target_factorizations``, grouped by block types: each
-    group is its hbar row times the product of its types' block values.
-    The moments of degree d sit over Q^d, a product of block values over
-    Q^(sum of their lengths), which is at most d.  Runs on packed rows
-    (_packed)."""
-    return _packed(_convolution_kernel, required_K(dmax, g2max), cum_table, dmax, g2max)
-
-
-def _convolution_kernel(cum_table: CoefficientTable, dmax: int, g2max: int, ring) -> CoefficientTable:
-    """convolution_forward on the rows of ``ring``."""
-    block, qpow = _block_rows(cum_table, dmax, ring.K)
-    block = {mu: ring.row(row) for mu, row in block.items()}
-    memo = {(): ring.one}
+    counts of ``pscore.target_factorizations``, grouped by block types
+    (_grouped_sum); the moments of degree d sit over Q^d."""
+    ring = Lists(required_K(dmax, g2max))
+    block, qpow = _degree_rows(cum_table, dmax, ring.K)
+    memo: dict = {}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         for lam in symcore.partitions(d):
-            acc = ring.zero()
-            for types, h in _grouped_factorizations(lam, ring.K).items():
-                p = _product_row(types, block, memo, ring)
-                if p is not None:
-                    acc = ring.mul_add(acc, qpow[d - sum(map(len, types))], ring.row(h), 0, p, 0)
-            _store(out, lam, ring.reduce(acc), qpow[d], g2max, ring)
+            _store(out, lam, _grouped_sum(lam, block, memo, ring), qpow[d], g2max, ring)
     return out
 
 
@@ -364,41 +367,35 @@ def moebius_inverse_route(mom_table: CoefficientTable, dmax: int, g2max: int) ->
     phi(1_d, pi_lam) the only term with |alpha| = 0 is phi_dual(1_d, pi_lam)
     itself; the other terms are products of blocks of size < d, known from
     lower degrees, or one block mu |- d times n hbar^|alpha|, |alpha| >= 1.
-    The cumulants of degree d sit over Q^d, so a product of lower-degree
-    ones is over Q^d too.  With r_lam the moment minus the products, the
-    p(d) unknowns are solved in one pass up the hbar orders,
+    The cumulants of degree d sit over Q^d, as the moments do.  With r_lam
+    the moment minus the products (_grouped_sum), the p(d) unknowns are
+    solved in one pass up the hbar orders,
 
         x_lam[j] = r_lam[j] - sum n x_mu[j - |alpha|],
 
-    each x_mu[j - |alpha|] being of a lower order, already solved.  The
-    rows are lists (hbar.Lists): the solve reads them one order at a
-    time, which packed rows would have to decode at every order."""
+    each x_mu[j - |alpha|] being of a lower order, already solved."""
     K = required_K(dmax, g2max)
     ring = Lists(K)
-    moments, qpow = _block_rows(mom_table, dmax, K)
+    moments, qpow = _degree_rows(mom_table, dmax, K)
     cum: dict[Partition, list] = {}
-    memo = {(): ring.one}
+    memo: dict = {}
     out: CoefficientTable = {}
     for d in range(1, dmax + 1):
         parts = symcore.partitions(d)
-        x, links = {}, {}
-        for lam in parts:
-            x[lam] = r = ring.scale(qpow[d - len(lam)], moments.get(lam, ring.zero()))
-            links[lam] = []
-            for types, h in _grouped_factorizations(lam, K).items():
-                if len(types) == 1:
-                    links[lam] += [(types[0], a, n) for a, n in enumerate(h) if a and n]
-                else:
-                    p = _product_row(types, cum, memo, ring)
-                    if p is not None:
-                        ring.mul_add(r, -1, h, 0, p, 0)
+        # cum holds no row of degree d yet, so each grouped sum is the
+        # products of lower-degree blocks alone
+        x = {lam: ring.sub(moments.get(lam, ring.zero()), _grouped_sum(lam, cum, memo, ring))
+             for lam in parts}
+        links = {lam: [(types[0], a, n) for types, h in _grouped_factorizations(lam, K).items()
+                       if len(types) == 1 for a, n in enumerate(h) if a and n]
+                 for lam in parts}
         # x[lam] holds r_lam and is solved in place, order by order
         for j in range(K + 1):
             for lam in parts:
                 x[lam][j] -= sum(n * x[mu][j - a] for mu, a, n in links[lam] if a <= j)
         for lam in parts:
             _store(out, lam, x[lam], qpow[d], g2max, ring)
-        cum.update(x)
+        cum.update((lam, row) for lam, row in x.items() if any(row))
     return out
 
 

@@ -325,6 +325,17 @@ def test_negative_hbar_exit_2(tmp_path):
         assert run(["transform", "c2m", "--route", route, "--in", str(inp), "--hbar", "-1"]) == 2
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", [["gue", "--genus", "0", "--deg", "2"], ["verify", "--suite", "gue"]],
+                         ids=["gue", "verify"])
+def test_unwritable_out_exit_2(tmp_path, capsys, where, argv):
+    # a verification that passed must not read as failed (exit 1)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_verify_equivalence_hbar(tmp_path):
     out = tmp_path / "rep.json"
     assert run(["verify", "--suite", "equivalence", "--hbar", "2", "--out", str(out)]) == 3

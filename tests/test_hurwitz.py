@@ -126,6 +126,14 @@ def test_jucys_murphy_free_single():
                 assert jucys_murphy_oracle(lam, nu, "free-single", r) == free_single_count(lam, nu, r)
 
 
+@pytest.mark.parametrize("d", range(11))
+def test_free_single_table_is_strict(d):
+    # Jucys: the colength-r class sum is e_r of the Jucys-Murphy elements,
+    # so its central character on rho is e_r of rho's contents
+    for K in {0, 3, max(d - 1, 0), d + 5}:
+        assert hurwitz_table(d, "free-single", K) == hurwitz_table(d, "strict", K)
+
+
 def test_elementary_vanishes_beyond_degree():
     # e_r in d-1 variables vanishes for r > d-1
     assert jucys_murphy_oracle((3,), (3,), "strict", 3) == 0

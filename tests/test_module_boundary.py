@@ -1,9 +1,10 @@
 """The library's module boundary: the multivariate Series and the
 HbarSeries object live in the tests, the relations build no variable
 names and put table entries into slot orders in one place, no module
-lists all set partitions or reads the environment, and what the
-benchmark worker imports loads every module the benchmark's tracer wraps
-and none of the modules that dataclasses pulls in."""
+lists all set partitions or reads the environment, every name it defines
+is used outside the tests, and what the benchmark worker imports loads
+every module the benchmark's tracer wraps and none of the modules that
+dataclasses pulls in."""
 
 import ast
 import importlib.util
@@ -83,3 +84,51 @@ def test_worker_imports_load_every_traced_module():
 def test_worker_imports_load_no_dataclasses():
     # each costs a fresh process import time, and no freehop code uses them
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & _loaded_by_worker_imports()
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node, name.id
+
+
+def _used_names(node) -> set[str]:
+    # a string counts too: the benchmark looks some functions up by name
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.add(n.value)
+    return names
+
+
+# test-only helpers still in the library: taking them out of symcore
+# shifts when the benchmark worker's first generation-1 collection runs
+# (see CHANGES.md), so they move with the next change to the benchmark
+KEPT_TEST_ONLY = {"is_partition", "conjugacy_class", "all_permutations"}
+
+
+def test_library_defines_no_test_only_names():
+    # every name the library defines serves the library, the CLI or the
+    # benchmark; what only the tests call lives in the tests
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "freehop").glob("*.py"))}
+    uses = [(node, _used_names(node)) for tree in trees.values() for node in tree.body]
+    bench = set().union(*(_used_names(ast.parse(path.read_text(), str(path)))
+                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    # a use counts outside the definition itself, in its module or another
+    unused = ["%s:%s" % (path.name, name) for path, tree in trees.items()
+              for defn, name in _top_level_names(tree)
+              if name != "__version__" and name not in bench | KEPT_TEST_ONLY
+              and not any(name in names for node, names in uses if node is not defn)]
+    assert not unused

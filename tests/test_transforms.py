@@ -327,11 +327,12 @@ def test_one_block_routes_equal_full_tables(seed, g2):
     assert moebius_inverse_route(t, 4, g2) == _full_table_convolution(t, 4, g2, True)
 
 
-def test_convolution_routes_at_degree_6():
-    t = random_table(seed=66, nmax=6, degmax=6)
-    m = convolution_forward(t, 6, 0)
-    assert m == master_forward(t, 6, 0)
-    assert moebius_inverse_route(m, 6, 0) == restrict_table(t, deg=6, g2=0)
+@pytest.mark.parametrize("deg", [6, 7])
+def test_convolution_routes_at_degree(deg):
+    t = random_table(seed=66, nmax=deg, degmax=deg)
+    m = convolution_forward(t, deg, 0)
+    assert m == master_forward(t, deg, 0)
+    assert moebius_inverse_route(m, deg, 0) == restrict_table(t, deg=deg, g2=0)
 
 
 def _term(n, col_a, types, block, K):
